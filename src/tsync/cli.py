@@ -19,7 +19,7 @@ import click
 
 from . import __version__, engine, metrics, net, nmea, pps, scenario
 from .engine import LOOP_HEADER, LoopRow
-from .timebase import NS_PER_S
+from .timebase import NS_PER_S, NoiseExhausted
 
 log = logging.getLogger("tsync")
 
@@ -249,7 +249,7 @@ def analyze(logs, fmt, out_dir):
                 mid = gaps[len(gaps) // 2]
                 if mid > 0:
                     tau0 = mid
-            rep = metrics.report(offsets, elapsed, tau0)
+            rep = metrics.report(offsets, tau0_s=tau0)
             reports[os.path.basename(path)] = (rep, elapsed, offsets)
     except FormatError as exc:
         click.echo(f"malformed log: {exc}", err=True)
@@ -344,6 +344,10 @@ def replay(nmea_log, pps_log, mode, preset_name, scenario_path, node_name,
     except (UnsortedLog, FormatError, scenario.SchemaError,
             scenario.UnknownPreset) as exc:
         click.echo(f"replay error: {exc}", err=True)
+        sys.exit(1)
+    except NoiseExhausted:
+        click.echo(f"replay error: the capture runs longer than the "
+                   f"scenario's {cfg.duration_s:g} s duration", err=True)
         sys.exit(1)
     for w in warnings:
         log.warning("replay: %s", w)

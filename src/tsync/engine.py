@@ -70,8 +70,10 @@ def fix_for_second(second: int, nsat: int, mask) -> GnssFix:
 
 
 class NodeSim:
-    """Single disciplined node driven boundary by boundary.
+    """Single disciplined node driven by pulse edges and sentences.
 
+    A live run draws each second's events in `step_boundary`; replay
+    feeds recorded ones. Both go through `on_edge` and `on_sentence`.
     One advance (and one noise draw) happens per measurement event: the
     pulse edge in pulse-bearing modes, the sentence arrival in
     sentence-only mode, and the top of the second during outages.
@@ -95,6 +97,7 @@ class NodeSim:
         self.outage_start_s: float | None = None
         self.holdover_engaged = False
         self.pending: tuple[pps.PpsEvent, int] | None = None
+        self.last_sampled_second: int | None = None
 
         self.loop_rows: list[LoopRow] = []
         self.true_rows: list[tuple[int, int]] = []
@@ -163,7 +166,7 @@ class NodeSim:
         servo_mod.observe(self.servo, sample)
         hist = self.servo.offset_history
         if hist[-1][0] - hist[0][0] >= servo_mod.MIN_HOLDOVER_SPAN_S:
-            servo_mod.enter_holdover(self.servo, self.outage_start_s)
+            servo_mod.enter_holdover(self.servo)
             self.holdover_engaged = True
             seg.slope_ns_per_s = self.servo.holdover.slope_ns_per_s
             if self.spec.servo.holdover_predict:
@@ -181,36 +184,37 @@ class NodeSim:
             self.warnings.append(f"{reason} at {edge.true_time}")
             self.pending = None
 
-    def _handle_edge(self, boundary: int, temp_c: float) -> None:
-        event = pps.next_pps(SimInstant(boundary - 1), self.jitter, True,
-                             self.rng_pps)
+    def on_edge(self, event: pps.PpsEvent, temp_c: float) -> None:
+        """A pulse edge: sampled at once in pulse-only mode, otherwise held
+        for the next sentence to name its second."""
+        if self.servo.mode is ServoMode.NMEA_ONLY:
+            return
+        self._drop_pending("unlabeled edge")
         edge_ns = event.true_time.total_ns
         self._advance_to(edge_ns, temp_c)
         capture_ns = edge_ns + self.clock.phase_offset_ns
-        self.pps_log.append(edge_ns)
         if self.servo.mode is ServoMode.PPS_ONLY:
             ref_second = (capture_ns + NS_PER_S // 2) // NS_PER_S
-            sample = OffsetSample(float(ref_second),
-                                  capture_ns - ref_second * NS_PER_S,
-                                  SampleSource.PPS)
-            self._apply(sample)
+            self._apply(OffsetSample(float(ref_second),
+                                     capture_ns - ref_second * NS_PER_S,
+                                     SampleSource.PPS))
         else:
-            self._drop_pending("unlabeled edge")
             self.pending = (event, capture_ns)
 
-    def _handle_sentences(self, boundary: int, nsat: int, temp_c: float) -> None:
-        second = boundary
-        fix = fix_for_second(second, nsat, self.spec.constellations)
-        delay = self.spec.receiver.serial.delivery_delay_ns(self.rng_serial)
-        if delay is None:
-            return
-        arrival_ns = second * NS_PER_S + delay
-        rmc = nmea.generate(fix, SentenceKind.RMC)
-        gga = nmea.generate(fix, SentenceKind.GGA)
-        self.nmea_log.append((arrival_ns, rmc))
-        self.nmea_log.append((arrival_ns, gga))
+    def on_sentence(self, arrival_ns: int, second: int, fix: GnssFix,
+                    temp_c: float) -> None:
+        """A sentence naming `second`; at most one sample per named second.
+
+        Combined mode labels the pending edge with it; sentence-only mode
+        measures the clock at its arrival.
+        """
         mode = self.servo.mode
-        if mode is ServoMode.NMEA_PLUS_PPS and self.pending is not None:
+        if mode is ServoMode.NMEA_PLUS_PPS:
+            if self.pending is None:
+                if second != self.last_sampled_second:
+                    self.warnings.append(f"no edge to label for second {second}")
+                    self.last_sampled_second = second
+                return
             edge, capture_ns = self.pending
             try:
                 labeled = pps.label_pps(edge, [(arrival_ns, fix)],
@@ -223,16 +227,18 @@ class NodeSim:
             sample = measure_offset_pps(
                 labeled, ClockReading(SimInstant.from_ns(capture_ns)),
                 SampleSource.COMBINED)
-            self._apply(sample)
         elif mode is ServoMode.NMEA_ONLY:
-            if not fix.fix_valid:
+            if second == self.last_sampled_second or not fix.fix_valid:
                 return
             self._advance_to(arrival_ns, temp_c)
             reading = read_clock(self.clock, SimInstant.from_ns(arrival_ns))
             sample = measure_offset_nmea(fix, reading,
                                          self.spec.receiver.est_path_delay_ns,
                                          SIM_EPOCH_DATE)
-            self._apply(sample)
+        else:
+            return
+        self.last_sampled_second = second
+        self._apply(sample)
 
     def step_boundary(self, boundary: int) -> None:
         """Advance through true second [boundary-1, boundary]."""
@@ -242,9 +248,18 @@ class NodeSim:
         if nsat >= 1:
             if self.outage_start_s is not None:
                 self._end_outage(boundary)
-            if self.servo.mode in (ServoMode.PPS_ONLY, ServoMode.NMEA_PLUS_PPS):
-                self._handle_edge(boundary, temp_c)
-            self._handle_sentences(boundary, nsat, temp_c)
+            if self.servo.mode is not ServoMode.NMEA_ONLY:
+                event = pps.next_pps(SimInstant(boundary - 1), self.jitter,
+                                     True, self.rng_pps)
+                self.pps_log.append(event.true_time.total_ns)
+                self.on_edge(event, temp_c)
+            fix = fix_for_second(boundary, nsat, self.spec.constellations)
+            delay = self.spec.receiver.serial.delivery_delay_ns(self.rng_serial)
+            if delay is not None:
+                arrival_ns = boundary * NS_PER_S + delay
+                for kind in (SentenceKind.RMC, SentenceKind.GGA):
+                    self.nmea_log.append((arrival_ns, nmea.generate(fix, kind)))
+                self.on_sentence(arrival_ns, boundary, fix, temp_c)
         else:
             self._outage_tick(boundary, temp_c)
         self.true_rows.append((boundary, self.clock.phase_offset_ns))
@@ -329,72 +344,28 @@ def run_replay(cfg: ScenarioConfig, spec: NodeSpec, nmea_events,
 
     nmea_events are (arrival_ns, named_second, GnssFix) tuples; pps_edges
     are true edge times in ns. Clock physics are rebuilt from the
-    scenario node spec and seed, consuming the same oscillator noise
-    draws as a live run, so replaying a run's own event logs reproduces
-    its loop log exactly (outage-free, drop-free runs).
+    scenario node spec and seed, and the events go through the same
+    `NodeSim` handlers as a live run, so replaying a run's own event logs
+    reproduces its loop log exactly for outage-free, drop-free runs at
+    constant temperature. Two departures remain: temperature is taken at
+    each event's time instead of at the start of its second, and nothing
+    advances the clock through an outage.
     """
     names = [n.name for n in cfg.nodes]
     node_index = names.index(spec.name) if spec.name in names else 0
     root = np.random.SeedSequence(cfg.seed)
     seqs = root.spawn(max(len(cfg.nodes), node_index + 1))
     sim = NodeSim(cfg, spec, seqs[node_index])
-    mode = spec.servo.mode
 
-    merged = [(t, "pps", t) for t in pps_edges]
-    merged += [(arrival, "nmea", (arrival, second, fix))
-               for arrival, second, fix in nmea_events]
+    def edge_at(t_ns: int) -> pps.PpsEvent:
+        inst = SimInstant.from_ns(t_ns)
+        return pps.PpsEvent(inst, t_ns - inst.round_s() * NS_PER_S)
+
+    # Edges sort ahead of sentences arriving at the same instant.
+    merged = [(t, sim.on_edge, (edge_at(t),)) for t in pps_edges]
+    merged += [(event[0], sim.on_sentence, event) for event in nmea_events]
     merged.sort(key=lambda e: e[0])
-    last_sampled_second = None
-
-    def temp_at(t_ns: int) -> float:
+    for t_ns, handle, args in merged:
         t = min(t_ns / NS_PER_S, cfg.duration_s)
-        return scenario.temperature_at(cfg, max(0.0, t))
-
-    for t_ns, kind, payload in merged:
-        if kind == "pps":
-            if mode is ServoMode.NMEA_ONLY:
-                continue
-            sim._drop_pending("unlabeled edge")
-            sim._advance_to(t_ns, temp_at(t_ns))
-            inst = SimInstant.from_ns(t_ns)
-            event = pps.PpsEvent(inst, t_ns - inst.round_s() * NS_PER_S)
-            capture_ns = t_ns + sim.clock.phase_offset_ns
-            if mode is ServoMode.PPS_ONLY:
-                ref_second = (capture_ns + NS_PER_S // 2) // NS_PER_S
-                sim._apply(OffsetSample(float(ref_second),
-                                        capture_ns - ref_second * NS_PER_S,
-                                        SampleSource.PPS))
-            else:
-                sim.pending = (event, capture_ns)
-        else:
-            arrival_ns, second, fix = payload
-            if mode is ServoMode.NMEA_PLUS_PPS:
-                if sim.pending is None:
-                    if last_sampled_second != second:
-                        sim.warnings.append(
-                            f"no edge to label for second {second}")
-                        last_sampled_second = second
-                    continue
-                edge, capture_ns = sim.pending
-                try:
-                    labeled = pps.label_pps(edge, [(arrival_ns, fix)],
-                                            SIM_EPOCH_DATE,
-                                            spec.receiver.label_window_ns)
-                except (pps.UnlabeledEdge, pps.AmbiguousLabel) as exc:
-                    sim._drop_pending(type(exc).__name__)
-                    continue
-                sim.pending = None
-                last_sampled_second = second
-                sim._apply(measure_offset_pps(
-                    labeled, ClockReading(SimInstant.from_ns(capture_ns)),
-                    SampleSource.COMBINED))
-            elif mode is ServoMode.NMEA_ONLY:
-                if last_sampled_second == second or not fix.fix_valid:
-                    continue
-                sim._advance_to(arrival_ns, temp_at(arrival_ns))
-                reading = read_clock(sim.clock, SimInstant.from_ns(arrival_ns))
-                last_sampled_second = second
-                sim._apply(measure_offset_nmea(
-                    fix, reading, spec.receiver.est_path_delay_ns,
-                    SIM_EPOCH_DATE))
+        handle(*args, scenario.temperature_at(cfg, max(0.0, t)))
     return sim.loop_rows, sim.warnings

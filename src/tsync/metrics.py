@@ -206,7 +206,7 @@ def boxplot(samples) -> BoxStats:
     return BoxStats(med, q1, q3, lower, upper, outliers)
 
 
-def report(offsets_ns, elapsed_s=None, tau0_s: float = 1.0) -> dict:
+def report(offsets_ns, tau0_s: float = 1.0) -> dict:
     """Composite JSON-ready report: moments, ADEV curve, noise fit, box."""
     x = np.asarray(offsets_ns, dtype=float)
     out: dict = {

@@ -95,9 +95,6 @@ class NmeaSentence:
     def line(self) -> str:
         return f"${self.payload}*{self.checksum}"
 
-    def wire(self) -> str:
-        return self.line + "\r\n"
-
 
 def parse_sentence(line: str) -> NmeaSentence:
     """Parse and checksum-verify one sentence.

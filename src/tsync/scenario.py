@@ -9,10 +9,12 @@ docs/scenario.schema.json.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import os
 from dataclasses import asdict, dataclass, field, replace
+from operator import itemgetter
 
 from .nmea import SerialDeliveryModel
 from .servo import ServoConfig, ServoMode
@@ -84,12 +86,13 @@ class TraceTemp:
         pts = self.points
         if t_s <= pts[0][0]:
             return pts[0][1]
-        for (t0, c0), (t1, c1) in zip(pts, pts[1:]):
-            if t_s <= t1:
-                if t1 == t0:
-                    return c1
-                return c0 + (c1 - c0) * (t_s - t0) / (t1 - t0)
-        return pts[-1][1]
+        i = bisect.bisect_left(pts, t_s, key=itemgetter(0))
+        if i == len(pts):
+            return pts[-1][1]
+        (t0, c0), (t1, c1) = pts[i - 1], pts[i]
+        if t1 == t0:
+            return c1
+        return c0 + (c1 - c0) * (t_s - t0) / (t1 - t0)
 
 
 @dataclass(frozen=True)

@@ -98,7 +98,6 @@ class ServoConfig:
 class HoldoverState:
     active: bool = False
     slope_ns_per_s: float = 0.0
-    entered_at_s: float | None = None
 
 
 @dataclass(frozen=True)
@@ -204,11 +203,9 @@ def _moving_average(values: np.ndarray, window: int) -> np.ndarray:
     return np.convolve(values, kernel, mode="valid")
 
 
-def enter_holdover(servo: ServoState, now_s: float) -> ServoState:
+def enter_holdover(servo: ServoState) -> ServoState:
     """Fit the drift slope from recent history and activate holdover.
 
-    now_s anchors the prediction clock; pass the instant the reference
-    was lost so predictions cover drift accumulated before activation.
     The slope is an ordinary least-squares fit over the moving-averaged
     tail of the offset history.
     """
@@ -226,7 +223,7 @@ def enter_holdover(servo: ServoState, now_s: float) -> ServoState:
     ma_t = _moving_average(ts, w)
     ma_v = _moving_average(vs, w)
     slope = float(np.polyfit(ma_t, ma_v, 1)[0])
-    servo.holdover = HoldoverState(True, slope, float(now_s))
+    servo.holdover = HoldoverState(True, slope)
     return servo
 
 

@@ -41,6 +41,10 @@ class PhaseOverflowError(OverflowError):
     """Phase accumulator left the representable 64-bit ns range."""
 
 
+class NoiseExhausted(RuntimeError):
+    """A clock took more steps than its noise stream was sized for."""
+
+
 @dataclass(frozen=True, order=True)
 class SimInstant:
     """A point in time: whole seconds plus nanoseconds in [0, 1e9).
@@ -63,10 +67,6 @@ class SimInstant:
         seconds, frac = divmod(int(total_ns), NS_PER_S)
         return cls(seconds, frac)
 
-    @classmethod
-    def from_s(cls, seconds: float) -> "SimInstant":
-        return cls.from_ns(round(seconds * NS_PER_S))
-
     @property
     def total_ns(self) -> int:
         return self.seconds * NS_PER_S + self.frac_ns
@@ -88,10 +88,9 @@ class SimInstant:
 
 @dataclass(frozen=True)
 class ClockReading:
-    """A time read from some clock, tagged with the timescale it lives on."""
+    """A time read from some clock."""
 
     instant: SimInstant
-    timescale: str = "node"
 
     @property
     def total_ns(self) -> int:
@@ -293,7 +292,7 @@ class NoiseStream:
         if self._silent:
             return 0.0
         if self._i >= self._n:
-            raise RuntimeError("noise stream exhausted; size the stream to the run")
+            raise NoiseExhausted("noise stream exhausted; size the stream to the run")
         i = self._i
         self._i = i + 1
         dt_s = dt_ns / NS_PER_S

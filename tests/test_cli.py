@@ -241,6 +241,22 @@ class TestReplay:
         assert np.abs(offs).max() > 100_000  # ms-scale spread
         assert np.abs(offs).max() < 100_000_000
 
+    def test_capture_longer_than_scenario_fails_cleanly(self, runner, tmp_path):
+        _, path = short_lab(tmp_path, duration=300.0)
+        out = tmp_path / "run"
+        assert runner.invoke(main, ["run", path, "--out", str(out)]
+                             ).exit_code == 0
+        _, short_path = short_lab(tmp_path, name="lab_cut", duration=100.0)
+        res = runner.invoke(main, [
+            "replay", str(out / "nmea_bench.log"),
+            "--scenario", short_path, "--out", str(tmp_path / "rp")])
+        assert res.exit_code == 1
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert res.output.startswith("replay error:")
+        assert "100 s" in res.output
+        assert len(res.output.strip().splitlines()) == 1
+        assert not (tmp_path / "rp" / "loop_replay.csv").exists()
+
     def test_unsorted_pps_rejected(self, runner, tmp_path):
         cfg, path = short_lab(tmp_path)
         out = tmp_path / "run"

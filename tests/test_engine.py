@@ -184,23 +184,17 @@ class TestOutage:
 
 
 class TestReplayParity:
-    def test_combined_replay_reproduces_run(self):
-        osc = OscillatorParams(f0_ppm=0.1, noise_white_fm=2e-9)
-        cfg = small_cfg(osc=osc, duration=180.0)
+    @pytest.mark.parametrize("mode", list(ServoMode), ids=lambda m: m.value)
+    def test_combined_replay_reproduces_run(self, mode):
+        osc = OscillatorParams(f0_ppm=0.1, noise_white_fm=2e-9,
+                               noise_flicker_fm=1e-9)
+        cfg = small_cfg(mode=mode, osc=osc, duration=180.0)
         res = engine.run_scenario(cfg)
-        events = []
-        from tsync import nmea as nmea_mod
-        last_date = None
-        for rx, line in res.nmea_logs["n0"]:
-            s = nmea_mod.parse_sentence(line)
-            fix = nmea_mod.extract_fix(s, last_date)
-            if fix.date:
-                last_date = fix.date
-            named = nmea_mod.absolute_second_ns(fix, engine.SIM_EPOCH_DATE)
-            events.append((rx, named // 10**9, fix))
-        rows, warnings = engine.run_replay(cfg, cfg.nodes[0], events,
+        rows, warnings = engine.run_replay(cfg, cfg.nodes[0],
+                                           _events_from(res, cfg),
                                            res.pps_logs["n0"])
         assert warnings == []
+        assert len(rows) == 180
         assert [r.csv() for r in rows] == [r.csv() for r in res.loop_rows["n0"]]
 
     def test_missing_pulse_second_coasts_with_warning(self):

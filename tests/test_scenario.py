@@ -2,6 +2,7 @@ import json
 import os
 
 import pytest
+from hypothesis import given, strategies as st
 
 from tsync import scenario
 from tsync.scenario import (ConstantTemp, OverlappingVisibility, RangeTemp,
@@ -73,6 +74,16 @@ class TestTemperature:
     def test_trace_interpolation(self):
         cfg = minimal(temperature=TraceTemp(((0.0, 10.0), (100.0, 20.0))))
         assert temperature_at(cfg, 50.0) == pytest.approx(15.0)
+
+    @given(st.lists(st.tuples(st.integers(0, 20), st.integers(-40, 85)),
+                    min_size=2).map(sorted),
+           st.data())
+    def test_trace_lookup_matches_linear_scan(self, points, data):
+        # Few distinct times, so repeated timestamps are common.
+        pts = tuple((float(t), float(c)) for t, c in points)
+        t_s = data.draw(st.one_of(st.sampled_from([t for t, _ in pts]),
+                                  st.floats(-5.0, 25.0)))
+        assert TraceTemp(pts).at(t_s) == _scan_trace(pts, t_s)
 
     def test_trace_from_csv_file(self, tmp_path):
         (tmp_path / "temps.csv").write_text(
@@ -160,3 +171,15 @@ class TestPresets:
         cfg = preset("tunnel_5km")
         scenario.save(cfg, path)
         assert scenario.load(path) == cfg
+
+
+def _scan_trace(pts, t_s):
+    """Reference lookup: the first segment whose end is at or after t_s."""
+    if t_s <= pts[0][0]:
+        return pts[0][1]
+    for (t0, c0), (t1, c1) in zip(pts, pts[1:]):
+        if t_s <= t1:
+            if t1 == t0:
+                return c1
+            return c0 + (c1 - c0) * (t_s - t0) / (t1 - t0)
+    return pts[-1][1]

@@ -119,7 +119,7 @@ class TestUpdate:
         enter_able = ServoState(ServoConfig())
         for t in range(1, 70):
             observe(enter_able, pps_sample(float(t), 100))
-        enter_holdover(enter_able, 0.0)
+        enter_holdover(enter_able)
         assert enter_able.holdover.active
         enter_able, _ = update(enter_able, pps_sample(100.0, 3), ClockState())
         assert not enter_able.holdover.active
@@ -139,18 +139,18 @@ class TestHoldover:
 
     def test_zero_drift_gives_zero_slope(self):
         servo = self.ramp_history(0.0, 90)
-        enter_holdover(servo, 0.0)
+        enter_holdover(servo)
         assert servo.holdover.slope_ns_per_s == pytest.approx(0.0, abs=1e-9)
 
     def test_free_run_drift_slope_recovered(self):
         # 80 us/h uncorrected drift with some measurement noise
         servo = self.ramp_history(80_000 / 3600, 120, noise_sigma=30.0, seed=4)
-        enter_holdover(servo, 0.0)
+        enter_holdover(servo)
         assert servo.holdover.slope_ns_per_s == pytest.approx(22.22, rel=0.10)
 
     def test_linear_history_is_exact(self):
         servo = self.ramp_history(17.0, 90)
-        enter_holdover(servo, 0.0)
+        enter_holdover(servo)
         assert abs(servo.holdover.slope_ns_per_s - 17.0) < 1.0
         predicted = predict_offset(servo, 50.0)
         assert predicted == pytest.approx(17.0 * 50.0, abs=50.0)
@@ -159,10 +159,10 @@ class TestHoldover:
         servo = ServoState(ServoConfig())
         observe(servo, pps_sample(1.0, 0))
         with pytest.raises(InsufficientHistory):
-            enter_holdover(servo, 1.0)
+            enter_holdover(servo)
         servo2 = self.ramp_history(1.0, 30)  # spans < 60 s
         with pytest.raises(InsufficientHistory):
-            enter_holdover(servo2, 30.0)
+            enter_holdover(servo2)
 
     def test_prediction_requires_active_holdover(self):
         servo = ServoState(ServoConfig())
@@ -171,7 +171,7 @@ class TestHoldover:
 
     def test_tunnel_scale_prediction(self):
         servo = self.ramp_history(22.2, 120)
-        enter_holdover(servo, 0.0)
+        enter_holdover(servo)
         # five minutes of outage at the fitted slope
         assert predict_offset(servo, 300.0) == pytest.approx(6660.0, rel=0.05)
 
