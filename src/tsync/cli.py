@@ -19,7 +19,7 @@ import click
 
 from . import __version__, engine, metrics, net, nmea, pps, scenario
 from .engine import LOOP_HEADER, LoopRow
-from .timebase import NS_PER_S, NoiseExhausted
+from .timebase import NS_PER_S, NoiseExhausted, TimeReversalError
 
 log = logging.getLogger("tsync")
 
@@ -104,7 +104,7 @@ def _run_one(cfg: scenario.ScenarioConfig, out_dir: str) -> dict:
         for rec in records:
             if a in rec.arrivals and b in rec.arrivals:
                 off = rec.arrivals[a][1] - rec.arrivals[b][1]
-                lines.append(f"{rec.packet_id},{rec.send_true.total_ns},"
+                lines.append(f"{rec.packet_id},{rec.send_true_ns},"
                              f"{rec.arrivals[a][1]},{rec.arrivals[b][1]},{off}")
         emit("harness.csv", "\n".join(lines) + "\n")
         box = metrics.boxplot([s.offset_ns for s in samples])
@@ -341,7 +341,7 @@ def replay(nmea_log, pps_log, mode, preset_name, scenario_path, node_name,
             if edges != sorted(edges):
                 raise UnsortedLog(f"{pps_log}: edges not time-sorted")
         rows, warnings = engine.run_replay(cfg, spec, events, edges)
-    except (UnsortedLog, FormatError, scenario.SchemaError,
+    except (UnsortedLog, FormatError, TimeReversalError, scenario.SchemaError,
             scenario.UnknownPreset) as exc:
         click.echo(f"replay error: {exc}", err=True)
         sys.exit(1)

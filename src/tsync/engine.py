@@ -20,9 +20,9 @@ from .nmea import GnssFix, SentenceKind
 from .scenario import NodeSpec, ScenarioConfig
 from .servo import (OffsetSample, SampleSource, ServoMode, ServoState,
                     measure_offset_nmea, measure_offset_pps)
-from .timebase import (ClockReading, ClockState, FS_PER_NS, NS_PER_S,
-                       NoiseStream, SimInstant, advance, read_clock,
-                       slew_phase)
+from .timebase import (ClockState, FS_PER_NS, NS_PER_S, NoiseStream,
+                       SimInstant, TimeReversalError, advance, nearest_second,
+                       read_clock, slew_phase)
 
 SIM_EPOCH_DATE = datetime.date(2021, 1, 1)
 
@@ -109,9 +109,11 @@ class NodeSim:
     # -- clock helpers ----------------------------------------------------
 
     def _advance_to(self, t_ns: int, temp_c: float) -> None:
-        dt = t_ns - self.clock.last_update.total_ns
+        dt = t_ns - self.clock.last_update_ns
         if dt <= 0:
-            raise RuntimeError(f"event at {t_ns} ns does not move time forward")
+            raise TimeReversalError(
+                f"event at {t_ns} ns does not move time forward from "
+                f"{self.clock.last_update_ns} ns")
         self.clock = advance(self.clock, self.spec.oscillator, dt, temp_c,
                              self.noise)
         steer_fs = round(self.servo.freq_correction_ppm * dt)
@@ -119,10 +121,10 @@ class NodeSim:
         if steer_fs:
             self.clock = slew_phase(self.clock, steer_fs)
 
-    def read_disciplined(self, t_ns: int):
-        """Node clock reading at any true time at or after the last event."""
+    def read_disciplined(self, t_ns: int) -> int:
+        """Node clock reading (ns) at any true time at or after the last event."""
         extra = self.servo.freq_correction_ppm - self.steer_slope_ns_s / 1000.0
-        return read_clock(self.clock, SimInstant.from_ns(t_ns), extra)
+        return read_clock(self.clock, t_ns, extra)
 
     def _apply(self, sample: OffsetSample) -> None:
         self.servo, adj = servo_mod.update(self.servo, sample, self.clock)
@@ -181,7 +183,8 @@ class NodeSim:
     def _drop_pending(self, reason: str) -> None:
         if self.pending is not None:
             edge, _ = self.pending
-            self.warnings.append(f"{reason} at {edge.true_time}")
+            at = SimInstant.from_ns(edge.true_ns)
+            self.warnings.append(f"{reason} at {at}")
             self.pending = None
 
     def on_edge(self, event: pps.PpsEvent, temp_c: float) -> None:
@@ -190,11 +193,11 @@ class NodeSim:
         if self.servo.mode is ServoMode.NMEA_ONLY:
             return
         self._drop_pending("unlabeled edge")
-        edge_ns = event.true_time.total_ns
+        edge_ns = event.true_ns
         self._advance_to(edge_ns, temp_c)
         capture_ns = edge_ns + self.clock.phase_offset_ns
         if self.servo.mode is ServoMode.PPS_ONLY:
-            ref_second = (capture_ns + NS_PER_S // 2) // NS_PER_S
+            ref_second = nearest_second(capture_ns)
             self._apply(OffsetSample(float(ref_second),
                                      capture_ns - ref_second * NS_PER_S,
                                      SampleSource.PPS))
@@ -224,15 +227,14 @@ class NodeSim:
                 self._drop_pending(type(exc).__name__)
                 return
             self.pending = None
-            sample = measure_offset_pps(
-                labeled, ClockReading(SimInstant.from_ns(capture_ns)),
-                SampleSource.COMBINED)
+            sample = measure_offset_pps(labeled, capture_ns,
+                                        SampleSource.COMBINED)
         elif mode is ServoMode.NMEA_ONLY:
             if second == self.last_sampled_second or not fix.fix_valid:
                 return
             self._advance_to(arrival_ns, temp_c)
-            reading = read_clock(self.clock, SimInstant.from_ns(arrival_ns))
-            sample = measure_offset_nmea(fix, reading,
+            reading_ns = read_clock(self.clock, arrival_ns)
+            sample = measure_offset_nmea(fix, reading_ns,
                                          self.spec.receiver.est_path_delay_ns,
                                          SIM_EPOCH_DATE)
         else:
@@ -249,9 +251,9 @@ class NodeSim:
             if self.outage_start_s is not None:
                 self._end_outage(boundary)
             if self.servo.mode is not ServoMode.NMEA_ONLY:
-                event = pps.next_pps(SimInstant(boundary - 1), self.jitter,
+                event = pps.next_pps((boundary - 1) * NS_PER_S, self.jitter,
                                      True, self.rng_pps)
-                self.pps_log.append(event.true_time.total_ns)
+                self.pps_log.append(event.true_ns)
                 self.on_edge(event, temp_c)
             fix = fix_for_second(boundary, nsat, self.spec.constellations)
             delay = self.spec.receiver.serial.delivery_delay_ns(self.rng_serial)
@@ -357,12 +359,8 @@ def run_replay(cfg: ScenarioConfig, spec: NodeSpec, nmea_events,
     seqs = root.spawn(max(len(cfg.nodes), node_index + 1))
     sim = NodeSim(cfg, spec, seqs[node_index])
 
-    def edge_at(t_ns: int) -> pps.PpsEvent:
-        inst = SimInstant.from_ns(t_ns)
-        return pps.PpsEvent(inst, t_ns - inst.round_s() * NS_PER_S)
-
     # Edges sort ahead of sentences arriving at the same instant.
-    merged = [(t, sim.on_edge, (edge_at(t),)) for t in pps_edges]
+    merged = [(t, sim.on_edge, (pps.PpsEvent(t),)) for t in pps_edges]
     merged += [(event[0], sim.on_sentence, event) for event in nmea_events]
     merged.sort(key=lambda e: e[0])
     for t_ns, handle, args in merged:

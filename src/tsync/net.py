@@ -17,7 +17,7 @@ import numpy as np
 from . import engine
 from .scenario import ScenarioConfig, TrafficSpec
 from .servo import OffsetSample, SampleSource
-from .timebase import ClockState, NS_PER_S, SimInstant, read_clock
+from .timebase import ClockState, NS_PER_S, read_clock
 
 US_PER_S = 1_000_000
 
@@ -57,7 +57,7 @@ class PacketRecord:
     """One broadcast packet and its per-client capture stamps."""
 
     packet_id: int
-    send_true: SimInstant
+    send_true_ns: int
     send_stamp_ns: int
     arrivals: dict = field(default_factory=dict)
 
@@ -101,8 +101,7 @@ def run_broadcast(cfg: ScenarioConfig, rate_hz: float, duration_s: float,
         while next_pkt < n_packets and send_ns[next_pkt] <= limit:
             t = send_ns[next_pkt]
             server = by_name[server_name]
-            rec = PacketRecord(next_pkt, SimInstant.from_ns(t),
-                               server.read_disciplined(t).total_ns)
+            rec = PacketRecord(next_pkt, t, server.read_disciplined(t))
             for name in client_names:
                 if drop_prob and drop_rng.random() < drop_prob:
                     continue
@@ -112,8 +111,8 @@ def run_broadcast(cfg: ScenarioConfig, rate_hz: float, duration_s: float,
                 latency = rc.stamp_bias_ns
                 if rc.stamp_latency_ns:
                     latency += round(sim.rng_stamp.uniform(0, rc.stamp_latency_ns))
-                stamp = sim.read_disciplined(arrival + latency).total_ns
-                rec.arrivals[name] = (SimInstant.from_ns(arrival), stamp)
+                stamp = sim.read_disciplined(arrival + latency)
+                rec.arrivals[name] = (arrival, stamp)
             records.append(rec)
             next_pkt += 1
         for sim in sims:
@@ -136,7 +135,7 @@ def pairwise_offsets(records, node_a: str, node_b: str):
         if a is None or b is None:
             skipped += 1
             continue
-        samples.append(OffsetSample(rec.send_true.total_ns / NS_PER_S,
+        samples.append(OffsetSample(rec.send_true_ns / NS_PER_S,
                                     a[1] - b[1], SampleSource.COMBINED))
     if not samples:
         raise NoCommonPackets(f"no packets seen by both {node_a} and {node_b}")
@@ -224,7 +223,7 @@ class NtpResult:
 
 
 def ntp_exchange(client: ClockState, server: ClockState, link: LinkModel,
-                 t: SimInstant, rng) -> NtpResult:
+                 t_ns: int, rng) -> NtpResult:
     """One four-timestamp exchange through the link.
 
     offset_est = ((t2 - t1) + (t3 - t4)) / 2 estimates the server clock
@@ -232,18 +231,16 @@ def ntp_exchange(client: ClockState, server: ClockState, link: LinkModel,
     the true offset exactly, and an asymmetry biases it by
     (delay_up - delay_down) / 2.
     """
-    t1_true = t.total_ns
     up = link.one_way_ns(link.delay_up_ms, rng)
     down = link.one_way_ns(link.delay_down_ms, rng)
-    t1 = read_clock(client, t).total_ns
-    t2_true = t1_true + up
-    t2 = read_clock(server, SimInstant.from_ns(t2_true)).total_ns
+    t1 = read_clock(client, t_ns)
+    t2_true = t_ns + up
+    t2 = read_clock(server, t2_true)
     t3 = t2
-    t4_true = t2_true + down
-    t4 = read_clock(client, SimInstant.from_ns(t4_true)).total_ns
+    t4 = read_clock(client, t2_true + down)
     offset_est = ((t2 - t1) + (t3 - t4)) // 2
     delay_est = (t4 - t1) - (t3 - t2)
-    truth = (read_clock(server, t).total_ns - t1)
+    truth = read_clock(server, t_ns) - t1
     return NtpResult(offset_est, delay_est, truth)
 
 
@@ -271,12 +268,12 @@ def run_ntp(cfg: ScenarioConfig, traffic: TrafficSpec | None = None):
     n = int(round(cfg.duration_s * traffic.rate_hz))
     rows = []
     for i in range(n):
-        t = SimInstant.from_ns((i + 1) * interval_ns)
+        t_ns = (i + 1) * interval_ns
         try:
-            res = ntp_exchange(client, server, link, t, rng)
+            res = ntp_exchange(client, server, link, t_ns, rng)
         except PacketDropped:
             continue
-        rows.append((t.total_ns / NS_PER_S, res.offset_est_ns,
+        rows.append((t_ns / NS_PER_S, res.offset_est_ns,
                      res.delay_est_ns, res.truth_offset_ns))
     return rows
 

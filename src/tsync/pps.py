@@ -12,7 +12,7 @@ import datetime
 from dataclasses import dataclass, replace
 
 from .nmea import GnssFix, absolute_second_ns
-from .timebase import NS_PER_S, SimInstant
+from .timebase import NS_PER_S, SimInstant, nearest_second
 
 DEFAULT_LABEL_WINDOW_NS = 900_000_000
 
@@ -60,28 +60,26 @@ class PpsJitter:
 class PpsEvent:
     """One electrical edge, optionally labelled with its UTC second."""
 
-    true_time: SimInstant
-    jitter_ns: int
+    true_ns: int
     labeled_second: int | None = None
 
     def __post_init__(self):
         if self.labeled_second is not None:
-            if abs(self.labeled_second * NS_PER_S - self.true_time.total_ns) > NS_PER_S:
+            if abs(self.labeled_second * NS_PER_S - self.true_ns) > NS_PER_S:
                 raise ValueError("label more than one second from the edge")
 
 
-def next_pps(after: SimInstant, jitter: PpsJitter, has_fix: bool,
+def next_pps(after_ns: int, jitter: PpsJitter, has_fix: bool,
              rng) -> PpsEvent | None:
-    """Edge at the next integer second strictly after `after`.
+    """Edge at the next integer second strictly after `after_ns`.
 
     Returns None while the receiver has no fix at all (total blockage
     stops the pulse train).
     """
     if not has_fix:
         return None
-    boundary = after.total_ns // NS_PER_S + 1
-    j = jitter.draw_ns(rng)
-    return PpsEvent(SimInstant.from_ns(boundary * NS_PER_S + j), j)
+    boundary = after_ns // NS_PER_S + 1
+    return PpsEvent(boundary * NS_PER_S + jitter.draw_ns(rng))
 
 
 def label_pps(event: PpsEvent, recent, epoch_date: datetime.date,
@@ -93,8 +91,8 @@ def label_pps(event: PpsEvent, recent, epoch_date: datetime.date,
     edge's nearest second; in-window fixes naming any other second point
     at a stale buffer and raise AmbiguousLabel.
     """
-    edge_ns = event.true_time.total_ns
-    edge_second = event.true_time.round_s()
+    edge_ns = event.true_ns
+    edge_second = nearest_second(edge_ns)
     stale = False
     for arrival_ns, fix in recent:
         if not edge_ns < arrival_ns <= edge_ns + window_ns:
@@ -107,7 +105,8 @@ def label_pps(event: PpsEvent, recent, epoch_date: datetime.date,
         stale = True
     if stale:
         raise AmbiguousLabel(
-            f"edge at {event.true_time} saw only stale sentence seconds")
+            f"edge at {SimInstant.from_ns(edge_ns)} saw only stale sentence "
+            "seconds")
     raise UnlabeledEdge(f"no sentence named second {edge_second} in window")
 
 

@@ -110,6 +110,15 @@ class VisibilitySeg:
         if self.nsat_gps < 0 or self.nsat_bds < 0:
             raise SchemaError("satellite counts must be >= 0")
 
+    def nsat(self, constellations) -> int:
+        """Satellites usable by a receiver tracking those constellations."""
+        n = 0
+        if "GPS" in constellations:
+            n += self.nsat_gps
+        if "BEIDOU" in constellations:
+            n += self.nsat_bds
+        return n
+
 
 @dataclass(frozen=True)
 class ReceiverSpec:
@@ -219,13 +228,7 @@ def _segment_at(cfg: ScenarioConfig, t_s: float) -> VisibilitySeg:
 
 def effective_nsat(cfg: ScenarioConfig, t_s: float, constellations) -> int:
     """Satellites usable at t by a receiver tracking those constellations."""
-    seg = _segment_at(cfg, t_s)
-    n = 0
-    if "GPS" in constellations:
-        n += seg.nsat_gps
-    if "BEIDOU" in constellations:
-        n += seg.nsat_bds
-    return n
+    return _segment_at(cfg, t_s).nsat(constellations)
 
 
 def visibility_stats(cfg: ScenarioConfig, constellations) -> VisibilityStats:
@@ -237,11 +240,7 @@ def visibility_stats(cfg: ScenarioConfig, constellations) -> VisibilityStats:
     total = ge1 = ge4 = 0.0
     for seg in cfg.visibility:
         dur = seg.t_end - seg.t_start
-        n = 0
-        if "GPS" in constellations:
-            n += seg.nsat_gps
-        if "BEIDOU" in constellations:
-            n += seg.nsat_bds
+        n = seg.nsat(constellations)
         total += dur
         if n >= 1:
             ge1 += dur
@@ -627,16 +626,13 @@ def _build_presets() -> dict:
     return presets
 
 
-PRESET_NAMES = (
-    "lab_16c", "room_24h", "suburban", "highway", "mixed_urban",
-    "tunnel_5km", "blockage_4h", "harness_10pps", "harness_100pps",
-    "harness_300ppm", "lte_ntp",
-)
+_PRESETS = _build_presets()
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def preset(name: str) -> ScenarioConfig:
-    """A fully populated configuration for one of the canned experiments."""
-    presets = _build_presets()
-    if name not in presets:
+    """A fully populated configuration for one of the canned experiments;
+    every call returns the same frozen object."""
+    if name not in _PRESETS:
         raise UnknownPreset(name)
-    return presets[name]
+    return _PRESETS[name]

@@ -18,7 +18,7 @@ import numpy as np
 
 from .nmea import GnssFix, absolute_second_ns
 from .pps import PpsEvent, UnlabeledEdge
-from .timebase import ClockReading, ClockState, NS_PER_S
+from .timebase import ClockState, NS_PER_S
 
 # ppm expressed as ns of phase per second of elapsed time.
 NS_PER_S_PER_PPM = 1000.0
@@ -125,7 +125,7 @@ class ServoState:
         return self.config.mode
 
 
-def measure_offset_nmea(fix: GnssFix, local_rx: ClockReading,
+def measure_offset_nmea(fix: GnssFix, local_rx_ns: int,
                         est_path_delay_ns: int,
                         epoch_date: datetime.date) -> OffsetSample:
     """Offset of the local clock against a sentence's named second.
@@ -137,16 +137,16 @@ def measure_offset_nmea(fix: GnssFix, local_rx: ClockReading,
     if not fix.fix_valid:
         raise InvalidFix("cannot take timing from an invalid fix")
     boundary_ns = absolute_second_ns(fix, epoch_date)
-    offset = local_rx.total_ns - (boundary_ns + int(est_path_delay_ns))
+    offset = local_rx_ns - (boundary_ns + int(est_path_delay_ns))
     return OffsetSample(boundary_ns / NS_PER_S, offset, SampleSource.NMEA)
 
 
-def measure_offset_pps(event: PpsEvent, local_capture: ClockReading,
+def measure_offset_pps(event: PpsEvent, local_capture_ns: int,
                        source: SampleSource = SampleSource.PPS) -> OffsetSample:
     """Offset of the local clock against a labelled edge's second."""
     if event.labeled_second is None:
         raise UnlabeledEdge("cannot measure against an unlabelled edge")
-    offset = local_capture.total_ns - event.labeled_second * NS_PER_S
+    offset = local_capture_ns - event.labeled_second * NS_PER_S
     return OffsetSample(float(event.labeled_second), offset, source)
 
 

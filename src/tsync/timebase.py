@@ -10,7 +10,7 @@ expressed as the Allan-deviation level at tau = 1 s.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import fftconvolve
@@ -49,7 +49,9 @@ class NoiseExhausted(RuntimeError):
 class SimInstant:
     """A point in time: whole seconds plus nanoseconds in [0, 1e9).
 
-    Ordering is lexicographic on (seconds, frac_ns), which matches
+    The simulation itself passes plain integer nanoseconds; this type
+    validates and formats an instant where one is shown, in warnings and
+    errors. Ordering is lexicographic on (seconds, frac_ns), which matches
     chronological order because frac_ns is always non-negative.
     """
 
@@ -71,30 +73,13 @@ class SimInstant:
     def total_ns(self) -> int:
         return self.seconds * NS_PER_S + self.frac_ns
 
-    def add_ns(self, delta_ns: int) -> "SimInstant":
-        return SimInstant.from_ns(self.total_ns + int(delta_ns))
-
-    def sub(self, other: "SimInstant") -> int:
-        """Difference self - other in nanoseconds."""
-        return self.total_ns - other.total_ns
-
-    def round_s(self) -> int:
-        """Nearest whole second (half-up)."""
-        return (self.total_ns + NS_PER_S // 2) // NS_PER_S
-
     def __str__(self) -> str:
         return f"{self.seconds}.{self.frac_ns:09d}s"
 
 
-@dataclass(frozen=True)
-class ClockReading:
-    """A time read from some clock."""
-
-    instant: SimInstant
-
-    @property
-    def total_ns(self) -> int:
-        return self.instant.total_ns
+def nearest_second(t_ns: int) -> int:
+    """Nearest whole second to t_ns (half-up)."""
+    return (t_ns + NS_PER_S // 2) // NS_PER_S
 
 
 @dataclass(frozen=True)
@@ -140,19 +125,20 @@ class ClockState:
 
     phase_fs: int = 0
     freq_error_ppm: float = 0.0
-    last_update: SimInstant = field(default_factory=SimInstant)
+    last_update_ns: int = 0
 
     def __post_init__(self):
         if not math.isfinite(self.freq_error_ppm):
             raise ValueError("freq_error_ppm must be finite")
         if abs(self.phase_fs) > _MAX_PHASE_FS:
             raise PhaseOverflowError("phase accumulator overflow")
+        if abs(self.last_update_ns) > _MAX_INSTANT_NS:
+            raise OverflowError("instant outside 64-bit nanosecond range")
 
     @classmethod
-    def from_offset_ns(cls, offset_ns: int, freq_error_ppm: float = 0.0,
-                       last_update: SimInstant | None = None) -> "ClockState":
-        return cls(int(offset_ns) * FS_PER_NS, freq_error_ppm,
-                   last_update or SimInstant())
+    def from_offset_ns(cls, offset_ns: int,
+                       freq_error_ppm: float = 0.0) -> "ClockState":
+        return cls(int(offset_ns) * FS_PER_NS, freq_error_ppm)
 
     @property
     def phase_offset_ns(self) -> int:
@@ -178,7 +164,7 @@ def advance(state: ClockState, params: OscillatorParams, dt_ns: int,
     dt_ns = int(dt_ns)
     if dt_ns <= 0:
         raise ValueError("dt_ns must be positive")
-    elapsed_days = state.last_update.total_ns / (86400.0 * NS_PER_S)
+    elapsed_days = state.last_update_ns / (86400.0 * NS_PER_S)
     det_ppm = params.freq_ppm_at(temp_c, elapsed_days)
 
     noise_phase_ns = 0.0
@@ -192,29 +178,29 @@ def advance(state: ClockState, params: OscillatorParams, dt_ns: int,
         raise PhaseOverflowError("phase accumulator overflow")
 
     noise_ppm = noise_phase_ns / dt_ns * 1e6
-    return ClockState(new_fs, det_ppm + noise_ppm, state.last_update.add_ns(dt_ns))
+    return ClockState(new_fs, det_ppm + noise_ppm, state.last_update_ns + dt_ns)
 
 
 def slew_phase(state: ClockState, delta_fs: int) -> ClockState:
     """Apply an externally commanded phase change (servo slew or step)."""
     return ClockState(state.phase_fs + int(delta_fs), state.freq_error_ppm,
-                      state.last_update)
+                      state.last_update_ns)
 
 
-def read_clock(state: ClockState, t_true: SimInstant,
-               extra_freq_ppm: float = 0.0) -> ClockReading:
-    """Node-local time at true instant t_true.
+def read_clock(state: ClockState, t_ns: int,
+               extra_freq_ppm: float = 0.0) -> int:
+    """Node-local time in ns at true time t_ns.
 
     Extrapolates with the current frequency error (plus any externally
     applied steering rate) from the last update; pure.
     """
-    delta_ns = t_true.sub(state.last_update)
+    delta_ns = t_ns - state.last_update_ns
     if delta_ns < 0:
         raise TimeReversalError(
-            f"read at {t_true} precedes clock state at {state.last_update}")
+            f"read at {SimInstant.from_ns(t_ns)} precedes clock state at "
+            f"{SimInstant.from_ns(state.last_update_ns)}")
     drift_fs = round((state.freq_error_ppm + extra_freq_ppm) * delta_ns)
-    offset_ns = _round_div(state.phase_fs + drift_fs, FS_PER_NS)
-    return ClockReading(t_true.add_ns(offset_ns))
+    return t_ns + _round_div(state.phase_fs + drift_fs, FS_PER_NS)
 
 
 def gen_power_law_noise(mu: float, amplitude: float, n: int, tau0_s: float,

@@ -18,7 +18,7 @@ from click.testing import CliRunner
 from tsync import engine, metrics, net, nmea, pps, scenario
 from tsync.cli import main as cli_main
 from tsync.servo import ServoMode
-from tsync.timebase import ClockState, SimInstant, gen_power_law_noise
+from tsync.timebase import ClockState, gen_power_law_noise
 
 NS = 1_000_000_000
 
@@ -257,9 +257,9 @@ def test_criterion_9_property_suites(tmp_path):
     rngn = np.random.default_rng(7)
     sym = net.ntp_exchange(ClockState.from_offset_ns(5555),
                            ClockState.from_offset_ns(-777),
-                           net.LinkModel(12.0, 12.0), SimInstant(3), rngn)
+                           net.LinkModel(12.0, 12.0), 3 * NS, rngn)
     asym = net.ntp_exchange(ClockState(), ClockState(),
-                            net.LinkModel(20.0, 6.8), SimInstant(3), rngn)
+                            net.LinkModel(20.0, 6.8), 3 * NS, rngn)
     checks["ntp"] = (sym.offset_est_ns == sym.truth_offset_ns
                      and asym.offset_est_ns - asym.truth_offset_ns
                      == round((20.0 - 6.8) / 2 * 1e6))

@@ -257,6 +257,31 @@ class TestReplay:
         assert len(res.output.strip().splitlines()) == 1
         assert not (tmp_path / "rp" / "loop_replay.csv").exists()
 
+    def test_repeated_pps_edge_fails_cleanly(self, runner, tmp_path):
+        cfg, path = short_lab(tmp_path, "combined", 30.0)
+        cfg = dataclasses.replace(
+            cfg, nodes=(dataclasses.replace(
+                cfg.nodes[0], servo=dataclasses.replace(
+                    cfg.nodes[0].servo,
+                    mode=scenario.ServoMode.NMEA_PLUS_PPS)),))
+        scenario.save(cfg, path)
+        out = tmp_path / "run"
+        assert runner.invoke(main, ["run", path, "--out", str(out)]
+                             ).exit_code == 0
+        lines = (out / "pps_bench.log").read_text().splitlines()
+        lines.insert(5, lines[4])
+        (tmp_path / "dup.log").write_text("\n".join(lines) + "\n")
+        res = runner.invoke(main, [
+            "replay", str(out / "nmea_bench.log"),
+            "--pps", str(tmp_path / "dup.log"),
+            "--scenario", path, "--out", str(tmp_path / "rp")])
+        assert res.exit_code == 1
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert res.output.startswith("replay error:")
+        assert "does not move time forward" in res.output
+        assert len(res.output.strip().splitlines()) == 1
+        assert not (tmp_path / "rp" / "loop_replay.csv").exists()
+
     def test_unsorted_pps_rejected(self, runner, tmp_path):
         cfg, path = short_lab(tmp_path)
         out = tmp_path / "run"

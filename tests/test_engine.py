@@ -3,11 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from tsync import engine, scenario
+from tsync import engine, net, scenario
 from tsync.scenario import (ConstantTemp, NodeSpec, ReceiverSpec,
                             ScenarioConfig, VisibilitySeg)
 from tsync.servo import ServoConfig, ServoMode
-from tsync.timebase import OscillatorParams
+from tsync.timebase import OscillatorParams, SimInstant
 
 
 def small_cfg(mode=ServoMode.NMEA_PLUS_PPS, duration=120.0, seed=5, osc=None,
@@ -207,6 +207,43 @@ class TestReplayParity:
         assert len(warnings) == 1
         assert "60" in warnings[0]
         assert len(rows) == len(res.loop_rows["n0"]) - 1
+
+
+class TestIntegerTime:
+    """Clock reads, edges and packet stamps stay plain integer ns; a
+    `SimInstant` is built only to format a warning or an error."""
+
+    @pytest.fixture()
+    def instants(self, monkeypatch):
+        built = []
+        post_init = SimInstant.__post_init__
+
+        def counted(inst):
+            built.append(inst)
+            post_init(inst)
+
+        monkeypatch.setattr(SimInstant, "__post_init__", counted)
+        return built
+
+    @pytest.mark.parametrize("mode", list(ServoMode), ids=lambda m: m.value)
+    def test_run_builds_no_instant(self, instants, mode):
+        res = engine.run_scenario(small_cfg(mode=mode, duration=60.0))
+        assert res.warnings["n0"] == []
+        assert len(res.loop_rows["n0"]) == 60
+        assert instants == []
+
+    def test_broadcast_builds_no_instant(self, instants):
+        records, _ = net.run_broadcast(scenario.preset("harness_10pps"),
+                                       10.0, 60.0)
+        assert len(records) == 600
+        assert instants == []
+
+    def test_warning_still_formats_the_edge_time(self, instants):
+        recv = ReceiverSpec(pps_half_width_ns=0, label_window_ns=10_000_000)
+        res = engine.run_scenario(small_cfg(duration=3.0, receiver=recv))
+        assert res.warnings["n0"] == [f"UnlabeledEdge at {k}.000000000s"
+                                      for k in (1, 2, 3)]
+        assert len(instants) == 3
 
 
 def _events_from(res, cfg, node="n0"):

@@ -10,7 +10,7 @@ from tsync.servo import (ClockAdjustment, HoldoverInactive, InsufficientHistory,
                          SampleSource, ServoConfig, ServoMode, ServoState,
                          enter_holdover, measure_offset_nmea,
                          measure_offset_pps, observe, predict_offset, update)
-from tsync.timebase import ClockReading, ClockState, SimInstant
+from tsync.timebase import ClockState
 
 NS = 1_000_000_000
 EPOCH = datetime.date(2021, 1, 1)
@@ -38,37 +38,34 @@ def closed_loop(f_osc_ppm, n_updates, noise=None, cfg=None, start_phase=0.0):
 class TestMeasurement:
     def test_nmea_perfect_clock_exact_delay_estimate(self):
         fix = GnssFix(0, EPOCH, True, 8)
-        rx = ClockReading(SimInstant.from_ns(80_000_000))
-        s = measure_offset_nmea(fix, rx, 80_000_000, EPOCH)
+        s = measure_offset_nmea(fix, 80_000_000, 80_000_000, EPOCH)
         assert s.offset_ns == 0
         assert s.source is SampleSource.NMEA
 
     def test_nmea_unmodeled_bias_passes_through(self):
         fix = GnssFix(0, EPOCH, True, 8)
-        rx = ClockReading(SimInstant.from_ns(85_000_000))
-        s = measure_offset_nmea(fix, rx, 80_000_000, EPOCH)
+        s = measure_offset_nmea(fix, 85_000_000, 80_000_000, EPOCH)
         assert s.offset_ns == 5_000_000
 
     def test_nmea_invalid_fix_rejected(self):
         fix = GnssFix(0, EPOCH, False, 2)
         with pytest.raises(InvalidFix):
-            measure_offset_nmea(fix, ClockReading(SimInstant()), 0, EPOCH)
+            measure_offset_nmea(fix, 0, 0, EPOCH)
 
     def test_pps_zero_offset(self):
-        edge = PpsEvent(SimInstant.from_ns(100 * NS), 0, labeled_second=100)
-        s = measure_offset_pps(edge, ClockReading(SimInstant.from_ns(100 * NS)))
+        edge = PpsEvent(100 * NS, labeled_second=100)
+        s = measure_offset_pps(edge, 100 * NS)
         assert s.offset_ns == 0
         assert s.elapsed_s == 100.0
 
     def test_pps_representative_offset(self):
-        edge = PpsEvent(SimInstant.from_ns(100 * NS), 0, labeled_second=100)
-        rx = ClockReading(SimInstant.from_ns(100 * NS + 42))
-        assert measure_offset_pps(edge, rx).offset_ns == 42
+        edge = PpsEvent(100 * NS, labeled_second=100)
+        assert measure_offset_pps(edge, 100 * NS + 42).offset_ns == 42
 
     def test_pps_unlabeled_rejected(self):
-        edge = PpsEvent(SimInstant.from_ns(100 * NS), 0)
+        edge = PpsEvent(100 * NS)
         with pytest.raises(UnlabeledEdge):
-            measure_offset_pps(edge, ClockReading(SimInstant()))
+            measure_offset_pps(edge, 0)
 
 
 class TestUpdate:
