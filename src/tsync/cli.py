@@ -289,14 +289,14 @@ def _parse_nmea_events(path: str, assumed_latency_ms: float):
     events = []
     last_date = None
     last_rx = None
-    for rx_ns, line in nmea.read_nmea_log(path):
+    for lineno, rx_ns, line in nmea.read_nmea_log(path):
         try:
             sentence = nmea.parse_sentence(line)
+            if sentence.kind is nmea.SentenceKind.OTHER:
+                continue
+            fix = nmea.extract_fix(sentence, last_date)
         except ValueError as exc:
-            raise FormatError(f"{path}: {exc}") from exc
-        if sentence.kind is nmea.SentenceKind.OTHER:
-            continue
-        fix = nmea.extract_fix(sentence, last_date)
+            raise FormatError(f"{path}:{lineno}: {exc}") from exc
         if fix.date is not None:
             last_date = fix.date
         if fix.date is None or fix.tod_ns is None:
@@ -341,7 +341,8 @@ def replay(nmea_log, pps_log, mode, preset_name, scenario_path, node_name,
             if edges != sorted(edges):
                 raise UnsortedLog(f"{pps_log}: edges not time-sorted")
         rows, warnings = engine.run_replay(cfg, spec, events, edges)
-    except (UnsortedLog, FormatError, TimeReversalError, scenario.SchemaError,
+    except (UnsortedLog, FormatError, nmea.MalformedField, pps.MalformedEdge,
+            TimeReversalError, scenario.SchemaError,
             scenario.UnknownPreset) as exc:
         click.echo(f"replay error: {exc}", err=True)
         sys.exit(1)

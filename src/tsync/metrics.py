@@ -94,16 +94,6 @@ def check_accuracy(samples, alpha_ns: float):
     return bool(abs(worst) <= alpha_ns), worst
 
 
-def check_precision(pair_samples, beta_ns: float) -> bool:
-    """Whether every pairwise clock difference stays within beta_ns.
-
-    With an exact reference as the second clock this reduces to the
-    accuracy check on the same series.
-    """
-    ok, _ = check_accuracy(pair_samples, beta_ns)
-    return ok
-
-
 def overlapping_adev(phase_ns, tau0_s: float, taus_s) -> list[AllanPoint]:
     """Overlapping Allan deviation from phase samples (ns) at spacing tau0.
 

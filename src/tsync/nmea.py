@@ -281,17 +281,26 @@ class SerialDeliveryModel:
         return round((self.base_latency_ms + jitter) * 1e6)
 
 
-def read_nmea_log(path) -> list[tuple[int | None, str]]:
-    """Read a sentence log; lines may carry a '<true_rx_ns> ' prefix."""
+def read_nmea_log(path) -> list[tuple[int, int | None, str]]:
+    """Read a sentence log as (line_number, true_rx_ns, sentence) triples.
+
+    Lines may carry a '<true_rx_ns> ' prefix; without one true_rx_ns is
+    None. A prefix that is not an integer raises MalformedField naming the
+    file and line.
+    """
     out = []
     with open(path, "r", encoding="ascii") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, 1):
             line = raw.rstrip("\r\n")
             if not line:
                 continue
             head, _, rest = line.partition(" ")
             if rest.startswith("$"):
-                out.append((int(head), rest))
+                try:
+                    out.append((lineno, int(head), rest))
+                except ValueError:
+                    raise MalformedField(
+                        f"{path}:{lineno}: bad arrival time {head!r}") from None
             else:
-                out.append((None, line))
+                out.append((lineno, None, line))
     return out

@@ -28,6 +28,10 @@ class AmbiguousLabel(ValueError):
     """Sentences arrived in the window but named a different second."""
 
 
+class MalformedEdge(ValueError):
+    """An edge capture log line is not an integer edge time in ns."""
+
+
 @dataclass(frozen=True)
 class PpsJitter:
     """Uniform edge placement error around the true second boundary.
@@ -111,11 +115,19 @@ def label_pps(event: PpsEvent, recent, epoch_date: datetime.date,
 
 
 def read_pps_log(path) -> list[int]:
-    """Read an edge capture log: one true edge time in ns per line."""
+    """Read an edge capture log: one true edge time in ns per line.
+
+    A line that is not an integer raises MalformedEdge naming the file and
+    line.
+    """
     edges = []
     with open(path, "r", encoding="ascii") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if line:
-                edges.append(int(line))
+                try:
+                    edges.append(int(line))
+                except ValueError:
+                    raise MalformedEdge(
+                        f"{path}:{lineno}: bad edge time {line!r}") from None
     return edges

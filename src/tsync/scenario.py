@@ -310,6 +310,14 @@ def _node_to_dict(n: NodeSpec) -> dict:
     }
 
 
+def _finite(value, what: str) -> float:
+    """float(value), rejecting NaN and infinities with a SchemaError."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise SchemaError(f"{what} must be a finite number, got {value!r}")
+    return x
+
+
 def _require(d: dict, key: str, ctx: str):
     if key not in d:
         raise SchemaError(f"{ctx}: missing required key {key!r}")
@@ -326,7 +334,7 @@ def load_temperature_trace(path) -> TraceTemp:
                 continue
             try:
                 t, c = line.split(",")
-                points.append((float(t), float(c)))
+                points.append((_finite(t, "t_s"), _finite(c, "temp_c")))
             except ValueError as exc:
                 raise SchemaError(f"{path}: bad trace line {line!r}") from exc
     if len(points) < 2:
@@ -346,31 +354,37 @@ def from_dict(data: dict, base_dir=None) -> ScenarioConfig:
         temp_d = _require(data, "temperature", "scenario")
         kind = _require(temp_d, "kind", "temperature")
         if kind == "constant":
-            temp = ConstantTemp(float(temp_d["c"]))
+            temp = ConstantTemp(_finite(temp_d["c"], "temperature.c"))
         elif kind == "range":
-            temp = RangeTemp(float(temp_d["lo"]), float(temp_d["hi"]),
-                             float(temp_d["period_s"]))
+            temp = RangeTemp(_finite(temp_d["lo"], "temperature.lo"),
+                             _finite(temp_d["hi"], "temperature.hi"),
+                             _finite(temp_d["period_s"], "temperature.period_s"))
         elif kind == "trace" and "file" in temp_d:
             path = temp_d["file"]
             if base_dir is not None and not os.path.isabs(path):
                 path = os.path.join(base_dir, path)
             temp = load_temperature_trace(path)
         elif kind == "trace":
-            temp = TraceTemp(tuple((float(t), float(c))
-                                   for t, c in temp_d["points"]))
+            temp = TraceTemp(tuple(
+                (_finite(t, "temperature.points"),
+                 _finite(c, "temperature.points"))
+                for t, c in temp_d["points"]))
         else:
             raise SchemaError(f"unknown temperature kind {kind!r}")
         vis = tuple(
-            VisibilitySeg(float(s["t_start"]), float(s["t_end"]),
+            VisibilitySeg(_finite(s["t_start"], "visibility.t_start"),
+                          _finite(s["t_end"], "visibility.t_end"),
                           int(s["nsat_gps"]), int(s["nsat_bds"]))
             for s in _require(data, "visibility", "scenario"))
         nodes = tuple(_node_from_dict(n) for n in data.get("nodes", []))
         traffic = tuple(
-            TrafficSpec(t["kind"], float(t["rate_hz"]), dict(t.get("params", {})))
+            TrafficSpec(t["kind"], _finite(t["rate_hz"], "traffic.rate_hz"),
+                        dict(t.get("params", {})))
             for t in data.get("traffic", []))
         return ScenarioConfig(
             name=str(_require(data, "name", "scenario")),
-            duration_s=float(_require(data, "duration_s", "scenario")),
+            duration_s=_finite(_require(data, "duration_s", "scenario"),
+                               "duration_s"),
             seed=int(data.get("seed", DEFAULT_SEED)),
             temperature=temp,
             visibility=vis,
@@ -379,20 +393,25 @@ def from_dict(data: dict, base_dir=None) -> ScenarioConfig:
         )
     except SchemaError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"bad scenario config: {exc}") from exc
 
 
 def _node_from_dict(d: dict) -> NodeSpec:
-    osc = OscillatorParams(**d.get("oscillator", {}))
+    osc_d = d.get("oscillator", {})
+    for key, value in osc_d.items():
+        _finite(value, f"oscillator.{key}")
+    osc = OscillatorParams(**osc_d)
     sv = d.get("servo", {})
     servo = ServoConfig(
         mode=ServoMode(sv.get("mode", "nmea+pps")),
-        kp=float(sv.get("kp", 2.0**-5)),
-        ki=float(sv.get("ki", 2.0**-10)),
+        kp=_finite(sv.get("kp", 2.0**-5), "servo.kp"),
+        ki=_finite(sv.get("ki", 2.0**-10), "servo.ki"),
         step_threshold_ns=int(sv.get("step_threshold_ns", 128_000_000)),
-        poll_interval_s=float(sv.get("poll_interval_s", 1.0)),
-        holdover_window_s=float(sv.get("holdover_window_s", 60.0)),
+        poll_interval_s=_finite(sv.get("poll_interval_s", 1.0),
+                                "servo.poll_interval_s"),
+        holdover_window_s=_finite(sv.get("holdover_window_s", 60.0),
+                                  "servo.holdover_window_s"),
         holdover_ma_points=int(sv.get("holdover_ma_points", 60)),
         holdover_predict=bool(sv.get("holdover_predict", True)),
     )
@@ -401,9 +420,12 @@ def _node_from_dict(d: dict) -> NodeSpec:
         pps_half_width_ns=int(rc.get("pps_half_width_ns", 30)),
         pps_bias_ns=int(rc.get("pps_bias_ns", 0)),
         serial=SerialDeliveryModel(
-            base_latency_ms=float(rc.get("serial_base_latency_ms", 80.0)),
-            jitter_ms=float(rc.get("serial_jitter_ms", 10.0)),
-            drop_prob=float(rc.get("serial_drop_prob", 0.0)),
+            base_latency_ms=_finite(rc.get("serial_base_latency_ms", 80.0),
+                                "receiver.serial_base_latency_ms"),
+            jitter_ms=_finite(rc.get("serial_jitter_ms", 10.0),
+                              "receiver.serial_jitter_ms"),
+            drop_prob=_finite(rc.get("serial_drop_prob", 0.0),
+                              "receiver.serial_drop_prob"),
         ),
         est_path_delay_ns=int(rc.get("est_path_delay_ns", 80_000_000)),
         label_window_ns=int(rc.get("label_window_ns", 900_000_000)),

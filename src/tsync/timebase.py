@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 NS_PER_S = 1_000_000_000
 FS_PER_NS = 1_000_000
@@ -203,6 +202,25 @@ def read_clock(state: ClockState, t_ns: int,
     return t_ns + _round_div(state.phase_fs + drift_fs, FS_PER_NS)
 
 
+def _fft_len(target: int) -> int:
+    """Smallest 2**a * 3**b * 5**c >= target.
+
+    The real-FFT length scipy.fft.next_fast_len(target, real=True) picks.
+    """
+    best = 1 << (target - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < target:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def gen_power_law_noise(mu: float, amplitude: float, n: int, tau0_s: float,
                         seed) -> np.ndarray:
     """Fractional-frequency series with ADEV amplitude * tau**mu.
@@ -235,12 +253,16 @@ def gen_power_law_noise(mu: float, amplitude: float, n: int, tau0_s: float,
         step = amplitude * math.sqrt(3.0 * tau0_s)
         return np.cumsum(rng.standard_normal(n)) * step
     if mu == FLICKER_FM:
-        h = np.empty(n)
-        h[0] = 1.0
+        h = [1.0] * n
         for i in range(1, n):
             h[i] = h[i - 1] * (0.5 + i - 1) / i
         w = rng.standard_normal(n)
-        y = fftconvolve(h, w)[:n]
+        # Linear convolution through a zero-padded real FFT. The padded
+        # length sets the rounding of every output sample. Recorded seeded
+        # artifacts use the 5-smooth length; a power of two or exactly
+        # 2n - 1 changes their last bits.
+        size = _fft_len(2 * n - 1)
+        y = np.fft.irfft(np.fft.rfft(h, size) * np.fft.rfft(w, size), size)[:n]
         return y * (amplitude / _FLICKER_UNIT_ADEV)
     raise ValueError(f"unsupported power-law exponent mu={mu}")
 

@@ -1,10 +1,14 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import tsync
 from tsync import engine, metrics, scenario
 from tsync.cli import main
 
@@ -54,6 +58,22 @@ class TestRun:
         res = runner.invoke(main, ["run", str(bad), "--out", str(tmp_path)])
         assert res.exit_code == 2
         assert "config error" in res.output
+
+    @pytest.mark.parametrize("field, value", [
+        ("duration_s", "NaN"), ("duration_s", "Infinity"),
+        ("temperature", '{"kind": "constant", "c": NaN}'),
+    ], ids=["duration-nan", "duration-inf", "temperature-nan"])
+    def test_non_finite_number_exits_2(self, runner, tmp_path, field, value):
+        short_lab(tmp_path, duration=30.0)
+        data = json.loads((tmp_path / "lab_short.json").read_text())
+        data[field] = "@@"
+        (tmp_path / "bad.json").write_text(
+            json.dumps(data).replace('"@@"', value))
+        res = runner.invoke(main, ["run", str(tmp_path / "bad.json"),
+                                   "--out", str(tmp_path / "out")])
+        assert res.exit_code == 2
+        assert res.output.startswith("scenario config error:")
+        assert "finite" in res.output
 
     def test_unparseable_json_exits_2(self, runner, tmp_path):
         bad = tmp_path / "bad.json"
@@ -282,6 +302,33 @@ class TestReplay:
         assert len(res.output.strip().splitlines()) == 1
         assert not (tmp_path / "rp" / "loop_replay.csv").exists()
 
+    @pytest.mark.parametrize("nmea_lines, pps_lines, where", [
+        (["1077527366 $GNRMC,000001.000,A,,,,,,,010121,,*24",
+          "2075149360 $GNRMC,000002.000,A,,,,,,,010121,,*27"],
+         ["1000000000", "abc"], "pps.log:2:"),
+        (["1077527366 $GNRMC,000001.000,A,,,,,,,010121,,*24",
+          "10x8 $GNGGA,000001.000,,,,,1,14,,,M,,M*63"],
+         None, "nmea.log:2:"),
+        (["1077527366 $GNRMC,000001.000,A,,,,,,,010121,,*24",
+          "", "$GNRMC,,A,,,,,,,010121,,*3B"],
+         None, "nmea.log:3:"),
+    ], ids=["pps-not-an-integer", "bad-arrival-prefix", "empty-time-field"])
+    def test_malformed_line_fails_cleanly(self, runner, tmp_path, nmea_lines,
+                                          pps_lines, where):
+        (tmp_path / "nmea.log").write_text("\n".join(nmea_lines) + "\n")
+        args = ["replay", str(tmp_path / "nmea.log"),
+                "--out", str(tmp_path / "rp")]
+        if pps_lines is not None:
+            (tmp_path / "pps.log").write_text("\n".join(pps_lines) + "\n")
+            args += ["--pps", str(tmp_path / "pps.log")]
+        res = runner.invoke(main, args)
+        assert res.exit_code == 1
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert res.output.startswith("replay error:")
+        assert where in res.output
+        assert len(res.output.strip().splitlines()) == 1
+        assert not (tmp_path / "rp" / "loop_replay.csv").exists()
+
     def test_unsorted_pps_rejected(self, runner, tmp_path):
         cfg, path = short_lab(tmp_path)
         out = tmp_path / "run"
@@ -307,3 +354,14 @@ class TestPresets:
 
     def test_show_unknown(self, runner):
         assert runner.invoke(main, ["presets", "--show", "nope"]).exit_code == 2
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tsync.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, tsync.cli; print(sorted(m for m in sys.modules"
+         " if m.startswith('scipy.signal')))"],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert res.stdout.strip() == "[]"

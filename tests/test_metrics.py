@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from tsync import metrics
 from tsync.metrics import (AllanPoint, DegenerateFitError, boxplot,
-                           check_accuracy, check_precision, fit_noise,
+                           check_accuracy, fit_noise,
                            frequency_to_phase_ns, mean_std, overlapping_adev)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -65,15 +65,6 @@ class TestBoundChecks:
     def test_offender_returned(self):
         ok, worst = check_accuracy([0, 5, -3], 4)
         assert not ok and worst == 5
-
-    def test_precision_reduces_to_accuracy_for_exact_reference(self):
-        series = [100, -250, 30]
-        assert check_precision(series, 250) == check_accuracy(series, 250)[0]
-        assert check_precision(series, 249) == check_accuracy(series, 249)[0]
-
-    def test_zero_beta(self):
-        assert not check_precision([1], 0)
-        assert check_precision([0, 0], 0)
 
 
 class TestOverlappingAdev:

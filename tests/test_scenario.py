@@ -52,6 +52,35 @@ class TestValidation:
         with pytest.raises(SchemaError):
             scenario.loads(json.dumps({"name": "x"}))
 
+    @pytest.mark.parametrize("keys, value, match", [
+        (("duration_s",), float("nan"), "finite"),
+        (("duration_s",), float("inf"), "finite"),
+        (("duration_s",), "-inf", "finite"),
+        (("temperature", "c"), float("nan"), "finite"),
+        (("visibility", 0, "t_end"), float("inf"), "finite"),
+        (("nodes", 0, "oscillator", "f0_ppm"), float("nan"), "finite"),
+        (("nodes", 0, "servo", "kp"), float("inf"), "finite"),
+        (("nodes", 0, "receiver", "pps_half_width_ns"), float("inf"),
+         "infinity to integer"),
+    ], ids=["duration-nan", "duration-inf", "duration-minus-inf-string",
+            "constant-temperature-nan", "visibility-end-inf",
+            "oscillator-nan", "servo-gain-inf", "receiver-ns-inf"])
+    def test_non_finite_numbers_rejected(self, keys, value, match):
+        data = scenario.to_dict(minimal(nodes=(scenario.NodeSpec(name="n"),)))
+        target = data
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        with pytest.raises(SchemaError, match=match):
+            scenario.from_dict(data)
+
+    def test_non_finite_trace_point_rejected(self, tmp_path):
+        (tmp_path / "trace.csv").write_text("t_s,temp_c\n0,20\n10,nan\n")
+        data = scenario.to_dict(minimal())
+        data["temperature"] = {"kind": "trace", "file": "trace.csv"}
+        with pytest.raises(SchemaError, match="trace.csv"):
+            scenario.from_dict(data, base_dir=str(tmp_path))
+
     def test_unknown_constellation(self):
         data = scenario.to_dict(minimal(nodes=(scenario.NodeSpec(name="n"),)))
         data["nodes"][0]["constellations"] = ["NAVSTAR"]

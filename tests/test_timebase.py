@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tsync import metrics
-from tsync.timebase import (ClockState, NoiseStream, OscillatorParams,
-                            PhaseOverflowError, SimInstant, TimeReversalError,
-                            advance, gen_power_law_noise, nearest_second,
-                            read_clock)
+from tsync.timebase import (_FLICKER_UNIT_ADEV, FLICKER_FM, ClockState,
+                            NoiseStream, OscillatorParams, PhaseOverflowError,
+                            SimInstant, TimeReversalError, _fft_len, advance,
+                            gen_power_law_noise, nearest_second, read_clock)
 
 NS = 1_000_000_000
 
@@ -179,3 +179,20 @@ class TestPowerLawNoise:
         y = gen_power_law_noise(-0.5, 1e-9, 50_000, 0.25, 11)
         assert float(np.std(y)) == pytest.approx(1e-9 / math.sqrt(0.25),
                                                  rel=0.05)
+
+    @pytest.mark.parametrize("n", [2, 3, 1801, 4096, 172_816])
+    def test_flicker_bits_match_fftconvolve(self, n):
+        signal = pytest.importorskip("scipy.signal")
+        h = np.empty(n)
+        h[0] = 1.0
+        for i in range(1, n):
+            h[i] = h[i - 1] * (0.5 + i - 1) / i
+        w = np.random.default_rng(19).standard_normal(n)
+        ref = signal.fftconvolve(h, w)[:n] * (1e-9 / _FLICKER_UNIT_ADEV)
+        y = gen_power_law_noise(FLICKER_FM, 1e-9, n, 1.0, 19)
+        assert y.tobytes() == ref.tobytes()
+
+    def test_fft_len_matches_next_fast_len(self):
+        sp_fft = pytest.importorskip("scipy.fft")
+        for t in [*range(1, 10_001), 2 * 172_816 - 1, 2**20 + 1, 10**9 + 7]:
+            assert _fft_len(t) == sp_fft.next_fast_len(t, real=True), t
