@@ -96,9 +96,7 @@ def _run_one(cfg: scenario.ScenarioConfig, out_dir: str) -> dict:
 
     summary = result.summary()
     if records:
-        params = broadcast[0].params
-        clients = list(params.get("clients") or [n.name for n in cfg.nodes[:2]])
-        a, b = clients[0], clients[1]
+        a, b = net.broadcast_clients(cfg, broadcast[0])[:2]
         samples, skipped = net.pairwise_offsets(records, a, b)
         lines = [HARNESS_HEADER]
         for rec in records:
@@ -145,11 +143,6 @@ def _run_one(cfg: scenario.ScenarioConfig, out_dir: str) -> dict:
     return manifest
 
 
-def _job(payload) -> dict:
-    cfg_dict, out_dir = payload
-    return _run_one(scenario.from_dict(cfg_dict), out_dir)
-
-
 @main.command()
 @click.argument("scenario_paths", nargs=-1,
                 type=click.Path(exists=True, dir_okay=False))
@@ -181,16 +174,14 @@ def run(scenario_paths, presets, seed, out_root, jobs):
     if seed is not None:
         configs = [dataclasses.replace(c, seed=seed) for c in configs]
 
-    jobs_payload = []
-    for cfg in configs:
-        sub = os.path.join(out_root, cfg.name) if len(configs) > 1 else out_root
-        jobs_payload.append((scenario.to_dict(cfg), sub))
+    out_dirs = [os.path.join(out_root, c.name) if len(configs) > 1
+                else out_root for c in configs]
     try:
-        if jobs > 1 and len(jobs_payload) > 1:
+        if jobs > 1 and len(configs) > 1:
             with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as ex:
-                manifests = list(ex.map(_job, jobs_payload))
+                manifests = list(ex.map(_run_one, configs, out_dirs))
         else:
-            manifests = [_job(p) for p in jobs_payload]
+            manifests = list(map(_run_one, configs, out_dirs))
     except Exception as exc:  # noqa: BLE001 - boundary to exit codes
         click.echo(f"run failed: {exc}", err=True)
         sys.exit(1)

@@ -283,7 +283,6 @@ class RunResult:
     pps_logs: dict = field(default_factory=dict)
     warnings: dict = field(default_factory=dict)
     holdover_segments: dict = field(default_factory=dict)
-    broadcast_records: list = field(default_factory=list)
 
     def summary(self) -> dict:
         out: dict = {"scenario": self.cfg.name, "seed": self.cfg.seed,
@@ -315,9 +314,20 @@ def build_node_sims(cfg: ScenarioConfig):
     return sims, root
 
 
-def collect(cfg: ScenarioConfig, sims) -> RunResult:
+def run_loop(cfg: ScenarioConfig, sims, duration: int,
+             before_step=None) -> RunResult:
+    """Step every node through seconds 1..duration and collect the logs.
+
+    `before_step(boundary)`, when given, runs ahead of each second's steps.
+    """
+    for boundary in range(1, duration + 1):
+        if before_step is not None:
+            before_step(boundary)
+        for sim in sims:
+            sim.step_boundary(boundary)
     result = RunResult(cfg)
     for sim in sims:
+        sim.finish(duration)
         name = sim.spec.name
         result.loop_rows[name] = sim.loop_rows
         result.true_rows[name] = sim.true_rows
@@ -331,13 +341,7 @@ def collect(cfg: ScenarioConfig, sims) -> RunResult:
 def run_scenario(cfg: ScenarioConfig) -> RunResult:
     """Run the discipline loops of every node over the full duration."""
     sims, _ = build_node_sims(cfg)
-    duration = int(round(cfg.duration_s))
-    for boundary in range(1, duration + 1):
-        for sim in sims:
-            sim.step_boundary(boundary)
-    for sim in sims:
-        sim.finish(duration)
-    return collect(cfg, sims)
+    return run_loop(cfg, sims, int(round(cfg.duration_s)))
 
 
 def run_replay(cfg: ScenarioConfig, spec: NodeSpec, nmea_events,

@@ -62,6 +62,13 @@ class PacketRecord:
     arrivals: dict = field(default_factory=dict)
 
 
+def broadcast_clients(cfg: ScenarioConfig, traffic: TrafficSpec) -> list[str]:
+    """The nodes a broadcast flood reaches: its `clients` parameter, else
+    the scenario's first two nodes."""
+    return list(traffic.params.get("clients") or
+                [n.name for n in cfg.nodes[:2]])
+
+
 def run_broadcast(cfg: ScenarioConfig, rate_hz: float, duration_s: float,
                   traffic: TrafficSpec | None = None):
     """Flood packets from the server node to all clients.
@@ -69,14 +76,14 @@ def run_broadcast(cfg: ScenarioConfig, rate_hz: float, duration_s: float,
     Every client sees each packet at the same true instant (plus its
     configured per-client path delta); the recorded stamp is the client's
     disciplined clock read at capture time, which adds the node's stamp
-    bias and latency spread. Returns (records, result) where the result
-    carries the clients' discipline logs.
+    bias and latency spread. The packets of each second are stamped ahead
+    of that second's node steps. Returns (records, result) where the
+    result carries the clients' discipline logs.
     """
     if traffic is None:
         traffic = next(t for t in cfg.traffic if t.kind == "broadcast")
     params = traffic.params
-    client_names = list(params.get("clients") or
-                        [n.name for n in cfg.nodes[:2]])
+    client_names = broadcast_clients(cfg, traffic)
     if len(client_names) < 2:
         raise ValueError("broadcast harness needs at least 2 clients")
     server_name = params.get("server", cfg.nodes[-1].name)
@@ -96,7 +103,8 @@ def run_broadcast(cfg: ScenarioConfig, rate_hz: float, duration_s: float,
     records: list[PacketRecord] = []
     next_pkt = 0
 
-    for boundary in range(1, duration + 1):
+    def stamp_packets(boundary: int) -> None:
+        nonlocal next_pkt
         limit = boundary * NS_PER_S
         while next_pkt < n_packets and send_ns[next_pkt] <= limit:
             t = send_ns[next_pkt]
@@ -115,12 +123,8 @@ def run_broadcast(cfg: ScenarioConfig, rate_hz: float, duration_s: float,
                 rec.arrivals[name] = (arrival, stamp)
             records.append(rec)
             next_pkt += 1
-        for sim in sims:
-            sim.step_boundary(boundary)
-    for sim in sims:
-        sim.finish(duration)
-    result = engine.collect(cfg, sims)
-    result.broadcast_records = records
+
+    result = engine.run_loop(cfg, sims, duration, stamp_packets)
     return records, result
 
 

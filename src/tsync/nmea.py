@@ -285,15 +285,17 @@ def read_nmea_log(path) -> list[tuple[int, int | None, str]]:
     """Read a sentence log as (line_number, true_rx_ns, sentence) triples.
 
     Lines may carry a '<true_rx_ns> ' prefix; without one true_rx_ns is
-    None. A prefix that is not an integer raises MalformedField naming the
-    file and line.
+    None. A prefix that is not an integer, or a non-ASCII byte, raises
+    MalformedField naming the file and line.
     """
     out = []
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.rstrip("\r\n")
             if not line:
                 continue
+            if not line.isascii():
+                raise MalformedField(f"{path}:{lineno}: non-ASCII byte")
             head, _, rest = line.partition(" ")
             if rest.startswith("$"):
                 try:

@@ -117,15 +117,15 @@ def label_pps(event: PpsEvent, recent, epoch_date: datetime.date,
 def read_pps_log(path) -> list[int]:
     """Read an edge capture log: one true edge time in ns per line.
 
-    A line that is not an integer raises MalformedEdge naming the file and
-    line.
+    A line that is not an integer, or holds a non-ASCII byte, raises
+    MalformedEdge naming the file and line.
     """
     edges = []
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if line:
-                try:
+                try:  # a non-ASCII byte decodes to a lone surrogate
                     edges.append(int(line))
                 except ValueError:
                     raise MalformedEdge(

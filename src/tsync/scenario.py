@@ -10,11 +10,15 @@ docs/scenario.schema.json.
 from __future__ import annotations
 
 import bisect
+import copy
+import functools
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from enum import Enum
 from operator import itemgetter
+from typing import ClassVar, get_args, get_origin, get_type_hints
 
 from .nmea import SerialDeliveryModel
 from .servo import ServoConfig, ServoMode
@@ -25,7 +29,8 @@ DEFAULT_SEED = 1787
 # Coverage / adjacency tolerance for visibility timelines, in seconds.
 _COVER_TOL_S = 1e-6
 
-CONSTELLATIONS = ("GPS", "GLONASS", "BEIDOU", "GALILEO")
+# The constellations a visibility segment counts satellites of.
+CONSTELLATIONS = ("GPS", "BEIDOU")
 
 
 class SchemaError(ValueError):
@@ -50,6 +55,7 @@ class TemperatureOutOfRange(ValueError):
 
 @dataclass(frozen=True)
 class ConstantTemp:
+    kind: ClassVar[str] = "constant"
     c: float
 
     def at(self, t_s: float) -> float:
@@ -60,6 +66,7 @@ class ConstantTemp:
 class RangeTemp:
     """Sinusoid from lo (at t = 0) to hi (at half period) and back."""
 
+    kind: ClassVar[str] = "range"
     lo: float
     hi: float
     period_s: float
@@ -73,7 +80,8 @@ class RangeTemp:
 class TraceTemp:
     """Piecewise-linear interpolation through (t_s, temp_c) points."""
 
-    points: tuple
+    kind: ClassVar[str] = "trace"
+    points: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
         if len(self.points) < 2:
@@ -93,6 +101,9 @@ class TraceTemp:
         if t1 == t0:
             return c1
         return c0 + (c1 - c0) * (t_s - t0) / (t1 - t0)
+
+
+Temperature = ConstantTemp | RangeTemp | TraceTemp
 
 
 @dataclass(frozen=True)
@@ -126,7 +137,10 @@ class ReceiverSpec:
 
     pps_half_width_ns: int = 30
     pps_bias_ns: int = 0
-    serial: SerialDeliveryModel = field(default_factory=SerialDeliveryModel)
+    # Written inline in JSON as serial_base_latency_ms, serial_jitter_ms
+    # and serial_drop_prob.
+    serial: SerialDeliveryModel = field(default_factory=SerialDeliveryModel,
+                                        metadata={"flatten": "serial_"})
     est_path_delay_ns: int = 80_000_000
     label_window_ns: int = 900_000_000
     stamp_bias_ns: int = 0
@@ -138,9 +152,14 @@ class NodeSpec:
     name: str
     oscillator: OscillatorParams = field(default_factory=OscillatorParams)
     servo: ServoConfig = field(default_factory=ServoConfig)
-    constellations: frozenset = frozenset({"GPS", "BEIDOU"})
+    constellations: frozenset[str] = frozenset(CONSTELLATIONS)
     receiver: ReceiverSpec = field(default_factory=ReceiverSpec)
     initial_offset_ns: int = 0
+
+    def __post_init__(self):
+        if not self.constellations or self.constellations - set(CONSTELLATIONS):
+            raise SchemaError(f"node {self.name!r}: constellations must be a "
+                              f"non-empty subset of {list(CONSTELLATIONS)}")
 
 
 @dataclass(frozen=True)
@@ -175,11 +194,11 @@ class ScenarioConfig:
     name: str
     duration_s: float
     seed: int = DEFAULT_SEED
-    temperature: ConstantTemp | RangeTemp | TraceTemp = field(
+    temperature: Temperature = field(
         default_factory=lambda: ConstantTemp(25.0))
-    visibility: tuple = ()
-    nodes: tuple = ()
-    traffic: tuple = ()
+    visibility: tuple[VisibilitySeg, ...] = ()
+    nodes: tuple[NodeSpec, ...] = ()
+    traffic: tuple[TrafficSpec, ...] = ()
 
     def __post_init__(self):
         if self.duration_s <= 0:
@@ -250,93 +269,70 @@ def visibility_stats(cfg: ScenarioConfig, constellations) -> VisibilityStats:
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization
+# JSON serialization: the keys, types and defaults are the dataclass fields.
+# A temperature model is tagged by its `kind` (a trace may name a CSV file
+# instead), and a field with a "flatten" prefix is inlined in its parent.
 
 
 def to_dict(cfg: ScenarioConfig) -> dict:
-    temp = cfg.temperature
-    if isinstance(temp, ConstantTemp):
-        temp_d = {"kind": "constant", "c": temp.c}
-    elif isinstance(temp, RangeTemp):
-        temp_d = {"kind": "range", "lo": temp.lo, "hi": temp.hi,
-                  "period_s": temp.period_s}
-    else:
-        temp_d = {"kind": "trace", "points": [list(p) for p in temp.points]}
-    return {
-        "name": cfg.name,
-        "duration_s": cfg.duration_s,
-        "seed": cfg.seed,
-        "temperature": temp_d,
-        "visibility": [
-            {"t_start": s.t_start, "t_end": s.t_end,
-             "nsat_gps": s.nsat_gps, "nsat_bds": s.nsat_bds}
-            for s in cfg.visibility
-        ],
-        "nodes": [_node_to_dict(n) for n in cfg.nodes],
-        "traffic": [
-            {"kind": t.kind, "rate_hz": t.rate_hz, "params": t.params}
-            for t in cfg.traffic
-        ],
-    }
+    return _encode(cfg)
 
 
-def _node_to_dict(n: NodeSpec) -> dict:
-    return {
-        "name": n.name,
-        "oscillator": asdict(n.oscillator),
-        "servo": {
-            "mode": n.servo.mode.value,
-            "kp": n.servo.kp,
-            "ki": n.servo.ki,
-            "step_threshold_ns": n.servo.step_threshold_ns,
-            "poll_interval_s": n.servo.poll_interval_s,
-            "holdover_window_s": n.servo.holdover_window_s,
-            "holdover_ma_points": n.servo.holdover_ma_points,
-            "holdover_predict": n.servo.holdover_predict,
-        },
-        "constellations": sorted(n.constellations),
-        "receiver": {
-            "pps_half_width_ns": n.receiver.pps_half_width_ns,
-            "pps_bias_ns": n.receiver.pps_bias_ns,
-            "serial_base_latency_ms": n.receiver.serial.base_latency_ms,
-            "serial_jitter_ms": n.receiver.serial.jitter_ms,
-            "serial_drop_prob": n.receiver.serial.drop_prob,
-            "est_path_delay_ns": n.receiver.est_path_delay_ns,
-            "label_window_ns": n.receiver.label_window_ns,
-            "stamp_bias_ns": n.receiver.stamp_bias_ns,
-            "stamp_latency_ns": n.receiver.stamp_latency_ns,
-        },
-        "initial_offset_ns": n.initial_offset_ns,
-    }
+def _encode(value):
+    if isinstance(value, Enum):
+        return value.value
+    if is_dataclass(value):
+        out = {"kind": value.kind} if isinstance(value, Temperature) else {}
+        for f in fields(value):
+            item = _encode(getattr(value, f.name))
+            flat = f.metadata.get("flatten")
+            if flat is None:
+                out[f.name] = item
+            else:
+                out.update((flat + k, v) for k, v in item.items())
+        return out
+    if isinstance(value, tuple):
+        return [_encode(v) for v in value]
+    if isinstance(value, frozenset):
+        return sorted(value)
+    if isinstance(value, dict):  # traffic params: keep the config unchanged
+        return copy.deepcopy(value)
+    return value
 
 
 def _finite(value, what: str) -> float:
-    """float(value), rejecting NaN and infinities with a SchemaError."""
-    x = float(value)
+    """float(value), rejecting NaN, infinities and non-numbers."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"{what}: {exc}") from exc
     if not math.isfinite(x):
         raise SchemaError(f"{what} must be a finite number, got {value!r}")
     return x
 
 
-def _require(d: dict, key: str, ctx: str):
-    if key not in d:
-        raise SchemaError(f"{ctx}: missing required key {key!r}")
-    return d[key]
+def _read_text(path) -> str:
+    """The text of a UTF-8 file; failing to read it is a SchemaError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, ValueError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise SchemaError(f"cannot read {path}: {reason}") from exc
 
 
 def load_temperature_trace(path) -> TraceTemp:
     """Read a `t_s,temp_c` CSV (header optional) into a trace model."""
     points = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("t_s"):
-                continue
-            try:
-                t, c = line.split(",")
-                points.append((_finite(t, "t_s"), _finite(c, "temp_c")))
-            except ValueError as exc:
-                raise SchemaError(f"{path}: bad trace line {line!r}") from exc
+    for raw in _read_text(path).split("\n"):
+        line = raw.strip()
+        if not line or line.startswith("t_s"):
+            continue
+        try:
+            t, c = line.split(",")
+            points.append((_finite(t, "t_s"), _finite(c, "temp_c")))
+        except ValueError as exc:
+            raise SchemaError(f"{path}: bad trace line {line!r}") from exc
     if len(points) < 2:
         raise SchemaError(f"{path}: trace needs at least 2 points")
     return TraceTemp(tuple(points))
@@ -346,104 +342,103 @@ def from_dict(data: dict, base_dir=None) -> ScenarioConfig:
     """Build a config from parsed JSON; trace files are materialized.
 
     base_dir anchors relative temperature-trace paths (load() passes the
-    scenario file's directory).
+    scenario file's directory). Every malformed value, missing or unknown
+    key raises SchemaError naming its path.
     """
-    if not isinstance(data, dict):
-        raise SchemaError("scenario must be a JSON object")
-    try:
-        temp_d = _require(data, "temperature", "scenario")
-        kind = _require(temp_d, "kind", "temperature")
-        if kind == "constant":
-            temp = ConstantTemp(_finite(temp_d["c"], "temperature.c"))
-        elif kind == "range":
-            temp = RangeTemp(_finite(temp_d["lo"], "temperature.lo"),
-                             _finite(temp_d["hi"], "temperature.hi"),
-                             _finite(temp_d["period_s"], "temperature.period_s"))
-        elif kind == "trace" and "file" in temp_d:
-            path = temp_d["file"]
-            if base_dir is not None and not os.path.isabs(path):
-                path = os.path.join(base_dir, path)
-            temp = load_temperature_trace(path)
-        elif kind == "trace":
-            temp = TraceTemp(tuple(
-                (_finite(t, "temperature.points"),
-                 _finite(c, "temperature.points"))
-                for t, c in temp_d["points"]))
+    return _decode(ScenarioConfig, data, "", base_dir)
+
+
+def _decode(tp, value, path: str, base_dir):
+    if tp is float:
+        return _finite(value, path)
+    if tp == Temperature:
+        return _decode_temperature(value, path, base_dir)
+    if is_dataclass(tp):
+        obj = _object(value, path)
+        unknown = obj.keys() - _keys(tp)
+        if unknown:
+            raise SchemaError(f"{path or 'scenario'}: unknown key "
+                              f"{', '.join(sorted(map(repr, unknown)))}")
+        return _build(tp, obj, path, base_dir)
+    if tp is dict:
+        return copy.deepcopy(_object(value, path))
+    origin = get_origin(tp)
+    if origin in (tuple, frozenset):
+        if not isinstance(value, list):
+            raise SchemaError(f"{path} must be an array")
+        args = get_args(tp)
+        if origin is frozenset or args[-1] is Ellipsis:
+            args = (args[0],) * len(value)
+        elif len(args) != len(value):
+            raise SchemaError(f"{path} must have {len(args)} items")
+        return origin(_decode(t, v, f"{path}[{i}]", base_dir)
+                      for i, (t, v) in enumerate(zip(args, value)))
+    try:  # int, str, bool or an Enum read by its value
+        return tp(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
+
+
+def _object(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise SchemaError(f"{path or 'scenario'} must be a JSON object")
+    return value
+
+
+_hints = functools.cache(get_type_hints)
+
+
+@functools.cache
+def _keys(cls, prefix: str = "") -> frozenset:
+    """The JSON keys of a config class, flattened fields inlined."""
+    keys = set()
+    for f in fields(cls):
+        flat = f.metadata.get("flatten")
+        if flat is None:
+            keys.add(prefix + f.name)
         else:
-            raise SchemaError(f"unknown temperature kind {kind!r}")
-        vis = tuple(
-            VisibilitySeg(_finite(s["t_start"], "visibility.t_start"),
-                          _finite(s["t_end"], "visibility.t_end"),
-                          int(s["nsat_gps"]), int(s["nsat_bds"]))
-            for s in _require(data, "visibility", "scenario"))
-        nodes = tuple(_node_from_dict(n) for n in data.get("nodes", []))
-        traffic = tuple(
-            TrafficSpec(t["kind"], _finite(t["rate_hz"], "traffic.rate_hz"),
-                        dict(t.get("params", {})))
-            for t in data.get("traffic", []))
-        return ScenarioConfig(
-            name=str(_require(data, "name", "scenario")),
-            duration_s=_finite(_require(data, "duration_s", "scenario"),
-                               "duration_s"),
-            seed=int(data.get("seed", DEFAULT_SEED)),
-            temperature=temp,
-            visibility=vis,
-            nodes=nodes,
-            traffic=traffic,
-        )
+            keys |= _keys(_hints(cls)[f.name], prefix + flat)
+    return frozenset(keys)
+
+
+def _build(cls, obj: dict, path: str, base_dir, prefix: str = ""):
+    hints = _hints(cls)
+    kwargs = {}
+    for f in fields(cls):
+        key = prefix + f.name
+        flat = f.metadata.get("flatten")
+        if flat is not None:
+            kwargs[f.name] = _build(hints[f.name], obj, path, base_dir,
+                                    prefix + flat)
+        elif key in obj:
+            kwargs[f.name] = _decode(hints[f.name], obj[key],
+                                     f"{path}.{key}" if path else key,
+                                     base_dir)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise SchemaError(
+                f"{path or 'scenario'}: missing required key {key!r}")
+    try:
+        return cls(**kwargs)
     except SchemaError:
         raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(f"bad scenario config: {exc}") from exc
+    except ValueError as exc:
+        raise SchemaError(f"{path or 'scenario'}: {exc}") from exc
 
 
-def _node_from_dict(d: dict) -> NodeSpec:
-    osc_d = d.get("oscillator", {})
-    for key, value in osc_d.items():
-        _finite(value, f"oscillator.{key}")
-    osc = OscillatorParams(**osc_d)
-    sv = d.get("servo", {})
-    servo = ServoConfig(
-        mode=ServoMode(sv.get("mode", "nmea+pps")),
-        kp=_finite(sv.get("kp", 2.0**-5), "servo.kp"),
-        ki=_finite(sv.get("ki", 2.0**-10), "servo.ki"),
-        step_threshold_ns=int(sv.get("step_threshold_ns", 128_000_000)),
-        poll_interval_s=_finite(sv.get("poll_interval_s", 1.0),
-                                "servo.poll_interval_s"),
-        holdover_window_s=_finite(sv.get("holdover_window_s", 60.0),
-                                  "servo.holdover_window_s"),
-        holdover_ma_points=int(sv.get("holdover_ma_points", 60)),
-        holdover_predict=bool(sv.get("holdover_predict", True)),
-    )
-    rc = d.get("receiver", {})
-    receiver = ReceiverSpec(
-        pps_half_width_ns=int(rc.get("pps_half_width_ns", 30)),
-        pps_bias_ns=int(rc.get("pps_bias_ns", 0)),
-        serial=SerialDeliveryModel(
-            base_latency_ms=_finite(rc.get("serial_base_latency_ms", 80.0),
-                                "receiver.serial_base_latency_ms"),
-            jitter_ms=_finite(rc.get("serial_jitter_ms", 10.0),
-                              "receiver.serial_jitter_ms"),
-            drop_prob=_finite(rc.get("serial_drop_prob", 0.0),
-                              "receiver.serial_drop_prob"),
-        ),
-        est_path_delay_ns=int(rc.get("est_path_delay_ns", 80_000_000)),
-        label_window_ns=int(rc.get("label_window_ns", 900_000_000)),
-        stamp_bias_ns=int(rc.get("stamp_bias_ns", 0)),
-        stamp_latency_ns=int(rc.get("stamp_latency_ns", 0)),
-    )
-    consts = frozenset(d.get("constellations", ["GPS", "BEIDOU"]))
-    bad = consts - set(CONSTELLATIONS)
-    if bad:
-        raise SchemaError(f"unknown constellations {sorted(bad)}")
-    return NodeSpec(
-        name=str(_require(d, "name", "node")),
-        oscillator=osc,
-        servo=servo,
-        constellations=consts,
-        receiver=receiver,
-        initial_offset_ns=int(d.get("initial_offset_ns", 0)),
-    )
+def _decode_temperature(value, path: str, base_dir) -> Temperature:
+    obj = dict(_object(value, path))
+    kind = obj.pop("kind", None)
+    if kind == "trace" and "file" in obj:
+        file = obj.pop("file")
+        if obj or not isinstance(file, str):
+            raise SchemaError(f"{path}: a trace file takes one string key, file")
+        # join() keeps an absolute path as it is.
+        return load_temperature_trace(os.path.join(base_dir or "", file))
+    cls = next((c for c in get_args(Temperature) if c.kind == kind), None)
+    if cls is None:
+        raise SchemaError(f"{path}.kind must be constant, range or trace, "
+                          f"got {kind!r}")
+    return _decode(cls, obj, path, base_dir)
 
 
 def loads(text: str, base_dir=None) -> ScenarioConfig:
@@ -455,8 +450,8 @@ def loads(text: str, base_dir=None) -> ScenarioConfig:
 
 
 def load(path) -> ScenarioConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read(), base_dir=os.path.dirname(os.path.abspath(path)))
+    return loads(_read_text(path),
+                 base_dir=os.path.dirname(os.path.abspath(path)))
 
 
 def dumps(cfg: ScenarioConfig) -> str:

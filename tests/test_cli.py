@@ -75,6 +75,47 @@ class TestRun:
         assert res.output.startswith("scenario config error:")
         assert "finite" in res.output
 
+    @pytest.mark.parametrize("keys, value, files, match", [
+        (("nodes", 0, "receiver", "serial_jiter_ms"), 99, {},
+         "unknown key 'serial_jiter_ms'"),
+        (("comment",), "x", {}, "unknown key 'comment'"),
+        (("nodes", 0, "constellations"), ["GLONASS"], {}, "constellations"),
+        (("nodes", 0, "constellations"), [], {}, "constellations"),
+        (("nodes",), {"bench": {"name": "bench"}}, {},
+         "nodes must be an array"),
+        (("nodes", 0, "servo"), None, {}, "servo must be a JSON object"),
+        (("temperature",), {"kind": "trace", "file": "missing.csv"}, {},
+         "missing.csv"),
+        (("temperature",), {"kind": "trace", "file": "sub"},
+         {"sub/x.csv": b""}, "cannot read"),
+        (("temperature",), {"kind": "trace", "file": "t.csv"},
+         {"t.csv": b"0,16\n10,16\xb0\n"}, "cannot read"),
+        ((), None, {"bad.json": b'{"name": "lab\xb0"}'}, "cannot read"),
+    ], ids=["receiver-key-typo", "unknown-top-level-key", "glonass-only",
+            "no-constellations", "nodes-as-object", "servo-null",
+            "trace-file-missing", "trace-file-is-directory",
+            "trace-file-not-utf8", "scenario-not-utf8"])
+    def test_malformed_config_exits_2(self, runner, tmp_path, keys, value,
+                                      files, match):
+        short_lab(tmp_path, duration=30.0)
+        data = json.loads((tmp_path / "lab_short.json").read_text())
+        if keys:
+            target = data
+            for key in keys[:-1]:
+                target = target[key]
+            target[keys[-1]] = value
+        (tmp_path / "bad.json").write_text(json.dumps(data))
+        for name, blob in files.items():
+            (tmp_path / name).parent.mkdir(exist_ok=True)
+            (tmp_path / name).write_bytes(blob)
+        res = runner.invoke(main, ["run", str(tmp_path / "bad.json"),
+                                   "--out", str(tmp_path / "out")])
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        [line] = res.stderr.splitlines()
+        assert line.startswith("scenario config error:")
+        assert match in line
+
     def test_unparseable_json_exits_2(self, runner, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")
@@ -312,14 +353,22 @@ class TestReplay:
         (["1077527366 $GNRMC,000001.000,A,,,,,,,010121,,*24",
           "", "$GNRMC,,A,,,,,,,010121,,*3B"],
          None, "nmea.log:3:"),
-    ], ids=["pps-not-an-integer", "bad-arrival-prefix", "empty-time-field"])
+        (["1077527366 $GNRMC,000001.000,A,,,,,,,010121,,*24",
+          "2075149360 $GNRMC,000002.000,A,,,,,,,010121,,*27"],
+         ["1000000000", "\u00b0"], "pps.log:2:"),
+        (["1077527366 $GNRMC,000001.000,A,,,,,,,010121,,*24", "\u00b0"],
+         None, "nmea.log:2:"),
+    ], ids=["pps-not-an-integer", "bad-arrival-prefix", "empty-time-field",
+            "pps-non-ascii", "nmea-non-ascii"])
     def test_malformed_line_fails_cleanly(self, runner, tmp_path, nmea_lines,
                                           pps_lines, where):
-        (tmp_path / "nmea.log").write_text("\n".join(nmea_lines) + "\n")
+        (tmp_path / "nmea.log").write_text("\n".join(nmea_lines) + "\n",
+                                           encoding="utf-8")
         args = ["replay", str(tmp_path / "nmea.log"),
                 "--out", str(tmp_path / "rp")]
         if pps_lines is not None:
-            (tmp_path / "pps.log").write_text("\n".join(pps_lines) + "\n")
+            (tmp_path / "pps.log").write_text("\n".join(pps_lines) + "\n",
+                                              encoding="utf-8")
             args += ["--pps", str(tmp_path / "pps.log")]
         res = runner.invoke(main, args)
         assert res.exit_code == 1

@@ -2,7 +2,7 @@ import json
 import os
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tsync import scenario
 from tsync.scenario import (ConstantTemp, OverlappingVisibility, RangeTemp,
@@ -87,6 +87,41 @@ class TestValidation:
         with pytest.raises(SchemaError):
             scenario.from_dict(data)
 
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture],
+              deadline=None)
+    @given(st.sampled_from(scenario.PRESET_NAMES), st.data())
+    def test_mutated_config_loads_or_raises_schema_error(self, tmp_path, name,
+                                                         data):
+        doc = scenario.to_dict(preset(name))
+        keys = data.draw(st.sampled_from(list(_key_paths(doc))))
+        value = data.draw(_JSON_VALUES)
+        if keys:
+            target = doc
+            for key in keys[:-1]:
+                target = target[key]
+            target[keys[-1]] = value
+        else:
+            doc = value
+        try:
+            cfg = scenario.from_dict(doc, base_dir=str(tmp_path))
+        except SchemaError:
+            return
+        assert isinstance(cfg, ScenarioConfig)
+
+    def test_every_schema_property_accepted(self, tmp_path):
+        with open(os.path.join(DOCS, "scenario.schema.json")) as fh:
+            schema = json.load(fh)
+        (tmp_path / "trace.csv").write_text("0,20\n100,21\n")
+        docs = [scenario.to_dict(preset(name)) for name in scenario.PRESET_NAMES]
+        docs.append(dict(scenario.to_dict(minimal()),
+                         temperature={"kind": "trace", "file": "trace.csv"}))
+        accepted = set()
+        for doc in docs:
+            scenario.from_dict(doc, base_dir=str(tmp_path))
+            accepted |= {tuple("[]" if isinstance(k, int) else k for k in keys)
+                         for keys in _key_paths(doc)}
+        assert set(_schema_paths(schema)) <= accepted
+
 
 class TestTemperature:
     def test_constant(self):
@@ -168,6 +203,15 @@ class TestPresets:
         again = scenario.loads(scenario.dumps(cfg))
         assert again == cfg
 
+    def test_json_form_shares_no_mutable_value(self):
+        cfg = preset("harness_10pps")
+        data = scenario.to_dict(cfg)
+        data["traffic"][0]["params"]["clients"].append("c3")
+        assert cfg.traffic[0].params["clients"] == ["c1", "c2"]
+        loaded = scenario.from_dict(data)
+        data["traffic"][0]["params"]["clients"].clear()
+        assert loaded.traffic[0].params["clients"] == ["c1", "c2", "c3"]
+
     def test_unknown_preset(self):
         with pytest.raises(UnknownPreset):
             preset("autobahn")
@@ -212,3 +256,34 @@ def _scan_trace(pts, t_s):
                 return c1
             return c0 + (c1 - c0) * (t_s - t0) / (t1 - t0)
     return pts[-1][1]
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.sampled_from([2**63, -(10**30), 10**400])
+    | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6)
+
+
+def _key_paths(doc, keys=()):
+    """The path of every value in a JSON document, the root's included."""
+    yield keys
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _key_paths(value, keys + (key,))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from _key_paths(value, keys + (i,))
+
+
+def _schema_paths(schema, keys=()):
+    """The path of every property a JSON schema names; '[]' is any item."""
+    for key, sub in schema.get("properties", {}).items():
+        yield keys + (key,)
+        yield from _schema_paths(sub, keys + (key,))
+    if isinstance(schema.get("items"), dict):
+        yield from _schema_paths(schema["items"], keys + ("[]",))
+    for sub in schema.get("oneOf", ()):
+        yield from _schema_paths(sub, keys)
