@@ -96,7 +96,7 @@ def _run_one(cfg: scenario.ScenarioConfig, out_dir: str) -> dict:
 
     summary = result.summary()
     if records:
-        a, b = net.broadcast_clients(cfg, broadcast[0])[:2]
+        a, b = scenario.traffic_params(cfg, broadcast[0]).clients[:2]
         samples, skipped = net.pairwise_offsets(records, a, b)
         lines = [HARNESS_HEADER]
         for rec in records:
@@ -333,8 +333,8 @@ def replay(nmea_log, pps_log, mode, preset_name, scenario_path, node_name,
                 raise UnsortedLog(f"{pps_log}: edges not time-sorted")
         rows, warnings = engine.run_replay(cfg, spec, events, edges)
     except (UnsortedLog, FormatError, nmea.MalformedField, pps.MalformedEdge,
-            TimeReversalError, scenario.SchemaError,
-            scenario.UnknownPreset) as exc:
+            TimeReversalError, OverflowError, scenario.SchemaError,
+            scenario.UnknownPreset) as exc:  # Overflow: a time past 64 bits
         click.echo(f"replay error: {exc}", err=True)
         sys.exit(1)
     except NoiseExhausted:

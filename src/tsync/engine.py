@@ -19,7 +19,7 @@ from . import nmea, pps, scenario, servo as servo_mod
 from .nmea import GnssFix, SentenceKind
 from .scenario import NodeSpec, ScenarioConfig
 from .servo import (OffsetSample, SampleSource, ServoMode, ServoState,
-                    measure_offset_nmea, measure_offset_pps)
+                    measure_offset_nmea)
 from .timebase import (ClockState, FS_PER_NS, NS_PER_S, NoiseStream,
                        SimInstant, TimeReversalError, advance, nearest_second,
                        read_clock, slew_phase)
@@ -91,12 +91,10 @@ class NodeSim:
         self.rng_stamp = np.random.default_rng(stamp_seq)
         self.clock = ClockState.from_offset_ns(spec.initial_offset_ns)
         self.servo = ServoState(spec.servo)
-        self.jitter = pps.PpsJitter(spec.receiver.pps_half_width_ns,
-                                    spec.receiver.pps_bias_ns)
         self.steer_slope_ns_s = 0.0
         self.outage_start_s: float | None = None
         self.holdover_engaged = False
-        self.pending: tuple[pps.PpsEvent, int] | None = None
+        self.pending: tuple[int, int] | None = None
         self.last_sampled_second: int | None = None
 
         self.loop_rows: list[LoopRow] = []
@@ -127,7 +125,7 @@ class NodeSim:
         return read_clock(self.clock, t_ns, extra)
 
     def _apply(self, sample: OffsetSample) -> None:
-        self.servo, adj = servo_mod.update(self.servo, sample, self.clock)
+        self.servo, adj = servo_mod.update(self.servo, sample)
         if adj.stepped:
             self.clock = slew_phase(self.clock, adj.step_ns * FS_PER_NS)
         self.loop_rows.append(LoopRow(sample.elapsed_s, sample.offset_ns,
@@ -182,27 +180,29 @@ class NodeSim:
 
     def _drop_pending(self, reason: str) -> None:
         if self.pending is not None:
-            edge, _ = self.pending
-            at = SimInstant.from_ns(edge.true_ns)
-            self.warnings.append(f"{reason} at {at}")
+            edge_ns, _ = self.pending
+            self.warnings.append(f"{reason} at {SimInstant.from_ns(edge_ns)}")
             self.pending = None
 
-    def on_edge(self, event: pps.PpsEvent, temp_c: float) -> None:
+    def _apply_pulse(self, second: int, capture_ns: int,
+                     source: SampleSource) -> None:
+        """Sample the clock's capture of the edge that begins `second`."""
+        self._apply(OffsetSample(float(second), capture_ns - second * NS_PER_S,
+                                 source))
+
+    def on_edge(self, edge_ns: int, temp_c: float) -> None:
         """A pulse edge: sampled at once in pulse-only mode, otherwise held
         for the next sentence to name its second."""
         if self.servo.mode is ServoMode.NMEA_ONLY:
             return
         self._drop_pending("unlabeled edge")
-        edge_ns = event.true_ns
         self._advance_to(edge_ns, temp_c)
         capture_ns = edge_ns + self.clock.phase_offset_ns
         if self.servo.mode is ServoMode.PPS_ONLY:
-            ref_second = nearest_second(capture_ns)
-            self._apply(OffsetSample(float(ref_second),
-                                     capture_ns - ref_second * NS_PER_S,
-                                     SampleSource.PPS))
+            self._apply_pulse(nearest_second(capture_ns), capture_ns,
+                              SampleSource.PPS)
         else:
-            self.pending = (event, capture_ns)
+            self.pending = (edge_ns, capture_ns)
 
     def on_sentence(self, arrival_ns: int, second: int, fix: GnssFix,
                     temp_c: float) -> None:
@@ -218,29 +218,25 @@ class NodeSim:
                     self.warnings.append(f"no edge to label for second {second}")
                     self.last_sampled_second = second
                 return
-            edge, capture_ns = self.pending
+            edge_ns, capture_ns = self.pending
             try:
-                labeled = pps.label_pps(edge, [(arrival_ns, fix)],
-                                        SIM_EPOCH_DATE,
-                                        self.spec.receiver.label_window_ns)
+                pps.label_pps(edge_ns, arrival_ns, second,
+                              self.spec.receiver.label_window_ns)
             except (pps.UnlabeledEdge, pps.AmbiguousLabel) as exc:
                 self._drop_pending(type(exc).__name__)
                 return
             self.pending = None
-            sample = measure_offset_pps(labeled, capture_ns,
-                                        SampleSource.COMBINED)
+            self.last_sampled_second = second
+            self._apply_pulse(second, capture_ns, SampleSource.COMBINED)
         elif mode is ServoMode.NMEA_ONLY:
             if second == self.last_sampled_second or not fix.fix_valid:
                 return
             self._advance_to(arrival_ns, temp_c)
             reading_ns = read_clock(self.clock, arrival_ns)
-            sample = measure_offset_nmea(fix, reading_ns,
-                                         self.spec.receiver.est_path_delay_ns,
-                                         SIM_EPOCH_DATE)
-        else:
-            return
-        self.last_sampled_second = second
-        self._apply(sample)
+            self.last_sampled_second = second
+            self._apply(measure_offset_nmea(
+                fix, reading_ns, self.spec.receiver.est_path_delay_ns,
+                SIM_EPOCH_DATE))
 
     def step_boundary(self, boundary: int) -> None:
         """Advance through true second [boundary-1, boundary]."""
@@ -251,10 +247,10 @@ class NodeSim:
             if self.outage_start_s is not None:
                 self._end_outage(boundary)
             if self.servo.mode is not ServoMode.NMEA_ONLY:
-                event = pps.next_pps((boundary - 1) * NS_PER_S, self.jitter,
-                                     True, self.rng_pps)
-                self.pps_log.append(event.true_ns)
-                self.on_edge(event, temp_c)
+                edge_ns = pps.next_pps((boundary - 1) * NS_PER_S,
+                                       self.spec.receiver.pps, self.rng_pps)
+                self.pps_log.append(edge_ns)
+                self.on_edge(edge_ns, temp_c)
             fix = fix_for_second(boundary, nsat, self.spec.constellations)
             delay = self.spec.receiver.serial.delivery_delay_ns(self.rng_serial)
             if delay is not None:
@@ -364,7 +360,7 @@ def run_replay(cfg: ScenarioConfig, spec: NodeSpec, nmea_events,
     sim = NodeSim(cfg, spec, seqs[node_index])
 
     # Edges sort ahead of sentences arriving at the same instant.
-    merged = [(t, sim.on_edge, (pps.PpsEvent(t),)) for t in pps_edges]
+    merged = [(t, sim.on_edge, (t,)) for t in pps_edges]
     merged += [(event[0], sim.on_sentence, event) for event in nmea_events]
     merged.sort(key=lambda e: e[0])
     for t_ns, handle, args in merged:

@@ -10,12 +10,13 @@ implements the classic four-timestamp offset/delay estimator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import engine
-from .scenario import ScenarioConfig, TrafficSpec
+from .scenario import (LinkModel, PacketDropped, ScenarioConfig, TrafficSpec,
+                       traffic_params)
 from .servo import OffsetSample, SampleSource
 from .timebase import ClockState, NS_PER_S, read_clock
 
@@ -26,32 +27,6 @@ class NoCommonPackets(ValueError):
     pass
 
 
-class PacketDropped(RuntimeError):
-    pass
-
-
-@dataclass(frozen=True)
-class LinkModel:
-    """One-way delays (possibly asymmetric) with uniform jitter."""
-
-    delay_up_ms: float = 20.0
-    delay_down_ms: float = 20.0
-    jitter_ms: float = 0.0
-    drop_prob: float = 0.0
-
-    def __post_init__(self):
-        if self.delay_up_ms < 0 or self.delay_down_ms < 0 or self.jitter_ms < 0:
-            raise ValueError("delays and jitter must be >= 0")
-        if not 0.0 <= self.drop_prob < 1.0:
-            raise ValueError("drop_prob must be in [0, 1)")
-
-    def one_way_ns(self, base_ms: float, rng) -> int:
-        if self.drop_prob and rng.random() < self.drop_prob:
-            raise PacketDropped("leg lost")
-        jit = rng.uniform(-self.jitter_ms, self.jitter_ms) if self.jitter_ms else 0.0
-        return round((base_ms + jit) * 1e6)
-
-
 @dataclass
 class PacketRecord:
     """One broadcast packet and its per-client capture stamps."""
@@ -60,13 +35,6 @@ class PacketRecord:
     send_true_ns: int
     send_stamp_ns: int
     arrivals: dict = field(default_factory=dict)
-
-
-def broadcast_clients(cfg: ScenarioConfig, traffic: TrafficSpec) -> list[str]:
-    """The nodes a broadcast flood reaches: its `clients` parameter, else
-    the scenario's first two nodes."""
-    return list(traffic.params.get("clients") or
-                [n.name for n in cfg.nodes[:2]])
 
 
 def run_broadcast(cfg: ScenarioConfig, rate_hz: float, duration_s: float,
@@ -82,19 +50,11 @@ def run_broadcast(cfg: ScenarioConfig, rate_hz: float, duration_s: float,
     """
     if traffic is None:
         traffic = next(t for t in cfg.traffic if t.kind == "broadcast")
-    params = traffic.params
-    client_names = broadcast_clients(cfg, traffic)
-    if len(client_names) < 2:
-        raise ValueError("broadcast harness needs at least 2 clients")
-    server_name = params.get("server", cfg.nodes[-1].name)
-    deltas = {k: int(v) for k, v in params.get("path_delta_ns", {}).items()}
-    drop_prob = float(params.get("drop_prob", 0.0))
+    params = traffic_params(cfg, traffic)
 
     sims, root = engine.build_node_sims(cfg)
     by_name = {s.spec.name: s for s in sims}
-    for name in (*client_names, server_name):
-        if name not in by_name:
-            raise ValueError(f"traffic references unknown node {name!r}")
+    server = by_name[params.server]
     drop_rng = np.random.default_rng(root.spawn(1)[0])
 
     duration = int(round(duration_s))
@@ -108,14 +68,13 @@ def run_broadcast(cfg: ScenarioConfig, rate_hz: float, duration_s: float,
         limit = boundary * NS_PER_S
         while next_pkt < n_packets and send_ns[next_pkt] <= limit:
             t = send_ns[next_pkt]
-            server = by_name[server_name]
             rec = PacketRecord(next_pkt, t, server.read_disciplined(t))
-            for name in client_names:
-                if drop_prob and drop_rng.random() < drop_prob:
+            for name in params.clients:
+                if params.drop_prob and drop_rng.random() < params.drop_prob:
                     continue
                 sim = by_name[name]
                 rc = sim.spec.receiver
-                arrival = t + deltas.get(name, 0)
+                arrival = t + params.path_delta_ns.get(name, 0)
                 latency = rc.stamp_bias_ns
                 if rc.stamp_latency_ns:
                     latency += round(sim.rng_stamp.uniform(0, rc.stamp_latency_ns))
@@ -255,13 +214,9 @@ def run_ntp(cfg: ScenarioConfig, traffic: TrafficSpec | None = None):
     """
     if traffic is None:
         traffic = next(t for t in cfg.traffic if t.kind == "ntp")
-    p = traffic.params
-    client_spec = cfg.node(p.get("client", cfg.nodes[0].name))
-    server_spec = cfg.node(p.get("server", cfg.nodes[-1].name))
-    link = LinkModel(float(p.get("delay_up_ms", 20.0)),
-                     float(p.get("delay_down_ms", 20.0)),
-                     float(p.get("jitter_ms", 0.0)),
-                     float(p.get("drop_prob", 0.0)))
+    p = traffic_params(cfg, traffic)
+    client_spec = cfg.node(p.client)
+    server_spec = cfg.node(p.server)
     root = np.random.SeedSequence(cfg.seed)
     rng = np.random.default_rng(root.spawn(len(cfg.nodes) + 1)[-1])
     client = ClockState.from_offset_ns(client_spec.initial_offset_ns,
@@ -274,7 +229,7 @@ def run_ntp(cfg: ScenarioConfig, traffic: TrafficSpec | None = None):
     for i in range(n):
         t_ns = (i + 1) * interval_ns
         try:
-            res = ntp_exchange(client, server, link, t_ns, rng)
+            res = ntp_exchange(client, server, p.link, t_ns, rng)
         except PacketDropped:
             continue
         rows.append((t_ns / NS_PER_S, res.offset_est_ns,
@@ -284,15 +239,9 @@ def run_ntp(cfg: ScenarioConfig, traffic: TrafficSpec | None = None):
 
 def run_tsf_traffic(cfg: ScenarioConfig, traffic: TrafficSpec):
     """Scenario-driven beacon experiment; one row per beacon interval."""
-    p = traffic.params
     interval = 1.0 / traffic.rate_hz
     n_beacons = int(round(cfg.duration_s * traffic.rate_hz))
-    spreads, _ = run_tsf(
-        n_nodes=int(p.get("n_nodes", 20)),
-        spread_ppm=float(p.get("spread_ppm", 100.0)),
-        beacon_interval_s=interval,
-        n_beacons=n_beacons,
-        airtime_jitter_us=float(p.get("airtime_jitter_us", 2.0)),
-        seed=cfg.seed,
-    )
+    # The params are run_tsf's n_nodes, spread_ppm and airtime_jitter_us.
+    spreads, _ = run_tsf(beacon_interval_s=interval, n_beacons=n_beacons,
+                         seed=cfg.seed, **asdict(traffic_params(cfg, traffic)))
     return [((i + 1) * interval, s) for i, s in enumerate(spreads)]

@@ -21,6 +21,7 @@ from operator import itemgetter
 from typing import ClassVar, get_args, get_origin, get_type_hints
 
 from .nmea import SerialDeliveryModel
+from .pps import PpsJitter
 from .servo import ServoConfig, ServoMode
 from .timebase import OscillatorParams
 
@@ -53,6 +54,10 @@ class TemperatureOutOfRange(ValueError):
     pass
 
 
+class PacketDropped(RuntimeError):
+    pass
+
+
 @dataclass(frozen=True)
 class ConstantTemp:
     kind: ClassVar[str] = "constant"
@@ -70,6 +75,10 @@ class RangeTemp:
     lo: float
     hi: float
     period_s: float
+
+    def __post_init__(self):
+        if self.period_s <= 0:
+            raise ValueError("period_s must be positive")
 
     def at(self, t_s: float) -> float:
         phase = 2.0 * math.pi * t_s / self.period_s
@@ -116,6 +125,8 @@ class VisibilitySeg:
     nsat_bds: int
 
     def __post_init__(self):
+        if self.t_start < 0:
+            raise SchemaError("visibility segment must have t_start >= 0")
         if self.t_end <= self.t_start:
             raise SchemaError("visibility segment must have t_end > t_start")
         if self.nsat_gps < 0 or self.nsat_bds < 0:
@@ -135,16 +146,21 @@ class VisibilitySeg:
 class ReceiverSpec:
     """Receiver-side measurement characteristics of one node."""
 
-    pps_half_width_ns: int = 30
-    pps_bias_ns: int = 0
-    # Written inline in JSON as serial_base_latency_ms, serial_jitter_ms
-    # and serial_drop_prob.
+    # Written inline in JSON as pps_half_width_ns and pps_bias_ns, and as
+    # serial_base_latency_ms, serial_jitter_ms and serial_drop_prob.
+    pps: PpsJitter = field(default_factory=PpsJitter,
+                           metadata={"flatten": "pps_"})
     serial: SerialDeliveryModel = field(default_factory=SerialDeliveryModel,
                                         metadata={"flatten": "serial_"})
     est_path_delay_ns: int = 80_000_000
     label_window_ns: int = 900_000_000
     stamp_bias_ns: int = 0
     stamp_latency_ns: int = 0
+
+    def __post_init__(self):
+        if self.label_window_ns <= 0 or self.stamp_latency_ns < 0:
+            raise ValueError("label_window_ns must be positive and "
+                             "stamp_latency_ns >= 0")
 
 
 @dataclass(frozen=True)
@@ -169,10 +185,70 @@ class TrafficSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in ("broadcast", "ntp", "tsf"):
+        if self.kind not in TRAFFIC_PARAMS:
             raise SchemaError(f"unknown traffic kind {self.kind!r}")
         if self.rate_hz <= 0:
             raise SchemaError("traffic rate must be positive")
+
+
+@dataclass(frozen=True)
+class LinkModel:
+    """One-way delays (possibly asymmetric) with uniform jitter."""
+
+    delay_up_ms: float = 20.0
+    delay_down_ms: float = 20.0
+    jitter_ms: float = 0.0
+    drop_prob: float = 0.0
+
+    def __post_init__(self):
+        if self.delay_up_ms < 0 or self.delay_down_ms < 0 or self.jitter_ms < 0:
+            raise ValueError("delays and jitter must be >= 0")
+        if not 0.0 <= self.drop_prob < 1.0:
+            raise ValueError("drop_prob must be in [0, 1)")
+
+    def one_way_ns(self, base_ms: float, rng) -> int:
+        if self.drop_prob and rng.random() < self.drop_prob:
+            raise PacketDropped("leg lost")
+        jit = rng.uniform(-self.jitter_ms, self.jitter_ms) if self.jitter_ms else 0.0
+        return round((base_ms + jit) * 1e6)
+
+
+@dataclass(frozen=True)
+class BroadcastParams:
+    """`server` floods `clients`, each client's path `path_delta_ns`
+    longer and each delivery lost with `drop_prob`."""
+
+    server: str
+    clients: tuple[str, ...]
+    path_delta_ns: dict[str, int] = field(default_factory=dict)
+    drop_prob: float = 0.0
+
+    def __post_init__(self):
+        if len(self.clients) < 2:
+            raise ValueError("broadcast harness needs at least 2 clients")
+
+
+@dataclass(frozen=True)
+class NtpParams:
+    """`client` exchanges with `server` over `link`, written inline."""
+
+    client: str
+    server: str
+    link: LinkModel = field(default_factory=LinkModel,
+                            metadata={"flatten": ""})
+
+
+@dataclass(frozen=True)
+class TsfParams:
+    """A beacon-timer contention run among its own `n_nodes` timers."""
+
+    n_nodes: int = 20
+    spread_ppm: float = 100.0
+    airtime_jitter_us: float = 2.0
+
+
+TRAFFIC_PARAMS = {"broadcast": BroadcastParams, "ntp": NtpParams,
+                  "tsf": TsfParams}
 
 
 @dataclass(frozen=True)
@@ -207,12 +283,14 @@ class ScenarioConfig:
         names = [n.name for n in self.nodes]
         if len(set(names)) != len(names):
             raise SchemaError("node names must be unique")
+        for i, traffic in enumerate(self.traffic):
+            traffic_params(self, traffic, f"traffic[{i}].params")
 
     def node(self, name: str) -> NodeSpec:
         for n in self.nodes:
             if n.name == name:
                 return n
-        raise KeyError(name)
+        raise SchemaError(f"no node is named {name!r}")
 
 
 def _check_visibility(segments, duration_s: float) -> None:
@@ -230,6 +308,25 @@ def _check_visibility(segments, duration_s: float) -> None:
     if abs(segs[-1].t_end - duration_s) > _COVER_TOL_S:
         raise UncoveredInterval(
             f"timeline ends at {segs[-1].t_end}, duration is {duration_s}")
+
+
+def traffic_params(cfg: ScenarioConfig, traffic: TrafficSpec,
+                   path: str = "params"):
+    """The typed `params` of a traffic experiment. A left-out `client` is
+    the first node, `server` the last and `clients` the first two. An
+    unknown key, a bad value or a node name (those three and the keys of
+    `path_delta_ns`) that no node has raises SchemaError naming `path`."""
+    cls = TRAFFIC_PARAMS[traffic.kind]
+    names = [n.name for n in cfg.nodes] or [""]
+    fill = {"client": names[0], "server": names[-1], "clients": names[:2]}
+    params = _decode(cls, {k: v for k, v in fill.items() if k in _keys(cls)}
+                     | traffic.params, path, None)
+    used = vars(params)
+    for name in (*[used[k] for k in ("client", "server") if k in used],
+                 *used.get("clients", ()), *used.get("path_delta_ns", ())):
+        if name not in names:
+            raise SchemaError(f"{path}: no node is named {name!r}")
+    return params
 
 
 def temperature_at(cfg: ScenarioConfig, t_s: float) -> float:
@@ -363,6 +460,9 @@ def _decode(tp, value, path: str, base_dir):
     if tp is dict:
         return copy.deepcopy(_object(value, path))
     origin = get_origin(tp)
+    if origin is dict:
+        return {k: _decode(get_args(tp)[1], v, f"{path}.{k}", base_dir)
+                for k, v in _object(value, path).items()}
     if origin in (tuple, frozenset):
         if not isinstance(value, list):
             raise SchemaError(f"{path} must be an array")
@@ -490,7 +590,7 @@ def _field_node(name: str, bias_ns: int, half_ns: int,
         name=name,
         oscillator=osc,
         servo=ServoConfig(mode=ServoMode.NMEA_PLUS_PPS),
-        receiver=ReceiverSpec(pps_half_width_ns=half_ns, pps_bias_ns=bias_ns),
+        receiver=ReceiverSpec(pps=PpsJitter(half_ns, bias_ns)),
     )
 
 
@@ -593,7 +693,7 @@ def _build_presets() -> dict:
         name="bench",
         oscillator=_BASE_OSC,
         servo=ServoConfig(mode=ServoMode.NMEA_PLUS_PPS),
-        receiver=ReceiverSpec(pps_half_width_ns=1550),
+        receiver=ReceiverSpec(pps=PpsJitter(1550)),
     )
     presets["room_24h"] = ScenarioConfig(
         name="room_24h", duration_s=86_400.0, seed=DEFAULT_SEED,

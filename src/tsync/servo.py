@@ -17,8 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .nmea import GnssFix, absolute_second_ns
-from .pps import PpsEvent, UnlabeledEdge
-from .timebase import ClockState, NS_PER_S
+from .timebase import NS_PER_S
 
 # ppm expressed as ns of phase per second of elapsed time.
 NS_PER_S_PER_PPM = 1000.0
@@ -92,6 +91,9 @@ class ServoConfig:
             raise ValueError("step_threshold_ns must be positive")
         if self.poll_interval_s <= 0:
             raise ValueError("poll_interval_s must be positive")
+        if self.holdover_window_s <= 0 or self.holdover_ma_points < 1:
+            raise ValueError("holdover_window_s must be positive and "
+                             "holdover_ma_points >= 1")
 
 
 @dataclass(frozen=True)
@@ -141,17 +143,8 @@ def measure_offset_nmea(fix: GnssFix, local_rx_ns: int,
     return OffsetSample(boundary_ns / NS_PER_S, offset, SampleSource.NMEA)
 
 
-def measure_offset_pps(event: PpsEvent, local_capture_ns: int,
-                       source: SampleSource = SampleSource.PPS) -> OffsetSample:
-    """Offset of the local clock against a labelled edge's second."""
-    if event.labeled_second is None:
-        raise UnlabeledEdge("cannot measure against an unlabelled edge")
-    offset = local_capture_ns - event.labeled_second * NS_PER_S
-    return OffsetSample(float(event.labeled_second), offset, source)
-
-
-def update(servo: ServoState, sample: OffsetSample,
-           clock: ClockState) -> tuple[ServoState, ClockAdjustment]:
+def update(servo: ServoState,
+           sample: OffsetSample) -> tuple[ServoState, ClockAdjustment]:
     """Fold one offset sample into the loop.
 
     Large offsets are stepped out (history cleared); otherwise the

@@ -7,9 +7,10 @@ import sys
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import tsync
-from tsync import engine, metrics, scenario
+from tsync import engine, metrics, nmea, scenario
 from tsync.cli import main
 
 
@@ -91,10 +92,22 @@ class TestRun:
         (("temperature",), {"kind": "trace", "file": "t.csv"},
          {"t.csv": b"0,16\n10,16\xb0\n"}, "cannot read"),
         ((), None, {"bad.json": b'{"name": "lab\xb0"}'}, "cannot read"),
+        (("temperature",), {"kind": "range", "lo": 20, "hi": 25,
+                            "period_s": 0}, {}, "period_s must be positive"),
+        (("nodes", 0, "receiver", "label_window_ns"), 0, {},
+         "label_window_ns must be positive"),
+        (("traffic",), [{"kind": "broadcast", "rate_hz": 10.0, "params": {
+            "server": "bench", "clinets": ["bench"]}}], {},
+         "traffic[0].params: unknown key 'clinets'"),
+        (("traffic",), [{"kind": "ntp", "rate_hz": 1.0,
+                         "params": {"client": "nobody"}}], {},
+         "traffic[0].params: no node is named 'nobody'"),
     ], ids=["receiver-key-typo", "unknown-top-level-key", "glonass-only",
             "no-constellations", "nodes-as-object", "servo-null",
             "trace-file-missing", "trace-file-is-directory",
-            "trace-file-not-utf8", "scenario-not-utf8"])
+            "trace-file-not-utf8", "scenario-not-utf8", "range-period-zero",
+            "label-window-zero", "traffic-param-typo",
+            "traffic-unknown-node"])
     def test_malformed_config_exits_2(self, runner, tmp_path, keys, value,
                                       files, match):
         short_lab(tmp_path, duration=30.0)
@@ -115,6 +128,7 @@ class TestRun:
         [line] = res.stderr.splitlines()
         assert line.startswith("scenario config error:")
         assert match in line
+        assert not (tmp_path / "out").exists()
 
     def test_unparseable_json_exits_2(self, runner, tmp_path):
         bad = tmp_path / "bad.json"
@@ -358,8 +372,15 @@ class TestReplay:
          ["1000000000", "\u00b0"], "pps.log:2:"),
         (["1077527366 $GNRMC,000001.000,A,,,,,,,010121,,*24", "\u00b0"],
          None, "nmea.log:2:"),
+        (["1077527366 $GNRMC,000001.000,A,,,,,,,010121,,*24",
+          "2075149360 $GNRMC,000002.000,A,,,,,,,010121,,*27"],
+         ["1000000000", str(2**70)], "64-bit"),
+        (["1077527366 $GNRMC,000001.000,A,,,,,,,010121,,*24",
+          f"{2**63} $GNRMC,000002.000,A,,,,,,,010121,,*27"],
+         None, "64-bit"),
     ], ids=["pps-not-an-integer", "bad-arrival-prefix", "empty-time-field",
-            "pps-non-ascii", "nmea-non-ascii"])
+            "pps-non-ascii", "nmea-non-ascii", "pps-beyond-64-bit",
+            "arrival-beyond-64-bit"])
     def test_malformed_line_fails_cleanly(self, runner, tmp_path, nmea_lines,
                                           pps_lines, where):
         (tmp_path / "nmea.log").write_text("\n".join(nmea_lines) + "\n",
@@ -378,6 +399,18 @@ class TestReplay:
         assert len(res.output.strip().splitlines()) == 1
         assert not (tmp_path / "rp" / "loop_replay.csv").exists()
 
+    def test_unknown_node_fails_cleanly(self, runner, tmp_path):
+        _, path = short_lab(tmp_path, duration=30.0)
+        out = tmp_path / "run"
+        assert runner.invoke(main, ["run", path, "--out", str(out)]
+                             ).exit_code == 0
+        res = runner.invoke(main, [
+            "replay", str(out / "nmea_bench.log"), "--scenario", path,
+            "--node", "nobody", "--out", str(tmp_path / "rp")])
+        assert res.exit_code == 1
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert res.output.strip() == "replay error: no node is named 'nobody'"
+
     def test_unsorted_pps_rejected(self, runner, tmp_path):
         cfg, path = short_lab(tmp_path)
         out = tmp_path / "run"
@@ -388,6 +421,94 @@ class TestReplay:
                                    "--out", str(tmp_path / "rp")])
         assert res.exit_code == 1
         assert "not time-sorted" in res.output
+
+
+@pytest.fixture(scope="module")
+def combined_run(tmp_path_factory):
+    """Scenario file plus sentence and pulse log lines of a 20 s
+    combined-mode drive."""
+    tmp = tmp_path_factory.mktemp("combined")
+    cfg = dataclasses.replace(
+        scenario.preset("suburban"), duration_s=20.0,
+        visibility=(scenario.VisibilitySeg(0.0, 20.0, 7, 5),))
+    path = tmp / "drive.json"
+    scenario.save(cfg, path)
+    res = CliRunner().invoke(main, ["run", str(path), "--out", str(tmp)])
+    assert res.exit_code == 0, res.output
+    return (str(path), (tmp / "nmea_vehicle.log").read_text().splitlines(),
+            (tmp / "pps_vehicle.log").read_text().splitlines())
+
+
+_ASCII_FIELD = st.text(st.characters(codec="ascii",
+                                     exclude_characters="$*\r\n"),
+                       max_size=12)
+_DELTAS = (st.integers(-(2**70), 2**70) | st.integers(-2 * 10**9, 2 * 10**9)
+           | st.sampled_from([2**63, -(2**63)]))
+
+
+def _shifted(line: str, delta: int) -> str:
+    """The line with `delta` added to its leading time, if it has one."""
+    head, sep, rest = line.partition(" ")
+    try:
+        return f"{int(head) + delta}{sep}{rest}"
+    except ValueError:
+        return line
+
+
+def _rewritten(data, line: str) -> str:
+    """One field of a sentence changed under a recomputed checksum, or
+    free text."""
+    prefix, _, sentence = line.partition(" ")
+    body, star, _ = sentence[1:].partition("*")
+    if star and "$" not in body and data.draw(st.booleans()):
+        fields = body.split(",")
+        fields[data.draw(st.integers(0, len(fields) - 1))] = \
+            data.draw(_ASCII_FIELD)
+        payload = ",".join(fields)
+        return f"{prefix} ${payload}*{nmea.checksum(payload)}"
+    return data.draw(st.text(max_size=40))
+
+
+class TestReplayFuzz:
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture],
+              deadline=None, max_examples=150)
+    @given(st.data())
+    def test_mutated_logs_replay_or_fail_cleanly(self, runner, tmp_path,
+                                                 combined_run, data):
+        path, nmea_lines, pps_lines = combined_run
+        mode = data.draw(st.sampled_from(["nmea", "pps", "nmea+pps"]))
+        logs = {"nmea": list(nmea_lines), "pps": list(pps_lines)}
+        for _ in range(data.draw(st.integers(1, 3))):
+            lines = logs[data.draw(st.sampled_from(["nmea", "pps"]))]
+            i = data.draw(st.integers(0, len(lines) - 1))
+            how = data.draw(st.sampled_from(
+                ["rewrite", "shift", "delete", "duplicate", "swap"]))
+            if how == "rewrite":
+                lines[i] = _rewritten(data, lines[i])
+            elif how == "shift":  # a jump in the capture's time base
+                delta = data.draw(_DELTAS)
+                lines[i:] = [_shifted(line, delta) for line in lines[i:]]
+            elif how == "delete" and len(lines) > 1:
+                del lines[i]
+            else:
+                j = data.draw(st.integers(0, len(lines) - 1))
+                if how == "duplicate":
+                    lines.insert(j, lines[i])
+                else:
+                    lines[i], lines[j] = lines[j], lines[i]
+        for name, lines in logs.items():
+            (tmp_path / f"{name}.log").write_text(
+                "".join(f"{line}\n" for line in lines), encoding="utf-8")
+        res = runner.invoke(main, [
+            "replay", str(tmp_path / "nmea.log"),
+            "--pps", str(tmp_path / "pps.log"), "--scenario", path,
+            "--mode", mode, "--out", str(tmp_path / "rp")])
+        assert res.exception is None or isinstance(res.exception,
+                                                   SystemExit), res.exception
+        if res.exit_code != 0:
+            assert res.exit_code == 1
+            [line] = res.output.strip().splitlines()
+            assert line.startswith("replay error:")
 
 
 class TestPresets:

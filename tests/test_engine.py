@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tsync import engine, net, scenario
+from tsync.pps import PpsJitter
 from tsync.scenario import (ConstantTemp, NodeSpec, ReceiverSpec,
                             ScenarioConfig, VisibilitySeg)
 from tsync.servo import ServoConfig, ServoMode
@@ -33,7 +34,7 @@ def offsets(result, node="n0"):
 
 class TestDiscipline:
     def test_perfect_clock_perfect_receiver_zero_offsets(self):
-        recv = ReceiverSpec(pps_half_width_ns=0)
+        recv = ReceiverSpec(pps=PpsJitter(0))
         res = engine.run_scenario(small_cfg(receiver=recv))
         assert not offsets(res).any()
 
@@ -55,6 +56,25 @@ class TestDiscipline:
         rows = res.loop_rows["n0"]
         assert abs(rows[0].offset_ns - 500_000_000) < 1000
         assert abs(rows[1].offset_ns) < 1000
+
+    @pytest.mark.parametrize("mode", [ServoMode.PPS_ONLY,
+                                      ServoMode.NMEA_PLUS_PPS],
+                             ids=lambda m: m.value)
+    @pytest.mark.parametrize("offset_ns", [0, 42])
+    def test_pulse_offset_is_capture_minus_second(self, mode, offset_ns):
+        # Perfect oscillator, zero pulse jitter: the clock captures the
+        # edge of second 100 exactly `offset_ns` late.
+        cfg = small_cfg(mode=mode, receiver=ReceiverSpec(pps=PpsJitter(0)),
+                        initial_offset_ns=offset_ns)
+        spec = cfg.nodes[0]
+        sim = engine.NodeSim(cfg, spec, np.random.SeedSequence(0))
+        sim.on_edge(100 * 10**9, 25.0)
+        fix = engine.fix_for_second(100, 8, spec.constellations)
+        sim.on_sentence(100 * 10**9 + 80_000_000, 100, fix, 25.0)
+        (row,) = sim.loop_rows
+        assert (row.elapsed_s, row.offset_ns) == (100.0, offset_ns)
+        assert row.source == ("PPS" if mode is ServoMode.PPS_ONLY
+                              else "COMBINED")
 
     def test_run_deterministic(self):
         osc = OscillatorParams(f0_ppm=0.1, noise_white_fm=2e-9,
@@ -239,7 +259,7 @@ class TestIntegerTime:
         assert instants == []
 
     def test_warning_still_formats_the_edge_time(self, instants):
-        recv = ReceiverSpec(pps_half_width_ns=0, label_window_ns=10_000_000)
+        recv = ReceiverSpec(pps=PpsJitter(0), label_window_ns=10_000_000)
         res = engine.run_scenario(small_cfg(duration=3.0, receiver=recv))
         assert res.warnings["n0"] == [f"UnlabeledEdge at {k}.000000000s"
                                       for k in (1, 2, 3)]

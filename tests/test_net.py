@@ -5,6 +5,7 @@ from tsync import net, scenario
 from tsync.net import (LinkModel, NoCommonPackets, PacketDropped, TsfNode,
                        ntp_exchange, pairwise_offsets, run_broadcast, run_tsf,
                        tsf_advance, tsf_step)
+from tsync.pps import PpsJitter
 from tsync.scenario import (ConstantTemp, NodeSpec, ReceiverSpec,
                             ScenarioConfig, TrafficSpec, VisibilitySeg)
 from tsync.servo import ServoConfig, ServoMode
@@ -17,7 +18,7 @@ def harness_cfg(duration=60.0, recv_a=None, recv_b=None, deltas=None,
                 drop=0.0):
     mk = lambda name, rc: NodeSpec(
         name=name, servo=ServoConfig(mode=ServoMode.NMEA_PLUS_PPS),
-        receiver=rc or ReceiverSpec(pps_half_width_ns=0))
+        receiver=rc or ReceiverSpec(pps=PpsJitter(0)))
     params = {"server": "c3", "clients": ["c1", "c2"], "drop_prob": drop}
     if deltas:
         params["path_delta_ns"] = deltas

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tsync import scenario
-from tsync.scenario import (ConstantTemp, OverlappingVisibility, RangeTemp,
-                            ScenarioConfig, SchemaError, TemperatureOutOfRange,
-                            TraceTemp, UncoveredInterval, UnknownPreset,
+from tsync.scenario import (ConstantTemp, LinkModel, NodeSpec,
+                            OverlappingVisibility, RangeTemp, ScenarioConfig,
+                            SchemaError, TemperatureOutOfRange, TraceTemp,
+                            TrafficSpec, UncoveredInterval, UnknownPreset,
                             VisibilitySeg, preset, temperature_at,
-                            visibility_stats)
+                            traffic_params, visibility_stats)
 
 DOCS = os.path.join(os.path.dirname(__file__), os.pardir, "docs")
 
@@ -121,6 +122,60 @@ class TestValidation:
             accepted |= {tuple("[]" if isinstance(k, int) else k for k in keys)
                          for keys in _key_paths(doc)}
         assert set(_schema_paths(schema)) <= accepted
+
+    def test_values_past_every_schema_bound_rejected(self):
+        with open(os.path.join(DOCS, "scenario.schema.json")) as fh:
+            schema = json.load(fh)
+        doc = scenario.to_dict(minimal(
+            temperature=RangeTemp(20.0, 25.0, 3600.0),
+            nodes=(NodeSpec(name="n"),), traffic=(TrafficSpec("tsf", 1.0),)))
+        scenario.from_dict(doc)
+        bounds = list(_past_bounds(schema, doc))
+        # each (exclusive) minimum and maximum in the file is reached
+        assert len(bounds) == json.dumps(schema).count("imum\"")
+        accepted = []
+        for keys, value in bounds:
+            bad = json.loads(json.dumps(doc))
+            target = bad
+            for key in keys[:-1]:
+                target = target[key]
+            target[keys[-1]] = value
+            try:
+                scenario.from_dict(bad)
+            except SchemaError:
+                continue
+            accepted.append((keys, value))
+        assert accepted == []
+
+
+class TestTrafficParams:
+    @pytest.mark.parametrize("name, key, value, match", [
+        ("harness_10pps", "clinets", ["c2", "c3"], "unknown key 'clinets'"),
+        ("harness_10pps", "server", "c9", "no node is named 'c9'"),
+        ("harness_10pps", "path_delta_ns", {"c7": 5}, "no node is named 'c7'"),
+        ("harness_10pps", "clients", ["c1"], "at least 2 clients"),
+        ("lte_ntp", "client", "nobody", "no node is named 'nobody'"),
+        ("lte_ntp", "drop_prob", 1.0, "drop_prob must be in"),
+        ("lte_ntp", "delay_up_ms", "slow", "could not convert"),
+    ])
+    def test_bad_params_rejected_at_load(self, name, key, value, match):
+        data = scenario.to_dict(preset(name))
+        data["traffic"][0]["params"][key] = value
+        with pytest.raises(SchemaError, match=r"^traffic\[0\]\.params"
+                           r"(\.\w+)?: .*" + match):
+            scenario.from_dict(data)
+
+    def test_unset_params_take_the_defaults(self):
+        cfg = minimal(nodes=tuple(NodeSpec(name=n) for n in "abc"),
+                      traffic=(TrafficSpec("broadcast", 1.0),
+                               TrafficSpec("ntp", 1.0),
+                               TrafficSpec("tsf", 1.0)))
+        flood, ntp, tsf = (traffic_params(cfg, t) for t in cfg.traffic)
+        assert (flood.server, flood.clients) == ("c", ("a", "b"))
+        assert (flood.path_delta_ns, flood.drop_prob) == ({}, 0.0)
+        assert (ntp.client, ntp.server, ntp.link) == ("a", "c", LinkModel())
+        assert (tsf.n_nodes, tsf.spread_ppm, tsf.airtime_jitter_us) == \
+            (20, 100.0, 2.0)
 
 
 class TestTemperature:
@@ -276,6 +331,24 @@ def _key_paths(doc, keys=()):
     elif isinstance(doc, list):
         for i, value in enumerate(doc):
             yield from _key_paths(value, keys + (i,))
+
+
+def _past_bounds(schema, doc, keys=()):
+    """(path, value) just past each numeric bound the schema sets on a
+    value of `doc`; a `oneOf` is followed into the branch of doc's kind,
+    an array into its first item."""
+    for sub in schema.get("oneOf", ()):
+        if sub["properties"]["kind"]["const"] == doc["kind"]:
+            yield from _past_bounds(sub, doc, keys)
+    for key, sub in schema.get("properties", {}).items():
+        yield from _past_bounds(sub, doc[key], keys + (key,))
+    if isinstance(schema.get("items"), dict):
+        yield from _past_bounds(schema["items"], doc[0], keys + (0,))
+    step = 1 if schema.get("type") == "integer" else 1e-6
+    for bound, past in (("minimum", -step), ("exclusiveMinimum", 0),
+                        ("maximum", step), ("exclusiveMaximum", 0)):
+        if bound in schema:
+            yield keys, schema[bound] + past
 
 
 def _schema_paths(schema, keys=()):

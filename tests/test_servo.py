@@ -4,15 +4,12 @@ import numpy as np
 import pytest
 
 from tsync.nmea import GnssFix
-from tsync.pps import PpsEvent, UnlabeledEdge
 from tsync.servo import (ClockAdjustment, HoldoverInactive, InsufficientHistory,
                          InvalidFix, NonMonotonicSample, OffsetSample,
                          SampleSource, ServoConfig, ServoMode, ServoState,
-                         enter_holdover, measure_offset_nmea,
-                         measure_offset_pps, observe, predict_offset, update)
-from tsync.timebase import ClockState
+                         enter_holdover, measure_offset_nmea, observe,
+                         predict_offset, update)
 
-NS = 1_000_000_000
 EPOCH = datetime.date(2021, 1, 1)
 
 
@@ -28,7 +25,7 @@ def closed_loop(f_osc_ppm, n_updates, noise=None, cfg=None, start_phase=0.0):
     for k in range(1, n_updates + 1):
         phase += (f_osc_ppm + servo.freq_correction_ppm) * 1000.0
         e = int(round(phase + (noise[k - 1] if noise is not None else 0.0)))
-        servo, adj = update(servo, pps_sample(float(k), e), ClockState())
+        servo, adj = update(servo, pps_sample(float(k), e))
         if adj.stepped:
             phase += adj.step_ns
         offsets.append(e)
@@ -52,39 +49,24 @@ class TestMeasurement:
         with pytest.raises(InvalidFix):
             measure_offset_nmea(fix, 0, 0, EPOCH)
 
-    def test_pps_zero_offset(self):
-        edge = PpsEvent(100 * NS, labeled_second=100)
-        s = measure_offset_pps(edge, 100 * NS)
-        assert s.offset_ns == 0
-        assert s.elapsed_s == 100.0
-
-    def test_pps_representative_offset(self):
-        edge = PpsEvent(100 * NS, labeled_second=100)
-        assert measure_offset_pps(edge, 100 * NS + 42).offset_ns == 42
-
-    def test_pps_unlabeled_rejected(self):
-        edge = PpsEvent(100 * NS)
-        with pytest.raises(UnlabeledEdge):
-            measure_offset_pps(edge, 0)
-
 
 class TestUpdate:
     def test_zero_offset_is_noop(self):
         servo = ServoState(ServoConfig())
-        servo, adj = update(servo, pps_sample(1.0, 0), ClockState())
+        servo, adj = update(servo, pps_sample(1.0, 0))
         assert adj == ClockAdjustment(0, 0.0, False)
         assert servo.freq_correction_ppm == 0.0
 
     def test_step_beyond_threshold(self):
         servo = ServoState(ServoConfig())
-        servo, adj = update(servo, pps_sample(1.0, 500_000_000), ClockState())
+        servo, adj = update(servo, pps_sample(1.0, 500_000_000))
         assert adj.stepped and adj.step_ns == -500_000_000
         assert not servo.offset_history
 
     def test_step_idempotence(self):
         servo, phase, _ = closed_loop(0.0, 1, start_phase=5e8)
         assert phase == 0.0
-        servo, adj = update(servo, pps_sample(2.0, int(phase)), ClockState())
+        servo, adj = update(servo, pps_sample(2.0, int(phase)))
         assert not adj.stepped and adj.step_ns == 0
         assert servo.freq_correction_ppm == 0.0
 
@@ -106,9 +88,9 @@ class TestUpdate:
 
     def test_non_monotonic_rejected(self):
         servo = ServoState(ServoConfig())
-        servo, _ = update(servo, pps_sample(5.0, 10), ClockState())
+        servo, _ = update(servo, pps_sample(5.0, 10))
         with pytest.raises(NonMonotonicSample):
-            update(servo, pps_sample(5.0, 12), ClockState())
+            update(servo, pps_sample(5.0, 12))
 
     def test_history_appended_and_holdover_cleared(self):
         servo = ServoState(ServoConfig())
@@ -118,7 +100,7 @@ class TestUpdate:
             observe(enter_able, pps_sample(float(t), 100))
         enter_holdover(enter_able)
         assert enter_able.holdover.active
-        enter_able, _ = update(enter_able, pps_sample(100.0, 3), ClockState())
+        enter_able, _ = update(enter_able, pps_sample(100.0, 3))
         assert not enter_able.holdover.active
 
 
