@@ -17,7 +17,7 @@ import time
 
 import click
 
-from . import __version__, engine, metrics, net, nmea, pps, scenario
+from . import __version__, engine, metrics, net, nmea, pps, scenario, servo
 from .engine import LOOP_HEADER, LoopRow
 from .timebase import NS_PER_S, NoiseExhausted, TimeReversalError
 
@@ -276,7 +276,7 @@ def analyze(logs, fmt, out_dir):
 
 
 def _parse_nmea_events(path: str, assumed_latency_ms: float):
-    """Sentence stream as (arrival_ns, named_second, fix) tuples."""
+    """Sentence stream as (arrival_ns, named_ns, fix_valid) tuples."""
     events = []
     last_date = None
     last_rx = None
@@ -298,7 +298,7 @@ def _parse_nmea_events(path: str, assumed_latency_ms: float):
         if last_rx is not None and arrival < last_rx:
             raise UnsortedLog(f"{path}: arrivals not time-sorted")
         last_rx = arrival
-        events.append((arrival, named_ns // NS_PER_S, fix))
+        events.append((arrival, named_ns, fix.fix_valid))
     return events
 
 
@@ -323,18 +323,20 @@ def replay(nmea_log, pps_log, mode, preset_name, scenario_path, node_name,
            seed, assumed_latency_ms, out_dir):
     """Drive the discipline loop from recorded sentence/edge captures."""
     try:
-        cfg, spec = _replay_target(preset_name, scenario_path, node_name,
-                                   seed, mode, pps_log is not None)
         events = _parse_nmea_events(nmea_log, assumed_latency_ms)
         edges: list[int] = []
         if pps_log:
             edges = pps.read_pps_log(pps_log)
             if edges != sorted(edges):
                 raise UnsortedLog(f"{pps_log}: edges not time-sorted")
+        _, last_s = engine.capture_seconds(events, edges)
+        cfg, spec = _replay_target(preset_name, scenario_path, node_name,
+                                   seed, mode, pps_log is not None, last_s)
         rows, warnings = engine.run_replay(cfg, spec, events, edges)
     except (UnsortedLog, FormatError, nmea.MalformedField, pps.MalformedEdge,
             TimeReversalError, OverflowError, scenario.SchemaError,
-            scenario.UnknownPreset) as exc:  # Overflow: a time past 64 bits
+            scenario.UnknownPreset, engine.OutsideScenario,
+            servo.NonMonotonicSample) as exc:  # Overflow: past 64 bits
         click.echo(f"replay error: {exc}", err=True)
         sys.exit(1)
     except NoiseExhausted:
@@ -349,9 +351,9 @@ def replay(nmea_log, pps_log, mode, preset_name, scenario_path, node_name,
 
 
 def _replay_target(preset_name, scenario_path, node_name, seed, mode,
-                   have_pps):
-    from .servo import ServoConfig, ServoMode
-
+                   have_pps, last_s):
+    """Scenario and node to replay against. Bare logs get a default node
+    with full visibility through the capture's last second."""
     if preset_name and scenario_path:
         raise FormatError("give either --preset or --scenario, not both")
     if preset_name:
@@ -360,20 +362,25 @@ def _replay_target(preset_name, scenario_path, node_name, seed, mode,
         cfg = scenario.load(scenario_path)
     else:
         mode_val = mode or ("nmea+pps" if have_pps else "nmea")
-        node = scenario.NodeSpec(name="replay",
-                                 servo=ServoConfig(mode=ServoMode(mode_val)))
+        node = scenario.NodeSpec(name="replay", servo=scenario.ServoConfig(
+            mode=scenario.ServoMode(mode_val)))
+        duration = float(max(last_s, 1))
         cfg = scenario.ScenarioConfig(
-            name="replay", duration_s=1.0,
-            visibility=(scenario.VisibilitySeg(0.0, 1.0, 8, 6),),
+            name="replay", duration_s=duration,
+            visibility=(scenario.VisibilitySeg(0.0, duration, 8, 6),),
             nodes=(node,))
         return cfg, node
     if seed is not None:
         cfg = dataclasses.replace(cfg, seed=seed)
-    spec = cfg.node(node_name) if node_name else cfg.nodes[0]
+    if node_name:
+        spec = cfg.node(node_name)
+    elif cfg.nodes:
+        spec = cfg.nodes[0]
+    else:
+        raise FormatError(f"scenario {cfg.name!r} has no node to replay")
     if mode:
-        from .servo import ServoMode
-        spec = dataclasses.replace(
-            spec, servo=dataclasses.replace(spec.servo, mode=ServoMode(mode)))
+        spec = dataclasses.replace(spec, servo=dataclasses.replace(
+            spec.servo, mode=scenario.ServoMode(mode)))
     return cfg, spec
 
 

@@ -18,13 +18,16 @@ import numpy as np
 from . import nmea, pps, scenario, servo as servo_mod
 from .nmea import GnssFix, SentenceKind
 from .scenario import NodeSpec, ScenarioConfig
-from .servo import (OffsetSample, SampleSource, ServoMode, ServoState,
-                    measure_offset_nmea)
+from .servo import OffsetSample, SampleSource, ServoMode, ServoState
 from .timebase import (ClockState, FS_PER_NS, NS_PER_S, NoiseStream,
                        SimInstant, TimeReversalError, advance, nearest_second,
                        read_clock, slew_phase)
 
 SIM_EPOCH_DATE = datetime.date(2021, 1, 1)
+
+
+class OutsideScenario(ValueError):
+    """A replayed event names a second the scenario does not cover."""
 
 
 @dataclass
@@ -91,9 +94,8 @@ class NodeSim:
         self.rng_stamp = np.random.default_rng(stamp_seq)
         self.clock = ClockState.from_offset_ns(spec.initial_offset_ns)
         self.servo = ServoState(spec.servo)
-        self.steer_slope_ns_s = 0.0
-        self.outage_start_s: float | None = None
-        self.holdover_engaged = False
+        self.outage: HoldoverSegment | None = None
+        self.holdover = False
         self.pending: tuple[int, int] | None = None
         self.last_sampled_second: int | None = None
 
@@ -115,66 +117,63 @@ class NodeSim:
         self.clock = advance(self.clock, self.spec.oscillator, dt, temp_c,
                              self.noise)
         steer_fs = round(self.servo.freq_correction_ppm * dt)
-        steer_fs -= round(self.steer_slope_ns_s * dt / 1000.0)
+        if self.holdover and self.outage.predicted:
+            steer_fs -= round(self.outage.slope_ns_per_s * dt / 1000.0)
         if steer_fs:
             self.clock = slew_phase(self.clock, steer_fs)
 
     def read_disciplined(self, t_ns: int) -> int:
         """Node clock reading (ns) at any true time at or after the last event."""
-        extra = self.servo.freq_correction_ppm - self.steer_slope_ns_s / 1000.0
+        extra = self.servo.freq_correction_ppm
+        if self.holdover and self.outage.predicted:
+            extra -= self.outage.slope_ns_per_s / 1000.0
         return read_clock(self.clock, t_ns, extra)
 
-    def _apply(self, sample: OffsetSample) -> None:
-        self.servo, adj = servo_mod.update(self.servo, sample)
-        if adj.stepped:
-            self.clock = slew_phase(self.clock, adj.step_ns * FS_PER_NS)
+    def _log(self, sample: OffsetSample) -> None:
         self.loop_rows.append(LoopRow(sample.elapsed_s, sample.offset_ns,
                                       self.servo.freq_correction_ppm,
-                                      sample.source.value,
-                                      self.servo.holdover.active))
+                                      sample.source.value, self.holdover))
+
+    def _apply_reading(self, t_ns: int, reading_ns: int,
+                       source: SampleSource) -> None:
+        """Steer by the clock's reading at true time `t_ns`."""
+        sample = OffsetSample(t_ns / NS_PER_S, reading_ns - t_ns, source)
+        step_ns = servo_mod.update(self.servo, sample)
+        if step_ns:
+            self.clock = slew_phase(self.clock, step_ns * FS_PER_NS)
+        self._log(sample)
 
     # -- outage bookkeeping ------------------------------------------------
 
-    def _begin_outage(self, boundary: int) -> None:
-        self.outage_start_s = float(boundary - 1)
-        self.servo.offset_history.clear()
-        self.holdover_engaged = False
-        self.holdover_segments.append(HoldoverSegment(self.outage_start_s))
-        self.pending = None
-
     def _end_outage(self, boundary: int) -> None:
-        seg = self.holdover_segments[-1]
-        seg.end_s = float(boundary - 1)
-        self.steer_slope_ns_s = 0.0
-        self.outage_start_s = None
-        self.holdover_engaged = False
+        self.outage.end_s = float(boundary - 1)
+        self.outage = None
+        self.holdover = False
 
     def _outage_tick(self, boundary: int, temp_c: float) -> None:
-        if self.outage_start_s is None:
-            self._begin_outage(boundary)
+        seg = self.outage
+        if seg is None:
+            seg = self.outage = HoldoverSegment(float(boundary - 1))
+            self.holdover_segments.append(seg)
+            self.servo.offset_history.clear()
+            self.holdover = False
+            self.pending = None
         self._advance_to(boundary * NS_PER_S, temp_c)
-        true_offset = self.clock.phase_offset_ns
-        seg = self.holdover_segments[-1]
-        seg.end_offset_ns = true_offset
-        sample = OffsetSample(float(boundary), true_offset, SampleSource.HOLDOVER)
-        self.loop_rows.append(LoopRow(sample.elapsed_s, sample.offset_ns,
-                                      self.servo.freq_correction_ppm,
-                                      sample.source.value,
-                                      self.servo.holdover.active))
-        if self.holdover_engaged:
+        sample = OffsetSample(float(boundary), self.clock.phase_offset_ns,
+                              SampleSource.HOLDOVER)
+        seg.end_offset_ns = sample.offset_ns
+        self._log(sample)
+        if self.holdover:
             return
         servo_mod.observe(self.servo, sample)
         hist = self.servo.offset_history
         if hist[-1][0] - hist[0][0] >= servo_mod.MIN_HOLDOVER_SPAN_S:
-            servo_mod.enter_holdover(self.servo)
-            self.holdover_engaged = True
-            seg.slope_ns_per_s = self.servo.holdover.slope_ns_per_s
+            seg.slope_ns_per_s = servo_mod.enter_holdover(self.servo)
+            self.holdover = True
             if self.spec.servo.holdover_predict:
                 seg.predicted = True
-                elapsed = boundary - self.outage_start_s
-                pred = servo_mod.predict_offset(self.servo, elapsed)
+                pred = seg.slope_ns_per_s * (boundary - seg.start_s)
                 self.clock = slew_phase(self.clock, -round(pred * FS_PER_NS))
-                self.steer_slope_ns_s = self.servo.holdover.slope_ns_per_s
 
     # -- event handling ----------------------------------------------------
 
@@ -183,12 +182,6 @@ class NodeSim:
             edge_ns, _ = self.pending
             self.warnings.append(f"{reason} at {SimInstant.from_ns(edge_ns)}")
             self.pending = None
-
-    def _apply_pulse(self, second: int, capture_ns: int,
-                     source: SampleSource) -> None:
-        """Sample the clock's capture of the edge that begins `second`."""
-        self._apply(OffsetSample(float(second), capture_ns - second * NS_PER_S,
-                                 source))
 
     def on_edge(self, edge_ns: int, temp_c: float) -> None:
         """A pulse edge: sampled at once in pulse-only mode, otherwise held
@@ -199,18 +192,21 @@ class NodeSim:
         self._advance_to(edge_ns, temp_c)
         capture_ns = edge_ns + self.clock.phase_offset_ns
         if self.servo.mode is ServoMode.PPS_ONLY:
-            self._apply_pulse(nearest_second(capture_ns), capture_ns,
-                              SampleSource.PPS)
+            self._apply_reading(nearest_second(capture_ns) * NS_PER_S,
+                                capture_ns, SampleSource.PPS)
         else:
             self.pending = (edge_ns, capture_ns)
 
-    def on_sentence(self, arrival_ns: int, second: int, fix: GnssFix,
+    def on_sentence(self, arrival_ns: int, named_ns: int, valid: bool,
                     temp_c: float) -> None:
-        """A sentence naming `second`; at most one sample per named second.
+        """A sentence naming time `named_ns`, whose floor is its second; at
+        most one sample per named second.
 
-        Combined mode labels the pending edge with it; sentence-only mode
-        measures the clock at its arrival.
+        Combined mode labels the pending edge with the second; sentence-only
+        mode measures the clock at its arrival, less the path delay, against
+        the named time when the fix is `valid`.
         """
+        second = named_ns // NS_PER_S
         mode = self.servo.mode
         if mode is ServoMode.NMEA_PLUS_PPS:
             if self.pending is None:
@@ -227,16 +223,16 @@ class NodeSim:
                 return
             self.pending = None
             self.last_sampled_second = second
-            self._apply_pulse(second, capture_ns, SampleSource.COMBINED)
+            self._apply_reading(second * NS_PER_S, capture_ns,
+                                SampleSource.COMBINED)
         elif mode is ServoMode.NMEA_ONLY:
-            if second == self.last_sampled_second or not fix.fix_valid:
+            if second == self.last_sampled_second or not valid:
                 return
             self._advance_to(arrival_ns, temp_c)
-            reading_ns = read_clock(self.clock, arrival_ns)
             self.last_sampled_second = second
-            self._apply(measure_offset_nmea(
-                fix, reading_ns, self.spec.receiver.est_path_delay_ns,
-                SIM_EPOCH_DATE))
+            self._apply_reading(named_ns, read_clock(self.clock, arrival_ns)
+                                - self.spec.receiver.est_path_delay_ns,
+                                SampleSource.NMEA)
 
     def step_boundary(self, boundary: int) -> None:
         """Advance through true second [boundary-1, boundary]."""
@@ -244,7 +240,7 @@ class NodeSim:
         nsat = scenario.effective_nsat(self.cfg, boundary - 0.5,
                                        self.spec.constellations)
         if nsat >= 1:
-            if self.outage_start_s is not None:
+            if self.outage is not None:
                 self._end_outage(boundary)
             if self.servo.mode is not ServoMode.NMEA_ONLY:
                 edge_ns = pps.next_pps((boundary - 1) * NS_PER_S,
@@ -257,13 +253,14 @@ class NodeSim:
                 arrival_ns = boundary * NS_PER_S + delay
                 for kind in (SentenceKind.RMC, SentenceKind.GGA):
                     self.nmea_log.append((arrival_ns, nmea.generate(fix, kind)))
-                self.on_sentence(arrival_ns, boundary, fix, temp_c)
+                self.on_sentence(arrival_ns, boundary * NS_PER_S,
+                                 fix.fix_valid, temp_c)
         else:
             self._outage_tick(boundary, temp_c)
         self.true_rows.append((boundary, self.clock.phase_offset_ns))
 
     def finish(self, duration: int) -> None:
-        if self.outage_start_s is not None:
+        if self.outage is not None:
             self._end_outage(duration + 1)
         self._drop_pending("unlabeled edge")
 
@@ -340,19 +337,34 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     return run_loop(cfg, sims, int(round(cfg.duration_s)))
 
 
+def capture_seconds(nmea_events, pps_edges) -> tuple[int, int]:
+    """First and last second of a capture: each edge's nearest second and
+    each sentence's named second; (1, 1) for an empty capture."""
+    seconds = [nearest_second(t) for t in pps_edges]
+    seconds += [named_ns // NS_PER_S for _, named_ns, _ in nmea_events]
+    return min(seconds, default=1), max(seconds, default=1)
+
+
 def run_replay(cfg: ScenarioConfig, spec: NodeSpec, nmea_events,
                pps_edges) -> tuple[list[LoopRow], list[str]]:
     """Drive one node's servo from recorded event streams.
 
-    nmea_events are (arrival_ns, named_second, GnssFix) tuples; pps_edges
-    are true edge times in ns. Clock physics are rebuilt from the
-    scenario node spec and seed, and the events go through the same
-    `NodeSim` handlers as a live run, so replaying a run's own event logs
-    reproduces its loop log exactly for outage-free, drop-free runs at
-    constant temperature. Two departures remain: temperature is taken at
-    each event's time instead of at the start of its second, and nothing
-    advances the clock through an outage.
+    nmea_events are (arrival_ns, named_ns, fix_valid) tuples; pps_edges
+    are true edge times in ns. Every second of the capture must lie in the
+    scenario's seconds 1..duration, else OutsideScenario. Clock physics
+    are rebuilt from the scenario node spec and seed, and the events go
+    through the same `NodeSim` handlers as a live run, so replaying a
+    run's own event logs reproduces its loop log exactly for outage-free,
+    drop-free runs at constant temperature. Two departures remain:
+    temperature is taken at each event's time instead of at the start of
+    its second, and nothing advances the clock through an outage.
     """
+    first, last = capture_seconds(nmea_events, pps_edges)
+    for second in (first, last):
+        if not 1 <= second <= round(cfg.duration_s):
+            raise OutsideScenario(
+                f"the capture's second {second} lies outside the "
+                f"scenario's {cfg.duration_s:g} s")
     names = [n.name for n in cfg.nodes]
     node_index = names.index(spec.name) if spec.name in names else 0
     root = np.random.SeedSequence(cfg.seed)

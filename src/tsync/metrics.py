@@ -50,10 +50,6 @@ class NoiseFit:
         if min(self.kappa_white, self.kappa_flicker, self.kappa_randomwalk) < 0:
             raise ValueError("noise coefficients must be >= 0")
 
-    def level_at(self, tau_s: float) -> float:
-        return (self.kappa_white * tau_s**-0.5 + self.kappa_flicker
-                + self.kappa_randomwalk * tau_s**0.5)
-
 
 @dataclass(frozen=True)
 class BoxStats:

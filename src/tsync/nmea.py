@@ -86,15 +86,6 @@ class NmeaSentence:
     checksum: str
     type_code: str = ""
 
-    @property
-    def payload(self) -> str:
-        code = self.type_code or self.kind.value
-        return ",".join((self.talker + code, *self.fields))
-
-    @property
-    def line(self) -> str:
-        return f"${self.payload}*{self.checksum}"
-
 
 def parse_sentence(line: str) -> NmeaSentence:
     """Parse and checksum-verify one sentence.

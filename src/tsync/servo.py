@@ -1,23 +1,19 @@
-"""Clock discipline: PI steering, offset measurement and holdover.
+"""Clock discipline: the PI law, the offset history and the slope fit.
 
 The servo consumes offset samples from one of three sources (sentence
 stream only, pulse train only, or pulses labelled by sentences) and
 produces phase steps or frequency corrections. During a total signal
 outage an externally observed offset history can be fitted with a linear
-drift model whose prediction bridges the gap.
+drift model; the caller owns the outage and decides what the slope steers.
 """
 
 from __future__ import annotations
 
-import datetime
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-
-from .nmea import GnssFix, absolute_second_ns
-from .timebase import NS_PER_S
 
 # ppm expressed as ns of phase per second of elapsed time.
 NS_PER_S_PER_PPM = 1000.0
@@ -33,14 +29,6 @@ class NonMonotonicSample(ValueError):
 
 
 class InsufficientHistory(ValueError):
-    pass
-
-
-class HoldoverInactive(ValueError):
-    pass
-
-
-class InvalidFix(ValueError):
     pass
 
 
@@ -96,21 +84,6 @@ class ServoConfig:
                              "holdover_ma_points >= 1")
 
 
-@dataclass(frozen=True)
-class HoldoverState:
-    active: bool = False
-    slope_ns_per_s: float = 0.0
-
-
-@dataclass(frozen=True)
-class ClockAdjustment:
-    """What the loop wants done to the clock after one sample."""
-
-    step_ns: int = 0
-    freq_correction_ppm: float = 0.0
-    stepped: bool = False
-
-
 @dataclass
 class ServoState:
     """Evolving loop state; one logical owner advances it at a time."""
@@ -120,63 +93,42 @@ class ServoState:
     last_offset_ns: int = 0
     offset_history: deque = field(
         default_factory=lambda: deque(maxlen=HISTORY_CAPACITY))
-    holdover: HoldoverState = field(default_factory=HoldoverState)
 
     @property
     def mode(self) -> ServoMode:
         return self.config.mode
 
 
-def measure_offset_nmea(fix: GnssFix, local_rx_ns: int,
-                        est_path_delay_ns: int,
-                        epoch_date: datetime.date) -> OffsetSample:
-    """Offset of the local clock against a sentence's named second.
+def update(servo: ServoState, sample: OffsetSample) -> int:
+    """Fold one offset sample into the loop; returns the phase step in ns.
 
-    The serial transport contributes its full latency spread, so these
-    samples carry millisecond-scale noise around the estimated constant
-    path delay.
-    """
-    if not fix.fix_valid:
-        raise InvalidFix("cannot take timing from an invalid fix")
-    boundary_ns = absolute_second_ns(fix, epoch_date)
-    offset = local_rx_ns - (boundary_ns + int(est_path_delay_ns))
-    return OffsetSample(boundary_ns / NS_PER_S, offset, SampleSource.NMEA)
-
-
-def update(servo: ServoState,
-           sample: OffsetSample) -> tuple[ServoState, ClockAdjustment]:
-    """Fold one offset sample into the loop.
-
-    Large offsets are stepped out (history cleared); otherwise the
-    frequency correction is moved by the PI increment
+    Large offsets are stepped out (history cleared, step -offset);
+    otherwise the step is 0 and the frequency correction is moved by the
+    PI increment
 
         d_freq = -(kp * (e - e_prev) + ki * e) / poll
 
     which telescopes to the classic proportional-plus-integral law on the
-    offset history. Reaching this point always ends holdover.
+    offset history.
     """
     cfg = servo.config
     if servo.offset_history and sample.elapsed_s <= servo.offset_history[-1][0]:
         raise NonMonotonicSample(
             f"sample at {sample.elapsed_s}s not after history tail")
-    servo.holdover = HoldoverState()
     e = sample.offset_ns
     if abs(e) > cfg.step_threshold_ns:
         servo.offset_history.clear()
         servo.last_offset_ns = 0
-        adj = ClockAdjustment(step_ns=-e,
-                              freq_correction_ppm=servo.freq_correction_ppm,
-                              stepped=True)
-        return servo, adj
+        return -e
     de = e - servo.last_offset_ns
     servo.freq_correction_ppm -= (cfg.kp * de + cfg.ki * e) / (
         cfg.poll_interval_s * NS_PER_S_PER_PPM)
     servo.last_offset_ns = e
     servo.offset_history.append((sample.elapsed_s, e))
-    return servo, ClockAdjustment(0, servo.freq_correction_ppm, False)
+    return 0
 
 
-def observe(servo: ServoState, sample: OffsetSample) -> ServoState:
+def observe(servo: ServoState, sample: OffsetSample) -> None:
     """Record an externally measured offset without steering the loop.
 
     Used for the monitored drift series during an outage; these samples
@@ -186,7 +138,6 @@ def observe(servo: ServoState, sample: OffsetSample) -> ServoState:
         raise NonMonotonicSample(
             f"sample at {sample.elapsed_s}s not after history tail")
     servo.offset_history.append((sample.elapsed_s, sample.offset_ns))
-    return servo
 
 
 def _moving_average(values: np.ndarray, window: int) -> np.ndarray:
@@ -196,8 +147,8 @@ def _moving_average(values: np.ndarray, window: int) -> np.ndarray:
     return np.convolve(values, kernel, mode="valid")
 
 
-def enter_holdover(servo: ServoState) -> ServoState:
-    """Fit the drift slope from recent history and activate holdover.
+def enter_holdover(servo: ServoState) -> float:
+    """Fit the drift slope (ns/s) from recent history.
 
     The slope is an ordinary least-squares fit over the moving-averaged
     tail of the offset history.
@@ -215,13 +166,4 @@ def enter_holdover(servo: ServoState) -> ServoState:
     w = max(1, w)
     ma_t = _moving_average(ts, w)
     ma_v = _moving_average(vs, w)
-    slope = float(np.polyfit(ma_t, ma_v, 1)[0])
-    servo.holdover = HoldoverState(True, slope)
-    return servo
-
-
-def predict_offset(servo: ServoState, elapsed_since_holdover_s: float) -> float:
-    """Predicted accumulated drift (ns) since holdover began."""
-    if not servo.holdover.active:
-        raise HoldoverInactive("no drift model is active")
-    return servo.holdover.slope_ns_per_s * elapsed_since_holdover_s
+    return float(np.polyfit(ma_t, ma_v, 1)[0])

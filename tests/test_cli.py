@@ -378,9 +378,13 @@ class TestReplay:
         (["1077527366 $GNRMC,000001.000,A,,,,,,,010121,,*24",
           f"{2**63} $GNRMC,000002.000,A,,,,,,,010121,,*27"],
          None, "64-bit"),
+        (["1077527366 $GNRMC,000001.000,A,,,,,,,010121,,*24",
+          "2075149360 $GNRMC,000002.000,A,,,,,,,010121,,*27",
+          "2500000000 $GNRMC,000001.000,A,,,,,,,010121,,*24"],
+         None, "not after history tail"),
     ], ids=["pps-not-an-integer", "bad-arrival-prefix", "empty-time-field",
             "pps-non-ascii", "nmea-non-ascii", "pps-beyond-64-bit",
-            "arrival-beyond-64-bit"])
+            "arrival-beyond-64-bit", "sentence-names-earlier-second"])
     def test_malformed_line_fails_cleanly(self, runner, tmp_path, nmea_lines,
                                           pps_lines, where):
         (tmp_path / "nmea.log").write_text("\n".join(nmea_lines) + "\n",
@@ -410,6 +414,65 @@ class TestReplay:
         assert res.exit_code == 1
         assert res.exception is None or isinstance(res.exception, SystemExit)
         assert res.output.strip() == "replay error: no node is named 'nobody'"
+
+    @pytest.mark.parametrize("edit", ["edge-past-end", "edge-before-start",
+                                      "sentence-past-end"])
+    def test_capture_outside_scenario_seconds_fails_cleanly(
+            self, runner, tmp_path, combined_run, edit):
+        path, nmea_lines, pps_lines = combined_run
+        nmea_lines, pps_lines = list(nmea_lines), list(pps_lines)
+        if edit == "edge-past-end":
+            pps_lines[-1] = str(10**15)
+        elif edit == "edge-before-start":
+            pps_lines[0] = "400000000"  # nearest second 0
+        else:
+            fix = engine.fix_for_second(21, 8, frozenset({"GPS"}))
+            nmea_lines.append(f"{21_080_000_000} "
+                              f"{nmea.generate(fix, nmea.SentenceKind.RMC)}")
+        (tmp_path / "nmea.log").write_text("\n".join(nmea_lines) + "\n")
+        (tmp_path / "pps.log").write_text("\n".join(pps_lines) + "\n")
+        res = runner.invoke(main, [
+            "replay", str(tmp_path / "nmea.log"),
+            "--pps", str(tmp_path / "pps.log"), "--scenario", path,
+            "--mode", "nmea+pps" if edit.startswith("sentence") else "pps",
+            "--out", str(tmp_path / "rp")])
+        assert res.exit_code == 1
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        [line] = res.output.strip().splitlines()
+        assert line.startswith("replay error:")
+        assert "20 s" in line
+        assert not (tmp_path / "rp" / "loop_replay.csv").exists()
+
+    def test_bare_replay_spans_the_logs(self, runner, tmp_path, combined_run):
+        _, nmea_lines, pps_lines = combined_run
+        (tmp_path / "nmea.log").write_text("\n".join(nmea_lines) + "\n")
+        (tmp_path / "pps.log").write_text("\n".join(pps_lines) + "\n")
+        res = runner.invoke(main, [
+            "replay", str(tmp_path / "nmea.log"),
+            "--pps", str(tmp_path / "pps.log"), "--out", str(tmp_path / "rp")])
+        assert res.exit_code == 0, res.output
+        rows = (tmp_path / "rp" / "loop_replay.csv").read_text().splitlines()
+        assert [r.split(",")[0] for r in rows[1:]] == \
+            [f"{s}.000" for s in range(1, 21)]
+
+    def test_scenario_without_nodes_fails_cleanly(self, runner, tmp_path,
+                                                  combined_run):
+        path, nmea_lines, _ = combined_run
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["nodes"] = []
+        empty = tmp_path / "empty.json"
+        empty.write_text(json.dumps(doc))
+        assert runner.invoke(main, ["run", str(empty), "--out",
+                                    str(tmp_path / "run")]).exit_code == 0
+        (tmp_path / "nmea.log").write_text(nmea_lines[0] + "\n")
+        res = runner.invoke(main, [
+            "replay", str(tmp_path / "nmea.log"), "--scenario", str(empty),
+            "--out", str(tmp_path / "rp")])
+        assert res.exit_code == 1
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert res.output.strip() == \
+            f"replay error: scenario {doc['name']!r} has no node to replay"
 
     def test_unsorted_pps_rejected(self, runner, tmp_path):
         cfg, path = short_lab(tmp_path)

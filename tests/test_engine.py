@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from tsync import engine, net, scenario
+from tsync import engine, net, scenario, servo
 from tsync.pps import PpsJitter
 from tsync.scenario import (ConstantTemp, NodeSpec, ReceiverSpec,
                             ScenarioConfig, VisibilitySeg)
@@ -66,11 +66,9 @@ class TestDiscipline:
         # edge of second 100 exactly `offset_ns` late.
         cfg = small_cfg(mode=mode, receiver=ReceiverSpec(pps=PpsJitter(0)),
                         initial_offset_ns=offset_ns)
-        spec = cfg.nodes[0]
-        sim = engine.NodeSim(cfg, spec, np.random.SeedSequence(0))
+        sim = engine.NodeSim(cfg, cfg.nodes[0], np.random.SeedSequence(0))
         sim.on_edge(100 * 10**9, 25.0)
-        fix = engine.fix_for_second(100, 8, spec.constellations)
-        sim.on_sentence(100 * 10**9 + 80_000_000, 100, fix, 25.0)
+        sim.on_sentence(100 * 10**9 + 80_000_000, 100 * 10**9, True, 25.0)
         (row,) = sim.loop_rows
         assert (row.elapsed_s, row.offset_ns) == (100.0, offset_ns)
         assert row.source == ("PPS" if mode is ServoMode.PPS_ONLY
@@ -143,6 +141,50 @@ class TestDiscipline:
         assert offs.std(ddof=1) > 1_000_000
 
 
+class TestSentenceSample:
+    """A sentence-only node measures the clock at a sentence's arrival,
+    less the estimated path delay, against the time the sentence names."""
+
+    @staticmethod
+    def sentence_sim():
+        cfg = small_cfg(mode=ServoMode.NMEA_ONLY)
+        return engine.NodeSim(cfg, cfg.nodes[0], np.random.SeedSequence(0))
+
+    def test_nmea_perfect_clock_exact_delay_estimate(self):
+        sim = self.sentence_sim()
+        sim.on_sentence(100 * 10**9 + 80_000_000, 100 * 10**9, True, 25.0)
+        (row,) = sim.loop_rows
+        assert (row.elapsed_s, row.offset_ns, row.source) == (100.0, 0, "NMEA")
+
+    def test_nmea_unmodeled_bias_passes_through(self):
+        sim = self.sentence_sim()
+        sim.on_sentence(100 * 10**9 + 85_000_000, 100 * 10**9, True, 25.0)
+        (row,) = sim.loop_rows
+        assert row.offset_ns == 5_000_000
+
+    def test_fractional_named_time_is_the_reference(self):
+        sim = self.sentence_sim()
+        named_ns = 100 * 10**9 + 250_000_000
+        sim.on_sentence(named_ns + 80_000_000, named_ns, True, 25.0)
+        # a second sentence naming the same second takes no sample
+        sim.on_sentence(named_ns + 90_000_000, named_ns + 1, True, 25.0)
+        (row,) = sim.loop_rows
+        assert (row.elapsed_s, row.offset_ns) == (100.25, 0)
+
+    def test_nmea_invalid_fix_takes_no_sample(self):
+        # second 6 sees two satellites: its sentences flag the fix invalid
+        cfg = dataclasses.replace(
+            small_cfg(mode=ServoMode.NMEA_ONLY, duration=10.0),
+            visibility=(VisibilitySeg(0.0, 5.0, 8, 6),
+                        VisibilitySeg(5.0, 6.0, 2, 0),
+                        VisibilitySeg(6.0, 10.0, 8, 6)))
+        res = engine.run_scenario(cfg)
+        assert [r.elapsed_s for r in res.loop_rows["n0"]] == \
+            [float(s) for s in range(1, 11) if s != 6]
+        assert len(res.nmea_logs["n0"]) == 20
+        assert res.holdover_segments["n0"] == []
+
+
 class TestOutage:
     @staticmethod
     def outage_cfg(predict, duration=800.0, pre=360.0, gap=160.0):
@@ -195,6 +237,31 @@ class TestOutage:
         res = engine.run_scenario(self.outage_cfg(predict=False))
         rows = [r for r in res.loop_rows["n0"] if r.source == "COMBINED"]
         assert abs(rows[-1].offset_ns) < 500
+
+    def test_holdover_flag_waits_for_each_segments_fit(self):
+        # Two 80 s outages split by 10 s of two-satellite sky, which ends
+        # the first outage but gives a sentence-only node no sample.
+        cfg = dataclasses.replace(
+            small_cfg(mode=ServoMode.NMEA_ONLY, duration=300.0,
+                      osc=OscillatorParams(f0_ppm=0.1)),
+            visibility=(VisibilitySeg(0.0, 60.0, 8, 6),
+                        VisibilitySeg(60.0, 140.0, 0, 0),
+                        VisibilitySeg(140.0, 150.0, 2, 0),
+                        VisibilitySeg(150.0, 230.0, 0, 0),
+                        VisibilitySeg(230.0, 300.0, 8, 6)))
+        res = engine.run_scenario(cfg)
+        segs = res.holdover_segments["n0"]
+        assert [(s.start_s, s.end_s) for s in segs] == [(60.0, 140.0),
+                                                        (150.0, 230.0)]
+        rows = res.loop_rows["n0"]
+        for seg in segs:
+            # the slope is fitted once the observations span the minimum
+            fit_s = seg.start_s + 1 + servo.MIN_HOLDOVER_SPAN_S
+            flagged = [r.elapsed_s for r in rows
+                       if r.holdover and seg.start_s < r.elapsed_s <= seg.end_s]
+            assert flagged == [float(t) for t in
+                               range(int(fit_s) + 1, int(seg.end_s) + 1)]
+        assert all(r.source == "HOLDOVER" for r in rows if r.holdover)
 
     def test_holdover_flag_in_rows(self):
         res = engine.run_scenario(self.outage_cfg(predict=True))
@@ -276,5 +343,5 @@ def _events_from(res, cfg, node="n0"):
         if fix.date:
             last_date = fix.date
         named = nmea_mod.absolute_second_ns(fix, engine.SIM_EPOCH_DATE)
-        events.append((rx, named // 10**9, fix))
+        events.append((rx, named, fix.fix_valid))
     return events

@@ -1,16 +1,9 @@
-import datetime
-
 import numpy as np
 import pytest
 
-from tsync.nmea import GnssFix
-from tsync.servo import (ClockAdjustment, HoldoverInactive, InsufficientHistory,
-                         InvalidFix, NonMonotonicSample, OffsetSample,
+from tsync.servo import (InsufficientHistory, NonMonotonicSample, OffsetSample,
                          SampleSource, ServoConfig, ServoMode, ServoState,
-                         enter_holdover, measure_offset_nmea, observe,
-                         predict_offset, update)
-
-EPOCH = datetime.date(2021, 1, 1)
+                         enter_holdover, observe, update)
 
 
 def pps_sample(t: float, offset: int) -> OffsetSample:
@@ -25,49 +18,27 @@ def closed_loop(f_osc_ppm, n_updates, noise=None, cfg=None, start_phase=0.0):
     for k in range(1, n_updates + 1):
         phase += (f_osc_ppm + servo.freq_correction_ppm) * 1000.0
         e = int(round(phase + (noise[k - 1] if noise is not None else 0.0)))
-        servo, adj = update(servo, pps_sample(float(k), e))
-        if adj.stepped:
-            phase += adj.step_ns
+        phase += update(servo, pps_sample(float(k), e))
         offsets.append(e)
     return servo, phase, offsets
-
-
-class TestMeasurement:
-    def test_nmea_perfect_clock_exact_delay_estimate(self):
-        fix = GnssFix(0, EPOCH, True, 8)
-        s = measure_offset_nmea(fix, 80_000_000, 80_000_000, EPOCH)
-        assert s.offset_ns == 0
-        assert s.source is SampleSource.NMEA
-
-    def test_nmea_unmodeled_bias_passes_through(self):
-        fix = GnssFix(0, EPOCH, True, 8)
-        s = measure_offset_nmea(fix, 85_000_000, 80_000_000, EPOCH)
-        assert s.offset_ns == 5_000_000
-
-    def test_nmea_invalid_fix_rejected(self):
-        fix = GnssFix(0, EPOCH, False, 2)
-        with pytest.raises(InvalidFix):
-            measure_offset_nmea(fix, 0, 0, EPOCH)
 
 
 class TestUpdate:
     def test_zero_offset_is_noop(self):
         servo = ServoState(ServoConfig())
-        servo, adj = update(servo, pps_sample(1.0, 0))
-        assert adj == ClockAdjustment(0, 0.0, False)
+        assert update(servo, pps_sample(1.0, 0)) == 0
         assert servo.freq_correction_ppm == 0.0
 
     def test_step_beyond_threshold(self):
         servo = ServoState(ServoConfig())
-        servo, adj = update(servo, pps_sample(1.0, 500_000_000))
-        assert adj.stepped and adj.step_ns == -500_000_000
+        assert update(servo, pps_sample(1.0, 500_000_000)) == -500_000_000
         assert not servo.offset_history
+        assert servo.freq_correction_ppm == 0.0
 
     def test_step_idempotence(self):
         servo, phase, _ = closed_loop(0.0, 1, start_phase=5e8)
         assert phase == 0.0
-        servo, adj = update(servo, pps_sample(2.0, int(phase)))
-        assert not adj.stepped and adj.step_ns == 0
+        assert update(servo, pps_sample(2.0, int(phase))) == 0
         assert servo.freq_correction_ppm == 0.0
 
     def test_convergence_to_constant_frequency_error(self):
@@ -88,20 +59,20 @@ class TestUpdate:
 
     def test_non_monotonic_rejected(self):
         servo = ServoState(ServoConfig())
-        servo, _ = update(servo, pps_sample(5.0, 10))
+        update(servo, pps_sample(5.0, 10))
         with pytest.raises(NonMonotonicSample):
             update(servo, pps_sample(5.0, 12))
 
     def test_history_appended_and_holdover_cleared(self):
+        # The fit leaves the loop as it was: the next sample steers it.
         servo = ServoState(ServoConfig())
-        observe(servo, pps_sample(1.0, 5))
-        enter_able = ServoState(ServoConfig())
         for t in range(1, 70):
-            observe(enter_able, pps_sample(float(t), 100))
-        enter_holdover(enter_able)
-        assert enter_able.holdover.active
-        enter_able, _ = update(enter_able, pps_sample(100.0, 3))
-        assert not enter_able.holdover.active
+            observe(servo, pps_sample(float(t), 100))
+        assert list(servo.offset_history)[:2] == [(1.0, 100), (2.0, 100)]
+        assert enter_holdover(servo) == pytest.approx(0.0, abs=1e-9)
+        assert update(servo, pps_sample(100.0, 3)) == 0
+        assert servo.offset_history[-1] == (100.0, 3)
+        assert servo.freq_correction_ppm != 0.0
 
 
 class TestHoldover:
@@ -118,21 +89,17 @@ class TestHoldover:
 
     def test_zero_drift_gives_zero_slope(self):
         servo = self.ramp_history(0.0, 90)
-        enter_holdover(servo)
-        assert servo.holdover.slope_ns_per_s == pytest.approx(0.0, abs=1e-9)
+        assert enter_holdover(servo) == pytest.approx(0.0, abs=1e-9)
 
     def test_free_run_drift_slope_recovered(self):
         # 80 us/h uncorrected drift with some measurement noise
         servo = self.ramp_history(80_000 / 3600, 120, noise_sigma=30.0, seed=4)
-        enter_holdover(servo)
-        assert servo.holdover.slope_ns_per_s == pytest.approx(22.22, rel=0.10)
+        assert enter_holdover(servo) == pytest.approx(22.22, rel=0.10)
 
     def test_linear_history_is_exact(self):
-        servo = self.ramp_history(17.0, 90)
-        enter_holdover(servo)
-        assert abs(servo.holdover.slope_ns_per_s - 17.0) < 1.0
-        predicted = predict_offset(servo, 50.0)
-        assert predicted == pytest.approx(17.0 * 50.0, abs=50.0)
+        slope = enter_holdover(self.ramp_history(17.0, 90))
+        assert abs(slope - 17.0) < 1.0
+        assert slope * 50.0 == pytest.approx(17.0 * 50.0, abs=50.0)
 
     def test_insufficient_history(self):
         servo = ServoState(ServoConfig())
@@ -143,16 +110,10 @@ class TestHoldover:
         with pytest.raises(InsufficientHistory):
             enter_holdover(servo2)
 
-    def test_prediction_requires_active_holdover(self):
-        servo = ServoState(ServoConfig())
-        with pytest.raises(HoldoverInactive):
-            predict_offset(servo, 10.0)
-
     def test_tunnel_scale_prediction(self):
-        servo = self.ramp_history(22.2, 120)
-        enter_holdover(servo)
+        slope = enter_holdover(self.ramp_history(22.2, 120))
         # five minutes of outage at the fitted slope
-        assert predict_offset(servo, 300.0) == pytest.approx(6660.0, rel=0.05)
+        assert slope * 300.0 == pytest.approx(6660.0, rel=0.05)
 
 
 class TestConfig:
