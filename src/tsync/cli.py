@@ -77,12 +77,12 @@ def _run_one(cfg: scenario.ScenarioConfig, out_dir: str) -> dict:
         files.append(name)
 
     broadcast = [t for t in cfg.traffic if t.kind == "broadcast"]
+    log = None
     if broadcast:
-        records, result = net.run_broadcast(cfg, broadcast[0].rate_hz,
-                                            cfg.duration_s, broadcast[0])
+        log, result = net.run_broadcast(cfg, broadcast[0].rate_hz,
+                                        cfg.duration_s, broadcast[0])
     else:
         result = engine.run_scenario(cfg)
-        records = []
 
     for name, rows in result.loop_rows.items():
         emit(f"loop_{name}.csv", _loop_csv(rows))
@@ -95,21 +95,20 @@ def _run_one(cfg: scenario.ScenarioConfig, out_dir: str) -> dict:
             emit(f"pps_{name}.log", "".join(f"{e}\n" for e in edges))
 
     summary = result.summary()
-    if records:
+    if log:
         a, b = scenario.traffic_params(cfg, broadcast[0]).clients[:2]
-        samples, skipped = net.pairwise_offsets(records, a, b)
-        lines = [HARNESS_HEADER]
-        for rec in records:
-            if a in rec.arrivals and b in rec.arrivals:
-                off = rec.arrivals[a][1] - rec.arrivals[b][1]
-                lines.append(f"{rec.packet_id},{rec.send_true_ns},"
-                             f"{rec.arrivals[a][1]},{rec.arrivals[b][1]},{off}")
+        packets, offsets, skipped = net.pairwise_offsets(log, a, b)
+        rows = zip(packets.tolist(), log.send_ns[packets].tolist(),
+                   log.stamp_ns[a][packets].tolist(),
+                   log.stamp_ns[b][packets].tolist(), offsets.tolist())
+        lines = [HARNESS_HEADER, *(f"{p},{t},{sa},{sb},{off}"
+                                   for p, t, sa, sb, off in rows)]
         emit("harness.csv", "\n".join(lines) + "\n")
-        box = metrics.boxplot([s.offset_ns for s in samples])
+        box = metrics.boxplot(offsets)
         summary["broadcast"] = {
-            "pairs": [a, b], "n": len(samples), "skipped": skipped,
+            "pairs": [a, b], "n": packets.size, "skipped": skipped,
             "median_ns": box.median, "iqr_ns": box.q3 - box.q1,
-            "max_abs_ns": max(abs(s.offset_ns) for s in samples),
+            "max_abs_ns": int(abs(offsets).max()),
         }
 
     for entry in (t for t in cfg.traffic if t.kind == "ntp"):

@@ -10,14 +10,14 @@ implements the classic four-timestamp offset/delay estimator.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from bisect import bisect_right
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import engine
 from .scenario import (LinkModel, PacketDropped, ScenarioConfig, TrafficSpec,
                        traffic_params)
-from .servo import OffsetSample, SampleSource
 from .timebase import ClockState, NS_PER_S, read_clock
 
 US_PER_S = 1_000_000
@@ -27,14 +27,24 @@ class NoCommonPackets(ValueError):
     pass
 
 
-@dataclass
-class PacketRecord:
-    """One broadcast packet and its per-client capture stamps."""
+@dataclass(frozen=True)
+class BroadcastLog:
+    """Every packet of one broadcast run, one int64 column per field.
 
-    packet_id: int
-    send_true_ns: int
-    send_stamp_ns: int
-    arrivals: dict = field(default_factory=dict)
+    `send_ns` is each packet's true send time and `send_stamp_ns` the
+    server's stamp of it. Per client, `arrival_ns` is the true arrival
+    time, `seen` marks the packets it kept and `stamp_ns` holds their
+    capture stamps (0 for the dropped ones).
+    """
+
+    send_ns: np.ndarray
+    send_stamp_ns: np.ndarray
+    arrival_ns: dict[str, np.ndarray]
+    stamp_ns: dict[str, np.ndarray]
+    seen: dict[str, np.ndarray]
+
+    def __len__(self) -> int:
+        return len(self.send_ns)
 
 
 def run_broadcast(cfg: ScenarioConfig, rate_hz: float, duration_s: float,
@@ -45,8 +55,10 @@ def run_broadcast(cfg: ScenarioConfig, rate_hz: float, duration_s: float,
     configured per-client path delta); the recorded stamp is the client's
     disciplined clock read at capture time, which adds the node's stamp
     bias and latency spread. The packets of each second are stamped ahead
-    of that second's node steps. Returns (records, result) where the
-    result carries the clients' discipline logs.
+    of that second's node steps, one clock read per stamp; that second's
+    drop decisions are drawn as one (packet, client) block and each
+    client's latencies as one block over the packets it keeps. Returns
+    (log, result): a `BroadcastLog` and the clients' discipline logs.
     """
     if traffic is None:
         traffic = next(t for t in cfg.traffic if t.kind == "broadcast")
@@ -55,54 +67,67 @@ def run_broadcast(cfg: ScenarioConfig, rate_hz: float, duration_s: float,
     sims, root = engine.build_node_sims(cfg)
     by_name = {s.spec.name: s for s in sims}
     server = by_name[params.server]
+    clients = [by_name[name] for name in params.clients]
     drop_rng = np.random.default_rng(root.spawn(1)[0])
 
     duration = int(round(duration_s))
     n_packets = int(round(rate_hz * duration))
-    send_ns = [round((i + 1) * NS_PER_S / rate_hz) for i in range(n_packets)]
-    records: list[PacketRecord] = []
+    send_col = np.rint(np.arange(1, n_packets + 1, dtype=np.int64) * NS_PER_S
+                       / rate_hz).astype(np.int64)
+    # Packets due after the last second are never sent.
+    send_col = send_col[send_col <= duration * NS_PER_S]
+    send_ns = send_col.tolist()
+    arrival = [send_col + params.path_delta_ns.get(sim.spec.name, 0)
+               for sim in clients]
+    seen = [np.zeros(len(send_ns), dtype=bool) for _ in clients]
+    send_stamps: list[int] = []
+    stamps: list[list[int]] = [[] for _ in clients]
     next_pkt = 0
 
     def stamp_packets(boundary: int) -> None:
         nonlocal next_pkt
-        limit = boundary * NS_PER_S
-        while next_pkt < n_packets and send_ns[next_pkt] <= limit:
-            t = send_ns[next_pkt]
-            rec = PacketRecord(next_pkt, t, server.read_disciplined(t))
-            for name in params.clients:
-                if params.drop_prob and drop_rng.random() < params.drop_prob:
-                    continue
-                sim = by_name[name]
-                rc = sim.spec.receiver
-                arrival = t + params.path_delta_ns.get(name, 0)
-                latency = rc.stamp_bias_ns
-                if rc.stamp_latency_ns:
-                    latency += round(sim.rng_stamp.uniform(0, rc.stamp_latency_ns))
-                stamp = sim.read_disciplined(arrival + latency)
-                rec.arrivals[name] = (arrival, stamp)
-            records.append(rec)
-            next_pkt += 1
+        first = next_pkt
+        next_pkt = bisect_right(send_ns, boundary * NS_PER_S, first)
+        send_stamps.extend(map(server.read_disciplined,
+                               send_ns[first:next_pkt]))
+        shape = (next_pkt - first, len(clients))
+        if params.drop_prob:
+            kept = drop_rng.random(shape) >= params.drop_prob
+        else:
+            kept = np.ones(shape, dtype=bool)
+        for j, sim in enumerate(clients):
+            rc = sim.spec.receiver
+            idx = first + np.flatnonzero(kept[:, j])
+            seen[j][idx] = True
+            t = arrival[j][idx] + rc.stamp_bias_ns
+            if rc.stamp_latency_ns:
+                t += np.rint(sim.rng_stamp.uniform(
+                    0, rc.stamp_latency_ns, idx.size)).astype(np.int64)
+            stamps[j].extend(map(sim.read_disciplined, t.tolist()))
 
     result = engine.run_loop(cfg, sims, duration, stamp_packets)
-    return records, result
+    log = BroadcastLog(send_col, np.array(send_stamps, dtype=np.int64),
+                       {}, {}, {})
+    for j, sim in enumerate(clients):
+        name = sim.spec.name
+        log.arrival_ns[name] = arrival[j]
+        log.seen[name] = seen[j]
+        log.stamp_ns[name] = np.zeros(len(send_ns), dtype=np.int64)
+        log.stamp_ns[name][seen[j]] = stamps[j]
+    return log, result
 
 
-def pairwise_offsets(records, node_a: str, node_b: str):
-    """Per-packet stamp differences a - b; packets missing a side are
-    skipped and counted. Returns (samples, skipped)."""
-    samples: list[OffsetSample] = []
-    skipped = 0
-    for rec in records:
-        a = rec.arrivals.get(node_a)
-        b = rec.arrivals.get(node_b)
-        if a is None or b is None:
-            skipped += 1
-            continue
-        samples.append(OffsetSample(rec.send_true_ns / NS_PER_S,
-                                    a[1] - b[1], SampleSource.COMBINED))
-    if not samples:
+def pairwise_offsets(log: BroadcastLog, node_a: str, node_b: str):
+    """Stamp differences a - b of the packets both clients saw; the rest
+    are skipped and counted. Returns (packets, offsets_ns, skipped):
+    int64 arrays of packet indices and offsets, and the skipped count."""
+    unseen = np.zeros(len(log), dtype=bool)
+    packets = np.flatnonzero(log.seen.get(node_a, unseen)
+                             & log.seen.get(node_b, unseen))
+    if not packets.size:
         raise NoCommonPackets(f"no packets seen by both {node_a} and {node_b}")
-    return samples, skipped
+    offsets = log.stamp_ns[node_a][packets] - log.stamp_ns[node_b][packets]
+    return packets, offsets, len(log) - packets.size
 
 
 # ---------------------------------------------------------------------------

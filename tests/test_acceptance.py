@@ -65,10 +65,9 @@ def harness_runs():
     out = {}
     for name in ("harness_10pps", "harness_100pps", "harness_300ppm"):
         cfg = scenario.preset(name)
-        records, _ = net.run_broadcast(cfg, cfg.traffic[0].rate_hz,
-                                       cfg.duration_s)
-        samples, _ = net.pairwise_offsets(records, "c1", "c2")
-        out[name] = np.array([s.offset_ns for s in samples])
+        log, _ = net.run_broadcast(cfg, cfg.traffic[0].rate_hz,
+                                   cfg.duration_s)
+        _, out[name], _ = net.pairwise_offsets(log, "c1", "c2")
     return out
 
 
@@ -266,11 +265,10 @@ def test_criterion_9_property_suites(tmp_path):
 
     # pairwise antisymmetry on a harness run
     cfg = scenario.preset("harness_300ppm")
-    records, _ = net.run_broadcast(cfg, 5.0, 120.0)
-    ab, _ = net.pairwise_offsets(records, "c1", "c2")
-    ba, _ = net.pairwise_offsets(records, "c2", "c1")
-    checks["antisymmetry"] = all(x.offset_ns == -y.offset_ns
-                                 for x, y in zip(ab, ba))
+    log, _ = net.run_broadcast(cfg, 5.0, 120.0)
+    _, ab, _ = net.pairwise_offsets(log, "c1", "c2")
+    _, ba, _ = net.pairwise_offsets(log, "c2", "c1")
+    checks["antisymmetry"] = all(x == -y for x, y in zip(ab, ba))
 
     # full-pipeline determinism: two seeded runs, byte-identical files
     runner = CliRunner()

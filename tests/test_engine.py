@@ -320,9 +320,9 @@ class TestIntegerTime:
         assert instants == []
 
     def test_broadcast_builds_no_instant(self, instants):
-        records, _ = net.run_broadcast(scenario.preset("harness_10pps"),
-                                       10.0, 60.0)
-        assert len(records) == 600
+        log, _ = net.run_broadcast(scenario.preset("harness_10pps"),
+                                   10.0, 60.0)
+        assert len(log) == 600
         assert instants == []
 
     def test_warning_still_formats_the_edge_time(self, instants):

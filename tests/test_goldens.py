@@ -1,10 +1,13 @@
 """Each fast preset's `tsync run` artifacts against the benchmark's goldens.
 
 The hashes and the hashing come from bench/ (`hash_tree` skips the run's
-output directory and runtime in manifest.json). The three presets that
-take seconds each are left to `python3 bench/run.py --check-goldens`.
+output directory and runtime in manifest.json). The two presets that
+take many seconds each are left to `python3 bench/run.py --check-goldens`.
+A broadcast scenario with drops and path deltas, which no preset has, is
+pinned to hashes of its own.
 """
 
+import dataclasses
 import importlib.util
 import os
 import sys
@@ -16,7 +19,7 @@ from tsync import scenario
 from tsync.cli import main
 
 BENCH = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
-SLOW_PRESETS = {"room_24h", "lab_16c", "harness_100pps"}
+SLOW_PRESETS = {"room_24h", "lab_16c"}
 
 
 def _bench_run():
@@ -41,3 +44,38 @@ def test_preset_artifacts_match_goldens(name, tmp_path):
         "--out", str(out)])
     assert res.exit_code == 0, res.output
     assert bench_run.hash_tree(str(out)) == golden
+
+
+# `harness_10pps` for 120 s with lossy, unequal paths: these hashes fix
+# the order of the drop and stamp-latency draws.
+DROPS_AND_DELTAS = {
+    "harness.csv": "6f21da7723151cdb1d9f40c6c3d3d57061454a3777cc966ef71ff62a5c9cca1a",
+    "loop_c1.csv": "03408d685d6e23972e9afc0999367ca7fa468d2a5486aea5ead4f8fa282fe8fe",
+    "loop_c2.csv": "67dbec33cbfce508f6b049b68632e2e7ab4900f9b6a03a46600024e5aac6a865",
+    "loop_c3.csv": "58717745ed58e73da77645765c4c9bb7fd4042579a37219462fadff05b1b213b",
+    "manifest.json": "094a0464ce2396ec574d2cc3df9b1d54fb252998b6ca557e63cd5c365d35eed8",
+    "nmea_c1.log": "9396c158aa2f1942526b5388a5cc9902ae60f362add545759e7c71e6f6beee11",
+    "nmea_c2.log": "12f16c5c4bf7a1edf8c8e64707864b91b487c3bce9dc91c52a534f85dd9c5185",
+    "nmea_c3.log": "06524df723a2bb3ca4104995ecb5b2ebf07b2231988a18df705143f48025549c",
+    "pps_c1.log": "30305bde22f9b539272e32a2f0b001bd620efd71de5eb4ba952b323549ee2908",
+    "pps_c2.log": "bed4f2843d25876795606e7a28348b9e2028ee2c36d83eca1142239dc818ebf5",
+    "pps_c3.log": "f5b0ae267a16c9d917398822f031810c5f7a8b361d0c3c9be777994003ead807",
+}
+
+
+def test_broadcast_with_drops_and_path_deltas(tmp_path):
+    cfg = scenario.preset("harness_10pps")
+    traffic = cfg.traffic[0]
+    params = {**traffic.params, "drop_prob": 0.3,
+              "path_delta_ns": {"c1": 1500, "c2": -700}}
+    cfg = dataclasses.replace(
+        cfg, name="harness_drops", duration_s=120.0,
+        visibility=(scenario.VisibilitySeg(0.0, 120.0, 8, 6),),
+        traffic=(dataclasses.replace(traffic, params=params),))
+    assert all(n.receiver.stamp_latency_ns for n in cfg.nodes[:2])
+    path = tmp_path / "harness_drops.json"
+    scenario.save(cfg, path)
+    out = tmp_path / "out"
+    res = CliRunner().invoke(main, ["run", str(path), "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert bench_run.hash_tree(str(out)) == DROPS_AND_DELTAS

@@ -33,42 +33,62 @@ def harness_cfg(duration=60.0, recv_a=None, recv_b=None, deltas=None,
 
 class TestBroadcast:
     def test_perfectly_synchronized_clients_zero_offsets(self):
-        records, _ = run_broadcast(harness_cfg(), 10.0, 60.0)
-        samples, skipped = pairwise_offsets(records, "c1", "c2")
+        log, _ = run_broadcast(harness_cfg(), 10.0, 60.0)
+        _, offsets, skipped = pairwise_offsets(log, "c1", "c2")
         assert skipped == 0
-        assert all(s.offset_ns == 0 for s in samples)
+        assert all(offsets == 0)
 
     def test_path_delta_shifts_offsets_exactly(self):
         cfg = harness_cfg(deltas={"c1": 2000})
-        records, _ = run_broadcast(cfg, 10.0, 60.0)
-        samples, _ = pairwise_offsets(records, "c1", "c2")
-        assert all(s.offset_ns == 2000 for s in samples)
+        log, _ = run_broadcast(cfg, 10.0, 60.0)
+        _, offsets, _ = pairwise_offsets(log, "c1", "c2")
+        assert all(offsets == 2000)
 
     def test_antisymmetry(self):
         cfg = harness_cfg(recv_a=ReceiverSpec(stamp_bias_ns=500,
                                               stamp_latency_ns=3000),
                           recv_b=ReceiverSpec(stamp_latency_ns=3000))
-        records, _ = run_broadcast(cfg, 10.0, 60.0)
-        ab, _ = pairwise_offsets(records, "c1", "c2")
-        ba, _ = pairwise_offsets(records, "c2", "c1")
-        assert [s.offset_ns for s in ab] == [-s.offset_ns for s in ba]
+        log, _ = run_broadcast(cfg, 10.0, 60.0)
+        _, ab, _ = pairwise_offsets(log, "c1", "c2")
+        _, ba, _ = pairwise_offsets(log, "c2", "c1")
+        assert ab.tolist() == (-ba).tolist()
 
     def test_drops_are_skipped_and_counted(self):
-        records, _ = run_broadcast(harness_cfg(drop=0.2), 10.0, 60.0)
-        samples, skipped = pairwise_offsets(records, "c1", "c2")
+        log, _ = run_broadcast(harness_cfg(drop=0.2), 10.0, 60.0)
+        packets, offsets, skipped = pairwise_offsets(log, "c1", "c2")
         assert skipped > 0
-        assert len(samples) + skipped == len(records)
+        assert len(offsets) == len(packets)
+        assert len(offsets) + skipped == len(log)
 
     def test_no_common_packets(self):
-        records, _ = run_broadcast(harness_cfg(), 10.0, 60.0)
+        log, _ = run_broadcast(harness_cfg(), 10.0, 60.0)
         with pytest.raises(NoCommonPackets):
-            pairwise_offsets(records, "c1", "nope")
+            pairwise_offsets(log, "c1", "nope")
 
     def test_arrivals_not_before_send(self):
-        records, _ = run_broadcast(harness_cfg(deltas={"c1": 1500}), 10.0, 30.0)
-        for rec in records:
-            for arrival, _ in rec.arrivals.values():
-                assert arrival >= rec.send_true_ns
+        log, _ = run_broadcast(harness_cfg(deltas={"c1": 1500}), 10.0, 30.0)
+        for name, arrival in log.arrival_ns.items():
+            seen = log.seen[name]
+            assert seen.any()
+            assert all(arrival[seen] >= log.send_ns[seen])
+
+    def test_uniform_block_equals_scalar_draws(self):
+        block = np.random.default_rng(5).uniform(0, 7000, size=500)
+        rng = np.random.default_rng(5)
+        assert block.tolist() == [rng.uniform(0, 7000) for _ in range(500)]
+
+    def test_random_block_is_row_major_scalar_draws(self):
+        block = np.random.default_rng(5).random((250, 3))
+        rng = np.random.default_rng(5)
+        assert block.tolist() == [[rng.random() for _ in range(3)]
+                                  for _ in range(250)]
+
+    def test_rint_equals_round(self):
+        draws = np.random.default_rng(5).uniform(0, 9000, size=2000)
+        halves = np.arange(-10, 10) + 0.5
+        for x in (draws, halves):
+            assert np.rint(x).astype(np.int64).tolist() == [
+                round(v) for v in x.tolist()]
 
 
 class TestTsf:
