@@ -77,10 +77,10 @@ def _run_one(cfg: scenario.ScenarioConfig, out_dir: str) -> dict:
         files.append(name)
 
     broadcast = [t for t in cfg.traffic if t.kind == "broadcast"]
-    log = None
+    bcast = None
     if broadcast:
-        log, result = net.run_broadcast(cfg, broadcast[0].rate_hz,
-                                        cfg.duration_s, broadcast[0])
+        bcast, result = net.run_broadcast(cfg, broadcast[0].rate_hz,
+                                          cfg.duration_s, broadcast[0])
     else:
         result = engine.run_scenario(cfg)
 
@@ -95,12 +95,12 @@ def _run_one(cfg: scenario.ScenarioConfig, out_dir: str) -> dict:
             emit(f"pps_{name}.log", "".join(f"{e}\n" for e in edges))
 
     summary = result.summary()
-    if log:
+    if bcast:
         a, b = scenario.traffic_params(cfg, broadcast[0]).clients[:2]
-        packets, offsets, skipped = net.pairwise_offsets(log, a, b)
-        rows = zip(packets.tolist(), log.send_ns[packets].tolist(),
-                   log.stamp_ns[a][packets].tolist(),
-                   log.stamp_ns[b][packets].tolist(), offsets.tolist())
+        packets, offsets, skipped = net.pairwise_offsets(bcast, a, b)
+        rows = zip(packets.tolist(), bcast.send_ns[packets].tolist(),
+                   bcast.stamp_ns[a][packets].tolist(),
+                   bcast.stamp_ns[b][packets].tolist(), offsets.tolist())
         lines = [HARNESS_HEADER, *(f"{p},{t},{sa},{sb},{off}"
                                    for p, t, sa, sb, off in rows)]
         emit("harness.csv", "\n".join(lines) + "\n")

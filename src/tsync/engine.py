@@ -11,6 +11,7 @@ fitted linear drift model.
 from __future__ import annotations
 
 import datetime
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +25,7 @@ from .timebase import (ClockState, FS_PER_NS, NS_PER_S, NoiseStream,
                        read_clock, slew_phase)
 
 SIM_EPOCH_DATE = datetime.date(2021, 1, 1)
+DRAW_BLOCK = 4096
 
 
 class OutsideScenario(ValueError):
@@ -60,12 +62,33 @@ class HoldoverSegment:
     slope_ns_per_s: float = 0.0
 
 
+class BlockDraws:
+    """A Generator's `random()` doubles, drawn DRAW_BLOCK at a time; the
+    same sequence as scalar calls, as long as nothing else reads it."""
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self._doubles = iter(())
+
+    def random(self) -> float:
+        try:
+            return next(self._doubles)
+        except StopIteration:
+            self._doubles = iter(self._rng.random(DRAW_BLOCK).tolist())
+            return next(self._doubles)
+
+
+@functools.lru_cache(maxsize=4)
+def _run_date(days: int) -> datetime.date:
+    return SIM_EPOCH_DATE + datetime.timedelta(days=days)
+
+
 def fix_for_second(second: int, nsat: int, mask) -> GnssFix:
     """The fix a receiver reports for an absolute second of the run."""
     days, rem = divmod(second, 86_400)
     return GnssFix(
         tod_ns=rem * NS_PER_S,
-        date=SIM_EPOCH_DATE + datetime.timedelta(days=days),
+        date=_run_date(days),
         fix_valid=nsat >= 4,
         nsat=nsat,
         constellation_mask=mask,
@@ -89,8 +112,8 @@ class NodeSim:
         osc_seq, pps_seq, serial_seq, stamp_seq = seed_seq.spawn(4)
         steps = 2 * int(round(cfg.duration_s)) + 16
         self.noise = NoiseStream(spec.oscillator, osc_seq, steps)
-        self.rng_pps = np.random.default_rng(pps_seq)
-        self.rng_serial = np.random.default_rng(serial_seq)
+        self.rng_pps = BlockDraws(np.random.default_rng(pps_seq))
+        self.rng_serial = BlockDraws(np.random.default_rng(serial_seq))
         self.rng_stamp = np.random.default_rng(stamp_seq)
         self.clock = ClockState.from_offset_ns(spec.initial_offset_ns)
         self.servo = ServoState(spec.servo)
@@ -204,7 +227,8 @@ class NodeSim:
 
         Combined mode labels the pending edge with the second; sentence-only
         mode measures the clock at its arrival, less the path delay, against
-        the named time when the fix is `valid`.
+        the named time when the fix is `valid` and the arrival lies in
+        [named time, named time + label window].
         """
         second = named_ns // NS_PER_S
         mode = self.servo.mode
@@ -226,10 +250,20 @@ class NodeSim:
             self._apply_reading(second * NS_PER_S, capture_ns,
                                 SampleSource.COMBINED)
         elif mode is ServoMode.NMEA_ONLY:
-            if second == self.last_sampled_second or not valid:
+            last = self.last_sampled_second
+            if second == last or not valid:
+                return
+            if last is not None and second < last:
+                raise servo_mod.NonMonotonicSample(
+                    f"sentence for second {second} not after history tail "
+                    f"second {last}")
+            self.last_sampled_second = second
+            window_ns = self.spec.receiver.label_window_ns
+            if not named_ns <= arrival_ns <= named_ns + window_ns:
+                self.warnings.append(
+                    f"sentence for second {second} arrived outside its window")
                 return
             self._advance_to(arrival_ns, temp_c)
-            self.last_sampled_second = second
             self._apply_reading(named_ns, read_clock(self.clock, arrival_ns)
                                 - self.spec.receiver.est_path_delay_ns,
                                 SampleSource.NMEA)

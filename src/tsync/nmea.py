@@ -9,6 +9,7 @@ verbatim but never interpreted.
 from __future__ import annotations
 
 import datetime
+import functools
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -165,10 +166,11 @@ def _parse_tod(text: str) -> int:
 
 
 def _format_tod(tod_ns: int) -> str:
+    """`hhmmss.sss`, the time truncated to whole milliseconds."""
     s, frac = divmod(tod_ns, NS_PER_S)
     h, rem = divmod(s, 3600)
     m, s = divmod(rem, 60)
-    return f"{h:02d}{m:02d}{s:02d}.{round(frac / 1e6) % 1000:03d}"
+    return f"{h:02d}{m:02d}{s:02d}.{frac // 1_000_000:03d}"
 
 
 def extract_fix(s: NmeaSentence, last_date: datetime.date | None = None) -> GnssFix:
@@ -203,37 +205,51 @@ def extract_fix(s: NmeaSentence, last_date: datetime.date | None = None) -> Gnss
     return GnssFix(tod, date, True, None, mask)
 
 
+@functools.lru_cache(maxsize=64)
+def _frame(talker: str, kind: SentenceKind, date: datetime.date | None,
+           fix_valid: bool, nsat: int | None) -> tuple[str, str, int]:
+    """A sentence less its time field: the text before and after that
+    field, and the XOR of the payload bytes in both."""
+    if kind is SentenceKind.RMC:
+        if date is None:
+            raise MissingField("RMC needs a date")
+        status = "A" if fix_valid else "V"
+        ddmmyy = f"{date.day:02d}{date.month:02d}{date.year % 100:02d}"
+        rest = [status, "", "", "", "", "", "", ddmmyy, "", ""]
+    elif kind is SentenceKind.GGA:
+        if nsat is None:
+            raise MissingField("GGA needs a satellite count")
+        quality = "1" if fix_valid else "0"
+        rest = ["", "", "", "", quality, f"{nsat:02d}", "", "", "M", "", "M"]
+    elif kind is SentenceKind.ZDA:
+        if date is None:
+            raise MissingField("ZDA needs a date")
+        rest = [f"{date.day:02d}", f"{date.month:02d}", f"{date.year:04d}",
+                "00", "00"]
+    else:
+        raise ValueError(f"cannot generate {kind} sentences")
+    head = f"{talker}{kind.value},"
+    tail = "," + ",".join(rest)
+    return "$" + head, tail + "*", int(checksum(head + tail), 16)
+
+
 def generate(fix: GnssFix, kind: SentenceKind) -> str:
     """Render a fix as a sentence line (no line terminator).
 
-    Sub-millisecond time of day is rounded; position fields are emitted
-    blank. parse_sentence + extract_fix round-trips the carried fields.
+    The time of day is truncated to whole milliseconds; position fields
+    are emitted blank. parse_sentence + extract_fix round-trips the
+    carried fields. Only the time field is rendered per call: the rest
+    of the sentence comes from a cached frame.
     """
     if fix.tod_ns is None:
         raise MissingField("fix has no time of day")
-    talker = _MASK_TO_TALKER.get(fix.constellation_mask, "GN")
+    head, tail, acc = _frame(
+        _MASK_TO_TALKER.get(fix.constellation_mask, "GN"), kind, fix.date,
+        fix.fix_valid, fix.nsat)
     tod = _format_tod(fix.tod_ns)
-    if kind is SentenceKind.RMC:
-        if fix.date is None:
-            raise MissingField("RMC needs a date")
-        date = f"{fix.date.day:02d}{fix.date.month:02d}{fix.date.year % 100:02d}"
-        status = "A" if fix.fix_valid else "V"
-        fields = [tod, status, "", "", "", "", "", "", date, "", ""]
-    elif kind is SentenceKind.GGA:
-        if fix.nsat is None:
-            raise MissingField("GGA needs a satellite count")
-        quality = "1" if fix.fix_valid else "0"
-        fields = [tod, "", "", "", "", quality, f"{fix.nsat:02d}",
-                  "", "", "M", "", "M"]
-    elif kind is SentenceKind.ZDA:
-        if fix.date is None:
-            raise MissingField("ZDA needs a date")
-        fields = [tod, f"{fix.date.day:02d}", f"{fix.date.month:02d}",
-                  f"{fix.date.year:04d}", "00", "00"]
-    else:
-        raise ValueError(f"cannot generate {kind} sentences")
-    payload = ",".join((talker + kind.value, *fields))
-    return f"${payload}*{checksum(payload)}"
+    for b in tod.encode("ascii"):
+        acc ^= b
+    return f"{head}{tod}{tail}{acc:02X}"
 
 
 def absolute_second_ns(fix: GnssFix, epoch_date: datetime.date) -> int:
@@ -265,10 +281,17 @@ class SerialDeliveryModel:
             raise ValueError("drop_prob must be in [0, 1)")
 
     def delivery_delay_ns(self, rng) -> int | None:
-        """Latency draw in ns, or None when the sentence is lost."""
+        """Latency draw in ns, or None when the sentence is lost.
+
+        `rng` needs only a `random()` method; the jitter is numpy's scalar
+        `uniform(lo, hi)`, `lo + (hi - lo) * random()`, written out.
+        """
         if self.drop_prob and rng.random() < self.drop_prob:
             return None
-        jitter = rng.uniform(-self.jitter_ms, self.jitter_ms) if self.jitter_ms else 0.0
+        jitter = 0.0
+        if self.jitter_ms:
+            lo = -self.jitter_ms
+            jitter = lo + (self.jitter_ms - lo) * rng.random()
         return round((self.base_latency_ms + jitter) * 1e6)
 
 
@@ -276,8 +299,9 @@ def read_nmea_log(path) -> list[tuple[int, int | None, str]]:
     """Read a sentence log as (line_number, true_rx_ns, sentence) triples.
 
     Lines may carry a '<true_rx_ns> ' prefix; without one true_rx_ns is
-    None. A prefix that is not an integer, or a non-ASCII byte, raises
-    MalformedField naming the file and line.
+    None. A prefix that is not an integer or lies past the 64-bit ns
+    range, or a non-ASCII byte, raises MalformedField naming the file and
+    line.
     """
     out = []
     with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
@@ -290,10 +314,14 @@ def read_nmea_log(path) -> list[tuple[int, int | None, str]]:
             head, _, rest = line.partition(" ")
             if rest.startswith("$"):
                 try:
-                    out.append((lineno, int(head), rest))
+                    rx_ns = int(head)
                 except ValueError:
                     raise MalformedField(
                         f"{path}:{lineno}: bad arrival time {head!r}") from None
+                if abs(rx_ns) >= 2**63:
+                    raise MalformedField(f"{path}:{lineno}: arrival time "
+                                         f"{head} past the 64-bit ns range")
+                out.append((lineno, rx_ns, rest))
             else:
                 out.append((lineno, None, line))
     return out

@@ -46,10 +46,14 @@ class PpsJitter:
             raise ValueError(f"jitter bound must stay below {MAX_JITTER_BOUND_NS} ns")
 
     def draw_ns(self, rng) -> int:
+        """One edge error in ns. `rng` needs only a `random()` method; the
+        draw is numpy's scalar `uniform(-half, half)`, `lo + (hi - lo) *
+        random()`, written out."""
         if self.half_width_ns == 0:
             return self.bias_ns
-        return self.bias_ns + round(rng.uniform(-self.half_width_ns,
-                                                self.half_width_ns))
+        lo = -self.half_width_ns
+        return self.bias_ns + round(lo + (self.half_width_ns - lo)
+                                    * rng.random())
 
 
 def next_pps(after_ns: int, jitter: PpsJitter, rng) -> int:

@@ -226,6 +226,8 @@ class BroadcastParams:
     def __post_init__(self):
         if len(self.clients) < 2:
             raise ValueError("broadcast harness needs at least 2 clients")
+        if len(set(self.clients)) != len(self.clients):
+            raise ValueError("clients must be distinct nodes")
 
 
 @dataclass(frozen=True)

@@ -102,12 +102,15 @@ class TestRun:
         (("traffic",), [{"kind": "ntp", "rate_hz": 1.0,
                          "params": {"client": "nobody"}}], {},
          "traffic[0].params: no node is named 'nobody'"),
+        (("traffic",), [{"kind": "broadcast", "rate_hz": 10.0, "params": {
+            "server": "bench", "clients": ["bench", "bench"]}}], {},
+         "traffic[0].params: clients must be distinct nodes"),
     ], ids=["receiver-key-typo", "unknown-top-level-key", "glonass-only",
             "no-constellations", "nodes-as-object", "servo-null",
             "trace-file-missing", "trace-file-is-directory",
             "trace-file-not-utf8", "scenario-not-utf8", "range-period-zero",
             "label-window-zero", "traffic-param-typo",
-            "traffic-unknown-node"])
+            "traffic-unknown-node", "broadcast-repeated-client"])
     def test_malformed_config_exits_2(self, runner, tmp_path, keys, value,
                                       files, match):
         short_lab(tmp_path, duration=30.0)
@@ -185,6 +188,31 @@ class TestRun:
         for name in manifest["files"]:
             assert (tmp_path / "n" / name).exists()
         assert "ntp.csv" in manifest["files"]
+
+    def test_node_warnings_reach_stderr(self, tmp_path):
+        cfg = scenario.preset("suburban")
+        node = cfg.nodes[0]
+        node = dataclasses.replace(node, receiver=dataclasses.replace(
+            node.receiver, serial=dataclasses.replace(node.receiver.serial,
+                                                      drop_prob=0.3)))
+        cfg = dataclasses.replace(
+            cfg, duration_s=300.0, nodes=(node,),
+            visibility=(scenario.VisibilitySeg(0.0, 300.0, 8, 6),))
+        path = tmp_path / "lossy.json"
+        scenario.save(cfg, path)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(tsync.__file__)))
+        res = subprocess.run(
+            [sys.executable, "-m", "tsync.cli", "run", str(path),
+             "--out", str(tmp_path / "out")],
+            env=dict(os.environ, PYTHONPATH=src, TSYNC_LOG="WARNING"),
+            capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        lines = res.stderr.splitlines()
+        assert len(lines) == manifest["summary"]["nodes"]["vehicle"]["warnings"]
+        assert lines and all(
+            l.startswith("WARNING tsync: vehicle: unlabeled edge at ")
+            for l in lines)
 
 
 class TestAnalyze:
@@ -315,6 +343,26 @@ class TestReplay:
         offs = np.array([int(r.split(",")[1]) for r in rows])
         assert np.abs(offs).max() > 100_000  # ms-scale spread
         assert np.abs(offs).max() < 100_000_000
+
+    def test_sentence_outside_its_window_takes_no_sample(self, runner,
+                                                         tmp_path, caplog):
+        _, path = short_lab(tmp_path, duration=20.0)
+        out = tmp_path / "run"
+        assert runner.invoke(main, ["run", path, "--out", str(out)]
+                             ).exit_code == 0
+        lines = (out / "nmea_bench.log").read_text().splitlines()
+        assert all("000020.000" in l for l in lines[-2:])
+        lines[-2:] = [f"{10**15} {l.partition(' ')[2]}" for l in lines[-2:]]
+        (tmp_path / "late.log").write_text("\n".join(lines) + "\n")
+        res = runner.invoke(main, [
+            "replay", str(tmp_path / "late.log"), "--scenario", path,
+            "--out", str(tmp_path / "rp")])
+        assert res.exit_code == 0, res.output
+        rows = (tmp_path / "rp" / "loop_replay.csv").read_text().splitlines()
+        assert [r.split(",")[0] for r in rows[1:]] == \
+            [f"{s}.000" for s in range(1, 20)]
+        assert [r.getMessage() for r in caplog.records] == [
+            "replay: sentence for second 20 arrived outside its window"]
 
     def test_capture_longer_than_scenario_fails_cleanly(self, runner, tmp_path):
         _, path = short_lab(tmp_path, duration=300.0)

@@ -141,6 +141,15 @@ class TestDiscipline:
         assert offs.std(ddof=1) > 1_000_000
 
 
+class TestBlockDraws:
+    def test_hands_out_the_scalar_sequence(self):
+        n = 2 * engine.DRAW_BLOCK + 5
+        draws = engine.BlockDraws(np.random.default_rng(8))
+        ref = np.random.default_rng(8)
+        assert [draws.random() for _ in range(n)] == \
+            [ref.random() for _ in range(n)]
+
+
 class TestSentenceSample:
     """A sentence-only node measures the clock at a sentence's arrival,
     less the estimated path delay, against the time the sentence names."""

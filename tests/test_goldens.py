@@ -1,10 +1,13 @@
 """Each fast preset's `tsync run` artifacts against the benchmark's goldens.
 
 The hashes and the hashing come from bench/ (`hash_tree` skips the run's
-output directory and runtime in manifest.json). The two presets that
-take many seconds each are left to `python3 bench/run.py --check-goldens`.
-A broadcast scenario with drops and path deltas, which no preset has, is
-pinned to hashes of its own.
+output directory and runtime in manifest.json). `lab_16c`, which takes
+many seconds, is left to `python3 bench/run.py --check-goldens`.
+`room_24h` is the only preset that crosses midnight (its last RMC names
+`020121`), so it is the golden that exercises the per-day date and
+sentence frames. A broadcast scenario with drops and path deltas, and
+two scenarios losing serial bursts, which no preset has, are pinned to
+hashes of their own.
 """
 
 import dataclasses
@@ -19,7 +22,7 @@ from tsync import scenario
 from tsync.cli import main
 
 BENCH = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
-SLOW_PRESETS = {"room_24h", "lab_16c"}
+SLOW_PRESETS = {"lab_16c"}
 
 
 def _bench_run():
@@ -79,3 +82,50 @@ def test_broadcast_with_drops_and_path_deltas(tmp_path):
     res = CliRunner().invoke(main, ["run", str(path), "--out", str(out)])
     assert res.exit_code == 0, res.output
     assert bench_run.hash_tree(str(out)) == DROPS_AND_DELTAS
+
+
+def _serial_drops(name: str) -> scenario.ScenarioConfig:
+    """`name` for 300 s under full sky, losing 30% of sentence bursts."""
+    cfg = scenario.preset(name)
+    nodes = tuple(dataclasses.replace(n, receiver=dataclasses.replace(
+        n.receiver, serial=dataclasses.replace(n.receiver.serial,
+                                               drop_prob=0.3)))
+        for n in cfg.nodes)
+    return dataclasses.replace(
+        cfg, name=f"{name}_drops", duration_s=300.0,
+        visibility=(scenario.VisibilitySeg(0.0, 300.0, 8, 6),), nodes=nodes)
+
+
+# These hashes fix the order of each node's serial drop checks and
+# latency draws, in sentence-only (`lab_16c`) and combined (`suburban`)
+# mode.
+SERIAL_DROPS = {
+    "lab_16c": {
+        "loop_bench.csv":
+            "0c05930fb25ea567231c1881b5d5d271a2ab3ae85435609c8fb149a997c212ee",
+        "manifest.json":
+            "581d65b5ff9a0508d851afa1d76449965ffac471647b3af59e92f2af6578059e",
+        "nmea_bench.log":
+            "f0e5e159de3d4bf13ec84b5389c573f52e905b5673fbc3dddbb3f43082ef8bf3",
+    },
+    "suburban": {
+        "loop_vehicle.csv":
+            "e9d83178333962f3b7989e1fe0ee176f67ffbe73660c2375620f09f48278d87c",
+        "manifest.json":
+            "b7bc98d29144cb54ff58db33490af3de0bbc32db70169dc0215cfcdbb42ecb36",
+        "nmea_vehicle.log":
+            "c48d1249fb4d3e089d03d96f08e19a5739b349b83d1b8b7fb931beb6c0f3e750",
+        "pps_vehicle.log":
+            "abcf0b0b32301b320d13137e3210b313e828b85613fd92adf425f99e7c517759",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(SERIAL_DROPS))
+def test_serial_drops(name, tmp_path):
+    path = tmp_path / f"{name}_drops.json"
+    scenario.save(_serial_drops(name), path)
+    out = tmp_path / "out"
+    res = CliRunner().invoke(main, ["run", str(path), "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert bench_run.hash_tree(str(out)) == SERIAL_DROPS[name]

@@ -182,6 +182,62 @@ class TestGenerateRoundTrip:
             generate(fix, SentenceKind.GGA)
 
 
+def reference_generate(fix: GnssFix, kind: SentenceKind) -> str:
+    """Whole-sentence rendering: join every field, then checksum."""
+    talker = {frozenset({"GPS"}): "GP", frozenset({"GLONASS"}): "GL",
+              frozenset({"BEIDOU"}): "GB",
+              frozenset({"GALILEO"}): "GA"}.get(fix.constellation_mask, "GN")
+    s, frac = divmod(fix.tod_ns, 10**9)
+    tod = f"{s // 3600:02d}{s // 60 % 60:02d}{s % 60:02d}.{frac // 10**6:03d}"
+    d = fix.date
+    if kind is SentenceKind.RMC:
+        fields = [tod, "A" if fix.fix_valid else "V", "", "", "", "", "", "",
+                  f"{d.day:02d}{d.month:02d}{d.year % 100:02d}", "", ""]
+    elif kind is SentenceKind.GGA:
+        fields = [tod, "", "", "", "", "1" if fix.fix_valid else "0",
+                  f"{fix.nsat:02d}", "", "", "M", "", "M"]
+    else:
+        fields = [tod, f"{d.day:02d}", f"{d.month:02d}", f"{d.year:04d}",
+                  "00", "00"]
+    payload = ",".join((talker + kind.value, *fields))
+    return f"${payload}*{xor_oracle(payload)}"
+
+
+class TestGenerateMatchesReference:
+    @given(TODS, DATES, st.booleans(), st.integers(1, 32), MASKS,
+           st.sampled_from([SentenceKind.RMC, SentenceKind.GGA,
+                            SentenceKind.ZDA]))
+    @settings(max_examples=300)
+    def test_cached_frames_render_the_same_bytes(self, tod, date, valid,
+                                                 nsat, mask, kind):
+        fix = GnssFix(tod, date, valid, nsat, mask)
+        assert generate(fix, kind) == reference_generate(fix, kind)
+
+    def test_other_kinds_rejected(self):
+        fix = GnssFix(0, datetime.date(2021, 1, 1), True, 8,
+                      frozenset({"GPS"}))
+        with pytest.raises(ValueError, match="cannot generate"):
+            generate(fix, SentenceKind.OTHER)
+
+
+class TestTimeField:
+    @pytest.mark.parametrize("tod_ns, text", [
+        (0, "000000.000"),
+        (999_600_000, "000000.999"),
+        (59_999_700_000, "000059.999"),
+        (86_399_999_999_999, "235959.999"),
+        ((8 * 3600 + 35 * 60 + 59) * 10**9 + 250_000_000, "083559.250"),
+    ])
+    def test_truncated_to_the_millisecond(self, tod_ns, text):
+        assert nmea._format_tod(tod_ns) == text
+
+    def test_sentence_never_names_a_time_ahead(self):
+        fix = GnssFix(59_999_700_000, datetime.date(2021, 1, 1), True, None,
+                      frozenset({"GPS"}))
+        back = extract_fix(parse_sentence(generate(fix, SentenceKind.RMC)))
+        assert back.tod_ns == 59_999_000_000
+
+
 class TestFixInvariants:
     def test_valid_fix_needs_time(self):
         with pytest.raises(ValueError):
@@ -215,6 +271,17 @@ class TestSerialDelivery:
         rng = np.random.default_rng(3)
         draws = [model.delivery_delay_ns(rng) for _ in range(200)]
         assert draws.count(None) > 50
+
+    @pytest.mark.parametrize("jitter_ms", [10.0, 6.5, 2.4])
+    def test_jitter_equals_numpy_uniform(self, jitter_ms):
+        model = SerialDeliveryModel(base_latency_ms=80.0, jitter_ms=jitter_ms,
+                                    drop_prob=0.3)
+        ours, ref = np.random.default_rng(4), np.random.default_rng(4)
+        for _ in range(2000):
+            want = None
+            if ref.random() >= 0.3:
+                want = round((80.0 + ref.uniform(-jitter_ms, jitter_ms)) * 1e6)
+            assert model.delivery_delay_ns(ours) == want
 
     def test_validation(self):
         with pytest.raises(ValueError):

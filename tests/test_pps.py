@@ -31,6 +31,32 @@ class TestNextPps:
             PpsJitter(half_width_ns=50_000, bias_ns=60_000)
 
 
+class TestDraws:
+    """The numpy facts the block-drawn edge and serial jitter rely on."""
+
+    @pytest.mark.parametrize("half", [30, 1550, 10.0, 6.5, 2.4])
+    def test_uniform_is_lo_plus_width_times_random(self, half):
+        a, b = np.random.default_rng(5), np.random.default_rng(5)
+        lo = -half
+        for _ in range(5000):
+            want = a.uniform(-half, half)
+            assert (lo + (half - lo) * b.random()).hex() == want.hex()
+
+    def test_random_block_equals_scalar_calls(self):
+        a, b = np.random.default_rng(6), np.random.default_rng(6)
+        block = a.random(4103).tolist()
+        assert [x.hex() for x in block] == \
+            [b.random().hex() for _ in range(4103)]
+
+    @pytest.mark.parametrize("half, bias", [(30, 0), (1550, 0), (1200, 533)])
+    def test_edge_error_equals_scalar_uniform(self, half, bias):
+        jitter = PpsJitter(half, bias)
+        ours, ref = np.random.default_rng(7), np.random.default_rng(7)
+        for _ in range(2000):
+            assert jitter.draw_ns(ours) == \
+                bias + round(ref.uniform(-half, half))
+
+
 class TestLabelling:
     def test_default_delivery_labels_correctly(self):
         assert label_pps(100 * NS + 12, 100 * NS + 80_000_000, 100,

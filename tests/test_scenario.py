@@ -154,6 +154,7 @@ class TestTrafficParams:
         ("harness_10pps", "server", "c9", "no node is named 'c9'"),
         ("harness_10pps", "path_delta_ns", {"c7": 5}, "no node is named 'c7'"),
         ("harness_10pps", "clients", ["c1"], "at least 2 clients"),
+        ("harness_10pps", "clients", ["c1", "c1"], "distinct nodes"),
         ("lte_ntp", "client", "nobody", "no node is named 'nobody'"),
         ("lte_ntp", "drop_prob", 1.0, "drop_prob must be in"),
         ("lte_ntp", "delay_up_ms", "slow", "could not convert"),
