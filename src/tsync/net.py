@@ -11,13 +11,13 @@ implements the classic four-timestamp offset/delay estimator.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import engine
 from .scenario import (LinkModel, PacketDropped, ScenarioConfig, TrafficSpec,
-                       traffic_params)
+                       TsfParams, traffic_params)
 from .timebase import ClockState, NS_PER_S, read_clock
 
 US_PER_S = 1_000_000
@@ -178,24 +178,23 @@ def tsf_step(nodes, beacon_winner: int, airtime_jitter_us: float,
     return out
 
 
-def run_tsf(n_nodes: int = 20, spread_ppm: float = 100.0,
-            beacon_interval_s: float = 0.1024, n_beacons: int = 2000,
-            airtime_jitter_us: float = 2.0, seed: int = 7):
+def run_tsf(params: TsfParams, beacon_interval_s: float, n_beacons: int,
+            seed: int):
     """Contention experiment: random winner per interval, spread recorded.
 
     Returns per-beacon maximum pairwise timer spread (us, before the
     beacon applies) and the node list at the end.
     """
     rng = np.random.default_rng(seed)
-    rates = rng.uniform(-spread_ppm, spread_ppm, n_nodes)
+    rates = rng.uniform(-params.spread_ppm, params.spread_ppm, params.n_nodes)
     nodes = [TsfNode(0, float(r)) for r in rates]
     spreads = []
     for _ in range(n_beacons):
         nodes = tsf_advance(nodes, beacon_interval_s)
         timers = [n.timer_us for n in nodes]
         spreads.append(max(timers) - min(timers))
-        winner = int(rng.integers(n_nodes))
-        nodes = tsf_step(nodes, winner, airtime_jitter_us, rng)
+        winner = int(rng.integers(params.n_nodes))
+        nodes = tsf_step(nodes, winner, params.airtime_jitter_us, rng)
     return np.array(spreads, dtype=float), nodes
 
 
@@ -266,7 +265,6 @@ def run_tsf_traffic(cfg: ScenarioConfig, traffic: TrafficSpec):
     """Scenario-driven beacon experiment; one row per beacon interval."""
     interval = 1.0 / traffic.rate_hz
     n_beacons = int(round(cfg.duration_s * traffic.rate_hz))
-    # The params are run_tsf's n_nodes, spread_ppm and airtime_jitter_us.
-    spreads, _ = run_tsf(beacon_interval_s=interval, n_beacons=n_beacons,
-                         seed=cfg.seed, **asdict(traffic_params(cfg, traffic)))
+    spreads, _ = run_tsf(traffic_params(cfg, traffic), interval, n_beacons,
+                         cfg.seed)
     return [((i + 1) * interval, s) for i, s in enumerate(spreads)]

@@ -13,6 +13,8 @@ import functools
 from dataclasses import dataclass, field
 from enum import Enum
 
+from .timebase import check_bounds, config_field
+
 NS_PER_S = 1_000_000_000
 NS_PER_DAY = 86_400 * NS_PER_S
 
@@ -270,15 +272,12 @@ class SerialDeliveryModel:
     be dropped with drop_prob.
     """
 
-    base_latency_ms: float = 80.0
-    jitter_ms: float = 10.0
-    drop_prob: float = 0.0
+    base_latency_ms: float = config_field(80.0, minimum=0)
+    jitter_ms: float = config_field(10.0, minimum=0)
+    drop_prob: float = config_field(0.0, minimum=0, exclusiveMaximum=1)
 
     def __post_init__(self):
-        if self.base_latency_ms < 0 or self.jitter_ms < 0:
-            raise ValueError("latency and jitter must be >= 0")
-        if not 0.0 <= self.drop_prob < 1.0:
-            raise ValueError("drop_prob must be in [0, 1)")
+        check_bounds(self)
 
     def delivery_delay_ns(self, rng) -> int | None:
         """Latency draw in ns, or None when the sentence is lost.

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .timebase import NS_PER_S, SimInstant, nearest_second
+from .timebase import (NS_PER_S, SimInstant, check_bounds, config_field,
+                       nearest_second)
 
 # An edge may not wander more than this from its UTC second.
 MAX_JITTER_BOUND_NS = 100_000
@@ -36,12 +37,11 @@ class PpsJitter:
     spread around it.
     """
 
-    half_width_ns: int = 30
+    half_width_ns: int = config_field(30, minimum=0)
     bias_ns: int = 0
 
     def __post_init__(self):
-        if self.half_width_ns < 0:
-            raise ValueError("half_width_ns must be >= 0")
+        check_bounds(self)
         if abs(self.bias_ns) + self.half_width_ns >= MAX_JITTER_BOUND_NS:
             raise ValueError(f"jitter bound must stay below {MAX_JITTER_BOUND_NS} ns")
 

@@ -3,8 +3,8 @@
 A scenario fixes everything a run needs: duration, seed, a temperature
 profile, a per-constellation satellite-visibility timeline, the node
 population (oscillator, receiver and servo parameters) and optional
-traffic experiments. Configurations are plain JSON; the schema ships in
-docs/scenario.schema.json.
+traffic experiments. Configurations are plain JSON; json_schema() writes
+their schema, committed as docs/scenario.schema.json.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import ClassVar, get_args, get_origin, get_type_hints
 from .nmea import SerialDeliveryModel
 from .pps import PpsJitter
 from .servo import ServoConfig, ServoMode
-from .timebase import OscillatorParams
+from .timebase import OscillatorParams, check_bounds, config_field
 
 DEFAULT_SEED = 1787
 
@@ -74,11 +74,10 @@ class RangeTemp:
     kind: ClassVar[str] = "range"
     lo: float
     hi: float
-    period_s: float
+    period_s: float = config_field(exclusiveMinimum=0)
 
     def __post_init__(self):
-        if self.period_s <= 0:
-            raise ValueError("period_s must be positive")
+        check_bounds(self)
 
     def at(self, t_s: float) -> float:
         phase = 2.0 * math.pi * t_s / self.period_s
@@ -90,11 +89,10 @@ class TraceTemp:
     """Piecewise-linear interpolation through (t_s, temp_c) points."""
 
     kind: ClassVar[str] = "trace"
-    points: tuple[tuple[float, float], ...]
+    points: tuple[tuple[float, float], ...] = config_field(minItems=2)
 
     def __post_init__(self):
-        if len(self.points) < 2:
-            raise SchemaError("temperature trace needs at least 2 points")
+        check_bounds(self)
         ts = [p[0] for p in self.points]
         if ts != sorted(ts):
             raise SchemaError("temperature trace must be time-sorted")
@@ -119,18 +117,15 @@ Temperature = ConstantTemp | RangeTemp | TraceTemp
 class VisibilitySeg:
     """Satellite counts per constellation over [t_start, t_end)."""
 
-    t_start: float
-    t_end: float
-    nsat_gps: int
-    nsat_bds: int
+    t_start: float = config_field(minimum=0)
+    t_end: float = config_field(exclusiveMinimum=0)
+    nsat_gps: int = config_field(minimum=0)
+    nsat_bds: int = config_field(minimum=0)
 
     def __post_init__(self):
-        if self.t_start < 0:
-            raise SchemaError("visibility segment must have t_start >= 0")
+        check_bounds(self)
         if self.t_end <= self.t_start:
             raise SchemaError("visibility segment must have t_end > t_start")
-        if self.nsat_gps < 0 or self.nsat_bds < 0:
-            raise SchemaError("satellite counts must be >= 0")
 
     def nsat(self, constellations) -> int:
         """Satellites usable by a receiver tracking those constellations."""
@@ -153,58 +148,42 @@ class ReceiverSpec:
     serial: SerialDeliveryModel = field(default_factory=SerialDeliveryModel,
                                         metadata={"flatten": "serial_"})
     est_path_delay_ns: int = 80_000_000
-    label_window_ns: int = 900_000_000
+    label_window_ns: int = config_field(900_000_000, exclusiveMinimum=0)
     stamp_bias_ns: int = 0
-    stamp_latency_ns: int = 0
+    stamp_latency_ns: int = config_field(0, minimum=0)
 
     def __post_init__(self):
-        if self.label_window_ns <= 0 or self.stamp_latency_ns < 0:
-            raise ValueError("label_window_ns must be positive and "
-                             "stamp_latency_ns >= 0")
+        check_bounds(self)
 
 
 @dataclass(frozen=True)
 class NodeSpec:
-    name: str
+    name: str = config_field(minLength=1)
     oscillator: OscillatorParams = field(default_factory=OscillatorParams)
     servo: ServoConfig = field(default_factory=ServoConfig)
-    constellations: frozenset[str] = frozenset(CONSTELLATIONS)
+    constellations: frozenset[str] = config_field(
+        frozenset(CONSTELLATIONS), minItems=1, items={"enum": CONSTELLATIONS})
     receiver: ReceiverSpec = field(default_factory=ReceiverSpec)
     initial_offset_ns: int = 0
 
     def __post_init__(self):
-        if not self.constellations or self.constellations - set(CONSTELLATIONS):
+        check_bounds(self)
+        if self.constellations - set(CONSTELLATIONS):
             raise SchemaError(f"node {self.name!r}: constellations must be a "
-                              f"non-empty subset of {list(CONSTELLATIONS)}")
-
-
-@dataclass(frozen=True)
-class TrafficSpec:
-    kind: str
-    rate_hz: float
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.kind not in TRAFFIC_PARAMS:
-            raise SchemaError(f"unknown traffic kind {self.kind!r}")
-        if self.rate_hz <= 0:
-            raise SchemaError("traffic rate must be positive")
+                              f"subset of {list(CONSTELLATIONS)}")
 
 
 @dataclass(frozen=True)
 class LinkModel:
     """One-way delays (possibly asymmetric) with uniform jitter."""
 
-    delay_up_ms: float = 20.0
-    delay_down_ms: float = 20.0
-    jitter_ms: float = 0.0
-    drop_prob: float = 0.0
+    delay_up_ms: float = config_field(20.0, minimum=0)
+    delay_down_ms: float = config_field(20.0, minimum=0)
+    jitter_ms: float = config_field(0.0, minimum=0)
+    drop_prob: float = config_field(0.0, minimum=0, exclusiveMaximum=1)
 
     def __post_init__(self):
-        if self.delay_up_ms < 0 or self.delay_down_ms < 0 or self.jitter_ms < 0:
-            raise ValueError("delays and jitter must be >= 0")
-        if not 0.0 <= self.drop_prob < 1.0:
-            raise ValueError("drop_prob must be in [0, 1)")
+        check_bounds(self)
 
     def one_way_ns(self, base_ms: float, rng) -> int:
         if self.drop_prob and rng.random() < self.drop_prob:
@@ -219,13 +198,12 @@ class BroadcastParams:
     longer and each delivery lost with `drop_prob`."""
 
     server: str
-    clients: tuple[str, ...]
+    clients: tuple[str, ...] = config_field(minItems=2)
     path_delta_ns: dict[str, int] = field(default_factory=dict)
-    drop_prob: float = 0.0
+    drop_prob: float = config_field(0.0, minimum=0, exclusiveMaximum=1)
 
     def __post_init__(self):
-        if len(self.clients) < 2:
-            raise ValueError("broadcast harness needs at least 2 clients")
+        check_bounds(self)
         if len(set(self.clients)) != len(self.clients):
             raise ValueError("clients must be distinct nodes")
 
@@ -244,13 +222,29 @@ class NtpParams:
 class TsfParams:
     """A beacon-timer contention run among its own `n_nodes` timers."""
 
-    n_nodes: int = 20
-    spread_ppm: float = 100.0
-    airtime_jitter_us: float = 2.0
+    n_nodes: int = config_field(20, minimum=1)
+    # net.TsfNode rejects a timer rate error beyond 100 ppm.
+    spread_ppm: float = config_field(100.0, minimum=0, maximum=100)
+    airtime_jitter_us: float = config_field(2.0, minimum=0)
+
+    def __post_init__(self):
+        check_bounds(self)
 
 
 TRAFFIC_PARAMS = {"broadcast": BroadcastParams, "ntp": NtpParams,
                   "tsf": TsfParams}
+
+
+@dataclass(frozen=True)
+class TrafficSpec:
+    kind: str = config_field(enum=tuple(TRAFFIC_PARAMS))
+    rate_hz: float = config_field(exclusiveMinimum=0)
+    params: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        check_bounds(self)
+        if self.kind not in TRAFFIC_PARAMS:
+            raise SchemaError(f"unknown traffic kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -269,18 +263,17 @@ class VisibilityStats:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    name: str
-    duration_s: float
+    name: str = config_field(minLength=1)
+    duration_s: float = config_field(exclusiveMinimum=0)
+    visibility: tuple[VisibilitySeg, ...] = config_field(minItems=1)
     seed: int = DEFAULT_SEED
     temperature: Temperature = field(
         default_factory=lambda: ConstantTemp(25.0))
-    visibility: tuple[VisibilitySeg, ...] = ()
     nodes: tuple[NodeSpec, ...] = ()
     traffic: tuple[TrafficSpec, ...] = ()
 
     def __post_init__(self):
-        if self.duration_s <= 0:
-            raise SchemaError("duration_s must be positive")
+        check_bounds(self)
         _check_visibility(self.visibility, self.duration_s)
         names = [n.name for n in self.nodes]
         if len(set(names)) != len(names):
@@ -296,8 +289,6 @@ class ScenarioConfig:
 
 
 def _check_visibility(segments, duration_s: float) -> None:
-    if not segments:
-        raise UncoveredInterval("visibility timeline is empty")
     segs = sorted(segments, key=lambda s: s.t_start)
     if segs[0].t_start > _COVER_TOL_S:
         raise UncoveredInterval(f"timeline starts at {segs[0].t_start}, not 0")
@@ -491,16 +482,9 @@ _hints = functools.cache(get_type_hints)
 
 
 @functools.cache
-def _keys(cls, prefix: str = "") -> frozenset:
+def _keys(cls) -> frozenset:
     """The JSON keys of a config class, flattened fields inlined."""
-    keys = set()
-    for f in fields(cls):
-        flat = f.metadata.get("flatten")
-        if flat is None:
-            keys.add(prefix + f.name)
-        else:
-            keys |= _keys(_hints(cls)[f.name], prefix + flat)
-    return frozenset(keys)
+    return frozenset(_properties(cls)[0])
 
 
 def _build(cls, obj: dict, path: str, base_dir, prefix: str = ""):
@@ -563,6 +547,74 @@ def dumps(cfg: ScenarioConfig) -> str:
 def save(cfg: ScenarioConfig, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dumps(cfg) + "\n")
+
+
+_JSON_TYPES = {bool: "boolean", int: "integer", float: "number",
+               str: "string", dict: "object"}
+
+
+def json_schema() -> dict:
+    """The JSON Schema of a scenario file, from the same field walk as the
+    codec: the type hints, the `flatten` prefixes, the temperature `kind`
+    tags and each field's schema metadata (its bounds included). A key is
+    required exactly when its field has no default. The traffic `params`
+    are only an object here; their keys are checked at load."""
+    return {"$schema": "https://json-schema.org/draft/2020-12/schema",
+            "title": "tsync scenario configuration",
+            **_schema(ScenarioConfig)}
+
+
+def _schema(tp) -> dict:
+    if tp == Temperature:
+        return {"oneOf": [_temperature_schema(c) for c in get_args(tp)]}
+    if is_dataclass(tp):
+        props, required = _properties(tp)
+        schema = {"type": "object", "required": required,
+                  "additionalProperties": False, "properties": props}
+        if not required:
+            del schema["required"]
+        return schema
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is dict:
+        return {"type": "object"}
+    if origin is frozenset or args[-1:] == (Ellipsis,):
+        return {"type": "array", "items": _schema(args[0])}
+    if origin is tuple:
+        return {"type": "array", "prefixItems": [_schema(a) for a in args],
+                "minItems": len(args), "maxItems": len(args)}
+    if issubclass(tp, Enum):
+        return {"enum": [m.value for m in tp]}
+    return {"type": _JSON_TYPES[tp]}
+
+
+def _properties(cls, prefix: str = "") -> tuple[dict, list]:
+    """The JSON schema of each key of a config class, flattened fields
+    inlined, and the keys that are required."""
+    props, required = {}, []
+    hints = _hints(cls)
+    for f in fields(cls):
+        tp = hints[f.name]
+        flat = f.metadata.get("flatten")
+        if flat is not None:
+            sub, sub_required = _properties(tp, prefix + flat)
+            props.update(sub)
+            required += sub_required
+            continue
+        props[prefix + f.name] = _schema(tp) | f.metadata
+        if f.default is MISSING and f.default_factory is MISSING:
+            required.append(prefix + f.name)
+    return props, required
+
+
+def _temperature_schema(cls) -> dict:
+    schema = _schema(cls)
+    schema["required"] = ["kind", *schema["required"]]
+    schema["properties"] = {"kind": {"const": cls.kind},
+                            **schema["properties"]}
+    if cls is TraceTemp:  # a CSV file may stand in for the points
+        schema["properties"]["file"] = {"type": "string"}
+        schema["required"].remove("points")
+    return schema
 
 
 # ---------------------------------------------------------------------------

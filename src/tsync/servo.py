@@ -15,6 +15,8 @@ from enum import Enum
 
 import numpy as np
 
+from .timebase import check_bounds, config_field
+
 # ppm expressed as ns of phase per second of elapsed time.
 NS_PER_S_PER_PPM = 1000.0
 
@@ -58,30 +60,21 @@ class OffsetSample:
 class ServoConfig:
     """Gains and thresholds of the discipline loop.
 
-    kp and ki are dimensionless per-update gains of a PI law applied in
-    velocity form; offsets beyond step_threshold_ns are stepped out
+    kp and ki are dimensionless gains of a PI law applied in velocity form
+    once per second; offsets beyond step_threshold_ns are stepped out
     instead of slewed.
     """
 
     mode: ServoMode = ServoMode.NMEA_PLUS_PPS
-    kp: float = 2.0**-5
-    ki: float = 2.0**-10
-    step_threshold_ns: int = 128_000_000
-    poll_interval_s: float = 1.0
-    holdover_window_s: float = 60.0
-    holdover_ma_points: int = 60
+    kp: float = config_field(2.0**-5, exclusiveMinimum=0)
+    ki: float = config_field(2.0**-10, exclusiveMinimum=0)
+    step_threshold_ns: int = config_field(128_000_000, exclusiveMinimum=0)
+    holdover_window_s: float = config_field(60.0, exclusiveMinimum=0)
+    holdover_ma_points: int = config_field(60, minimum=1)
     holdover_predict: bool = True
 
     def __post_init__(self):
-        if self.kp <= 0 or self.ki <= 0:
-            raise ValueError("gains must be positive")
-        if self.step_threshold_ns <= 0:
-            raise ValueError("step_threshold_ns must be positive")
-        if self.poll_interval_s <= 0:
-            raise ValueError("poll_interval_s must be positive")
-        if self.holdover_window_s <= 0 or self.holdover_ma_points < 1:
-            raise ValueError("holdover_window_s must be positive and "
-                             "holdover_ma_points >= 1")
+        check_bounds(self)
 
 
 @dataclass
@@ -106,7 +99,7 @@ def update(servo: ServoState, sample: OffsetSample) -> int:
     otherwise the step is 0 and the frequency correction is moved by the
     PI increment
 
-        d_freq = -(kp * (e - e_prev) + ki * e) / poll
+        d_freq = -(kp * (e - e_prev) + ki * e) / NS_PER_S_PER_PPM
 
     which telescopes to the classic proportional-plus-integral law on the
     offset history.
@@ -121,8 +114,7 @@ def update(servo: ServoState, sample: OffsetSample) -> int:
         servo.last_offset_ns = 0
         return -e
     de = e - servo.last_offset_ns
-    servo.freq_correction_ppm -= (cfg.kp * de + cfg.ki * e) / (
-        cfg.poll_interval_s * NS_PER_S_PER_PPM)
+    servo.freq_correction_ppm -= (cfg.kp * de + cfg.ki * e) / NS_PER_S_PER_PPM
     servo.last_offset_ns = e
     servo.offset_history.append((sample.elapsed_s, e))
     return 0

@@ -9,8 +9,10 @@ expressed as the Allan-deviation level at tau = 1 s.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -81,6 +83,65 @@ def nearest_second(t_ns: int) -> int:
     return (t_ns + NS_PER_S // 2) // NS_PER_S
 
 
+# ---------------------------------------------------------------------------
+# Config bounds: each is declared once, as field metadata in JSON Schema's
+# words. check_bounds enforces them; scenario.json_schema publishes them.
+
+_BOUND_TESTS = {
+    "minimum": operator.ge, "exclusiveMinimum": operator.gt,
+    "maximum": operator.le, "exclusiveMaximum": operator.lt,
+    "minLength": lambda value, n: len(value) >= n,
+    "minItems": lambda value, n: len(value) >= n,
+}
+
+
+def config_field(default=MISSING, **schema):
+    """A config dataclass field whose metadata holds JSON Schema keywords,
+    such as `config_field(0.0, minimum=0, exclusiveMaximum=1)`."""
+    return field(default=default, metadata=schema)
+
+
+@functools.cache
+def _bounds(cls) -> tuple:
+    """(field, ((test, bound), ...)) for each bounded field of cls."""
+    out = []
+    for f in fields(cls):
+        tests = tuple((_BOUND_TESTS[key], bound)
+                      for key, bound in f.metadata.items()
+                      if key in _BOUND_TESTS)
+        if tests:
+            out.append((f, tests))
+    return tuple(out)
+
+
+def check_bounds(config) -> None:
+    """Raise ValueError naming the first field of a config dataclass that
+    lies outside a bound its metadata declares. NaN passes no bound."""
+    for f, tests in _bounds(type(config)):
+        value = getattr(config, f.name)
+        for test, bound in tests:
+            if not test(value, bound):
+                raise ValueError(_bound_message(f.name, f.metadata))
+
+
+def _bound_message(name: str, meta) -> str:
+    size = meta.get("minLength", meta.get("minItems"))
+    if size is not None:
+        if size == 1:
+            return f"{name} must not be empty"
+        return f"at least {size} {name} required"
+    lo = meta.get("minimum", meta.get("exclusiveMinimum"))
+    hi = meta.get("maximum", meta.get("exclusiveMaximum"))
+    if lo is not None and hi is not None:
+        return (f"{name} must be in {'[' if 'minimum' in meta else '('}{lo}, "
+                f"{hi}{']' if 'maximum' in meta else ')'}")
+    if hi is not None:
+        return f"{name} must be {'<=' if 'maximum' in meta else '<'} {hi}"
+    if "minimum" in meta:
+        return f"{name} must be >= {lo}"
+    return f"{name} must be positive" if lo == 0 else f"{name} must be > {lo}"
+
+
 @dataclass(frozen=True)
 class OscillatorParams:
     """Static description of a free-running oscillator.
@@ -90,20 +151,16 @@ class OscillatorParams:
     (white FM), 0 (flicker FM) and +0.5 (random-walk FM).
     """
 
-    f0_ppm: float = 0.0
+    f0_ppm: float = config_field(0.0, minimum=-1000, maximum=1000)
     temp_coeff_ppm_per_c: float = 0.0
     ref_temp_c: float = 25.0
     aging_ppm_per_day: float = 0.0
-    noise_white_fm: float = 0.0
-    noise_flicker_fm: float = 0.0
-    noise_randomwalk_fm: float = 0.0
+    noise_white_fm: float = config_field(0.0, minimum=0)
+    noise_flicker_fm: float = config_field(0.0, minimum=0)
+    noise_randomwalk_fm: float = config_field(0.0, minimum=0)
 
     def __post_init__(self):
-        if abs(self.f0_ppm) > 1000.0:
-            raise ValueError("f0_ppm beyond 1000 ppm sanity bound")
-        for name in ("noise_white_fm", "noise_flicker_fm", "noise_randomwalk_fm"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        check_bounds(self)
 
     def freq_ppm_at(self, temp_c: float, elapsed_days: float) -> float:
         """Deterministic fractional frequency error in ppm."""

@@ -105,12 +105,26 @@ class TestRun:
         (("traffic",), [{"kind": "broadcast", "rate_hz": 10.0, "params": {
             "server": "bench", "clients": ["bench", "bench"]}}], {},
          "traffic[0].params: clients must be distinct nodes"),
+        (("traffic",), [{"kind": "tsf", "rate_hz": 1.0,
+                         "params": {"n_nodes": 0}}], {},
+         "traffic[0].params: n_nodes must be >= 1"),
+        (("traffic",), [{"kind": "tsf", "rate_hz": 1.0,
+                         "params": {"spread_ppm": 500}}], {},
+         "traffic[0].params: spread_ppm must be in [0, 100]"),
+        (("traffic",), [{"kind": "tsf", "rate_hz": 1.0,
+                         "params": {"airtime_jitter_us": -5}}], {},
+         "traffic[0].params: airtime_jitter_us must be >= 0"),
+        (("name",), "", {}, "scenario: name must not be empty"),
+        (("nodes", 0, "name"), "", {}, "nodes[0]: name must not be empty"),
     ], ids=["receiver-key-typo", "unknown-top-level-key", "glonass-only",
             "no-constellations", "nodes-as-object", "servo-null",
             "trace-file-missing", "trace-file-is-directory",
             "trace-file-not-utf8", "scenario-not-utf8", "range-period-zero",
             "label-window-zero", "traffic-param-typo",
-            "traffic-unknown-node", "broadcast-repeated-client"])
+            "traffic-unknown-node", "broadcast-repeated-client",
+            "tsf-no-nodes", "tsf-spread-past-100ppm",
+            "tsf-negative-airtime-jitter", "empty-scenario-name",
+            "empty-node-name"])
     def test_malformed_config_exits_2(self, runner, tmp_path, keys, value,
                                       files, match):
         short_lab(tmp_path, duration=30.0)

@@ -7,7 +7,8 @@ from tsync.net import (LinkModel, NoCommonPackets, PacketDropped, TsfNode,
                        tsf_advance, tsf_step)
 from tsync.pps import PpsJitter
 from tsync.scenario import (ConstantTemp, NodeSpec, ReceiverSpec,
-                            ScenarioConfig, TrafficSpec, VisibilitySeg)
+                            ScenarioConfig, TrafficSpec, TsfParams,
+                            VisibilitySeg)
 from tsync.servo import ServoConfig, ServoMode
 from tsync.timebase import ClockState
 
@@ -125,7 +126,8 @@ class TestTsf:
 
     def test_20_node_drift_order_of_magnitude(self):
         # average max spread comparable to the reported ~1e2 us scale
-        spreads, _ = run_tsf(n_nodes=20, spread_ppm=100.0,
+        spreads, _ = run_tsf(TsfParams(n_nodes=20, spread_ppm=100.0,
+                                       airtime_jitter_us=2.0),
                              beacon_interval_s=0.1024, n_beacons=3000, seed=2)
         mean_spread = float(spreads[100:].mean())
         assert 12.45 <= mean_spread <= 1245.0

@@ -123,6 +123,12 @@ class TestValidation:
                          for keys in _key_paths(doc)}
         assert set(_schema_paths(schema)) <= accepted
 
+    def test_published_schema_is_generated(self):
+        with open(os.path.join(DOCS, "scenario.schema.json"), "rb") as fh:
+            published = fh.read()
+        generated = json.dumps(scenario.json_schema(), indent=2) + "\n"
+        assert published == generated.encode()
+
     def test_values_past_every_schema_bound_rejected(self):
         with open(os.path.join(DOCS, "scenario.schema.json")) as fh:
             schema = json.load(fh)
@@ -157,6 +163,8 @@ class TestTrafficParams:
         ("harness_10pps", "clients", ["c1", "c1"], "distinct nodes"),
         ("lte_ntp", "client", "nobody", "no node is named 'nobody'"),
         ("lte_ntp", "drop_prob", 1.0, "drop_prob must be in"),
+        ("harness_10pps", "drop_prob", -0.3, "drop_prob must be in"),
+        ("harness_10pps", "drop_prob", 1.5, "drop_prob must be in"),
         ("lte_ntp", "delay_up_ms", "slow", "could not convert"),
     ])
     def test_bad_params_rejected_at_load(self, name, key, value, match):
