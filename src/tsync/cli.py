@@ -76,11 +76,12 @@ def _run_one(cfg: scenario.ScenarioConfig, out_dir: str) -> dict:
         _write_atomic(os.path.join(out_dir, name), text)
         files.append(name)
 
-    broadcast = [t for t in cfg.traffic if t.kind == "broadcast"]
+    traffic = {t.kind: t for t in cfg.traffic}  # at most one per kind
+    broadcast = traffic.get("broadcast")
     bcast = None
     if broadcast:
-        bcast, result = net.run_broadcast(cfg, broadcast[0].rate_hz,
-                                          cfg.duration_s, broadcast[0])
+        bcast, result = net.run_broadcast(cfg, broadcast.rate_hz,
+                                          cfg.duration_s, broadcast)
     else:
         result = engine.run_scenario(cfg)
 
@@ -96,7 +97,7 @@ def _run_one(cfg: scenario.ScenarioConfig, out_dir: str) -> dict:
 
     summary = result.summary()
     if bcast:
-        a, b = scenario.traffic_params(cfg, broadcast[0]).clients[:2]
+        a, b = scenario.traffic_params(cfg, broadcast).clients[:2]
         packets, offsets, skipped = net.pairwise_offsets(bcast, a, b)
         rows = zip(packets.tolist(), bcast.send_ns[packets].tolist(),
                    bcast.stamp_ns[a][packets].tolist(),
@@ -111,8 +112,8 @@ def _run_one(cfg: scenario.ScenarioConfig, out_dir: str) -> dict:
             "max_abs_ns": int(abs(offsets).max()),
         }
 
-    for entry in (t for t in cfg.traffic if t.kind == "ntp"):
-        rows = net.run_ntp(cfg, entry)
+    if "ntp" in traffic:
+        rows = net.run_ntp(cfg, traffic["ntp"])
         lines = [NTP_HEADER]
         lines += [f"{t:.3f},{off},{dly},{tru}" for t, off, dly, tru in rows]
         emit("ntp.csv", "\n".join(lines) + "\n")
@@ -120,8 +121,8 @@ def _run_one(cfg: scenario.ScenarioConfig, out_dir: str) -> dict:
         summary["ntp"] = {"n": len(rows),
                           "mean_abs_offset_ns": sum(ests) / len(ests) if ests else 0.0}
 
-    for entry in (t for t in cfg.traffic if t.kind == "tsf"):
-        rows = net.run_tsf_traffic(cfg, entry)
+    if "tsf" in traffic:
+        rows = net.run_tsf_traffic(cfg, traffic["tsf"])
         lines = [TSF_HEADER]
         lines += [f"{t:.4f},{s}" for t, s in rows]
         emit("tsf.csv", "\n".join(lines) + "\n")
@@ -338,9 +339,10 @@ def replay(nmea_log, pps_log, mode, preset_name, scenario_path, node_name,
             servo.NonMonotonicSample) as exc:  # Overflow: past 64 bits
         click.echo(f"replay error: {exc}", err=True)
         sys.exit(1)
-    except NoiseExhausted:
-        click.echo(f"replay error: the capture runs longer than the "
-                   f"scenario's {cfg.duration_s:g} s duration", err=True)
+    except NoiseExhausted as exc:
+        click.echo(f"replay error: the capture has more measured events "
+                   f"than the noise stream of a {cfg.duration_s:g} s "
+                   f"scenario holds ({exc})", err=True)
         sys.exit(1)
     for w in warnings:
         log.warning("replay: %s", w)

@@ -5,7 +5,7 @@ to satellite visibility); the configured servo mode decides which of
 those events measure and steer the clock. During a total outage the loop
 records the monitored true offset once per second, exactly like the
 reference node in a multi-receiver bench, and can bridge the gap with the
-fitted linear drift model.
+linear drift model fitted to that outage's own samples.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 from . import nmea, pps, scenario, servo as servo_mod
 from .nmea import GnssFix, SentenceKind
 from .scenario import NodeSpec, ScenarioConfig
-from .servo import OffsetSample, SampleSource, ServoMode, ServoState
+from .servo import SampleSource, ServoMode, ServoState
 from .timebase import (ClockState, FS_PER_NS, NS_PER_S, NoiseStream,
                        SimInstant, TimeReversalError, advance, nearest_second,
                        read_clock, slew_phase)
@@ -34,7 +34,8 @@ class OutsideScenario(ValueError):
 
 @dataclass
 class LoopRow:
-    """One servo-loop log record."""
+    """One offset sample (node minus reference, ns) and the loop state
+    after it: the servo-loop log record."""
 
     elapsed_s: float
     offset_ns: int
@@ -53,13 +54,15 @@ LOOP_HEADER = "elapsed_s,offset_ns,freq_correction_ppm,source,holdover"
 
 @dataclass
 class HoldoverSegment:
-    """Summary of one signal-outage interval for a node."""
+    """Summary of one signal-outage interval for a node; `samples` holds
+    its monitored (elapsed_s, offset_ns) pairs up to the drift fit."""
 
     start_s: float
     end_s: float = 0.0
     end_offset_ns: int = 0
     predicted: bool = False
     slope_ns_per_s: float = 0.0
+    samples: list = field(default_factory=list)
 
 
 class BlockDraws:
@@ -152,19 +155,20 @@ class NodeSim:
             extra -= self.outage.slope_ns_per_s / 1000.0
         return read_clock(self.clock, t_ns, extra)
 
-    def _log(self, sample: OffsetSample) -> None:
-        self.loop_rows.append(LoopRow(sample.elapsed_s, sample.offset_ns,
+    def _log(self, elapsed_s: float, offset_ns: int,
+             source: SampleSource) -> None:
+        self.loop_rows.append(LoopRow(elapsed_s, offset_ns,
                                       self.servo.freq_correction_ppm,
-                                      sample.source.value, self.holdover))
+                                      source.value, self.holdover))
 
     def _apply_reading(self, t_ns: int, reading_ns: int,
                        source: SampleSource) -> None:
         """Steer by the clock's reading at true time `t_ns`."""
-        sample = OffsetSample(t_ns / NS_PER_S, reading_ns - t_ns, source)
-        step_ns = servo_mod.update(self.servo, sample)
+        elapsed_s, offset_ns = t_ns / NS_PER_S, reading_ns - t_ns
+        step_ns = servo_mod.update(self.servo, elapsed_s, offset_ns)
         if step_ns:
             self.clock = slew_phase(self.clock, step_ns * FS_PER_NS)
-        self._log(sample)
+        self._log(elapsed_s, offset_ns, source)
 
     # -- outage bookkeeping ------------------------------------------------
 
@@ -178,20 +182,16 @@ class NodeSim:
         if seg is None:
             seg = self.outage = HoldoverSegment(float(boundary - 1))
             self.holdover_segments.append(seg)
-            self.servo.offset_history.clear()
-            self.holdover = False
             self.pending = None
         self._advance_to(boundary * NS_PER_S, temp_c)
-        sample = OffsetSample(float(boundary), self.clock.phase_offset_ns,
-                              SampleSource.HOLDOVER)
-        seg.end_offset_ns = sample.offset_ns
-        self._log(sample)
+        offset_ns = seg.end_offset_ns = self.clock.phase_offset_ns
+        self._log(float(boundary), offset_ns, SampleSource.HOLDOVER)
         if self.holdover:
             return
-        servo_mod.observe(self.servo, sample)
-        hist = self.servo.offset_history
-        if hist[-1][0] - hist[0][0] >= servo_mod.MIN_HOLDOVER_SPAN_S:
-            seg.slope_ns_per_s = servo_mod.enter_holdover(self.servo)
+        seg.samples.append((float(boundary), offset_ns))
+        if boundary - seg.samples[0][0] >= servo_mod.MIN_HOLDOVER_SPAN_S:
+            seg.slope_ns_per_s = servo_mod.enter_holdover(self.spec.servo,
+                                                          seg.samples)
             self.holdover = True
             if self.spec.servo.holdover_predict:
                 seg.predicted = True
@@ -385,13 +385,14 @@ def run_replay(cfg: ScenarioConfig, spec: NodeSpec, nmea_events,
 
     nmea_events are (arrival_ns, named_ns, fix_valid) tuples; pps_edges
     are true edge times in ns. Every second of the capture must lie in the
-    scenario's seconds 1..duration, else OutsideScenario. Clock physics
-    are rebuilt from the scenario node spec and seed, and the events go
-    through the same `NodeSim` handlers as a live run, so replaying a
-    run's own event logs reproduces its loop log exactly for outage-free,
-    drop-free runs at constant temperature. Two departures remain:
-    temperature is taken at each event's time instead of at the start of
-    its second, and nothing advances the clock through an outage.
+    scenario's seconds 1..duration, else OutsideScenario. `spec` names a
+    node of `cfg`; clock physics are rebuilt from it and from the seed a
+    live run gives that node, and the events go through the same `NodeSim`
+    handlers as a live run, so replaying a run's own event logs reproduces
+    its loop log exactly for outage-free, drop-free runs at constant
+    temperature. Two departures remain: temperature is taken at each
+    event's time instead of at the start of its second, and nothing
+    advances the clock through an outage.
     """
     first, last = capture_seconds(nmea_events, pps_edges)
     for second in (first, last):
@@ -399,11 +400,9 @@ def run_replay(cfg: ScenarioConfig, spec: NodeSpec, nmea_events,
             raise OutsideScenario(
                 f"the capture's second {second} lies outside the "
                 f"scenario's {cfg.duration_s:g} s")
-    names = [n.name for n in cfg.nodes]
-    node_index = names.index(spec.name) if spec.name in names else 0
-    root = np.random.SeedSequence(cfg.seed)
-    seqs = root.spawn(max(len(cfg.nodes), node_index + 1))
-    sim = NodeSim(cfg, spec, seqs[node_index])
+    index = [n.name for n in cfg.nodes].index(spec.name)
+    seqs = np.random.SeedSequence(cfg.seed).spawn(len(cfg.nodes))
+    sim = NodeSim(cfg, spec, seqs[index])
 
     # Edges sort ahead of sentences arriving at the same instant.
     merged = [(t, sim.on_edge, (t,)) for t in pps_edges]

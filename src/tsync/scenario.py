@@ -23,7 +23,7 @@ from typing import ClassVar, get_args, get_origin, get_type_hints
 from .nmea import SerialDeliveryModel
 from .pps import PpsJitter
 from .servo import ServoConfig, ServoMode
-from .timebase import OscillatorParams, check_bounds, config_field
+from .timebase import OscillatorParams, OutOfBounds, check_bounds, config_field
 
 DEFAULT_SEED = 1787
 
@@ -278,6 +278,11 @@ class ScenarioConfig:
         names = [n.name for n in self.nodes]
         if len(set(names)) != len(names):
             raise SchemaError("node names must be unique")
+        kinds = [t.kind for t in self.traffic]
+        for i, kind in enumerate(kinds):
+            if kind in kinds[:i]:
+                raise SchemaError(f"traffic[{i}]: a second {kind!r} entry; "
+                                  f"at most one entry per kind")
         for i, traffic in enumerate(self.traffic):
             traffic_params(self, traffic, f"traffic[{i}].params")
 
@@ -507,6 +512,10 @@ def _build(cls, obj: dict, path: str, base_dir, prefix: str = ""):
         return cls(**kwargs)
     except SchemaError:
         raise
+    except OutOfBounds as exc:  # a flattened field goes by its JSON key
+        name, meta = exc.args
+        raise SchemaError(f"{path or 'scenario'}: "
+                          f"{OutOfBounds(prefix + name, meta)}") from exc
     except ValueError as exc:
         raise SchemaError(f"{path or 'scenario'}: {exc}") from exc
 

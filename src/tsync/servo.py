@@ -1,16 +1,16 @@
-"""Clock discipline: the PI law, the offset history and the slope fit.
+"""Clock discipline: the PI law and the holdover slope fit.
 
 The servo consumes offset samples from one of three sources (sentence
 stream only, pulse train only, or pulses labelled by sentences) and
 produces phase steps or frequency corrections. During a total signal
-outage an externally observed offset history can be fitted with a linear
-drift model; the caller owns the outage and decides what the slope steers.
+outage the offsets monitored since it began can be fitted with a linear
+drift model; the caller owns the outage, its samples and what the slope
+steers.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -20,10 +20,8 @@ from .timebase import check_bounds, config_field
 # ppm expressed as ns of phase per second of elapsed time.
 NS_PER_S_PER_PPM = 1000.0
 
-# Minimum history span before a drift slope is considered trustworthy.
+# Minimum sample span before a drift slope is considered trustworthy.
 MIN_HOLDOVER_SPAN_S = 60.0
-
-HISTORY_CAPACITY = 4096
 
 
 class NonMonotonicSample(ValueError):
@@ -45,15 +43,6 @@ class SampleSource(str, Enum):
     PPS = "PPS"
     COMBINED = "COMBINED"
     HOLDOVER = "HOLDOVER"
-
-
-@dataclass(frozen=True)
-class OffsetSample:
-    """One measured clock offset (node minus reference) in ns."""
-
-    elapsed_s: float
-    offset_ns: int
-    source: SampleSource
 
 
 @dataclass(frozen=True)
@@ -84,52 +73,42 @@ class ServoState:
     config: ServoConfig
     freq_correction_ppm: float = 0.0
     last_offset_ns: int = 0
-    offset_history: deque = field(
-        default_factory=lambda: deque(maxlen=HISTORY_CAPACITY))
+    # Time of the last sample the loop took; None after a step.
+    last_elapsed_s: float | None = None
 
     @property
     def mode(self) -> ServoMode:
         return self.config.mode
 
 
-def update(servo: ServoState, sample: OffsetSample) -> int:
-    """Fold one offset sample into the loop; returns the phase step in ns.
+def update(servo: ServoState, elapsed_s: float, offset_ns: int) -> int:
+    """Fold one offset (node minus reference, ns) measured at `elapsed_s`
+    into the loop; returns the phase step in ns.
 
-    Large offsets are stepped out (history cleared, step -offset);
-    otherwise the step is 0 and the frequency correction is moved by the
-    PI increment
+    Large offsets are stepped out (step -offset, and the next sample is
+    checked against none); otherwise the step is 0 and the frequency
+    correction is moved by the PI increment
 
         d_freq = -(kp * (e - e_prev) + ki * e) / NS_PER_S_PER_PPM
 
     which telescopes to the classic proportional-plus-integral law on the
-    offset history.
+    offsets since the last step.
     """
     cfg = servo.config
-    if servo.offset_history and sample.elapsed_s <= servo.offset_history[-1][0]:
+    last = servo.last_elapsed_s
+    if last is not None and elapsed_s <= last:
         raise NonMonotonicSample(
-            f"sample at {sample.elapsed_s}s not after history tail")
-    e = sample.offset_ns
+            f"sample at {elapsed_s}s not after the last at {last}s")
+    e = offset_ns
     if abs(e) > cfg.step_threshold_ns:
-        servo.offset_history.clear()
         servo.last_offset_ns = 0
+        servo.last_elapsed_s = None
         return -e
     de = e - servo.last_offset_ns
     servo.freq_correction_ppm -= (cfg.kp * de + cfg.ki * e) / NS_PER_S_PER_PPM
     servo.last_offset_ns = e
-    servo.offset_history.append((sample.elapsed_s, e))
+    servo.last_elapsed_s = elapsed_s
     return 0
-
-
-def observe(servo: ServoState, sample: OffsetSample) -> None:
-    """Record an externally measured offset without steering the loop.
-
-    Used for the monitored drift series during an outage; these samples
-    feed the holdover slope fit only.
-    """
-    if servo.offset_history and sample.elapsed_s <= servo.offset_history[-1][0]:
-        raise NonMonotonicSample(
-            f"sample at {sample.elapsed_s}s not after history tail")
-    servo.offset_history.append((sample.elapsed_s, sample.offset_ns))
 
 
 def _moving_average(values: np.ndarray, window: int) -> np.ndarray:
@@ -139,19 +118,18 @@ def _moving_average(values: np.ndarray, window: int) -> np.ndarray:
     return np.convolve(values, kernel, mode="valid")
 
 
-def enter_holdover(servo: ServoState) -> float:
-    """Fit the drift slope (ns/s) from recent history.
+def enter_holdover(cfg: ServoConfig, samples) -> float:
+    """Fit the drift slope (ns/s) from an outage's (elapsed_s, offset_ns)
+    samples, in time order.
 
     The slope is an ordinary least-squares fit over the moving-averaged
-    tail of the offset history.
+    tail of the samples.
     """
-    cfg = servo.config
-    hist = list(servo.offset_history)
-    if len(hist) < 2 or hist[-1][0] - hist[0][0] < MIN_HOLDOVER_SPAN_S:
+    if len(samples) < 2 or samples[-1][0] - samples[0][0] < MIN_HOLDOVER_SPAN_S:
         raise InsufficientHistory(
             f"need >= 2 samples spanning >= {MIN_HOLDOVER_SPAN_S:.0f} s")
-    t_last = hist[-1][0]
-    window = [(t, v) for t, v in hist if t >= t_last - cfg.holdover_window_s]
+    t_last = samples[-1][0]
+    window = [(t, v) for t, v in samples if t >= t_last - cfg.holdover_window_s]
     ts = np.array([t for t, _ in window])
     vs = np.array([float(v) for _, v in window])
     w = min(cfg.holdover_ma_points, max(1, ts.size // 4), ts.size - 1)

@@ -114,14 +114,22 @@ def _bounds(cls) -> tuple:
     return tuple(out)
 
 
+class OutOfBounds(ValueError):
+    """A config field lies outside a bound its metadata declares; the
+    args are the field's name and its metadata."""
+
+    def __str__(self) -> str:
+        return _bound_message(*self.args)
+
+
 def check_bounds(config) -> None:
-    """Raise ValueError naming the first field of a config dataclass that
+    """Raise OutOfBounds naming the first field of a config dataclass that
     lies outside a bound its metadata declares. NaN passes no bound."""
     for f, tests in _bounds(type(config)):
         value = getattr(config, f.name)
         for test, bound in tests:
             if not test(value, bound):
-                raise ValueError(_bound_message(f.name, f.metadata))
+                raise OutOfBounds(f.name, dict(f.metadata))
 
 
 def _bound_message(name: str, meta) -> str:
@@ -357,7 +365,7 @@ class NoiseStream:
         if self._silent:
             return 0.0
         if self._i >= self._n:
-            raise NoiseExhausted("noise stream exhausted; size the stream to the run")
+            raise NoiseExhausted(f"all {self._n} noise draws used")
         i = self._i
         self._i = i + 1
         dt_s = dt_ns / NS_PER_S

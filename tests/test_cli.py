@@ -96,6 +96,10 @@ class TestRun:
                             "period_s": 0}, {}, "period_s must be positive"),
         (("nodes", 0, "receiver", "label_window_ns"), 0, {},
          "label_window_ns must be positive"),
+        (("nodes", 0, "receiver", "serial_jitter_ms"), -1, {},
+         "nodes[0].receiver: serial_jitter_ms must be >= 0"),
+        (("nodes", 0, "receiver", "pps_half_width_ns"), -1, {},
+         "nodes[0].receiver: pps_half_width_ns must be >= 0"),
         (("traffic",), [{"kind": "broadcast", "rate_hz": 10.0, "params": {
             "server": "bench", "clinets": ["bench"]}}], {},
          "traffic[0].params: unknown key 'clinets'"),
@@ -114,16 +118,25 @@ class TestRun:
         (("traffic",), [{"kind": "tsf", "rate_hz": 1.0,
                          "params": {"airtime_jitter_us": -5}}], {},
          "traffic[0].params: airtime_jitter_us must be >= 0"),
+        (("traffic",), [{"kind": "ntp", "rate_hz": 1.0},
+                        {"kind": "ntp", "rate_hz": 2.0}], {},
+         "traffic[1]: a second 'ntp' entry; at most one entry per kind"),
+        (("traffic",), [{"kind": "tsf", "rate_hz": 1.0},
+                        {"kind": "broadcast", "rate_hz": 10.0},
+                        {"kind": "broadcast", "rate_hz": 10.0}], {},
+         "traffic[2]: a second 'broadcast' entry"),
         (("name",), "", {}, "scenario: name must not be empty"),
         (("nodes", 0, "name"), "", {}, "nodes[0]: name must not be empty"),
     ], ids=["receiver-key-typo", "unknown-top-level-key", "glonass-only",
             "no-constellations", "nodes-as-object", "servo-null",
             "trace-file-missing", "trace-file-is-directory",
             "trace-file-not-utf8", "scenario-not-utf8", "range-period-zero",
-            "label-window-zero", "traffic-param-typo",
+            "label-window-zero", "receiver-serial-jitter-negative",
+            "receiver-pps-half-width-negative", "traffic-param-typo",
             "traffic-unknown-node", "broadcast-repeated-client",
             "tsf-no-nodes", "tsf-spread-past-100ppm",
-            "tsf-negative-airtime-jitter", "empty-scenario-name",
+            "tsf-negative-airtime-jitter", "ntp-entry-repeated",
+            "broadcast-entry-repeated", "empty-scenario-name",
             "empty-node-name"])
     def test_malformed_config_exits_2(self, runner, tmp_path, keys, value,
                                       files, match):
@@ -392,6 +405,32 @@ class TestReplay:
         assert res.output.startswith("replay error:")
         assert "100 s" in res.output
         assert len(res.output.strip().splitlines()) == 1
+        assert not (tmp_path / "rp" / "loop_replay.csv").exists()
+
+    def test_more_events_than_noise_draws_fails_cleanly(self, runner,
+                                                         tmp_path):
+        # 284 edges inside seconds 1-29, each one clock advance, against
+        # the 2 x 30 + 16 draws of a 30 s scenario's noise stream.
+        cfg = dataclasses.replace(
+            scenario.preset("suburban"), duration_s=30.0,
+            visibility=(scenario.VisibilitySeg(0.0, 30.0, 7, 5),))
+        path = tmp_path / "suburban_30s.json"
+        scenario.save(cfg, path)
+        out = tmp_path / "run"
+        assert runner.invoke(main, ["run", str(path), "--out", str(out)]
+                             ).exit_code == 0
+        edges = [10**9 + k * 10**8 for k in range(284)]
+        (tmp_path / "dense.log").write_text("".join(f"{e}\n" for e in edges))
+        res = runner.invoke(main, [
+            "replay", str(out / "nmea_vehicle.log"),
+            "--pps", str(tmp_path / "dense.log"),
+            "--scenario", str(path), "--out", str(tmp_path / "rp")])
+        assert res.exit_code == 1
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert res.output == (
+            "replay error: the capture has more measured events than the "
+            "noise stream of a 30 s scenario holds (all 76 noise draws "
+            "used)\n")
         assert not (tmp_path / "rp" / "loop_replay.csv").exists()
 
     def test_repeated_pps_edge_fails_cleanly(self, runner, tmp_path):

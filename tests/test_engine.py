@@ -272,6 +272,18 @@ class TestOutage:
                                range(int(fit_s) + 1, int(seg.end_s) + 1)]
         assert all(r.source == "HOLDOVER" for r in rows if r.holdover)
 
+    def test_slope_fits_only_the_outages_own_samples(self):
+        # The fit comes once the monitored offsets span 60 s: at the 61st
+        # HOLDOVER row, and from those rows alone.
+        cfg = scenario.preset("tunnel_5km")
+        res = engine.run_scenario(cfg)
+        (seg,) = res.holdover_segments["vehicle"]
+        hold = [(r.elapsed_s, r.offset_ns) for r in res.loop_rows["vehicle"]
+                if r.source == "HOLDOVER"
+                and seg.start_s < r.elapsed_s <= seg.end_s]
+        assert seg.slope_ns_per_s == servo.enter_holdover(
+            cfg.nodes[0].servo, hold[:61])
+
     def test_holdover_flag_in_rows(self):
         res = engine.run_scenario(self.outage_cfg(predict=True))
         flagged = [r for r in res.loop_rows["n0"] if r.holdover]

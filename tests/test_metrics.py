@@ -47,8 +47,9 @@ class TestMeanStd:
 
     def test_shipped_suburban_sample(self):
         path = os.path.join(DATA, "suburban_sample.csv")
-        offsets = [int(line.split(",")[1])
-                   for line in open(path).read().splitlines()[1:]]
+        with open(path) as fh:
+            offsets = [int(line.split(",")[1])
+                       for line in fh.read().splitlines()[1:]]
         mean, _ = mean_std(offsets)
         assert mean == pytest.approx(533.0, abs=5.0)
 

@@ -1,13 +1,9 @@
 import numpy as np
 import pytest
 
-from tsync.servo import (InsufficientHistory, NonMonotonicSample, OffsetSample,
-                         SampleSource, ServoConfig, ServoMode, ServoState,
-                         enter_holdover, observe, update)
-
-
-def pps_sample(t: float, offset: int) -> OffsetSample:
-    return OffsetSample(t, offset, SampleSource.PPS)
+from tsync.servo import (InsufficientHistory, NonMonotonicSample,
+                         ServoConfig, ServoMode, ServoState, enter_holdover,
+                         update)
 
 
 def closed_loop(f_osc_ppm, n_updates, noise=None, cfg=None, start_phase=0.0):
@@ -18,7 +14,7 @@ def closed_loop(f_osc_ppm, n_updates, noise=None, cfg=None, start_phase=0.0):
     for k in range(1, n_updates + 1):
         phase += (f_osc_ppm + servo.freq_correction_ppm) * 1000.0
         e = int(round(phase + (noise[k - 1] if noise is not None else 0.0)))
-        phase += update(servo, pps_sample(float(k), e))
+        phase += update(servo, float(k), e)
         offsets.append(e)
     return servo, phase, offsets
 
@@ -26,19 +22,18 @@ def closed_loop(f_osc_ppm, n_updates, noise=None, cfg=None, start_phase=0.0):
 class TestUpdate:
     def test_zero_offset_is_noop(self):
         servo = ServoState(ServoConfig())
-        assert update(servo, pps_sample(1.0, 0)) == 0
+        assert update(servo, 1.0, 0) == 0
         assert servo.freq_correction_ppm == 0.0
 
     def test_step_beyond_threshold(self):
         servo = ServoState(ServoConfig())
-        assert update(servo, pps_sample(1.0, 500_000_000)) == -500_000_000
-        assert not servo.offset_history
+        assert update(servo, 1.0, 500_000_000) == -500_000_000
         assert servo.freq_correction_ppm == 0.0
 
     def test_step_idempotence(self):
         servo, phase, _ = closed_loop(0.0, 1, start_phase=5e8)
         assert phase == 0.0
-        assert update(servo, pps_sample(2.0, int(phase))) == 0
+        assert update(servo, 2.0, int(phase)) == 0
         assert servo.freq_correction_ppm == 0.0
 
     def test_convergence_to_constant_frequency_error(self):
@@ -59,59 +54,68 @@ class TestUpdate:
 
     def test_non_monotonic_rejected(self):
         servo = ServoState(ServoConfig())
-        update(servo, pps_sample(5.0, 10))
+        update(servo, 5.0, 10)
         with pytest.raises(NonMonotonicSample):
-            update(servo, pps_sample(5.0, 12))
+            update(servo, 5.0, 12)
 
-    def test_history_appended_and_holdover_cleared(self):
-        # The fit leaves the loop as it was: the next sample steers it.
+    def test_step_resets_the_monotonicity_check(self):
         servo = ServoState(ServoConfig())
-        for t in range(1, 70):
-            observe(servo, pps_sample(float(t), 100))
-        assert list(servo.offset_history)[:2] == [(1.0, 100), (2.0, 100)]
-        assert enter_holdover(servo) == pytest.approx(0.0, abs=1e-9)
-        assert update(servo, pps_sample(100.0, 3)) == 0
-        assert servo.offset_history[-1] == (100.0, 3)
-        assert servo.freq_correction_ppm != 0.0
+        update(servo, 5.0, 10)
+        assert update(servo, 6.0, 500_000_000) == -500_000_000
+        assert update(servo, 6.0, 3) == 0
+        with pytest.raises(NonMonotonicSample):
+            update(servo, 6.0, 3)
+
+    def test_fit_leaves_the_loop_as_it_was(self):
+        servo = ServoState(ServoConfig())
+        update(servo, 1.0, 40)
+        before = (servo.freq_correction_ppm, servo.last_offset_ns,
+                  servo.last_elapsed_s)
+        samples = [(float(t), 100) for t in range(2, 70)]
+        assert enter_holdover(servo.config, samples) == \
+            pytest.approx(0.0, abs=1e-9)
+        assert (servo.freq_correction_ppm, servo.last_offset_ns,
+                servo.last_elapsed_s) == before
+        assert update(servo, 100.0, 3) == 0
+        assert servo.freq_correction_ppm != before[0]
 
 
 class TestHoldover:
+    CFG = ServoConfig(holdover_window_s=120.0)
+
     @staticmethod
-    def ramp_history(slope_ns_per_s, n_s, noise_sigma=0.0, seed=0):
+    def ramp(slope_ns_per_s, n_s, noise_sigma=0.0, seed=0):
         rng = np.random.default_rng(seed)
-        servo = ServoState(ServoConfig(holdover_window_s=120.0))
+        samples = []
         for t in range(1, n_s + 1):
             off = slope_ns_per_s * t + (rng.normal(0, noise_sigma)
                                         if noise_sigma else 0.0)
-            observe(servo, OffsetSample(float(t), int(round(off)),
-                                        SampleSource.HOLDOVER))
-        return servo
+            samples.append((float(t), int(round(off))))
+        return samples
 
     def test_zero_drift_gives_zero_slope(self):
-        servo = self.ramp_history(0.0, 90)
-        assert enter_holdover(servo) == pytest.approx(0.0, abs=1e-9)
+        assert enter_holdover(self.CFG, self.ramp(0.0, 90)) == \
+            pytest.approx(0.0, abs=1e-9)
 
     def test_free_run_drift_slope_recovered(self):
         # 80 us/h uncorrected drift with some measurement noise
-        servo = self.ramp_history(80_000 / 3600, 120, noise_sigma=30.0, seed=4)
-        assert enter_holdover(servo) == pytest.approx(22.22, rel=0.10)
+        samples = self.ramp(80_000 / 3600, 120, noise_sigma=30.0, seed=4)
+        assert enter_holdover(self.CFG, samples) == \
+            pytest.approx(22.22, rel=0.10)
 
     def test_linear_history_is_exact(self):
-        slope = enter_holdover(self.ramp_history(17.0, 90))
+        slope = enter_holdover(self.CFG, self.ramp(17.0, 90))
         assert abs(slope - 17.0) < 1.0
         assert slope * 50.0 == pytest.approx(17.0 * 50.0, abs=50.0)
 
     def test_insufficient_history(self):
-        servo = ServoState(ServoConfig())
-        observe(servo, pps_sample(1.0, 0))
         with pytest.raises(InsufficientHistory):
-            enter_holdover(servo)
-        servo2 = self.ramp_history(1.0, 30)  # spans < 60 s
-        with pytest.raises(InsufficientHistory):
-            enter_holdover(servo2)
+            enter_holdover(self.CFG, [(1.0, 0)])
+        with pytest.raises(InsufficientHistory):  # spans < 60 s
+            enter_holdover(self.CFG, self.ramp(1.0, 30))
 
     def test_tunnel_scale_prediction(self):
-        slope = enter_holdover(self.ramp_history(22.2, 120))
+        slope = enter_holdover(self.CFG, self.ramp(22.2, 120))
         # five minutes of outage at the fitted slope
         assert slope * 300.0 == pytest.approx(6660.0, rel=0.05)
 
