@@ -28,10 +28,6 @@ NTP_HEADER = "t_s,offset_est_ns,delay_est_ns,truth_offset_ns"
 TSF_HEADER = "t_s,max_spread_us"
 
 
-class UnsortedLog(ValueError):
-    pass
-
-
 class FormatError(ValueError):
     pass
 
@@ -87,13 +83,13 @@ def _run_one(cfg: scenario.ScenarioConfig, out_dir: str) -> dict:
 
     for name, rows in result.loop_rows.items():
         emit(f"loop_{name}.csv", _loop_csv(rows))
-    for name, lines in result.nmea_logs.items():
-        if lines:
-            emit(f"nmea_{name}.log",
-                 "".join(f"{rx} {line}\n" for rx, line in lines))
+    for name, bursts in result.nmea_logs.items():
+        if bursts:
+            emit(f"nmea_{name}.log", nmea.format_log(
+                bursts, cfg.node(name).constellations))
     for name, edges in result.pps_logs.items():
         if edges:
-            emit(f"pps_{name}.log", "".join(f"{e}\n" for e in edges))
+            emit(f"pps_{name}.log", pps.format_log(edges))
 
     summary = result.summary()
     if bcast:
@@ -162,6 +158,9 @@ def run(scenario_paths, presets, seed, out_root, jobs):
             configs.append(scenario.load(path))
         for name in presets:
             configs.append(scenario.preset(name))
+        for i, cfg in enumerate(configs):
+            if cfg.name in [c.name for c in configs[:i]]:
+                raise scenario.SchemaError(f"scenario name {cfg.name!r} given twice")
     except scenario.UnknownPreset as exc:
         click.echo(f"unknown preset: {exc}", err=True)
         sys.exit(2)
@@ -275,33 +274,6 @@ def analyze(logs, fmt, out_dir):
 # replay
 
 
-def _parse_nmea_events(path: str, assumed_latency_ms: float):
-    """Sentence stream as (arrival_ns, named_ns, fix_valid) tuples."""
-    events = []
-    last_date = None
-    last_rx = None
-    for lineno, rx_ns, line in nmea.read_nmea_log(path):
-        try:
-            sentence = nmea.parse_sentence(line)
-            if sentence.kind is nmea.SentenceKind.OTHER:
-                continue
-            fix = nmea.extract_fix(sentence, last_date)
-        except ValueError as exc:
-            raise FormatError(f"{path}:{lineno}: {exc}") from exc
-        if fix.date is not None:
-            last_date = fix.date
-        if fix.date is None or fix.tod_ns is None:
-            continue
-        named_ns = nmea.absolute_second_ns(fix, engine.SIM_EPOCH_DATE)
-        arrival = rx_ns if rx_ns is not None else named_ns + round(
-            assumed_latency_ms * 1e6)
-        if last_rx is not None and arrival < last_rx:
-            raise UnsortedLog(f"{path}: arrivals not time-sorted")
-        last_rx = arrival
-        events.append((arrival, named_ns, fix.fix_valid))
-    return events
-
-
 @main.command()
 @click.argument("nmea_log", type=click.Path(exists=True, dir_okay=False))
 @click.option("--pps", "pps_log", default=None,
@@ -323,17 +295,13 @@ def replay(nmea_log, pps_log, mode, preset_name, scenario_path, node_name,
            seed, assumed_latency_ms, out_dir):
     """Drive the discipline loop from recorded sentence/edge captures."""
     try:
-        events = _parse_nmea_events(nmea_log, assumed_latency_ms)
-        edges: list[int] = []
-        if pps_log:
-            edges = pps.read_pps_log(pps_log)
-            if edges != sorted(edges):
-                raise UnsortedLog(f"{pps_log}: edges not time-sorted")
+        events = nmea.read_log(nmea_log, assumed_latency_ms)
+        edges = pps.read_pps_log(pps_log) if pps_log else []
         _, last_s = engine.capture_seconds(events, edges)
         cfg, spec = _replay_target(preset_name, scenario_path, node_name,
                                    seed, mode, pps_log is not None, last_s)
         rows, warnings = engine.run_replay(cfg, spec, events, edges)
-    except (UnsortedLog, FormatError, nmea.MalformedField, pps.MalformedEdge,
+    except (FormatError, nmea.MalformedField, pps.MalformedEdge,
             TimeReversalError, OverflowError, scenario.SchemaError,
             scenario.UnknownPreset, engine.OutsideScenario,
             servo.NonMonotonicSample) as exc:  # Overflow: past 64 bits

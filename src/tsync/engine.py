@@ -10,21 +10,17 @@ linear drift model fitted to that outage's own samples.
 
 from __future__ import annotations
 
-import datetime
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import nmea, pps, scenario, servo as servo_mod
-from .nmea import GnssFix, SentenceKind
+from . import pps, scenario, servo as servo_mod
 from .scenario import NodeSpec, ScenarioConfig
 from .servo import SampleSource, ServoMode, ServoState
 from .timebase import (ClockState, FS_PER_NS, NS_PER_S, NoiseStream,
                        SimInstant, TimeReversalError, advance, nearest_second,
                        read_clock, slew_phase)
 
-SIM_EPOCH_DATE = datetime.date(2021, 1, 1)
 DRAW_BLOCK = 4096
 
 
@@ -81,23 +77,6 @@ class BlockDraws:
             return next(self._doubles)
 
 
-@functools.lru_cache(maxsize=4)
-def _run_date(days: int) -> datetime.date:
-    return SIM_EPOCH_DATE + datetime.timedelta(days=days)
-
-
-def fix_for_second(second: int, nsat: int, mask) -> GnssFix:
-    """The fix a receiver reports for an absolute second of the run."""
-    days, rem = divmod(second, 86_400)
-    return GnssFix(
-        tod_ns=rem * NS_PER_S,
-        date=_run_date(days),
-        fix_valid=nsat >= 4,
-        nsat=nsat,
-        constellation_mask=mask,
-    )
-
-
 class NodeSim:
     """Single disciplined node driven by pulse edges and sentences.
 
@@ -127,7 +106,8 @@ class NodeSim:
 
         self.loop_rows: list[LoopRow] = []
         self.true_rows: list[tuple[int, int]] = []
-        self.nmea_log: list[tuple[int, str]] = []
+        # One (arrival_ns, second, nsat) record per delivered burst.
+        self.nmea_log: list[tuple[int, int, int]] = []
         self.pps_log: list[int] = []
         self.warnings: list[str] = []
         self.holdover_segments: list[HoldoverSegment] = []
@@ -281,14 +261,12 @@ class NodeSim:
                                        self.spec.receiver.pps, self.rng_pps)
                 self.pps_log.append(edge_ns)
                 self.on_edge(edge_ns, temp_c)
-            fix = fix_for_second(boundary, nsat, self.spec.constellations)
             delay = self.spec.receiver.serial.delivery_delay_ns(self.rng_serial)
             if delay is not None:
                 arrival_ns = boundary * NS_PER_S + delay
-                for kind in (SentenceKind.RMC, SentenceKind.GGA):
-                    self.nmea_log.append((arrival_ns, nmea.generate(fix, kind)))
+                self.nmea_log.append((arrival_ns, boundary, nsat))
                 self.on_sentence(arrival_ns, boundary * NS_PER_S,
-                                 fix.fix_valid, temp_c)
+                                 nsat >= scenario.MIN_FIX_NSAT, temp_c)
         else:
             self._outage_tick(boundary, temp_c)
         self.true_rows.append((boundary, self.clock.phase_offset_ns))

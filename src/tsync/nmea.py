@@ -18,6 +18,11 @@ from .timebase import check_bounds, config_field
 NS_PER_S = 1_000_000_000
 NS_PER_DAY = 86_400 * NS_PER_S
 
+# Satellites a receiver needs for a full position-and-time fix.
+MIN_FIX_NSAT = 4
+# The date of a run's second 0; sentence logs name times from its midnight.
+SIM_EPOCH_DATE = datetime.date(2021, 1, 1)
+
 _TALKER_TO_MASK = {
     "GP": frozenset({"GPS"}),
     "GL": frozenset({"GLONASS"}),
@@ -167,12 +172,15 @@ def _parse_tod(text: str) -> int:
     return (h * 3600 + m * 60) * NS_PER_S + round(s * NS_PER_S)
 
 
-def _format_tod(tod_ns: int) -> str:
-    """`hhmmss.sss`, the time truncated to whole milliseconds."""
+@functools.lru_cache(maxsize=1)
+def _time_field(tod_ns: int) -> tuple[str, int]:
+    """`hhmmss.sss`, the time truncated to whole milliseconds, and the XOR
+    of its bytes; the sentences of a burst share it."""
     s, frac = divmod(tod_ns, NS_PER_S)
     h, rem = divmod(s, 3600)
     m, s = divmod(rem, 60)
-    return f"{h:02d}{m:02d}{s:02d}.{frac // 1_000_000:03d}"
+    text = f"{h:02d}{m:02d}{s:02d}.{frac // 1_000_000:03d}"
+    return text, int(checksum(text), 16)
 
 
 def extract_fix(s: NmeaSentence, last_date: datetime.date | None = None) -> GnssFix:
@@ -248,10 +256,8 @@ def generate(fix: GnssFix, kind: SentenceKind) -> str:
     head, tail, acc = _frame(
         _MASK_TO_TALKER.get(fix.constellation_mask, "GN"), kind, fix.date,
         fix.fix_valid, fix.nsat)
-    tod = _format_tod(fix.tod_ns)
-    for b in tod.encode("ascii"):
-        acc ^= b
-    return f"{head}{tod}{tail}{acc:02X}"
+    tod, tod_acc = _time_field(fix.tod_ns)
+    return f"{head}{tod}{tail}{acc ^ tod_acc:02X}"
 
 
 def absolute_second_ns(fix: GnssFix, epoch_date: datetime.date) -> int:
@@ -294,18 +300,38 @@ class SerialDeliveryModel:
         return round((self.base_latency_ms + jitter) * 1e6)
 
 
-def read_nmea_log(path) -> list[tuple[int, int | None, str]]:
-    """Read a sentence log as (line_number, true_rx_ns, sentence) triples.
+def fix_for_second(second: int, nsat: int, mask) -> GnssFix:
+    """The fix a receiver reports for an absolute second of the run."""
+    days, rem = divmod(second, 86_400)
+    date = SIM_EPOCH_DATE + datetime.timedelta(days=days)
+    return GnssFix(rem * NS_PER_S, date, nsat >= MIN_FIX_NSAT, nsat, mask)
 
-    Lines may carry a '<true_rx_ns> ' prefix; without one true_rx_ns is
-    None. A prefix that is not an integer or lies past the 64-bit ns
-    range, or a non-ASCII byte, raises MalformedField naming the file and
-    line.
-    """
+
+def format_log(bursts, constellations) -> str:
+    """A run's sentence log. Each `(arrival_ns, second, nsat)` burst is an
+    RMC and a GGA for that second, each line prefixed with the arrival
+    time in ns."""
     out = []
+    for arrival_ns, second, nsat in bursts:
+        fix = fix_for_second(second, nsat, constellations)
+        out.append(f"{arrival_ns} {generate(fix, SentenceKind.RMC)}\n"
+                   f"{arrival_ns} {generate(fix, SentenceKind.GGA)}\n")
+    return "".join(out)
+
+
+def read_log(path, assumed_latency_ms: float) -> list[tuple[int, int, bool]]:
+    """Read a sentence log as (arrival_ns, named_ns, fix_valid) events.
+
+    A bare sentence, one without an '<arrival_ns> ' prefix, arrives
+    `assumed_latency_ms` after the time it names. The first bad prefix or
+    byte, sentence that does not parse, or arrival earlier than the one
+    before it raises MalformedField naming the file (and line).
+    """
+    events = []
+    last_date = None
     with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, 1):
-            line = raw.rstrip("\r\n")
+            line, rx_ns = raw.rstrip("\r\n"), None
             if not line:
                 continue
             if not line.isascii():
@@ -313,14 +339,27 @@ def read_nmea_log(path) -> list[tuple[int, int | None, str]]:
             head, _, rest = line.partition(" ")
             if rest.startswith("$"):
                 try:
-                    rx_ns = int(head)
+                    rx_ns, line = int(head), rest
                 except ValueError:
                     raise MalformedField(
                         f"{path}:{lineno}: bad arrival time {head!r}") from None
                 if abs(rx_ns) >= 2**63:
                     raise MalformedField(f"{path}:{lineno}: arrival time "
                                          f"{head} past the 64-bit ns range")
-                out.append((lineno, rx_ns, rest))
-            else:
-                out.append((lineno, None, line))
-    return out
+            try:
+                sentence = parse_sentence(line)
+                if sentence.kind is SentenceKind.OTHER:
+                    continue
+                fix = extract_fix(sentence, last_date)
+            except ValueError as exc:
+                raise MalformedField(f"{path}:{lineno}: {exc}") from exc
+            if fix.date is None:  # a GGA before any dated sentence
+                continue
+            last_date = fix.date
+            named_ns = absolute_second_ns(fix, SIM_EPOCH_DATE)
+            arrival = rx_ns if rx_ns is not None else named_ns + round(
+                assumed_latency_ms * 1e6)
+            if events and arrival < events[-1][0]:
+                raise MalformedField(f"{path}: arrivals not time-sorted")
+            events.append((arrival, named_ns, fix.fix_valid))
+    return events

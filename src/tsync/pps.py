@@ -26,7 +26,7 @@ class AmbiguousLabel(ValueError):
 
 
 class MalformedEdge(ValueError):
-    """An edge capture log line is not an integer edge time in ns."""
+    """An edge log line is not an integer time in ns, or the log is unsorted."""
 
 
 @dataclass(frozen=True)
@@ -79,11 +79,16 @@ def label_pps(edge_ns: int, arrival_ns: int, second: int,
     return second
 
 
+def format_log(edges) -> str:
+    """An edge capture log: one true edge time in ns per line."""
+    return "".join(f"{e}\n" for e in edges)
+
+
 def read_pps_log(path) -> list[int]:
     """Read an edge capture log: one true edge time in ns per line.
 
     A line that is not an integer, or holds a non-ASCII byte, raises
-    MalformedEdge naming the file and line.
+    MalformedEdge naming the file and line; unsorted edges, the file.
     """
     edges = []
     with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
@@ -95,4 +100,6 @@ def read_pps_log(path) -> list[int]:
                 except ValueError:
                     raise MalformedEdge(
                         f"{path}:{lineno}: bad edge time {line!r}") from None
+    if edges != sorted(edges):
+        raise MalformedEdge(f"{path}: edges not time-sorted")
     return edges

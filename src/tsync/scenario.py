@@ -20,7 +20,7 @@ from enum import Enum
 from operator import itemgetter
 from typing import ClassVar, get_args, get_origin, get_type_hints
 
-from .nmea import SerialDeliveryModel
+from .nmea import MIN_FIX_NSAT, SerialDeliveryModel
 from .pps import PpsJitter
 from .servo import ServoConfig, ServoMode
 from .timebase import OscillatorParams, OutOfBounds, check_bounds, config_field
@@ -348,8 +348,8 @@ def effective_nsat(cfg: ScenarioConfig, t_s: float, constellations) -> int:
 def visibility_stats(cfg: ScenarioConfig, constellations) -> VisibilityStats:
     """Time-weighted availability fractions over the whole scenario.
 
-    A receiver needs four satellites for a full position-and-time fix, so
-    the valid-fix fraction equals the NSAT>=4 fraction.
+    A receiver needs MIN_FIX_NSAT satellites for a full position-and-time
+    fix, so the valid-fix fraction is the NSAT >= MIN_FIX_NSAT fraction.
     """
     total = ge1 = ge4 = 0.0
     for seg in cfg.visibility:
@@ -358,7 +358,7 @@ def visibility_stats(cfg: ScenarioConfig, constellations) -> VisibilityStats:
         total += dur
         if n >= 1:
             ge1 += dur
-        if n >= 4:
+        if n >= MIN_FIX_NSAT:
             ge4 += dur
     return VisibilityStats(ge1 / total, ge4 / total, ge4 / total)
 

@@ -20,8 +20,10 @@ from .timebase import check_bounds, config_field
 # ppm expressed as ns of phase per second of elapsed time.
 NS_PER_S_PER_PPM = 1000.0
 
-# Minimum sample span before a drift slope is considered trustworthy.
+# Minimum sample span before a drift slope is considered trustworthy, and
+# the longest moving average the slope fit smooths the samples with.
 MIN_HOLDOVER_SPAN_S = 60.0
+HOLDOVER_MA_POINTS = 60
 
 
 class NonMonotonicSample(ValueError):
@@ -59,7 +61,6 @@ class ServoConfig:
     ki: float = config_field(2.0**-10, exclusiveMinimum=0)
     step_threshold_ns: int = config_field(128_000_000, exclusiveMinimum=0)
     holdover_window_s: float = config_field(60.0, exclusiveMinimum=0)
-    holdover_ma_points: int = config_field(60, minimum=1)
     holdover_predict: bool = True
 
     def __post_init__(self):
@@ -132,7 +133,7 @@ def enter_holdover(cfg: ServoConfig, samples) -> float:
     window = [(t, v) for t, v in samples if t >= t_last - cfg.holdover_window_s]
     ts = np.array([t for t, _ in window])
     vs = np.array([float(v) for _, v in window])
-    w = min(cfg.holdover_ma_points, max(1, ts.size // 4), ts.size - 1)
+    w = min(HOLDOVER_MA_POINTS, max(1, ts.size // 4), ts.size - 1)
     w = max(1, w)
     ma_t = _moving_average(ts, w)
     ma_v = _moving_average(vs, w)

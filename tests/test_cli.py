@@ -169,6 +169,17 @@ class TestRun:
     def test_nothing_to_run_exits_2(self, runner):
         assert runner.invoke(main, ["run"]).exit_code == 2
 
+    def test_repeated_scenario_name_exits_2(self, runner, tmp_path):
+        _, path = short_lab(tmp_path, "lte_ntp", 30.0)
+        for args in (["--preset", "lte_ntp", "--preset", "lte_ntp"],
+                     [path, "--preset", "lte_ntp"]):
+            out = tmp_path / "out"
+            res = runner.invoke(main, ["run", *args, "--out", str(out)])
+            assert res.exit_code == 2
+            assert res.output.splitlines() == [
+                "scenario config error: scenario name 'lte_ntp' given twice"]
+            assert not out.exists()
+
     def test_multi_scenario_out_dirs(self, runner, tmp_path):
         _, p1 = short_lab(tmp_path, "one", 120.0)
         _, p2 = short_lab(tmp_path, "two", 120.0)
@@ -527,7 +538,7 @@ class TestReplay:
         elif edit == "edge-before-start":
             pps_lines[0] = "400000000"  # nearest second 0
         else:
-            fix = engine.fix_for_second(21, 8, frozenset({"GPS"}))
+            fix = nmea.fix_for_second(21, 8, frozenset({"GPS"}))
             nmea_lines.append(f"{21_080_000_000} "
                               f"{nmea.generate(fix, nmea.SentenceKind.RMC)}")
         (tmp_path / "nmea.log").write_text("\n".join(nmea_lines) + "\n")

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from tsync import engine, net, scenario, servo
+from tsync import engine, net, nmea, scenario, servo
 from tsync.pps import PpsJitter
 from tsync.scenario import (ConstantTemp, NodeSpec, ReceiverSpec,
                             ScenarioConfig, VisibilitySeg)
@@ -100,8 +100,8 @@ class TestDiscipline:
             ReceiverSpec().serial, jitter_ms=0.0))
         cfg = small_cfg(duration=30.0, receiver=recv)
         res = engine.run_scenario(cfg)
-        for rx, _ in res.nmea_logs["n0"]:
-            assert rx % 10**9 == 80_000_000
+        for rx, second, _ in res.nmea_logs["n0"]:
+            assert rx == second * 10**9 + 80_000_000
 
     def test_one_pulse_per_second_while_fix_holds(self):
         cfg = scenario.preset("tunnel_5km")
@@ -190,7 +190,8 @@ class TestSentenceSample:
         res = engine.run_scenario(cfg)
         assert [r.elapsed_s for r in res.loop_rows["n0"]] == \
             [float(s) for s in range(1, 11) if s != 6]
-        assert len(res.nmea_logs["n0"]) == 20
+        assert [(s, n) for _, s, n in res.nmea_logs["n0"]] == \
+            [(s, 2 if s == 6 else 14) for s in range(1, 11)]
         assert res.holdover_segments["n0"] == []
 
 
@@ -292,23 +293,31 @@ class TestOutage:
 
 
 class TestReplayParity:
+    @staticmethod
+    def logged_events(res, cfg, tmp_path):
+        """The run's sentence log, written and read back."""
+        path = tmp_path / "nmea.log"
+        path.write_text(nmea.format_log(res.nmea_logs["n0"],
+                                        cfg.nodes[0].constellations))
+        return nmea.read_log(path, 80.0)
+
     @pytest.mark.parametrize("mode", list(ServoMode), ids=lambda m: m.value)
-    def test_combined_replay_reproduces_run(self, mode):
+    def test_combined_replay_reproduces_run(self, mode, tmp_path):
         osc = OscillatorParams(f0_ppm=0.1, noise_white_fm=2e-9,
                                noise_flicker_fm=1e-9)
         cfg = small_cfg(mode=mode, osc=osc, duration=180.0)
         res = engine.run_scenario(cfg)
-        rows, warnings = engine.run_replay(cfg, cfg.nodes[0],
-                                           _events_from(res, cfg),
-                                           res.pps_logs["n0"])
+        rows, warnings = engine.run_replay(
+            cfg, cfg.nodes[0], self.logged_events(res, cfg, tmp_path),
+            res.pps_logs["n0"])
         assert warnings == []
         assert len(rows) == 180
         assert [r.csv() for r in rows] == [r.csv() for r in res.loop_rows["n0"]]
 
-    def test_missing_pulse_second_coasts_with_warning(self):
+    def test_missing_pulse_second_coasts_with_warning(self, tmp_path):
         cfg = small_cfg(duration=120.0)
         res = engine.run_scenario(cfg)
-        events = _events_from(res, cfg)
+        events = self.logged_events(res, cfg, tmp_path)
         edges = [e for e in res.pps_logs["n0"]
                  if abs(e - 60 * 10**9) > 10**8]  # drop second 60's edge
         rows, warnings = engine.run_replay(cfg, cfg.nodes[0], events, edges)
@@ -353,16 +362,3 @@ class TestIntegerTime:
                                       for k in (1, 2, 3)]
         assert len(instants) == 3
 
-
-def _events_from(res, cfg, node="n0"):
-    from tsync import nmea as nmea_mod
-    events = []
-    last_date = None
-    for rx, line in res.nmea_logs[node]:
-        s = nmea_mod.parse_sentence(line)
-        fix = nmea_mod.extract_fix(s, last_date)
-        if fix.date:
-            last_date = fix.date
-        named = nmea_mod.absolute_second_ns(fix, engine.SIM_EPOCH_DATE)
-        events.append((rx, named, fix.fix_valid))
-    return events

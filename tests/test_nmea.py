@@ -1,10 +1,11 @@
 import datetime
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from tsync import nmea
+from tsync import nmea, scenario
 from tsync.nmea import (BadChecksum, GnssFix, MalformedField, MissingField,
                         NoTimeField, SentenceKind, SerialDeliveryModel,
                         Truncated, checksum, extract_fix, generate,
@@ -229,13 +230,77 @@ class TestTimeField:
         ((8 * 3600 + 35 * 60 + 59) * 10**9 + 250_000_000, "083559.250"),
     ])
     def test_truncated_to_the_millisecond(self, tod_ns, text):
-        assert nmea._format_tod(tod_ns) == text
+        assert nmea._time_field(tod_ns)[0] == text
 
     def test_sentence_never_names_a_time_ahead(self):
         fix = GnssFix(59_999_700_000, datetime.date(2021, 1, 1), True, None,
                       frozenset({"GPS"}))
         back = extract_fix(parse_sentence(generate(fix, SentenceKind.RMC)))
         assert back.tod_ns == 59_999_000_000
+
+
+def _bursts(seconds, nsats, delays):
+    """Bursts of a run: one per second, each arriving inside its second."""
+    return [(s * 10**9 + d, s, n) for s, n, d in zip(seconds, nsats, delays)]
+
+
+# Seconds of a run, crowded around the first two midnights.
+SECONDS = st.lists(st.integers(86_390, 86_410) | st.integers(172_790, 172_810)
+                   | st.integers(0, 3 * 86_400), unique=True, max_size=30
+                   ).map(sorted)
+RUN_MASKS = st.sampled_from([frozenset({"GPS"}), frozenset({"BEIDOU"}),
+                             frozenset(scenario.CONSTELLATIONS)])
+
+
+class TestSentenceLog:
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture],
+              max_examples=80)
+    @given(st.data(), SECONDS, RUN_MASKS)
+    def test_read_log_inverts_format_log(self, tmp_path, data, seconds, mask):
+        n = len(seconds)
+        nsats = data.draw(st.lists(st.integers(0, 20), min_size=n, max_size=n))
+        delays = data.draw(st.lists(st.integers(0, 10**9 - 1), min_size=n,
+                                    max_size=n))
+        bursts = _bursts(seconds, nsats, delays)
+        path = tmp_path / "nmea.log"
+        path.write_text(nmea.format_log(bursts, mask))
+        want = [(rx, s * 10**9, nsat >= nmea.MIN_FIX_NSAT)
+                for rx, s, nsat in bursts for _ in ("RMC", "GGA")]
+        assert nmea.read_log(path, 80.0) == want
+
+    def test_time_field_formatted_once_per_burst(self):
+        nmea._time_field.cache_clear()
+        text = nmea.format_log(_bursts([1, 2, 3], [8, 8, 2], [0, 0, 0]),
+                               frozenset({"GPS"}))
+        assert len(text.splitlines()) == 6
+        assert nmea._time_field.cache_info().misses == 3
+
+    def test_bare_sentences_arrive_after_the_assumed_latency(self, tmp_path):
+        path = tmp_path / "nmea.log"
+        text = nmea.format_log(_bursts([5], [8], [0]), frozenset({"GPS"}))
+        path.write_text("".join(line.partition(" ")[2] + "\n"
+                                for line in text.splitlines()))
+        assert nmea.read_log(path, 12.5) == \
+            [(5_012_500_000, 5 * 10**9, True)] * 2
+
+    def test_unsorted_arrivals_rejected(self, tmp_path):
+        path = tmp_path / "nmea.log"
+        path.write_text(nmea.format_log(
+            [(3 * 10**9, 2, 8), (2 * 10**9, 3, 8)], frozenset({"GPS"})))
+        where = re.escape(str(path))
+        with pytest.raises(MalformedField,
+                           match=f"^{where}: arrivals not time-sorted$"):
+            nmea.read_log(path, 80.0)
+
+    def test_first_defect_is_reported(self, tmp_path):
+        path = tmp_path / "nmea.log"
+        path.write_text("5 $GPRMC,bad*01\n6 \u00b0\n", encoding="utf-8")
+        with pytest.raises(MalformedField,
+                           match=":1: checksum 01 != computed 00$"):
+            nmea.read_log(path, 80.0)
+        path.write_text("$GPGSV,1,1,00*79\n6 \u00b0\n", encoding="utf-8")
+        with pytest.raises(MalformedField, match=":2: non-ASCII byte$"):
+            nmea.read_log(path, 80.0)
 
 
 class TestFixInvariants:

@@ -1,8 +1,12 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from tsync.pps import (AmbiguousLabel, PpsJitter, UnlabeledEdge, label_pps,
-                       next_pps)
+from tsync.pps import (AmbiguousLabel, MalformedEdge, PpsJitter,
+                       UnlabeledEdge, format_log, label_pps, next_pps,
+                       read_pps_log)
 from tsync.timebase import nearest_second
 
 NS = 1_000_000_000
@@ -90,3 +94,28 @@ class TestLabelling:
         # a sentence naming a second two away from the edge is stale
         with pytest.raises(AmbiguousLabel):
             label_pps(100 * NS, 100 * NS + 80_000_000, 102, WINDOW)
+
+
+class TestEdgeLog:
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture],
+              max_examples=60)
+    @given(st.lists(st.integers(-(2**63) + 1, 2**63 - 1), max_size=40)
+           .map(sorted))
+    def test_read_inverts_format(self, tmp_path, edges):
+        path = tmp_path / "pps.log"
+        path.write_text(format_log(edges))
+        assert read_pps_log(path) == edges
+
+    def test_unsorted_edges_rejected(self, tmp_path):
+        path = tmp_path / "pps.log"
+        path.write_text(format_log([2 * NS, NS]))
+        where = re.escape(str(path))
+        with pytest.raises(MalformedEdge,
+                           match=f"^{where}: edges not time-sorted$"):
+            read_pps_log(path)
+
+    def test_bad_line_reported_before_order(self, tmp_path):
+        path = tmp_path / "pps.log"
+        path.write_text(f"{2 * NS}\n{NS}\nabc\n")
+        with pytest.raises(MalformedEdge, match=":3: bad edge time 'abc'$"):
+            read_pps_log(path)
