@@ -10,6 +10,7 @@ import concurrent.futures
 import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 import tempfile
@@ -72,12 +73,10 @@ def _run_one(cfg: scenario.ScenarioConfig, out_dir: str) -> dict:
         _write_atomic(os.path.join(out_dir, name), text)
         files.append(name)
 
-    traffic = {t.kind: t for t in cfg.traffic}  # at most one per kind
-    broadcast = traffic.get("broadcast")
+    kinds = {t.kind for t in cfg.traffic}
     bcast = None
-    if broadcast:
-        bcast, result = net.run_broadcast(cfg, broadcast.rate_hz,
-                                          cfg.duration_s, broadcast)
+    if "broadcast" in kinds:
+        bcast, result = net.run_broadcast(cfg)
     else:
         result = engine.run_scenario(cfg)
 
@@ -93,7 +92,7 @@ def _run_one(cfg: scenario.ScenarioConfig, out_dir: str) -> dict:
 
     summary = result.summary()
     if bcast:
-        a, b = scenario.traffic_params(cfg, broadcast).clients[:2]
+        a, b = list(bcast.stamp_ns)[:2]  # the first two clients
         packets, offsets, skipped = net.pairwise_offsets(bcast, a, b)
         rows = zip(packets.tolist(), bcast.send_ns[packets].tolist(),
                    bcast.stamp_ns[a][packets].tolist(),
@@ -108,8 +107,8 @@ def _run_one(cfg: scenario.ScenarioConfig, out_dir: str) -> dict:
             "max_abs_ns": int(abs(offsets).max()),
         }
 
-    if "ntp" in traffic:
-        rows = net.run_ntp(cfg, traffic["ntp"])
+    if "ntp" in kinds:
+        rows = net.run_ntp(cfg)
         lines = [NTP_HEADER]
         lines += [f"{t:.3f},{off},{dly},{tru}" for t, off, dly, tru in rows]
         emit("ntp.csv", "\n".join(lines) + "\n")
@@ -117,8 +116,8 @@ def _run_one(cfg: scenario.ScenarioConfig, out_dir: str) -> dict:
         summary["ntp"] = {"n": len(rows),
                           "mean_abs_offset_ns": sum(ests) / len(ests) if ests else 0.0}
 
-    if "tsf" in traffic:
-        rows = net.run_tsf_traffic(cfg, traffic["tsf"])
+    if "tsf" in kinds:
+        rows = net.run_tsf_traffic(cfg)
         lines = [TSF_HEADER]
         lines += [f"{t:.4f},{s}" for t, s in rows]
         emit("tsf.csv", "\n".join(lines) + "\n")
@@ -148,7 +147,8 @@ def _run_one(cfg: scenario.ScenarioConfig, out_dir: str) -> dict:
               help="Override the scenario seed.")
 @click.option("--out", "out_root", default="tsync-out", show_default=True,
               help="Output directory (one subdirectory per scenario).")
-@click.option("--jobs", type=int, default=1, show_default=True,
+@click.option("--jobs", type=click.IntRange(min=1), default=1,
+              show_default=True,
               help="Parallel worker slots for independent scenarios.")
 def run(scenario_paths, presets, seed, out_root, jobs):
     """Run scenarios and write loop logs, event logs and a manifest."""
@@ -175,9 +175,10 @@ def run(scenario_paths, presets, seed, out_root, jobs):
 
     out_dirs = [os.path.join(out_root, c.name) if len(configs) > 1
                 else out_root for c in configs]
+    workers = min(jobs, len(configs))
     try:
-        if jobs > 1 and len(configs) > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as ex:
+        if workers > 1:
+            with concurrent.futures.ProcessPoolExecutor(workers) as ex:
                 manifests = list(ex.map(_run_one, configs, out_dirs))
         else:
             manifests = list(map(_run_one, configs, out_dirs))
@@ -274,6 +275,12 @@ def analyze(logs, fmt, out_dir):
 # replay
 
 
+def _finite(ctx, param, value: float) -> float:
+    if not math.isfinite(value):
+        raise click.BadParameter(f"{value} is not a finite number")
+    return value
+
+
 @main.command()
 @click.argument("nmea_log", type=click.Path(exists=True, dir_okay=False))
 @click.option("--pps", "pps_log", default=None,
@@ -289,7 +296,8 @@ def analyze(logs, fmt, out_dir):
               help="Node of the scenario to replay (default: first).")
 @click.option("--seed", type=int, default=None)
 @click.option("--assumed-latency-ms", type=float, default=80.0,
-              show_default=True, help="Arrival model for unprefixed lines.")
+              show_default=True, callback=_finite,
+              help="Arrival model for unprefixed lines.")
 @click.option("--out", "out_dir", default="tsync-replay", show_default=True)
 def replay(nmea_log, pps_log, mode, preset_name, scenario_path, node_name,
            seed, assumed_latency_ms, out_dir):

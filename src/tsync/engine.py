@@ -18,8 +18,8 @@ from . import pps, scenario, servo as servo_mod
 from .scenario import NodeSpec, ScenarioConfig
 from .servo import SampleSource, ServoMode, ServoState
 from .timebase import (ClockState, FS_PER_NS, NS_PER_S, NoiseStream,
-                       SimInstant, TimeReversalError, advance, nearest_second,
-                       read_clock, slew_phase)
+                       SimInstant, advance, nearest_second, read_clock,
+                       slew_phase)
 
 DRAW_BLOCK = 4096
 
@@ -116,10 +116,6 @@ class NodeSim:
 
     def _advance_to(self, t_ns: int, temp_c: float) -> None:
         dt = t_ns - self.clock.last_update_ns
-        if dt <= 0:
-            raise TimeReversalError(
-                f"event at {t_ns} ns does not move time forward from "
-                f"{self.clock.last_update_ns} ns")
         self.clock = advance(self.clock, self.spec.oscillator, dt, temp_c,
                              self.noise)
         steer_fs = round(self.servo.freq_correction_ppm * dt)
@@ -170,8 +166,7 @@ class NodeSim:
             return
         seg.samples.append((float(boundary), offset_ns))
         if boundary - seg.samples[0][0] >= servo_mod.MIN_HOLDOVER_SPAN_S:
-            seg.slope_ns_per_s = servo_mod.enter_holdover(self.spec.servo,
-                                                          seg.samples)
+            seg.slope_ns_per_s = servo_mod.enter_holdover(seg.samples)
             self.holdover = True
             if self.spec.servo.holdover_predict:
                 seg.predicted = True
@@ -311,20 +306,26 @@ class RunResult:
         return out
 
 
-def build_node_sims(cfg: ScenarioConfig):
-    """Node simulators plus the seed root for any further traffic draws."""
-    root = np.random.SeedSequence(cfg.seed)
-    seqs = root.spawn(len(cfg.nodes))
-    sims = [NodeSim(cfg, spec, seq) for spec, seq in zip(cfg.nodes, seqs)]
-    return sims, root
+def seed_sequences(cfg: ScenarioConfig):
+    """The seeds of a run: one child per node, in node order, and then the
+    child that traffic experiments draw from."""
+    *nodes, traffic = np.random.SeedSequence(cfg.seed).spawn(
+        len(cfg.nodes) + 1)
+    return nodes, traffic
 
 
-def run_loop(cfg: ScenarioConfig, sims, duration: int,
-             before_step=None) -> RunResult:
-    """Step every node through seconds 1..duration and collect the logs.
+def build_node_sims(cfg: ScenarioConfig) -> list[NodeSim]:
+    """One simulator per node of the scenario, in node order."""
+    seqs, _ = seed_sequences(cfg)
+    return [NodeSim(cfg, spec, seq) for spec, seq in zip(cfg.nodes, seqs)]
+
+
+def run_loop(cfg: ScenarioConfig, sims, before_step=None) -> RunResult:
+    """Step every node through the scenario's seconds and collect the logs.
 
     `before_step(boundary)`, when given, runs ahead of each second's steps.
     """
+    duration = int(round(cfg.duration_s))
     for boundary in range(1, duration + 1):
         if before_step is not None:
             before_step(boundary)
@@ -345,8 +346,7 @@ def run_loop(cfg: ScenarioConfig, sims, duration: int,
 
 def run_scenario(cfg: ScenarioConfig) -> RunResult:
     """Run the discipline loops of every node over the full duration."""
-    sims, _ = build_node_sims(cfg)
-    return run_loop(cfg, sims, int(round(cfg.duration_s)))
+    return run_loop(cfg, build_node_sims(cfg))
 
 
 def capture_seconds(nmea_events, pps_edges) -> tuple[int, int]:
@@ -379,8 +379,7 @@ def run_replay(cfg: ScenarioConfig, spec: NodeSpec, nmea_events,
                 f"the capture's second {second} lies outside the "
                 f"scenario's {cfg.duration_s:g} s")
     index = [n.name for n in cfg.nodes].index(spec.name)
-    seqs = np.random.SeedSequence(cfg.seed).spawn(len(cfg.nodes))
-    sim = NodeSim(cfg, spec, seqs[index])
+    sim = NodeSim(cfg, spec, seed_sequences(cfg)[0][index])
 
     # Edges sort ahead of sentences arriving at the same instant.
     merged = [(t, sim.on_edge, (t,)) for t in pps_edges]

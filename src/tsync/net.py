@@ -16,8 +16,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import engine
-from .scenario import (LinkModel, PacketDropped, ScenarioConfig, TrafficSpec,
-                       TsfParams, traffic_params)
+from .scenario import (LinkModel, PacketDropped, ScenarioConfig, TsfParams,
+                       traffic_params)
 from .timebase import ClockState, NS_PER_S, read_clock
 
 US_PER_S = 1_000_000
@@ -47,9 +47,15 @@ class BroadcastLog:
         return len(self.send_ns)
 
 
-def run_broadcast(cfg: ScenarioConfig, rate_hz: float, duration_s: float,
-                  traffic: TrafficSpec | None = None):
-    """Flood packets from the server node to all clients.
+def _entry(cfg: ScenarioConfig, kind: str):
+    """The scenario's one traffic entry of `kind` and its typed params."""
+    traffic = next(t for t in cfg.traffic if t.kind == kind)
+    return traffic, traffic_params(cfg, traffic)
+
+
+def run_broadcast(cfg: ScenarioConfig):
+    """Flood packets from the server node to all clients at the scenario's
+    broadcast rate for its whole duration.
 
     Every client sees each packet at the same true instant (plus its
     configured per-client path delta); the recorded stamp is the client's
@@ -60,20 +66,17 @@ def run_broadcast(cfg: ScenarioConfig, rate_hz: float, duration_s: float,
     client's latencies as one block over the packets it keeps. Returns
     (log, result): a `BroadcastLog` and the clients' discipline logs.
     """
-    if traffic is None:
-        traffic = next(t for t in cfg.traffic if t.kind == "broadcast")
-    params = traffic_params(cfg, traffic)
-
-    sims, root = engine.build_node_sims(cfg)
+    traffic, params = _entry(cfg, "broadcast")
+    sims = engine.build_node_sims(cfg)
     by_name = {s.spec.name: s for s in sims}
     server = by_name[params.server]
     clients = [by_name[name] for name in params.clients]
-    drop_rng = np.random.default_rng(root.spawn(1)[0])
+    drop_rng = np.random.default_rng(engine.seed_sequences(cfg)[1])
 
-    duration = int(round(duration_s))
-    n_packets = int(round(rate_hz * duration))
+    duration = int(round(cfg.duration_s))
+    n_packets = int(round(traffic.rate_hz * duration))
     send_col = np.rint(np.arange(1, n_packets + 1, dtype=np.int64) * NS_PER_S
-                       / rate_hz).astype(np.int64)
+                       / traffic.rate_hz).astype(np.int64)
     # Packets due after the last second are never sent.
     send_col = send_col[send_col <= duration * NS_PER_S]
     send_ns = send_col.tolist()
@@ -105,7 +108,7 @@ def run_broadcast(cfg: ScenarioConfig, rate_hz: float, duration_s: float,
                     0, rc.stamp_latency_ns, idx.size)).astype(np.int64)
             stamps[j].extend(map(sim.read_disciplined, t.tolist()))
 
-    result = engine.run_loop(cfg, sims, duration, stamp_packets)
+    result = engine.run_loop(cfg, sims, stamp_packets)
     log = BroadcastLog(send_col, np.array(send_stamps, dtype=np.int64),
                        {}, {}, {})
     for j, sim in enumerate(clients):
@@ -231,18 +234,16 @@ def ntp_exchange(client: ClockState, server: ClockState, link: LinkModel,
     return NtpResult(offset_est, delay_est, truth)
 
 
-def run_ntp(cfg: ScenarioConfig, traffic: TrafficSpec | None = None):
-    """Periodic exchanges between two scenario nodes' free clocks.
+def run_ntp(cfg: ScenarioConfig):
+    """Periodic exchanges between two scenario nodes' free clocks, as the
+    scenario's ntp entry sets them.
 
     Returns rows (t_s, offset_est_ns, delay_est_ns, truth_offset_ns).
     """
-    if traffic is None:
-        traffic = next(t for t in cfg.traffic if t.kind == "ntp")
-    p = traffic_params(cfg, traffic)
+    traffic, p = _entry(cfg, "ntp")
     client_spec = cfg.node(p.client)
     server_spec = cfg.node(p.server)
-    root = np.random.SeedSequence(cfg.seed)
-    rng = np.random.default_rng(root.spawn(len(cfg.nodes) + 1)[-1])
+    rng = np.random.default_rng(engine.seed_sequences(cfg)[1])
     client = ClockState.from_offset_ns(client_spec.initial_offset_ns,
                                        client_spec.oscillator.f0_ppm)
     server = ClockState.from_offset_ns(server_spec.initial_offset_ns,
@@ -261,10 +262,10 @@ def run_ntp(cfg: ScenarioConfig, traffic: TrafficSpec | None = None):
     return rows
 
 
-def run_tsf_traffic(cfg: ScenarioConfig, traffic: TrafficSpec):
-    """Scenario-driven beacon experiment; one row per beacon interval."""
+def run_tsf_traffic(cfg: ScenarioConfig):
+    """The scenario's tsf beacon experiment; one row per beacon interval."""
+    traffic, params = _entry(cfg, "tsf")
     interval = 1.0 / traffic.rate_hz
     n_beacons = int(round(cfg.duration_s * traffic.rate_hz))
-    spreads, _ = run_tsf(traffic_params(cfg, traffic), interval, n_beacons,
-                         cfg.seed)
+    spreads, _ = run_tsf(params, interval, n_beacons, cfg.seed)
     return [((i + 1) * interval, s) for i, s in enumerate(spreads)]

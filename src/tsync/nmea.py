@@ -3,7 +3,8 @@
 Only the time-bearing sentences a timing receiver needs are interpreted:
 RMC (time of day, date, validity), GGA (time of day, fix quality,
 satellite count) and ZDA (time of day, date). Position fields are carried
-verbatim but never interpreted.
+verbatim but never interpreted. A run's logs hold RMC and GGA only, so
+those are the two kinds generated.
 """
 
 from __future__ import annotations
@@ -31,12 +32,9 @@ _TALKER_TO_MASK = {
     "GA": frozenset({"GALILEO"}),
     "GN": frozenset({"GPS", "GLONASS", "BEIDOU", "GALILEO"}),
 }
-_MASK_TO_TALKER = {
-    frozenset({"GPS"}): "GP",
-    frozenset({"GLONASS"}): "GL",
-    frozenset({"BEIDOU"}): "GB",
-    frozenset({"GALILEO"}): "GA",
-}
+# A node tracks GPS, BeiDou or both; generated sentences use these
+# talkers, and GN for both.
+_MASK_TO_TALKER = {frozenset({"GPS"}): "GP", frozenset({"BEIDOU"}): "GB"}
 
 # Minimum field counts for structural validation per sentence type.
 _MIN_FIELDS = {"RMC": 9, "GGA": 7, "ZDA": 4}
@@ -231,11 +229,6 @@ def _frame(talker: str, kind: SentenceKind, date: datetime.date | None,
             raise MissingField("GGA needs a satellite count")
         quality = "1" if fix_valid else "0"
         rest = ["", "", "", "", quality, f"{nsat:02d}", "", "", "M", "", "M"]
-    elif kind is SentenceKind.ZDA:
-        if date is None:
-            raise MissingField("ZDA needs a date")
-        rest = [f"{date.day:02d}", f"{date.month:02d}", f"{date.year:04d}",
-                "00", "00"]
     else:
         raise ValueError(f"cannot generate {kind} sentences")
     head = f"{talker}{kind.value},"

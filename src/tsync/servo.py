@@ -20,10 +20,8 @@ from .timebase import check_bounds, config_field
 # ppm expressed as ns of phase per second of elapsed time.
 NS_PER_S_PER_PPM = 1000.0
 
-# Minimum sample span before a drift slope is considered trustworthy, and
-# the longest moving average the slope fit smooths the samples with.
+# Minimum sample span before a drift slope is considered trustworthy.
 MIN_HOLDOVER_SPAN_S = 60.0
-HOLDOVER_MA_POINTS = 60
 
 
 class NonMonotonicSample(ValueError):
@@ -60,7 +58,6 @@ class ServoConfig:
     kp: float = config_field(2.0**-5, exclusiveMinimum=0)
     ki: float = config_field(2.0**-10, exclusiveMinimum=0)
     step_threshold_ns: int = config_field(128_000_000, exclusiveMinimum=0)
-    holdover_window_s: float = config_field(60.0, exclusiveMinimum=0)
     holdover_predict: bool = True
 
     def __post_init__(self):
@@ -112,29 +109,18 @@ def update(servo: ServoState, elapsed_s: float, offset_ns: int) -> int:
     return 0
 
 
-def _moving_average(values: np.ndarray, window: int) -> np.ndarray:
-    if window <= 1:
-        return values
-    kernel = np.full(window, 1.0 / window)
-    return np.convolve(values, kernel, mode="valid")
-
-
-def enter_holdover(cfg: ServoConfig, samples) -> float:
+def enter_holdover(samples) -> float:
     """Fit the drift slope (ns/s) from an outage's (elapsed_s, offset_ns)
     samples, in time order.
 
-    The slope is an ordinary least-squares fit over the moving-averaged
-    tail of the samples.
+    The slope is an ordinary least-squares fit over the samples smoothed
+    by a moving average a quarter of their count wide.
     """
     if len(samples) < 2 or samples[-1][0] - samples[0][0] < MIN_HOLDOVER_SPAN_S:
         raise InsufficientHistory(
             f"need >= 2 samples spanning >= {MIN_HOLDOVER_SPAN_S:.0f} s")
-    t_last = samples[-1][0]
-    window = [(t, v) for t, v in samples if t >= t_last - cfg.holdover_window_s]
-    ts = np.array([t for t, _ in window])
-    vs = np.array([float(v) for _, v in window])
-    w = min(HOLDOVER_MA_POINTS, max(1, ts.size // 4), ts.size - 1)
-    w = max(1, w)
-    ma_t = _moving_average(ts, w)
-    ma_v = _moving_average(vs, w)
-    return float(np.polyfit(ma_t, ma_v, 1)[0])
+    w = max(1, len(samples) // 4)
+    kernel = np.full(w, 1.0 / w)
+    ts = np.convolve([t for t, _ in samples], kernel, mode="valid")
+    vs = np.convolve([float(v) for _, v in samples], kernel, mode="valid")
+    return float(np.polyfit(ts, vs, 1)[0])

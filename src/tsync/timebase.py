@@ -223,11 +223,14 @@ def advance(state: ClockState, params: OscillatorParams, dt_ns: int,
     Frequency is held piecewise constant over the step (evaluated at the
     step start), so deterministic drift is exact and independent of how
     an interval is partitioned. One noise-stream draw is consumed per
-    call when a stream is supplied.
+    call when a stream is supplied. A dt_ns that is not positive raises
+    TimeReversalError.
     """
     dt_ns = int(dt_ns)
     if dt_ns <= 0:
-        raise ValueError("dt_ns must be positive")
+        raise TimeReversalError(
+            f"event at {state.last_update_ns + dt_ns} ns does not move time "
+            f"forward from {state.last_update_ns} ns")
     elapsed_days = state.last_update_ns / (86400.0 * NS_PER_S)
     det_ppm = params.freq_ppm_at(temp_c, elapsed_days)
 
@@ -335,15 +338,13 @@ def gen_power_law_noise(mu: float, amplitude: float, n: int, tau0_s: float,
 class NoiseStream:
     """Sequential per-step oscillator noise for one clock trajectory.
 
-    Pre-generates the three component series at the nominal step tau0 and
+    Pre-generates the three component series at a nominal 1 s step and
     hands out one composite phase increment per advance() call. White FM
     is drawn per step and scaled by sqrt(dt) so off-nominal step sizes
     (for example edge-aligned sub-steps) stay physically consistent.
     """
 
-    def __init__(self, params: OscillatorParams, seed, n_steps: int,
-                 tau0_s: float = 1.0):
-        self._tau0_s = tau0_s
+    def __init__(self, params: OscillatorParams, seed, n_steps: int):
         self._i = 0
         kw, kf, kr = (params.noise_white_fm, params.noise_flicker_fm,
                       params.noise_randomwalk_fm)
@@ -356,8 +357,8 @@ class NoiseStream:
         n = max(2, int(n_steps))
         self._white_sigma = kw
         self._white = np.random.default_rng(s_w).standard_normal(n) if kw else None
-        self._flicker = gen_power_law_noise(FLICKER_FM, kf, n, tau0_s, s_f) if kf else None
-        self._rw = gen_power_law_noise(RANDOM_WALK_FM, kr, n, tau0_s, s_r) if kr else None
+        self._flicker = gen_power_law_noise(FLICKER_FM, kf, n, 1.0, s_f) if kf else None
+        self._rw = gen_power_law_noise(RANDOM_WALK_FM, kr, n, 1.0, s_r) if kr else None
         self._n = n
 
     def next_phase_ns(self, dt_ns: int) -> float:

@@ -65,8 +65,7 @@ def harness_runs():
     out = {}
     for name in ("harness_10pps", "harness_100pps", "harness_300ppm"):
         cfg = scenario.preset(name)
-        log, _ = net.run_broadcast(cfg, cfg.traffic[0].rate_hz,
-                                   cfg.duration_s)
+        log, _ = net.run_broadcast(cfg)
         _, out[name], _ = net.pairwise_offsets(log, "c1", "c2")
     return out
 
@@ -264,8 +263,10 @@ def test_criterion_9_property_suites(tmp_path):
                      == round((20.0 - 6.8) / 2 * 1e6))
 
     # pairwise antisymmetry on a harness run
-    cfg = scenario.preset("harness_300ppm")
-    log, _ = net.run_broadcast(cfg, 5.0, 120.0)
+    cfg = dataclasses.replace(
+        scenario.preset("harness_300ppm"), duration_s=120.0,
+        visibility=(scenario.VisibilitySeg(0.0, 120.0, 8, 6),))
+    log, _ = net.run_broadcast(cfg)
     _, ab, _ = net.pairwise_offsets(log, "c1", "c2")
     _, ba, _ = net.pairwise_offsets(log, "c2", "c1")
     checks["antisymmetry"] = all(x == -y for x, y in zip(ab, ba))

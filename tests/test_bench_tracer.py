@@ -25,7 +25,10 @@ drive = dataclasses.replace(
     scenario.preset("suburban"), duration_s=60.0,
     visibility=(scenario.VisibilitySeg(0.0, 60.0, 7, 5),))
 engine.run_scenario(drive)
-net.run_broadcast(scenario.preset("harness_10pps"), 10.0, 60.0)
+harness = dataclasses.replace(
+    scenario.preset("harness_10pps"), duration_s=60.0,
+    visibility=(scenario.VisibilitySeg(0.0, 60.0, 8, 6),))
+net.run_broadcast(harness)
 summary = tracer.summary()
 print(json.dumps({"calls": summary["calls"], "errors": summary["errors"]}))
 """

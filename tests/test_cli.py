@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import json
 import os
@@ -127,6 +128,8 @@ class TestRun:
          "traffic[2]: a second 'broadcast' entry"),
         (("name",), "", {}, "scenario: name must not be empty"),
         (("nodes", 0, "name"), "", {}, "nodes[0]: name must not be empty"),
+        (("nodes", 0, "servo", "holdover_window_s"), 60.0, {},
+         "unknown key 'holdover_window_s'"),
     ], ids=["receiver-key-typo", "unknown-top-level-key", "glonass-only",
             "no-constellations", "nodes-as-object", "servo-null",
             "trace-file-missing", "trace-file-is-directory",
@@ -137,7 +140,7 @@ class TestRun:
             "tsf-no-nodes", "tsf-spread-past-100ppm",
             "tsf-negative-airtime-jitter", "ntp-entry-repeated",
             "broadcast-entry-repeated", "empty-scenario-name",
-            "empty-node-name"])
+            "empty-node-name", "removed-holdover-window"])
     def test_malformed_config_exits_2(self, runner, tmp_path, keys, value,
                                       files, match):
         short_lab(tmp_path, duration=30.0)
@@ -202,6 +205,47 @@ class TestRun:
             a = (tmp_path / "par" / sub / "loop_bench.csv").read_bytes()
             b = (tmp_path / "seq" / sub / "loop_bench.csv").read_bytes()
             assert a == b
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_2(self, runner, tmp_path, jobs):
+        out = tmp_path / "out"
+        res = runner.invoke(main, ["run", "--preset", "lte_ntp",
+                                   "--jobs", jobs, "--out", str(out)])
+        assert res.exit_code == 2
+        assert "Invalid value for '--jobs'" in res.output
+        assert not out.exists()
+
+    def test_jobs_capped_at_scenario_count(self, runner, tmp_path,
+                                           monkeypatch):
+        pools = []
+
+        class RecordingPool:
+            """Records its worker count and maps in this process; starts
+            no process."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            RecordingPool)
+        _, p1 = short_lab(tmp_path, "one", 30.0)
+        _, p2 = short_lab(tmp_path, "two", 30.0)
+        for args in ([p1, p2, "--jobs", "5000"], [p1, p2, "--jobs", "1"],
+                     [p1, "--jobs", "8"]):
+            res = runner.invoke(main, ["run", *args,
+                                       "--out", str(tmp_path / "out")])
+            assert res.exit_code == 0, res.output
+        assert pools == [2]
+        assert (tmp_path / "out" / "two" / "loop_bench.csv").exists()
 
     def test_tsf_traffic_writes_log(self, runner, tmp_path):
         cfg = scenario.ScenarioConfig(
@@ -585,6 +629,20 @@ class TestReplay:
         assert res.exception is None or isinstance(res.exception, SystemExit)
         assert res.output.strip() == \
             f"replay error: scenario {doc['name']!r} has no node to replay"
+
+    @pytest.mark.parametrize("latency", ["nan", "inf", "-inf"])
+    def test_non_finite_assumed_latency_exits_2(self, runner, tmp_path,
+                                                latency):
+        (tmp_path / "bare.log").write_text(
+            "$GNRMC,000001.000,A,,,,,,,010121,,*24\n")
+        res = runner.invoke(main, [
+            "replay", str(tmp_path / "bare.log"),
+            f"--assumed-latency-ms={latency}", "--out", str(tmp_path / "rp")])
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert (f"Invalid value for '--assumed-latency-ms': {latency} is "
+                f"not a finite number") in res.output
+        assert not (tmp_path / "rp").exists()
 
     def test_unsorted_pps_rejected(self, runner, tmp_path):
         cfg, path = short_lab(tmp_path)

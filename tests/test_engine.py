@@ -282,8 +282,7 @@ class TestOutage:
         hold = [(r.elapsed_s, r.offset_ns) for r in res.loop_rows["vehicle"]
                 if r.source == "HOLDOVER"
                 and seg.start_s < r.elapsed_s <= seg.end_s]
-        assert seg.slope_ns_per_s == servo.enter_holdover(
-            cfg.nodes[0].servo, hold[:61])
+        assert seg.slope_ns_per_s == servo.enter_holdover(hold[:61])
 
     def test_holdover_flag_in_rows(self):
         res = engine.run_scenario(self.outage_cfg(predict=True))
@@ -294,11 +293,11 @@ class TestOutage:
 
 class TestReplayParity:
     @staticmethod
-    def logged_events(res, cfg, tmp_path):
-        """The run's sentence log, written and read back."""
-        path = tmp_path / "nmea.log"
-        path.write_text(nmea.format_log(res.nmea_logs["n0"],
-                                        cfg.nodes[0].constellations))
+    def logged_events(res, cfg, tmp_path, node="n0"):
+        """A node's sentence log, written and read back."""
+        path = tmp_path / f"nmea_{node}.log"
+        path.write_text(nmea.format_log(res.nmea_logs[node],
+                                        cfg.node(node).constellations))
         return nmea.read_log(path, 80.0)
 
     @pytest.mark.parametrize("mode", list(ServoMode), ids=lambda m: m.value)
@@ -313,6 +312,23 @@ class TestReplayParity:
         assert warnings == []
         assert len(rows) == 180
         assert [r.csv() for r in rows] == [r.csv() for r in res.loop_rows["n0"]]
+
+    def test_second_node_replays_its_own_run(self, tmp_path):
+        # Each node draws from its own seed; replay must pick node n1's.
+        osc = OscillatorParams(f0_ppm=0.1, noise_white_fm=2e-9,
+                               noise_flicker_fm=1e-9)
+        base = small_cfg(osc=osc, duration=180.0)
+        n1 = dataclasses.replace(base.nodes[0], name="n1",
+                                 initial_offset_ns=3_000)
+        cfg = dataclasses.replace(base, nodes=(base.nodes[0], n1))
+        res = engine.run_scenario(cfg)
+        live = [r.csv() for r in res.loop_rows["n1"]]
+        assert live != [r.csv() for r in res.loop_rows["n0"]]
+        rows, warnings = engine.run_replay(
+            cfg, n1, self.logged_events(res, cfg, tmp_path, "n1"),
+            res.pps_logs["n1"])
+        assert warnings == []
+        assert [r.csv() for r in rows] == live
 
     def test_missing_pulse_second_coasts_with_warning(self, tmp_path):
         cfg = small_cfg(duration=120.0)
@@ -350,8 +366,10 @@ class TestIntegerTime:
         assert instants == []
 
     def test_broadcast_builds_no_instant(self, instants):
-        log, _ = net.run_broadcast(scenario.preset("harness_10pps"),
-                                   10.0, 60.0)
+        cfg = dataclasses.replace(
+            scenario.preset("harness_10pps"), duration_s=60.0,
+            visibility=(VisibilitySeg(0.0, 60.0, 8, 6),))
+        log, _ = net.run_broadcast(cfg)
         assert len(log) == 600
         assert instants == []
 

@@ -34,14 +34,14 @@ def harness_cfg(duration=60.0, recv_a=None, recv_b=None, deltas=None,
 
 class TestBroadcast:
     def test_perfectly_synchronized_clients_zero_offsets(self):
-        log, _ = run_broadcast(harness_cfg(), 10.0, 60.0)
+        log, _ = run_broadcast(harness_cfg())
         _, offsets, skipped = pairwise_offsets(log, "c1", "c2")
         assert skipped == 0
         assert all(offsets == 0)
 
     def test_path_delta_shifts_offsets_exactly(self):
         cfg = harness_cfg(deltas={"c1": 2000})
-        log, _ = run_broadcast(cfg, 10.0, 60.0)
+        log, _ = run_broadcast(cfg)
         _, offsets, _ = pairwise_offsets(log, "c1", "c2")
         assert all(offsets == 2000)
 
@@ -49,25 +49,25 @@ class TestBroadcast:
         cfg = harness_cfg(recv_a=ReceiverSpec(stamp_bias_ns=500,
                                               stamp_latency_ns=3000),
                           recv_b=ReceiverSpec(stamp_latency_ns=3000))
-        log, _ = run_broadcast(cfg, 10.0, 60.0)
+        log, _ = run_broadcast(cfg)
         _, ab, _ = pairwise_offsets(log, "c1", "c2")
         _, ba, _ = pairwise_offsets(log, "c2", "c1")
         assert ab.tolist() == (-ba).tolist()
 
     def test_drops_are_skipped_and_counted(self):
-        log, _ = run_broadcast(harness_cfg(drop=0.2), 10.0, 60.0)
+        log, _ = run_broadcast(harness_cfg(drop=0.2))
         packets, offsets, skipped = pairwise_offsets(log, "c1", "c2")
         assert skipped > 0
         assert len(offsets) == len(packets)
         assert len(offsets) + skipped == len(log)
 
     def test_no_common_packets(self):
-        log, _ = run_broadcast(harness_cfg(), 10.0, 60.0)
+        log, _ = run_broadcast(harness_cfg())
         with pytest.raises(NoCommonPackets):
             pairwise_offsets(log, "c1", "nope")
 
     def test_arrivals_not_before_send(self):
-        log, _ = run_broadcast(harness_cfg(deltas={"c1": 1500}), 10.0, 30.0)
+        log, _ = run_broadcast(harness_cfg(30.0, deltas={"c1": 1500}))
         for name, arrival in log.arrival_ns.items():
             seen = log.seen[name]
             assert seen.any()

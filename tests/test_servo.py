@@ -72,7 +72,7 @@ class TestUpdate:
         before = (servo.freq_correction_ppm, servo.last_offset_ns,
                   servo.last_elapsed_s)
         samples = [(float(t), 100) for t in range(2, 70)]
-        assert enter_holdover(servo.config, samples) == \
+        assert enter_holdover(samples) == \
             pytest.approx(0.0, abs=1e-9)
         assert (servo.freq_correction_ppm, servo.last_offset_ns,
                 servo.last_elapsed_s) == before
@@ -81,8 +81,6 @@ class TestUpdate:
 
 
 class TestHoldover:
-    CFG = ServoConfig(holdover_window_s=120.0)
-
     @staticmethod
     def ramp(slope_ns_per_s, n_s, noise_sigma=0.0, seed=0):
         rng = np.random.default_rng(seed)
@@ -94,28 +92,28 @@ class TestHoldover:
         return samples
 
     def test_zero_drift_gives_zero_slope(self):
-        assert enter_holdover(self.CFG, self.ramp(0.0, 90)) == \
+        assert enter_holdover(self.ramp(0.0, 90)) == \
             pytest.approx(0.0, abs=1e-9)
 
     def test_free_run_drift_slope_recovered(self):
         # 80 us/h uncorrected drift with some measurement noise
         samples = self.ramp(80_000 / 3600, 120, noise_sigma=30.0, seed=4)
-        assert enter_holdover(self.CFG, samples) == \
+        assert enter_holdover(samples) == \
             pytest.approx(22.22, rel=0.10)
 
     def test_linear_history_is_exact(self):
-        slope = enter_holdover(self.CFG, self.ramp(17.0, 90))
+        slope = enter_holdover(self.ramp(17.0, 90))
         assert abs(slope - 17.0) < 1.0
         assert slope * 50.0 == pytest.approx(17.0 * 50.0, abs=50.0)
 
     def test_insufficient_history(self):
         with pytest.raises(InsufficientHistory):
-            enter_holdover(self.CFG, [(1.0, 0)])
+            enter_holdover([(1.0, 0)])
         with pytest.raises(InsufficientHistory):  # spans < 60 s
-            enter_holdover(self.CFG, self.ramp(1.0, 30))
+            enter_holdover(self.ramp(1.0, 30))
 
     def test_tunnel_scale_prediction(self):
-        slope = enter_holdover(self.CFG, self.ramp(22.2, 120))
+        slope = enter_holdover(self.ramp(22.2, 120))
         # five minutes of outage at the fitted slope
         assert slope * 300.0 == pytest.approx(6660.0, rel=0.05)
 

@@ -104,8 +104,12 @@ class TestAdvance:
         assert state.phase_offset_ns == 42
 
     def test_dt_must_be_positive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TimeReversalError, match="^event at 0 ns does not "
+                           "move time forward from 0 ns$"):
             advance(ClockState(), OscillatorParams(), 0, 25.0)
+        with pytest.raises(TimeReversalError, match="^event at 3 ns does not "
+                           "move time forward from 5 ns$"):
+            advance(ClockState(0, 0.0, 5), OscillatorParams(), -2, 25.0)
 
     def test_phase_overflow_raises(self):
         state = ClockState.from_offset_ns(2**63 - 10**9)
