@@ -76,21 +76,22 @@ def _run_one(cfg: scenario.ScenarioConfig, out_dir: str) -> dict:
     kinds = {t.kind for t in cfg.traffic}
     bcast = None
     if "broadcast" in kinds:
-        bcast, result = net.run_broadcast(cfg)
+        bcast, nodes = net.run_broadcast(cfg)
     else:
-        result = engine.run_scenario(cfg)
+        nodes = engine.run_scenario(cfg)
 
-    for name, rows in result.loop_rows.items():
-        emit(f"loop_{name}.csv", _loop_csv(rows))
-    for name, bursts in result.nmea_logs.items():
-        if bursts:
+    for name, sim in nodes.items():
+        emit(f"loop_{name}.csv", _loop_csv(sim.loop_rows))
+    for name, sim in nodes.items():
+        if sim.nmea_log:
             emit(f"nmea_{name}.log", nmea.format_log(
-                bursts, cfg.node(name).constellations))
-    for name, edges in result.pps_logs.items():
-        if edges:
-            emit(f"pps_{name}.log", pps.format_log(edges))
+                sim.nmea_log, sim.spec.constellations))
+    for name, sim in nodes.items():
+        if sim.pps_log:
+            emit(f"pps_{name}.log", pps.format_log(sim.pps_log))
 
-    summary = result.summary()
+    summary = {"scenario": cfg.name, "seed": cfg.seed,
+               "nodes": {name: sim.summary() for name, sim in nodes.items()}}
     if bcast:
         a, b = list(bcast.stamp_ns)[:2]  # the first two clients
         packets, offsets, skipped = net.pairwise_offsets(bcast, a, b)
@@ -132,9 +133,9 @@ def _run_one(cfg: scenario.ScenarioConfig, out_dir: str) -> dict:
         "summary": summary,
     }
     _write_atomic(os.path.join(out_dir, "manifest.json"), _dump_json(manifest))
-    for node, warnings in result.warnings.items():
-        for w in warnings:
-            log.warning("%s: %s", node, w)
+    for name, sim in nodes.items():
+        for w in sim.warnings:
+            log.warning("%s: %s", name, w)
     return manifest
 
 
@@ -143,7 +144,7 @@ def _run_one(cfg: scenario.ScenarioConfig, out_dir: str) -> dict:
                 type=click.Path(exists=True, dir_okay=False))
 @click.option("--preset", "presets", multiple=True,
               help="Run a named preset (repeatable).")
-@click.option("--seed", type=int, default=None,
+@click.option("--seed", type=click.IntRange(min=0), default=None,
               help="Override the scenario seed.")
 @click.option("--out", "out_root", default="tsync-out", show_default=True,
               help="Output directory (one subdirectory per scenario).")
@@ -294,7 +295,7 @@ def _finite(ctx, param, value: float) -> float:
               type=click.Path(exists=True, dir_okay=False))
 @click.option("--node", "node_name", default=None,
               help="Node of the scenario to replay (default: first).")
-@click.option("--seed", type=int, default=None)
+@click.option("--seed", type=click.IntRange(min=0), default=None)
 @click.option("--assumed-latency-ms", type=float, default=80.0,
               show_default=True, callback=_finite,
               help="Arrival model for unprefixed lines.")

@@ -116,13 +116,12 @@ class NodeSim:
 
     def _advance_to(self, t_ns: int, temp_c: float) -> None:
         dt = t_ns - self.clock.last_update_ns
-        self.clock = advance(self.clock, self.spec.oscillator, dt, temp_c,
-                             self.noise)
+        advance(self.clock, self.spec.oscillator, dt, temp_c, self.noise)
         steer_fs = round(self.servo.freq_correction_ppm * dt)
         if self.holdover and self.outage.predicted:
             steer_fs -= round(self.outage.slope_ns_per_s * dt / 1000.0)
         if steer_fs:
-            self.clock = slew_phase(self.clock, steer_fs)
+            slew_phase(self.clock, steer_fs)
 
     def read_disciplined(self, t_ns: int) -> int:
         """Node clock reading (ns) at any true time at or after the last event."""
@@ -143,7 +142,7 @@ class NodeSim:
         elapsed_s, offset_ns = t_ns / NS_PER_S, reading_ns - t_ns
         step_ns = servo_mod.update(self.servo, elapsed_s, offset_ns)
         if step_ns:
-            self.clock = slew_phase(self.clock, step_ns * FS_PER_NS)
+            slew_phase(self.clock, step_ns * FS_PER_NS)
         self._log(elapsed_s, offset_ns, source)
 
     # -- outage bookkeeping ------------------------------------------------
@@ -171,7 +170,7 @@ class NodeSim:
             if self.spec.servo.holdover_predict:
                 seg.predicted = True
                 pred = seg.slope_ns_per_s * (boundary - seg.start_s)
-                self.clock = slew_phase(self.clock, -round(pred * FS_PER_NS))
+                slew_phase(self.clock, -round(pred * FS_PER_NS))
 
     # -- event handling ----------------------------------------------------
 
@@ -271,39 +270,22 @@ class NodeSim:
             self._end_outage(duration + 1)
         self._drop_pending("unlabeled edge")
 
-
-@dataclass
-class RunResult:
-    """Everything one scenario run produced, before any file is written."""
-
-    cfg: ScenarioConfig
-    loop_rows: dict = field(default_factory=dict)
-    true_rows: dict = field(default_factory=dict)
-    nmea_logs: dict = field(default_factory=dict)
-    pps_logs: dict = field(default_factory=dict)
-    warnings: dict = field(default_factory=dict)
-    holdover_segments: dict = field(default_factory=dict)
-
     def summary(self) -> dict:
-        out: dict = {"scenario": self.cfg.name, "seed": self.cfg.seed,
-                     "nodes": {}}
-        for name, rows in self.true_rows.items():
-            offs = np.array([o for _, o in rows], dtype=float)
-            node_sum = {
-                "true_offset_mean_ns": float(offs.mean()) if offs.size else 0.0,
-                "true_offset_max_abs_ns": float(np.abs(offs).max()) if offs.size else 0.0,
-                "loop_samples": len(self.loop_rows.get(name, [])),
-                "warnings": len(self.warnings.get(name, [])),
-                "holdover_segments": [
-                    {"start_s": s.start_s, "end_s": s.end_s,
-                     "end_offset_ns": s.end_offset_ns,
-                     "predicted": s.predicted,
-                     "slope_ns_per_s": s.slope_ns_per_s}
-                    for s in self.holdover_segments.get(name, [])
-                ],
-            }
-            out["nodes"][name] = node_sum
-        return out
+        """The node's entry in a run's manifest."""
+        offs = np.array([o for _, o in self.true_rows], dtype=float)
+        return {
+            "true_offset_mean_ns": float(offs.mean()) if offs.size else 0.0,
+            "true_offset_max_abs_ns": float(np.abs(offs).max()) if offs.size else 0.0,
+            "loop_samples": len(self.loop_rows),
+            "warnings": len(self.warnings),
+            "holdover_segments": [
+                {"start_s": seg.start_s, "end_s": seg.end_s,
+                 "end_offset_ns": seg.end_offset_ns,
+                 "predicted": seg.predicted,
+                 "slope_ns_per_s": seg.slope_ns_per_s}
+                for seg in self.holdover_segments
+            ],
+        }
 
 
 def seed_sequences(cfg: ScenarioConfig):
@@ -320,8 +302,10 @@ def build_node_sims(cfg: ScenarioConfig) -> list[NodeSim]:
     return [NodeSim(cfg, spec, seq) for spec, seq in zip(cfg.nodes, seqs)]
 
 
-def run_loop(cfg: ScenarioConfig, sims, before_step=None) -> RunResult:
-    """Step every node through the scenario's seconds and collect the logs.
+def run_loop(cfg: ScenarioConfig, sims,
+             before_step=None) -> dict[str, NodeSim]:
+    """Step every node through the scenario's seconds and finish them;
+    returns the nodes by name, each holding its logs.
 
     `before_step(boundary)`, when given, runs ahead of each second's steps.
     """
@@ -331,21 +315,14 @@ def run_loop(cfg: ScenarioConfig, sims, before_step=None) -> RunResult:
             before_step(boundary)
         for sim in sims:
             sim.step_boundary(boundary)
-    result = RunResult(cfg)
     for sim in sims:
         sim.finish(duration)
-        name = sim.spec.name
-        result.loop_rows[name] = sim.loop_rows
-        result.true_rows[name] = sim.true_rows
-        result.nmea_logs[name] = sim.nmea_log
-        result.pps_logs[name] = sim.pps_log
-        result.warnings[name] = sim.warnings
-        result.holdover_segments[name] = sim.holdover_segments
-    return result
+    return {sim.spec.name: sim for sim in sims}
 
 
-def run_scenario(cfg: ScenarioConfig) -> RunResult:
-    """Run the discipline loops of every node over the full duration."""
+def run_scenario(cfg: ScenarioConfig) -> dict[str, NodeSim]:
+    """Run the discipline loops of every node over the full duration;
+    returns the nodes by name."""
     return run_loop(cfg, build_node_sims(cfg))
 
 

@@ -64,7 +64,7 @@ def run_broadcast(cfg: ScenarioConfig):
     of that second's node steps, one clock read per stamp; that second's
     drop decisions are drawn as one (packet, client) block and each
     client's latencies as one block over the packets it keeps. Returns
-    (log, result): a `BroadcastLog` and the clients' discipline logs.
+    (log, nodes): a `BroadcastLog` and `engine.run_loop`'s nodes by name.
     """
     traffic, params = _entry(cfg, "broadcast")
     sims = engine.build_node_sims(cfg)
@@ -108,7 +108,7 @@ def run_broadcast(cfg: ScenarioConfig):
                     0, rc.stamp_latency_ns, idx.size)).astype(np.int64)
             stamps[j].extend(map(sim.read_disciplined, t.tolist()))
 
-    result = engine.run_loop(cfg, sims, stamp_packets)
+    nodes = engine.run_loop(cfg, sims, stamp_packets)
     log = BroadcastLog(send_col, np.array(send_stamps, dtype=np.int64),
                        {}, {}, {})
     for j, sim in enumerate(clients):
@@ -117,7 +117,7 @@ def run_broadcast(cfg: ScenarioConfig):
         log.seen[name] = seen[j]
         log.stamp_ns[name] = np.zeros(len(send_ns), dtype=np.int64)
         log.stamp_ns[name][seen[j]] = stamps[j]
-    return log, result
+    return log, nodes
 
 
 def pairwise_offsets(log: BroadcastLog, node_a: str, node_b: str):

@@ -164,7 +164,9 @@ class NodeSpec:
     constellations: frozenset[str] = config_field(
         frozenset(CONSTELLATIONS), minItems=1, items={"enum": CONSTELLATIONS})
     receiver: ReceiverSpec = field(default_factory=ReceiverSpec)
-    initial_offset_ns: int = 0
+    # The clock's phase accumulator holds a 64-bit ns range.
+    initial_offset_ns: int = config_field(0, minimum=-(2**63 - 1),
+                                          maximum=2**63 - 1)
 
     def __post_init__(self):
         check_bounds(self)
@@ -266,7 +268,7 @@ class ScenarioConfig:
     name: str = config_field(minLength=1)
     duration_s: float = config_field(exclusiveMinimum=0)
     visibility: tuple[VisibilitySeg, ...] = config_field(minItems=1)
-    seed: int = DEFAULT_SEED
+    seed: int = config_field(DEFAULT_SEED, minimum=0)
     temperature: Temperature = field(
         default_factory=lambda: ConstantTemp(25.0))
     nodes: tuple[NodeSpec, ...] = ()
@@ -444,8 +446,6 @@ def from_dict(data: dict, base_dir=None) -> ScenarioConfig:
 
 
 def _decode(tp, value, path: str, base_dir):
-    if tp is float:
-        return _finite(value, path)
     if tp == Temperature:
         return _decode_temperature(value, path, base_dir)
     if is_dataclass(tp):
@@ -471,9 +471,19 @@ def _decode(tp, value, path: str, base_dir):
             raise SchemaError(f"{path} must have {len(args)} items")
         return origin(_decode(t, v, f"{path}[{i}]", base_dir)
                       for i, (t, v) in enumerate(zip(args, value)))
+    # A scalar must have the JSON type the schema gives it: a boolean is
+    # not a number, and JSON's integer takes a float with no fraction.
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    kind = str if issubclass(tp, Enum) else tp
+    if not {bool: isinstance(value, bool), int: number and value % 1 == 0,
+            float: number, str: isinstance(value, str)}[kind]:
+        raise SchemaError(f"{path}: expected a JSON {_JSON_TYPES[kind]}, "
+                          f"got {value!r}")
+    if tp is float:
+        return _finite(value, path)
     try:  # int, str, bool or an Enum read by its value
         return tp(value)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except ValueError as exc:  # an Enum without that value
         raise SchemaError(f"{path}: {exc}") from exc
 
 

@@ -179,25 +179,18 @@ class OscillatorParams:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ClockState:
     """Evolving state of one node clock against true time.
 
     The phase offset (node clock minus true time) is accumulated in
     integer femtoseconds so sub-nanosecond ppm increments never erode.
+    `advance` and `slew_phase` change it in place.
     """
 
     phase_fs: int = 0
     freq_error_ppm: float = 0.0
     last_update_ns: int = 0
-
-    def __post_init__(self):
-        if not math.isfinite(self.freq_error_ppm):
-            raise ValueError("freq_error_ppm must be finite")
-        if abs(self.phase_fs) > _MAX_PHASE_FS:
-            raise PhaseOverflowError("phase accumulator overflow")
-        if abs(self.last_update_ns) > _MAX_INSTANT_NS:
-            raise OverflowError("instant outside 64-bit nanosecond range")
 
     @classmethod
     def from_offset_ns(cls, offset_ns: int,
@@ -217,19 +210,21 @@ def _round_div(value: int, div: int) -> int:
 
 
 def advance(state: ClockState, params: OscillatorParams, dt_ns: int,
-            temp_c: float, noise: "NoiseStream | None" = None) -> ClockState:
-    """Propagate a clock forward by dt_ns of true time.
+            temp_c: float, noise: "NoiseStream | None" = None) -> None:
+    """Propagate a clock forward by dt_ns of true time, in place.
 
     Frequency is held piecewise constant over the step (evaluated at the
     step start), so deterministic drift is exact and independent of how
     an interval is partitioned. One noise-stream draw is consumed per
     call when a stream is supplied. A dt_ns that is not positive raises
-    TimeReversalError.
+    TimeReversalError, and a phase or instant past the 64-bit ns range
+    PhaseOverflowError or OverflowError, leaving `state` unchanged.
     """
     dt_ns = int(dt_ns)
+    t_ns = state.last_update_ns + dt_ns
     if dt_ns <= 0:
         raise TimeReversalError(
-            f"event at {state.last_update_ns + dt_ns} ns does not move time "
+            f"event at {t_ns} ns does not move time "
             f"forward from {state.last_update_ns} ns")
     elapsed_days = state.last_update_ns / (86400.0 * NS_PER_S)
     det_ppm = params.freq_ppm_at(temp_c, elapsed_days)
@@ -239,19 +234,26 @@ def advance(state: ClockState, params: OscillatorParams, dt_ns: int,
         noise_phase_ns = noise.next_phase_ns(dt_ns)
 
     # 1 ppm * 1 ns == 1 fs, so the ppm product is already in femtoseconds.
+    # round() also rejects a NaN or infinite frequency.
     inc_fs = round(det_ppm * dt_ns) + round(noise_phase_ns * FS_PER_NS)
     new_fs = state.phase_fs + inc_fs
     if abs(new_fs) > _MAX_PHASE_FS:
         raise PhaseOverflowError("phase accumulator overflow")
+    if t_ns > _MAX_INSTANT_NS:
+        raise OverflowError("instant outside 64-bit nanosecond range")
 
-    noise_ppm = noise_phase_ns / dt_ns * 1e6
-    return ClockState(new_fs, det_ppm + noise_ppm, state.last_update_ns + dt_ns)
+    state.phase_fs = new_fs
+    state.freq_error_ppm = det_ppm + noise_phase_ns / dt_ns * 1e6
+    state.last_update_ns = t_ns
 
 
-def slew_phase(state: ClockState, delta_fs: int) -> ClockState:
-    """Apply an externally commanded phase change (servo slew or step)."""
-    return ClockState(state.phase_fs + int(delta_fs), state.freq_error_ppm,
-                      state.last_update_ns)
+def slew_phase(state: ClockState, delta_fs: int) -> None:
+    """Apply an externally commanded phase change (servo slew or step) in
+    place; a phase past the 64-bit ns range raises PhaseOverflowError."""
+    new_fs = state.phase_fs + int(delta_fs)
+    if abs(new_fs) > _MAX_PHASE_FS:
+        raise PhaseOverflowError("phase accumulator overflow")
+    state.phase_fs = new_fs
 
 
 def read_clock(state: ClockState, t_ns: int,

@@ -29,7 +29,7 @@ def _report(num: int, desc: str, ok: bool, detail: str) -> None:
 
 
 def _loop_offsets(result, node):
-    return np.array([r.offset_ns for r in result.loop_rows[node]])
+    return np.array([r.offset_ns for r in result[node].loop_rows])
 
 
 @pytest.fixture(scope="module")
@@ -96,8 +96,8 @@ def test_criterion_2_sentence_only_bounds(lab_runs):
 
 def test_criterion_3_tunnel_holdover(tunnel_runs):
     raw, predicted = tunnel_runs
-    raw_end = abs(raw.holdover_segments["vehicle"][0].end_offset_ns)
-    fixed_end = abs(predicted.holdover_segments["vehicle"][0].end_offset_ns)
+    raw_end = abs(raw["vehicle"].holdover_segments[0].end_offset_ns)
+    fixed_end = abs(predicted["vehicle"].holdover_segments[0].end_offset_ns)
     ok = (5000.0 <= raw_end <= 8000.0 and fixed_end <= 0.2 * raw_end)
     _report(3, "tunnel outage drift and linear-predictor residual",
             ok, f"uncorrected {raw_end/1000:.2f} us, "
@@ -232,8 +232,8 @@ def test_criterion_9_property_suites(tmp_path):
         scenario.preset("tunnel_5km"), name="label", duration_s=400.0,
         temperature=scenario.ConstantTemp(25.0),
         visibility=(scenario.VisibilitySeg(0.0, 400.0, 8, 6),)))
-    checks["labeling"] = (len(lab.loop_rows["vehicle"]) == 400
-                          and not lab.warnings["vehicle"])
+    checks["labeling"] = (len(lab["vehicle"].loop_rows) == 400
+                          and not lab["vehicle"].warnings)
 
     # beacon timer monotonicity and one-step convergence
     rngt = np.random.default_rng(6)

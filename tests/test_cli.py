@@ -130,6 +130,23 @@ class TestRun:
         (("nodes", 0, "name"), "", {}, "nodes[0]: name must not be empty"),
         (("nodes", 0, "servo", "holdover_window_s"), 60.0, {},
          "unknown key 'holdover_window_s'"),
+        (("nodes", 0, "servo", "holdover_predict"), "false", {},
+         "nodes[0].servo.holdover_predict: expected a JSON boolean, "
+         "got 'false'"),
+        (("seed",), "7", {}, "seed: expected a JSON integer, got '7'"),
+        (("seed",), 1.5, {}, "seed: expected a JSON integer, got 1.5"),
+        (("seed",), True, {}, "seed: expected a JSON integer, got True"),
+        (("name",), 12, {}, "name: expected a JSON string, got 12"),
+        (("visibility", 0, "nsat_gps"), 2.9, {},
+         "visibility[0].nsat_gps: expected a JSON integer, got 2.9"),
+        (("duration_s",), True, {},
+         "duration_s: expected a JSON number, got True"),
+        (("nodes", 0, "servo", "mode"), 1, {},
+         "nodes[0].servo.mode: expected a JSON string, got 1"),
+        (("seed",), -1, {}, "scenario: seed must be >= 0"),
+        (("nodes", 0, "initial_offset_ns"), 2**63, {},
+         "nodes[0]: initial_offset_ns must be in [-9223372036854775807, "
+         "9223372036854775807]"),
     ], ids=["receiver-key-typo", "unknown-top-level-key", "glonass-only",
             "no-constellations", "nodes-as-object", "servo-null",
             "trace-file-missing", "trace-file-is-directory",
@@ -140,7 +157,11 @@ class TestRun:
             "tsf-no-nodes", "tsf-spread-past-100ppm",
             "tsf-negative-airtime-jitter", "ntp-entry-repeated",
             "broadcast-entry-repeated", "empty-scenario-name",
-            "empty-node-name", "removed-holdover-window"])
+            "empty-node-name", "removed-holdover-window",
+            "boolean-as-string", "seed-as-string", "seed-fractional",
+            "seed-as-boolean", "name-as-number", "nsat-fractional",
+            "duration-as-boolean", "mode-as-number", "seed-negative",
+            "initial-offset-past-64-bit"])
     def test_malformed_config_exits_2(self, runner, tmp_path, keys, value,
                                       files, match):
         short_lab(tmp_path, duration=30.0)
@@ -213,6 +234,19 @@ class TestRun:
                                    "--jobs", jobs, "--out", str(out)])
         assert res.exit_code == 2
         assert "Invalid value for '--jobs'" in res.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["run", "--preset", "lte_ntp"],
+        ["replay", "nmea.log", "--preset", "lte_ntp"],
+    ], ids=["run", "replay"])
+    def test_negative_seed_exits_2(self, runner, tmp_path, command):
+        (tmp_path / "nmea.log").write_text("")
+        out = tmp_path / "out"
+        args = [str(tmp_path / a) if a == "nmea.log" else a for a in command]
+        res = runner.invoke(main, [*args, "--seed", "-3", "--out", str(out)])
+        assert res.exit_code == 2
+        assert "Invalid value for '--seed'" in res.output
         assert not out.exists()
 
     def test_jobs_capped_at_scenario_count(self, runner, tmp_path,
@@ -315,7 +349,7 @@ class TestAnalyze:
                              ).exit_code == 0
         res = runner.invoke(main, ["analyze", str(out / "loop_bench.csv")])
         rep = json.loads(res.output)
-        offs = [r.offset_ns for r in engine.run_scenario(cfg).loop_rows["bench"]]
+        offs = [r.offset_ns for r in engine.run_scenario(cfg)["bench"].loop_rows]
         direct = metrics.report(offs, tau0_s=1.0)
         assert rep["mean_ns"] == direct["mean_ns"]
         assert rep["peak_to_peak_ns"] == direct["peak_to_peak_ns"]

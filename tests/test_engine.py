@@ -29,7 +29,7 @@ def small_cfg(mode=ServoMode.NMEA_PLUS_PPS, duration=120.0, seed=5, osc=None,
 
 
 def offsets(result, node="n0"):
-    return np.array([r.offset_ns for r in result.loop_rows[node]])
+    return np.array([r.offset_ns for r in result[node].loop_rows])
 
 
 class TestDiscipline:
@@ -40,20 +40,20 @@ class TestDiscipline:
 
     def test_one_sample_per_second_combined(self):
         res = engine.run_scenario(small_cfg(duration=60.0))
-        rows = res.loop_rows["n0"]
+        rows = res["n0"].loop_rows
         assert len(rows) == 60
         assert [r.source for r in rows] == ["COMBINED"] * 60
         assert [r.elapsed_s for r in rows] == [float(b) for b in range(1, 61)]
 
     def test_labeling_always_correct_under_defaults(self):
         res = engine.run_scenario(small_cfg(duration=300.0))
-        assert len(res.loop_rows["n0"]) == 300
-        assert res.warnings["n0"] == []
+        assert len(res["n0"].loop_rows) == 300
+        assert res["n0"].warnings == []
 
     def test_large_initial_offset_is_stepped(self):
         res = engine.run_scenario(small_cfg(initial_offset_ns=500_000_000,
                                             duration=30.0))
-        rows = res.loop_rows["n0"]
+        rows = res["n0"].loop_rows
         assert abs(rows[0].offset_ns - 500_000_000) < 1000
         assert abs(rows[1].offset_ns) < 1000
 
@@ -74,14 +74,22 @@ class TestDiscipline:
         assert row.source == ("PPS" if mode is ServoMode.PPS_ONLY
                               else "COMBINED")
 
+    def test_run_steers_each_clock_in_place(self):
+        cfg = small_cfg(duration=30.0)
+        (sim,) = engine.build_node_sims(cfg)
+        clock = sim.clock
+        assert engine.run_loop(cfg, [sim]) == {"n0": sim}
+        assert sim.clock is clock
+        assert clock.last_update_ns > 29 * 10**9
+
     def test_run_deterministic(self):
         osc = OscillatorParams(f0_ppm=0.1, noise_white_fm=2e-9,
                                noise_flicker_fm=1e-9)
         a = engine.run_scenario(small_cfg(osc=osc))
         b = engine.run_scenario(small_cfg(osc=osc))
         assert np.array_equal(offsets(a), offsets(b))
-        assert a.nmea_logs["n0"] == b.nmea_logs["n0"]
-        assert a.pps_logs["n0"] == b.pps_logs["n0"]
+        assert a["n0"].nmea_log == b["n0"].nmea_log
+        assert a["n0"].pps_log == b["n0"].pps_log
 
     def test_mode_noise_ordering(self):
         # steady-state spread: pulse-disciplined <= combined < sentence-only
@@ -100,13 +108,13 @@ class TestDiscipline:
             ReceiverSpec().serial, jitter_ms=0.0))
         cfg = small_cfg(duration=30.0, receiver=recv)
         res = engine.run_scenario(cfg)
-        for rx, second, _ in res.nmea_logs["n0"]:
+        for rx, second, _ in res["n0"].nmea_log:
             assert rx == second * 10**9 + 80_000_000
 
     def test_one_pulse_per_second_while_fix_holds(self):
         cfg = scenario.preset("tunnel_5km")
         res = engine.run_scenario(cfg)
-        edges = res.pps_logs["vehicle"]
+        edges = res["vehicle"].pps_log
         assert len(edges) == int(cfg.duration_s) - 315
         seconds = [round(e / 10**9) for e in edges]
         assert len(set(seconds)) == len(seconds)
@@ -123,14 +131,14 @@ class TestDiscipline:
         # NSAT 1..3 still drives the pulse train; only NSAT=0 coasts
         cfg = scenario.preset("mixed_urban")
         res = engine.run_scenario(cfg)
-        rows = res.loop_rows["vehicle"]
+        rows = res["vehicle"].loop_rows
         assert not any(r.source == "HOLDOVER" for r in rows)
-        assert res.warnings["vehicle"] == []
+        assert res["vehicle"].warnings == []
         gps_only = dataclasses.replace(
             cfg, nodes=(dataclasses.replace(
                 cfg.nodes[0], constellations=frozenset({"GPS"})),))
         res2 = engine.run_scenario(gps_only)
-        hold = [r for r in res2.loop_rows["vehicle"] if r.source == "HOLDOVER"]
+        hold = [r for r in res2["vehicle"].loop_rows if r.source == "HOLDOVER"]
         assert hold, "GPS-only receiver should coast through shadowed spans"
 
     def test_nmea_mode_measures_serial_spread(self):
@@ -188,11 +196,11 @@ class TestSentenceSample:
                         VisibilitySeg(5.0, 6.0, 2, 0),
                         VisibilitySeg(6.0, 10.0, 8, 6)))
         res = engine.run_scenario(cfg)
-        assert [r.elapsed_s for r in res.loop_rows["n0"]] == \
+        assert [r.elapsed_s for r in res["n0"].loop_rows] == \
             [float(s) for s in range(1, 11) if s != 6]
-        assert [(s, n) for _, s, n in res.nmea_logs["n0"]] == \
+        assert [(s, n) for _, s, n in res["n0"].nmea_log] == \
             [(s, 2 if s == 6 else 14) for s in range(1, 11)]
-        assert res.holdover_segments["n0"] == []
+        assert res["n0"].holdover_segments == []
 
 
 class TestOutage:
@@ -222,15 +230,15 @@ class TestOutage:
 
     def test_holdover_rows_cover_gap(self):
         res = engine.run_scenario(self.outage_cfg(predict=False))
-        hold = [r for r in res.loop_rows["n0"] if r.source == "HOLDOVER"]
+        hold = [r for r in res["n0"].loop_rows if r.source == "HOLDOVER"]
         assert len(hold) == 160
-        segs = res.holdover_segments["n0"]
+        segs = res["n0"].holdover_segments
         assert len(segs) == 1
         assert segs[0].end_s - segs[0].start_s == pytest.approx(160.0)
 
     def test_uncorrected_drift_accumulates_linearly(self):
         res = engine.run_scenario(self.outage_cfg(predict=False))
-        seg = res.holdover_segments["n0"][0]
+        seg = res["n0"].holdover_segments[0]
         # -0.02 ppm of residual rate over ~158 s of cooled operation
         assert seg.end_offset_ns == pytest.approx(-20.0 * 158, rel=0.08)
         assert not seg.predicted
@@ -238,14 +246,14 @@ class TestOutage:
     def test_prediction_shrinks_residual(self):
         raw = engine.run_scenario(self.outage_cfg(predict=False))
         fixed = engine.run_scenario(self.outage_cfg(predict=True))
-        raw_end = abs(raw.holdover_segments["n0"][0].end_offset_ns)
-        fixed_end = abs(fixed.holdover_segments["n0"][0].end_offset_ns)
-        assert fixed.holdover_segments["n0"][0].predicted
+        raw_end = abs(raw["n0"].holdover_segments[0].end_offset_ns)
+        fixed_end = abs(fixed["n0"].holdover_segments[0].end_offset_ns)
+        assert fixed["n0"].holdover_segments[0].predicted
         assert fixed_end <= 0.2 * raw_end
 
     def test_reacquisition_recovers(self):
         res = engine.run_scenario(self.outage_cfg(predict=False))
-        rows = [r for r in res.loop_rows["n0"] if r.source == "COMBINED"]
+        rows = [r for r in res["n0"].loop_rows if r.source == "COMBINED"]
         assert abs(rows[-1].offset_ns) < 500
 
     def test_holdover_flag_waits_for_each_segments_fit(self):
@@ -260,10 +268,10 @@ class TestOutage:
                         VisibilitySeg(150.0, 230.0, 0, 0),
                         VisibilitySeg(230.0, 300.0, 8, 6)))
         res = engine.run_scenario(cfg)
-        segs = res.holdover_segments["n0"]
+        segs = res["n0"].holdover_segments
         assert [(s.start_s, s.end_s) for s in segs] == [(60.0, 140.0),
                                                         (150.0, 230.0)]
-        rows = res.loop_rows["n0"]
+        rows = res["n0"].loop_rows
         for seg in segs:
             # the slope is fitted once the observations span the minimum
             fit_s = seg.start_s + 1 + servo.MIN_HOLDOVER_SPAN_S
@@ -278,15 +286,15 @@ class TestOutage:
         # HOLDOVER row, and from those rows alone.
         cfg = scenario.preset("tunnel_5km")
         res = engine.run_scenario(cfg)
-        (seg,) = res.holdover_segments["vehicle"]
-        hold = [(r.elapsed_s, r.offset_ns) for r in res.loop_rows["vehicle"]
+        (seg,) = res["vehicle"].holdover_segments
+        hold = [(r.elapsed_s, r.offset_ns) for r in res["vehicle"].loop_rows
                 if r.source == "HOLDOVER"
                 and seg.start_s < r.elapsed_s <= seg.end_s]
         assert seg.slope_ns_per_s == servo.enter_holdover(hold[:61])
 
     def test_holdover_flag_in_rows(self):
         res = engine.run_scenario(self.outage_cfg(predict=True))
-        flagged = [r for r in res.loop_rows["n0"] if r.holdover]
+        flagged = [r for r in res["n0"].loop_rows if r.holdover]
         assert flagged, "holdover never became active"
         assert all(r.source == "HOLDOVER" for r in flagged)
 
@@ -296,7 +304,7 @@ class TestReplayParity:
     def logged_events(res, cfg, tmp_path, node="n0"):
         """A node's sentence log, written and read back."""
         path = tmp_path / f"nmea_{node}.log"
-        path.write_text(nmea.format_log(res.nmea_logs[node],
+        path.write_text(nmea.format_log(res[node].nmea_log,
                                         cfg.node(node).constellations))
         return nmea.read_log(path, 80.0)
 
@@ -308,10 +316,10 @@ class TestReplayParity:
         res = engine.run_scenario(cfg)
         rows, warnings = engine.run_replay(
             cfg, cfg.nodes[0], self.logged_events(res, cfg, tmp_path),
-            res.pps_logs["n0"])
+            res["n0"].pps_log)
         assert warnings == []
         assert len(rows) == 180
-        assert [r.csv() for r in rows] == [r.csv() for r in res.loop_rows["n0"]]
+        assert [r.csv() for r in rows] == [r.csv() for r in res["n0"].loop_rows]
 
     def test_second_node_replays_its_own_run(self, tmp_path):
         # Each node draws from its own seed; replay must pick node n1's.
@@ -322,11 +330,11 @@ class TestReplayParity:
                                  initial_offset_ns=3_000)
         cfg = dataclasses.replace(base, nodes=(base.nodes[0], n1))
         res = engine.run_scenario(cfg)
-        live = [r.csv() for r in res.loop_rows["n1"]]
-        assert live != [r.csv() for r in res.loop_rows["n0"]]
+        live = [r.csv() for r in res["n1"].loop_rows]
+        assert live != [r.csv() for r in res["n0"].loop_rows]
         rows, warnings = engine.run_replay(
             cfg, n1, self.logged_events(res, cfg, tmp_path, "n1"),
-            res.pps_logs["n1"])
+            res["n1"].pps_log)
         assert warnings == []
         assert [r.csv() for r in rows] == live
 
@@ -334,12 +342,12 @@ class TestReplayParity:
         cfg = small_cfg(duration=120.0)
         res = engine.run_scenario(cfg)
         events = self.logged_events(res, cfg, tmp_path)
-        edges = [e for e in res.pps_logs["n0"]
+        edges = [e for e in res["n0"].pps_log
                  if abs(e - 60 * 10**9) > 10**8]  # drop second 60's edge
         rows, warnings = engine.run_replay(cfg, cfg.nodes[0], events, edges)
         assert len(warnings) == 1
         assert "60" in warnings[0]
-        assert len(rows) == len(res.loop_rows["n0"]) - 1
+        assert len(rows) == len(res["n0"].loop_rows) - 1
 
 
 class TestIntegerTime:
@@ -361,8 +369,8 @@ class TestIntegerTime:
     @pytest.mark.parametrize("mode", list(ServoMode), ids=lambda m: m.value)
     def test_run_builds_no_instant(self, instants, mode):
         res = engine.run_scenario(small_cfg(mode=mode, duration=60.0))
-        assert res.warnings["n0"] == []
-        assert len(res.loop_rows["n0"]) == 60
+        assert res["n0"].warnings == []
+        assert len(res["n0"].loop_rows) == 60
         assert instants == []
 
     def test_broadcast_builds_no_instant(self, instants):
@@ -376,7 +384,7 @@ class TestIntegerTime:
     def test_warning_still_formats_the_edge_time(self, instants):
         recv = ReceiverSpec(pps=PpsJitter(0), label_window_ns=10_000_000)
         res = engine.run_scenario(small_cfg(duration=3.0, receiver=recv))
-        assert res.warnings["n0"] == [f"UnlabeledEdge at {k}.000000000s"
+        assert res["n0"].warnings == [f"UnlabeledEdge at {k}.000000000s"
                                       for k in (1, 2, 3)]
         assert len(instants) == 3
 

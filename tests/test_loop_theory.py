@@ -62,7 +62,7 @@ def predicted_offsets(initial_offset_ns: int, f_ppm: float, kp: float,
 def test_transient_follows_the_pi_recurrence(mode, initial_offset_ns):
     cfg = quiet_room(mode, initial_offset_ns)
     spec = cfg.nodes[0]
-    rows = engine.run_scenario(cfg).loop_rows[spec.name]
+    rows = engine.run_scenario(cfg)[spec.name].loop_rows
     assert [r.elapsed_s for r in rows] == \
         [float(k) for k in range(1, int(DURATION_S) + 1)]
     want = predicted_offsets(initial_offset_ns, spec.oscillator.f0_ppm,

@@ -56,13 +56,13 @@ class TestValidation:
     @pytest.mark.parametrize("keys, value, match", [
         (("duration_s",), float("nan"), "finite"),
         (("duration_s",), float("inf"), "finite"),
-        (("duration_s",), "-inf", "finite"),
+        (("duration_s",), "-inf", "expected a JSON number, got '-inf'"),
         (("temperature", "c"), float("nan"), "finite"),
         (("visibility", 0, "t_end"), float("inf"), "finite"),
         (("nodes", 0, "oscillator", "f0_ppm"), float("nan"), "finite"),
         (("nodes", 0, "servo", "kp"), float("inf"), "finite"),
         (("nodes", 0, "receiver", "pps_half_width_ns"), float("inf"),
-         "infinity to integer"),
+         "expected a JSON integer, got inf"),
     ], ids=["duration-nan", "duration-inf", "duration-minus-inf-string",
             "constant-temperature-nan", "visibility-end-inf",
             "oscillator-nan", "servo-gain-inf", "receiver-ns-inf"])
@@ -74,6 +74,12 @@ class TestValidation:
         target[keys[-1]] = value
         with pytest.raises(SchemaError, match=match):
             scenario.from_dict(data)
+
+    def test_whole_float_is_an_integer(self):
+        data = scenario.to_dict(minimal())
+        data["seed"] = 7.0
+        seed = scenario.from_dict(data).seed
+        assert (type(seed), seed) == (int, 7)
 
     def test_non_finite_trace_point_rejected(self, tmp_path):
         (tmp_path / "trace.csv").write_text("t_s,temp_c\n0,20\n10,nan\n")
@@ -165,7 +171,7 @@ class TestTrafficParams:
         ("lte_ntp", "drop_prob", 1.0, "drop_prob must be in"),
         ("harness_10pps", "drop_prob", -0.3, "drop_prob must be in"),
         ("harness_10pps", "drop_prob", 1.5, "drop_prob must be in"),
-        ("lte_ntp", "delay_up_ms", "slow", "could not convert"),
+        ("lte_ntp", "delay_up_ms", "slow", "expected a JSON number, got 'slow'"),
     ])
     def test_bad_params_rejected_at_load(self, name, key, value, match):
         data = scenario.to_dict(preset(name))

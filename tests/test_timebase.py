@@ -8,7 +8,8 @@ from tsync import metrics
 from tsync.timebase import (_FLICKER_UNIT_ADEV, FLICKER_FM, ClockState,
                             NoiseStream, OscillatorParams, PhaseOverflowError,
                             SimInstant, TimeReversalError, _fft_len, advance,
-                            gen_power_law_noise, nearest_second, read_clock)
+                            gen_power_law_noise, nearest_second, read_clock,
+                            slew_phase)
 
 NS = 1_000_000_000
 
@@ -31,8 +32,6 @@ class TestSimInstant:
             SimInstant.from_ns(2**63)
         with pytest.raises(OverflowError):
             SimInstant.from_ns(2**63 - 1 + 10)
-        with pytest.raises(OverflowError):
-            ClockState(0, 0.0, 2**63)
 
     @given(st.integers(-10**15, 10**15), st.integers(-10**15, 10**15))
     def test_ordering_matches_total_ns(self, a, b):
@@ -49,31 +48,34 @@ class TestAdvance:
     def test_all_zero_params_identity(self):
         state = ClockState()
         for _ in range(5):
-            state = advance(state, OscillatorParams(), NS, 25.0)
+            assert advance(state, OscillatorParams(), NS, 25.0) is None
         assert state.phase_offset_ns == 0
+        assert state.last_update_ns == 5 * NS
 
     def test_100ppm_one_second(self):
-        state = advance(ClockState(), OscillatorParams(f0_ppm=100.0), NS, 25.0)
+        state = ClockState()
+        advance(state, OscillatorParams(f0_ppm=100.0), NS, 25.0)
         assert state.phase_offset_ns == 100_000
 
     def test_free_run_drift_80us_per_hour(self):
         f0 = 80_000 / 3600 / 1000  # 80 us over an hour, in ppm
-        state = advance(ClockState(), OscillatorParams(f0_ppm=f0),
-                        3600 * NS, 25.0)
+        state = ClockState()
+        advance(state, OscillatorParams(f0_ppm=f0), 3600 * NS, 25.0)
         assert abs(state.phase_offset_ns - 80_000) <= 1
 
     def test_temperature_coefficient(self):
         params = OscillatorParams(temp_coeff_ppm_per_c=0.5, ref_temp_c=20.0)
-        state = advance(ClockState(), params, NS, 24.0)
+        state = ClockState()
+        advance(state, params, NS, 24.0)
         assert state.phase_offset_ns == 2000
         assert state.freq_error_ppm == pytest.approx(2.0)
 
     def test_step_partition_invariance(self):
         params = OscillatorParams(f0_ppm=3.7)
-        whole = advance(ClockState(), params, NS, 25.0)
-        split = ClockState()
+        whole, split = ClockState(), ClockState()
+        advance(whole, params, NS, 25.0)
         for _ in range(10):
-            split = advance(split, params, NS // 10, 25.0)
+            advance(split, params, NS // 10, 25.0)
         assert abs(whole.phase_offset_ns - split.phase_offset_ns) <= 1
 
     @given(st.floats(-100.0, 100.0, allow_nan=False),
@@ -82,16 +84,16 @@ class TestAdvance:
     def test_partition_invariance_any_split(self, f0, cuts):
         params = OscillatorParams(f0_ppm=f0)
         total = sum(cuts)
-        whole = advance(ClockState(), params, total, 25.0)
-        split = ClockState()
+        whole, split = ClockState(), ClockState()
+        advance(whole, params, total, 25.0)
         for dt in cuts:
-            split = advance(split, params, dt, 25.0)
+            advance(split, params, dt, 25.0)
         assert abs(whole.phase_offset_ns - split.phase_offset_ns) <= 1
 
     def test_aging_enters_frequency(self):
         params = OscillatorParams(aging_ppm_per_day=0.5)
         state = ClockState(0, 0.0, 86_400 * NS)
-        state = advance(state, params, NS, 25.0)
+        advance(state, params, NS, 25.0)
         assert state.freq_error_ppm == pytest.approx(0.5)
         assert state.phase_offset_ns == 500
 
@@ -100,7 +102,7 @@ class TestAdvance:
     def test_zero_input_invariance_any_schedule(self, steps):
         state = ClockState.from_offset_ns(42)
         for dt in steps:
-            state = advance(state, OscillatorParams(), dt, 31.0)
+            advance(state, OscillatorParams(), dt, 31.0)
         assert state.phase_offset_ns == 42
 
     def test_dt_must_be_positive(self):
@@ -116,6 +118,26 @@ class TestAdvance:
         with pytest.raises(PhaseOverflowError):
             advance(state, OscillatorParams(f0_ppm=1000.0), 10**15 * NS // 1000,
                     25.0)
+        assert state == ClockState.from_offset_ns(2**63 - 10**9)
+
+    def test_instant_overflow_raises(self):
+        state = ClockState(0, 0.0, 2**63 - 10)
+        with pytest.raises(OverflowError, match="^instant outside"):
+            advance(state, OscillatorParams(), 10, 25.0)
+        assert state == ClockState(0, 0.0, 2**63 - 10)
+        advance(state, OscillatorParams(), 9, 25.0)
+        assert state.last_update_ns == 2**63 - 1
+
+    def test_slew_phase_overflow_raises(self):
+        limit_fs = (2**63 - 1) * 1_000_000
+        state = ClockState(limit_fs - 5)
+        assert slew_phase(state, 5) is None
+        assert state.phase_fs == limit_fs
+        with pytest.raises(PhaseOverflowError):
+            slew_phase(state, 1)
+        with pytest.raises(PhaseOverflowError):
+            slew_phase(ClockState(-limit_fs), -1)
+        assert state.phase_fs == limit_fs
 
     def test_deterministic_trajectories(self):
         params = OscillatorParams(noise_white_fm=1e-9, noise_flicker_fm=1e-9,
@@ -124,10 +146,11 @@ class TestAdvance:
         def run():
             stream = NoiseStream(params, 99, 64)
             state = ClockState()
-            return [
-                (state := advance(state, params, NS, 25.0, stream)).phase_fs
-                for _ in range(50)
-            ]
+            out = []
+            for _ in range(50):
+                advance(state, params, NS, 25.0, stream)
+                out.append(state.phase_fs)
+            return out
 
         assert run() == run()
 
