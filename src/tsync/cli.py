@@ -118,7 +118,7 @@ def _run_one(cfg: scenario.ScenarioConfig, out_dir: str) -> dict:
                           "mean_abs_offset_ns": sum(ests) / len(ests) if ests else 0.0}
 
     if "tsf" in kinds:
-        rows = net.run_tsf_traffic(cfg)
+        rows = net.run_tsf(cfg)
         lines = [TSF_HEADER]
         lines += [f"{t:.4f},{s}" for t, s in rows]
         emit("tsf.csv", "\n".join(lines) + "\n")

@@ -105,7 +105,8 @@ class NodeSim:
         self.last_sampled_second: int | None = None
 
         self.loop_rows: list[LoopRow] = []
-        self.true_rows: list[tuple[int, int]] = []
+        # The true clock offset (ns) at the end of each second.
+        self.true_rows: list[int] = []
         # One (arrival_ns, second, nsat) record per delivered burst.
         self.nmea_log: list[tuple[int, int, int]] = []
         self.pps_log: list[int] = []
@@ -263,7 +264,7 @@ class NodeSim:
                                  nsat >= scenario.MIN_FIX_NSAT, temp_c)
         else:
             self._outage_tick(boundary, temp_c)
-        self.true_rows.append((boundary, self.clock.phase_offset_ns))
+        self.true_rows.append(self.clock.phase_offset_ns)
 
     def finish(self, duration: int) -> None:
         if self.outage is not None:
@@ -272,7 +273,7 @@ class NodeSim:
 
     def summary(self) -> dict:
         """The node's entry in a run's manifest."""
-        offs = np.array([o for _, o in self.true_rows], dtype=float)
+        offs = np.array(self.true_rows, dtype=float)
         return {
             "true_offset_mean_ns": float(offs.mean()) if offs.size else 0.0,
             "true_offset_max_abs_ns": float(np.abs(offs).max()) if offs.size else 0.0,

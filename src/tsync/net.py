@@ -11,13 +11,12 @@ implements the classic four-timestamp offset/delay estimator.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import engine
-from .scenario import (LinkModel, PacketDropped, ScenarioConfig, TsfParams,
-                       traffic_params)
+from .scenario import LinkModel, PacketDropped, ScenarioConfig, traffic_params
 from .timebase import ClockState, NS_PER_S, read_clock
 
 US_PER_S = 1_000_000
@@ -137,68 +136,41 @@ def pairwise_offsets(log: BroadcastLog, node_a: str, node_b: str):
 # Beacon-timer synchronization (adopt the fastest neighbour)
 
 
-@dataclass(frozen=True)
-class TsfNode:
-    """64-bit 1 us beacon timer plus its oscillator's rate error."""
-
-    timer_us: int = 0
-    freq_error_ppm: float = 0.0
-    frac_us: float = 0.0
-
-    def __post_init__(self):
-        if abs(self.freq_error_ppm) > 100.0:
-            raise ValueError("timer rate error beyond +/-100 ppm")
+def tsf_adopt(timers: np.ndarray, winner: int,
+              airtime_us: np.ndarray) -> np.ndarray:
+    """One beacon from `winner`: each timer becomes the later of its own
+    and the winner's timer plus its airtime, so no timer moves back. The
+    winner keeps its own timer when its airtime is 0."""
+    return np.maximum(timers, timers[winner] + airtime_us)
 
 
-def tsf_advance(nodes, dt_s: float) -> list[TsfNode]:
-    """Free-run all timers for dt_s seconds at their own rates."""
-    out = []
-    for n in nodes:
-        ticks = dt_s * US_PER_S * (1.0 + n.freq_error_ppm * 1e-6) + n.frac_us
-        whole = int(ticks)
-        out.append(replace(n, timer_us=n.timer_us + whole, frac_us=ticks - whole))
-    return out
-
-
-def tsf_step(nodes, beacon_winner: int, airtime_jitter_us: float,
-             rng) -> list[TsfNode]:
-    """Apply one beacon from the winning node.
-
-    Receivers adopt max(own timer, received timer + airtime), so timers
-    move forward but never backward; the winner keeps its own timer.
+def run_tsf(cfg: ScenarioConfig):
+    """The scenario's tsf contention experiment: each beacon interval every
+    1 us timer free-runs at its own drawn rate error, then a random node's
+    beacon is adopted. Returns one (t_s, spread_us) row per interval, the
+    spread (max - min timer) taken before that interval's beacon.
     """
-    if not 0 <= beacon_winner < len(nodes):
-        raise IndexError(f"winner index {beacon_winner} out of range")
-    sent = nodes[beacon_winner].timer_us
-    out = []
-    for i, n in enumerate(nodes):
-        if i == beacon_winner:
-            out.append(n)
-            continue
-        rx = sent + (round(rng.uniform(0, airtime_jitter_us))
-                     if airtime_jitter_us else 0)
-        out.append(replace(n, timer_us=max(n.timer_us, rx)))
-    return out
-
-
-def run_tsf(params: TsfParams, beacon_interval_s: float, n_beacons: int,
-            seed: int):
-    """Contention experiment: random winner per interval, spread recorded.
-
-    Returns per-beacon maximum pairwise timer spread (us, before the
-    beacon applies) and the node list at the end.
-    """
-    rng = np.random.default_rng(seed)
-    rates = rng.uniform(-params.spread_ppm, params.spread_ppm, params.n_nodes)
-    nodes = [TsfNode(0, float(r)) for r in rates]
-    spreads = []
-    for _ in range(n_beacons):
-        nodes = tsf_advance(nodes, beacon_interval_s)
-        timers = [n.timer_us for n in nodes]
-        spreads.append(max(timers) - min(timers))
-        winner = int(rng.integers(params.n_nodes))
-        nodes = tsf_step(nodes, winner, params.airtime_jitter_us, rng)
-    return np.array(spreads, dtype=float), nodes
+    traffic, params = _entry(cfg, "tsf")
+    rng = np.random.default_rng(engine.seed_sequences(cfg)[1])
+    n = params.n_nodes
+    interval_s = 1.0 / traffic.rate_hz
+    rate_ppm = rng.uniform(-params.spread_ppm, params.spread_ppm, n)
+    ticks_us = interval_s * US_PER_S * (1.0 + rate_ppm * 1e-6)
+    timers = np.zeros(n, dtype=np.int64)
+    frac_us = np.zeros(n)
+    rows = []
+    for i in range(int(round(cfg.duration_s * traffic.rate_hz))):
+        frac_us += ticks_us
+        whole = frac_us.astype(np.int64)
+        timers += whole
+        frac_us -= whole
+        rows.append(((i + 1) * interval_s, float(timers.max() - timers.min())))
+        winner = int(rng.integers(n))
+        airtime_us = np.rint(rng.uniform(0, params.airtime_jitter_us, n)
+                             ).astype(np.int64)
+        airtime_us[winner] = 0
+        timers = tsf_adopt(timers, winner, airtime_us)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -261,11 +233,3 @@ def run_ntp(cfg: ScenarioConfig):
                      res.delay_est_ns, res.truth_offset_ns))
     return rows
 
-
-def run_tsf_traffic(cfg: ScenarioConfig):
-    """The scenario's tsf beacon experiment; one row per beacon interval."""
-    traffic, params = _entry(cfg, "tsf")
-    interval = 1.0 / traffic.rate_hz
-    n_beacons = int(round(cfg.duration_s * traffic.rate_hz))
-    spreads, _ = run_tsf(params, interval, n_beacons, cfg.seed)
-    return [((i + 1) * interval, s) for i, s in enumerate(spreads)]

@@ -33,6 +33,10 @@ _COVER_TOL_S = 1e-6
 # The constellations a visibility segment counts satellites of.
 CONSTELLATIONS = ("GPS", "BEIDOU")
 
+# The most a receiver's stamp bias or a client's path delta may shift a
+# broadcast capture stamp: 1 ms, far past those in use (at most 1.5 us).
+MAX_STAMP_SHIFT_NS = 10**6
+
 
 class SchemaError(ValueError):
     pass
@@ -149,7 +153,8 @@ class ReceiverSpec:
                                         metadata={"flatten": "serial_"})
     est_path_delay_ns: int = 80_000_000
     label_window_ns: int = config_field(900_000_000, exclusiveMinimum=0)
-    stamp_bias_ns: int = 0
+    stamp_bias_ns: int = config_field(0, minimum=-MAX_STAMP_SHIFT_NS,
+                                      maximum=MAX_STAMP_SHIFT_NS)
     stamp_latency_ns: int = config_field(0, minimum=0)
 
     def __post_init__(self):
@@ -208,6 +213,11 @@ class BroadcastParams:
         check_bounds(self)
         if len(set(self.clients)) != len(self.clients):
             raise ValueError("clients must be distinct nodes")
+        for name, delta in self.path_delta_ns.items():
+            if abs(delta) > MAX_STAMP_SHIFT_NS:
+                raise ValueError(
+                    f"path_delta_ns[{name!r}] must be in "
+                    f"[-{MAX_STAMP_SHIFT_NS}, {MAX_STAMP_SHIFT_NS}]")
 
 
 @dataclass(frozen=True)
@@ -225,7 +235,7 @@ class TsfParams:
     """A beacon-timer contention run among its own `n_nodes` timers."""
 
     n_nodes: int = config_field(20, minimum=1)
-    # net.TsfNode rejects a timer rate error beyond 100 ppm.
+    # 802.11 allows a beacon timer a rate error of at most +/-100 ppm.
     spread_ppm: float = config_field(100.0, minimum=0, maximum=100)
     airtime_jitter_us: float = config_field(2.0, minimum=0)
 
@@ -253,10 +263,9 @@ class TrafficSpec:
 class VisibilityStats:
     frac_nsat_ge_1: float
     frac_nsat_ge_4: float
-    frac_valid_fix: float
 
     def __post_init__(self):
-        for v in (self.frac_nsat_ge_1, self.frac_nsat_ge_4, self.frac_valid_fix):
+        for v in (self.frac_nsat_ge_1, self.frac_nsat_ge_4):
             if not 0.0 <= v <= 1.0:
                 raise ValueError("fractions must be in [0, 1]")
         if self.frac_nsat_ge_4 > self.frac_nsat_ge_1 + 1e-12:
@@ -315,7 +324,8 @@ def traffic_params(cfg: ScenarioConfig, traffic: TrafficSpec,
     """The typed `params` of a traffic experiment. A left-out `client` is
     the first node, `server` the last and `clients` the first two. An
     unknown key, a bad value or a node name (those three and the keys of
-    `path_delta_ns`) that no node has raises SchemaError naming `path`."""
+    `path_delta_ns`) that no node has raises SchemaError naming `path`, as
+    does a broadcast server or client in sentence-only (`nmea`) mode."""
     cls = TRAFFIC_PARAMS[traffic.kind]
     names = [n.name for n in cfg.nodes] or [""]
     fill = {"client": names[0], "server": names[-1], "clients": names[:2]}
@@ -326,6 +336,16 @@ def traffic_params(cfg: ScenarioConfig, traffic: TrafficSpec,
                  *used.get("clients", ()), *used.get("path_delta_ns", ())):
         if name not in names:
             raise SchemaError(f"{path}: no node is named {name!r}")
+    if traffic.kind == "broadcast":
+        # Packets are stamped ahead of each second's node steps, but a
+        # sentence-only clock last moved at the previous sentence's
+        # arrival, about 80 ms into the second being stamped.
+        for name in (params.server, *params.clients):
+            mode = cfg.node(name).servo.mode
+            if mode is ServoMode.NMEA_ONLY:
+                raise SchemaError(f"{path}: node {name!r} has servo mode "
+                                  f"{mode.value!r}; a broadcast needs "
+                                  f"pulse-disciplined clocks")
     return params
 
 
@@ -348,10 +368,9 @@ def effective_nsat(cfg: ScenarioConfig, t_s: float, constellations) -> int:
 
 
 def visibility_stats(cfg: ScenarioConfig, constellations) -> VisibilityStats:
-    """Time-weighted availability fractions over the whole scenario.
-
-    A receiver needs MIN_FIX_NSAT satellites for a full position-and-time
-    fix, so the valid-fix fraction is the NSAT >= MIN_FIX_NSAT fraction.
+    """Time-weighted availability fractions over the whole scenario. A
+    receiver needs MIN_FIX_NSAT satellites for a full position-and-time
+    fix, so the NSAT >= MIN_FIX_NSAT fraction is the valid-fix fraction.
     """
     total = ge1 = ge4 = 0.0
     for seg in cfg.visibility:
@@ -362,7 +381,7 @@ def visibility_stats(cfg: ScenarioConfig, constellations) -> VisibilityStats:
             ge1 += dur
         if n >= MIN_FIX_NSAT:
             ge4 += dur
-    return VisibilityStats(ge1 / total, ge4 / total, ge4 / total)
+    return VisibilityStats(ge1 / total, ge4 / total)
 
 
 # ---------------------------------------------------------------------------

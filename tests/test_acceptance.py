@@ -237,18 +237,16 @@ def test_criterion_9_property_suites(tmp_path):
 
     # beacon timer monotonicity and one-step convergence
     rngt = np.random.default_rng(6)
-    nodes = [net.TsfNode(int(rngt.integers(0, 500)),
-                         float(rngt.uniform(-100, 100))) for _ in range(10)]
+    timers = rngt.integers(0, 500, 10)
+    ticks = np.rint(1e5 * (1 + rngt.uniform(-1e-4, 1e-4, 10))).astype(int)
     mono = True
     for _ in range(300):
-        before = [n.timer_us for n in nodes]
-        nodes = net.tsf_advance(nodes, 0.1)
-        nodes = net.tsf_step(nodes, int(rngt.integers(10)), 1.5, rngt)
-        mono &= all(b >= a for a, b in zip(before,
-                                           [n.timer_us for n in nodes]))
-    fastest = max(range(10), key=lambda i: nodes[i].timer_us)
-    converged = net.tsf_step(nodes, fastest, 0.0, rngt)
-    conv = len({n.timer_us for n in converged}) == 1
+        before = timers + ticks
+        airtime = np.rint(rngt.uniform(0, 1.5, 10)).astype(np.int64)
+        timers = net.tsf_adopt(before, int(rngt.integers(10)), airtime)
+        mono &= bool((timers >= before).all())
+    converged = net.tsf_adopt(timers, int(timers.argmax()), 0)
+    conv = len(set(converged.tolist())) == 1
     checks["tsf"] = mono and conv
 
     # two-way transfer identities

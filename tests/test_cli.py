@@ -14,6 +14,10 @@ import tsync
 from tsync import engine, metrics, nmea, scenario
 from tsync.cli import main
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DATA = os.path.join(ROOT, "tests", "data")
+BEACONS = os.path.join(DATA, "beacons.json")
+
 
 @pytest.fixture()
 def runner():
@@ -28,6 +32,19 @@ def short_lab(tmp_path, name="lab_short", duration=300.0, seed=7):
     path = tmp_path / f"{name}.json"
     scenario.save(cfg, path)
     return cfg, str(path)
+
+
+def harness_file(keys, value, name="harness_10pps") -> dict[str, bytes]:
+    """A 20 s harness preset under full sky, with one key set, as the bytes
+    of bad.json."""
+    cfg = dataclasses.replace(
+        scenario.preset(name), duration_s=20.0,
+        visibility=(scenario.VisibilitySeg(0.0, 20.0, 8, 6),))
+    doc = target = scenario.to_dict(cfg)
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    return {"bad.json": json.dumps(doc).encode()}
 
 
 class TestRun:
@@ -147,6 +164,19 @@ class TestRun:
         (("nodes", 0, "initial_offset_ns"), 2**63, {},
          "nodes[0]: initial_offset_ns must be in [-9223372036854775807, "
          "9223372036854775807]"),
+        *(((), None, harness_file(("nodes", 0, "receiver", "stamp_bias_ns"),
+                                  bias),
+           "nodes[0].receiver: stamp_bias_ns must be in [-1000000, 1000000]")
+          for bias in (10**30, 2**63 - 1, -2 * 10**8)),
+        *(((), None, harness_file(("traffic", 0, "params", "path_delta_ns"),
+                                  {"c1": delta}),
+           "traffic[0].params: path_delta_ns['c1'] must be in "
+           "[-1000000, 1000000]")
+          for delta in (10**30, 2**63 - 1, -2 * 10**8)),
+        *(((), None, harness_file(("nodes", i, "servo", "mode"), "nmea",
+                                  "harness_100pps"),
+           f"traffic[0].params: node 'c{i + 1}' has servo mode 'nmea'")
+          for i in (0, 2)),
     ], ids=["receiver-key-typo", "unknown-top-level-key", "glonass-only",
             "no-constellations", "nodes-as-object", "servo-null",
             "trace-file-missing", "trace-file-is-directory",
@@ -161,7 +191,11 @@ class TestRun:
             "boolean-as-string", "seed-as-string", "seed-fractional",
             "seed-as-boolean", "name-as-number", "nsat-fractional",
             "duration-as-boolean", "mode-as-number", "seed-negative",
-            "initial-offset-past-64-bit"])
+            "initial-offset-past-64-bit", "stamp-bias-past-c-long",
+            "stamp-bias-int64-max", "stamp-bias-minus-200ms",
+            "path-delta-past-c-long", "path-delta-int64-max",
+            "path-delta-minus-200ms", "broadcast-sentence-only-client",
+            "broadcast-sentence-only-server"])
     def test_malformed_config_exits_2(self, runner, tmp_path, keys, value,
                                       files, match):
         short_lab(tmp_path, duration=30.0)
@@ -282,19 +316,34 @@ class TestRun:
         assert (tmp_path / "out" / "two" / "loop_bench.csv").exists()
 
     def test_tsf_traffic_writes_log(self, runner, tmp_path):
-        cfg = scenario.ScenarioConfig(
-            name="beacons", duration_s=120.0, seed=3,
-            visibility=(scenario.VisibilitySeg(0.0, 120.0, 8, 6),),
-            traffic=(scenario.TrafficSpec(
-                "tsf", 10.0, {"n_nodes": 12, "spread_ppm": 100.0}),))
-        path = tmp_path / "beacons.json"
-        scenario.save(cfg, path)
-        res = runner.invoke(main, ["run", str(path),
+        res = runner.invoke(main, ["run", BEACONS,
                                    "--out", str(tmp_path / "t")])
         assert res.exit_code == 0, res.output
         lines = (tmp_path / "t" / "tsf.csv").read_text().splitlines()
         assert lines[0] == "t_s,max_spread_us"
         assert len(lines) == 1201
+        t, spread = lines[1].split(",")
+        assert t == "0.1000" and float(spread) >= 0 and "." in spread
+
+    def test_tsf_log_is_seeded(self, runner, tmp_path):
+        logs = []
+        for sub, seed in (("a", []), ("b", []), ("c", ["--seed", "4"])):
+            res = runner.invoke(main, ["run", BEACONS, *seed,
+                                       "--out", str(tmp_path / sub)])
+            assert res.exit_code == 0, res.output
+            logs.append((tmp_path / sub / "tsf.csv").read_bytes())
+        assert logs[0] == logs[1]
+        assert logs[2] != logs[0]
+
+    def test_data_scenarios_match_published_schema(self):
+        jsonschema = pytest.importorskip("jsonschema")
+        with open(os.path.join(ROOT, "docs", "scenario.schema.json")) as fh:
+            schema = json.load(fh)
+        names = sorted(n for n in os.listdir(DATA) if n.endswith(".json"))
+        assert names
+        for name in names:
+            with open(os.path.join(DATA, name)) as fh:
+                jsonschema.validate(json.load(fh), schema)
 
     def test_manifest_files_all_exist(self, runner, tmp_path):
         res = runner.invoke(main, ["run", "--preset", "lte_ntp",

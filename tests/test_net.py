@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from tsync import net, scenario
-from tsync.net import (LinkModel, NoCommonPackets, PacketDropped, TsfNode,
+from tsync import engine, net, scenario
+from tsync.net import (LinkModel, NoCommonPackets, PacketDropped,
                        ntp_exchange, pairwise_offsets, run_broadcast, run_tsf,
-                       tsf_advance, tsf_step)
+                       tsf_adopt)
 from tsync.pps import PpsJitter
 from tsync.scenario import (ConstantTemp, NodeSpec, ReceiverSpec,
                             ScenarioConfig, TrafficSpec, TsfParams,
@@ -92,49 +92,57 @@ class TestBroadcast:
                 round(v) for v in x.tolist()]
 
 
+def tsf_cfg(duration, rate_hz, **params):
+    return ScenarioConfig(
+        name="beacons", duration_s=duration, seed=2,
+        visibility=(VisibilitySeg(0.0, duration, 8, 6),),
+        traffic=(TrafficSpec("tsf", rate_hz, params),))
+
+
 class TestTsf:
     def test_equal_timers_unchanged_without_jitter(self):
-        rng = np.random.default_rng(0)
-        nodes = [TsfNode(1000, 0.0) for _ in range(5)]
-        after = tsf_step(nodes, 2, 0.0, rng)
-        assert [n.timer_us for n in after] == [1000] * 5
+        after = tsf_adopt(np.full(5, 1000, dtype=np.int64), 2, 0)
+        assert after.tolist() == [1000] * 5
 
     def test_fastest_winner_converges_all_in_one_step(self):
-        rng = np.random.default_rng(0)
-        nodes = [TsfNode(t, 0.0) for t in (100, 250, 900, 400)]
-        after = tsf_step(nodes, 2, 0.0, rng)
-        assert [n.timer_us for n in after] == [900] * 4
+        timers = np.array([100, 250, 900, 400], dtype=np.int64)
+        assert tsf_adopt(timers, 2, 0).tolist() == [900] * 4
 
     def test_monotonicity_over_random_sequence(self):
         rng = np.random.default_rng(4)
-        nodes = [TsfNode(int(rng.integers(0, 1000)),
-                         float(rng.uniform(-100, 100))) for _ in range(8)]
+        timers = rng.integers(0, 1000, 8)
+        ticks = np.rint(1e5 * (1 + rng.uniform(-1e-4, 1e-4, 8))).astype(int)
         for _ in range(200):
-            before = [n.timer_us for n in nodes]
-            nodes = tsf_advance(nodes, 0.1)
-            nodes = tsf_step(nodes, int(rng.integers(8)), 2.0, rng)
-            after = [n.timer_us for n in nodes]
-            assert all(b >= a for a, b in zip(before, after))
+            before = timers + ticks
+            airtime = np.rint(rng.uniform(0, 2.0, 8)).astype(np.int64)
+            timers = tsf_adopt(before, int(rng.integers(8)), airtime)
+            assert (timers >= before).all()
 
     def test_winner_index_validated(self):
         with pytest.raises(IndexError):
-            tsf_step([TsfNode()], 3, 0.0, np.random.default_rng(0))
+            tsf_adopt(np.zeros(1, dtype=np.int64), 3, 0)
 
     def test_rate_error_bounded(self):
-        with pytest.raises(ValueError):
-            TsfNode(0, 150.0)
+        with pytest.raises(ValueError, match="spread_ppm must be in"):
+            TsfParams(spread_ppm=150.0)
 
     def test_20_node_drift_order_of_magnitude(self):
         # average max spread comparable to the reported ~1e2 us scale
-        spreads, _ = run_tsf(TsfParams(n_nodes=20, spread_ppm=100.0,
-                                       airtime_jitter_us=2.0),
-                             beacon_interval_s=0.1024, n_beacons=3000, seed=2)
-        mean_spread = float(spreads[100:].mean())
+        rows = run_tsf(tsf_cfg(300.0, 1 / 0.1024, n_nodes=20,
+                               spread_ppm=100.0, airtime_jitter_us=2.0))
+        assert len(rows) == 2930
+        mean_spread = np.mean([s for _, s in rows[100:]])
         assert 12.45 <= mean_spread <= 1245.0
 
     def test_timer_rate_follows_frequency_error(self):
-        (node,) = tsf_advance([TsfNode(0, 100.0)], 10.0)
-        assert node.timer_us == pytest.approx(10_000_000 + 1000, abs=1)
+        # One 10 s interval: each timer counts 10 s at its rate error,
+        # drawn first from the traffic seed, before any beacon.
+        cfg = tsf_cfg(10.0, 0.1, n_nodes=2, spread_ppm=100.0)
+        rates = np.random.default_rng(engine.seed_sequences(cfg)[1]).uniform(
+            -100.0, 100.0, 2)
+        counts = [int(10.0 * 1_000_000 * (1.0 + r * 1e-6)) for r in rates]
+        assert 10_000_000 - 1000 <= min(counts) <= max(counts) <= 10_001_000
+        assert run_tsf(cfg) == [(10.0, float(max(counts) - min(counts)))]
 
 
 class TestNtpExchange:
