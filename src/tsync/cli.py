@@ -15,8 +15,11 @@ import os
 import sys
 import tempfile
 import time
+import warnings
+from itertools import chain
 
 import click
+import numpy as np
 
 from . import __version__, engine, metrics, net, nmea, pps, scenario, servo
 from .engine import LOOP_HEADER, LoopRow
@@ -27,6 +30,9 @@ log = logging.getLogger("tsync")
 HARNESS_HEADER = "packet_id,send_true_ns,recv_a_stamp_ns,recv_b_stamp_ns,offset_ns"
 NTP_HEADER = "t_s,offset_est_ns,delay_est_ns,truth_offset_ns"
 TSF_HEADER = "t_s,max_spread_us"
+# Rows per `fmt % row` block of _csv: big enough to amortize the call,
+# small enough that one block's tuple stays a few MiB.
+CSV_BLOCK = 4096
 
 
 class FormatError(ValueError):
@@ -45,6 +51,18 @@ def _write_atomic(path: str, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _csv(header: str, fmt: str, *columns) -> str:
+    """The header, then one `fmt % row` line per row of the equal-length
+    array columns, rendered CSV_BLOCK rows at a time."""
+    line = fmt + "\n"
+    parts = [header + "\n"]
+    for i in range(0, len(columns[0]), CSV_BLOCK):
+        block = [c[i:i + CSV_BLOCK].tolist() for c in columns]
+        parts.append(line * len(block[0])
+                     % tuple(chain.from_iterable(zip(*block))))
+    return "".join(parts)
 
 
 def _loop_csv(rows: list[LoopRow]) -> str:
@@ -95,12 +113,10 @@ def _run_one(cfg: scenario.ScenarioConfig, out_dir: str) -> dict:
     if bcast:
         a, b = list(bcast.stamp_ns)[:2]  # the first two clients
         packets, offsets, skipped = net.pairwise_offsets(bcast, a, b)
-        rows = zip(packets.tolist(), bcast.send_ns[packets].tolist(),
-                   bcast.stamp_ns[a][packets].tolist(),
-                   bcast.stamp_ns[b][packets].tolist(), offsets.tolist())
-        lines = [HARNESS_HEADER, *(f"{p},{t},{sa},{sb},{off}"
-                                   for p, t, sa, sb, off in rows)]
-        emit("harness.csv", "\n".join(lines) + "\n")
+        emit("harness.csv", _csv(
+            HARNESS_HEADER, "%d,%d,%d,%d,%d", packets,
+            bcast.send_ns[packets], bcast.stamp_ns[a][packets],
+            bcast.stamp_ns[b][packets], offsets))
         box = metrics.boxplot(offsets)
         summary["broadcast"] = {
             "pairs": [a, b], "n": packets.size, "skipped": skipped,
@@ -195,31 +211,30 @@ def run(scenario_paths, presets, seed, out_root, jobs):
 
 
 def _read_offsets(path: str):
-    """Offsets plus their elapsed times from any of the run CSV formats."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        try:
-            if header == LOOP_HEADER:
-                t_col, off_col = 0, 1
-            elif header == HARNESS_HEADER:
-                t_col, off_col = 1, 4
-            elif header == NTP_HEADER:
-                t_col, off_col = 0, 1
+    """Elapsed times (s, float) and offsets (ns, int64) from any of the
+    run CSV formats, as arrays. A harness log's send times are integer ns."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline().strip()
+            if header == HARNESS_HEADER:
+                cols, t_type = (1, 4), np.int64
+            elif header in (LOOP_HEADER, NTP_HEADER):
+                cols, t_type = (0, 1), float
             else:
-                raise FormatError(f"{path}: unrecognized header {header!r}")
-            elapsed, offsets = [], []
-            for raw in fh:
-                if not raw.strip():
-                    continue
-                parts = raw.strip().split(",")
-                t = float(parts[t_col])
-                if header == HARNESS_HEADER:
-                    t /= NS_PER_S
-                elapsed.append(t)
-                offsets.append(int(parts[off_col]))
-        except (ValueError, IndexError) as exc:
-            raise FormatError(f"{path}: {exc}") from exc
-    return elapsed, offsets
+                raise FormatError(f"unrecognized header {header!r}")
+            with warnings.catch_warnings():
+                # A header-only log is an empty report, not a warning.
+                warnings.filterwarnings(
+                    "ignore", "loadtxt: input contained no data", UserWarning)
+                data = np.loadtxt(fh, delimiter=",", usecols=cols,
+                                  comments=None, ndmin=1,
+                                  dtype=[("t", t_type), ("off", np.int64)])
+    except ValueError as exc:  # UnicodeDecodeError included
+        raise FormatError(f"{path}: {exc}") from exc
+    elapsed = data["t"]
+    if header == HARNESS_HEADER:
+        elapsed = elapsed / NS_PER_S
+    return elapsed, data["off"]
 
 
 @main.command()
@@ -237,8 +252,8 @@ def analyze(logs, fmt, out_dir):
             elapsed, offsets = _read_offsets(path)
             tau0 = 1.0
             if len(elapsed) > 1:
-                gaps = sorted(b - a for a, b in zip(elapsed, elapsed[1:]))
-                mid = gaps[len(gaps) // 2]
+                gaps = np.sort(np.diff(elapsed))
+                mid = gaps[len(gaps) // 2].item()
                 if mid > 0:
                     tau0 = mid
             rep = metrics.report(offsets, tau0_s=tau0)
@@ -267,9 +282,9 @@ def analyze(logs, fmt, out_dir):
             adev_rows = "\n".join(f"{t!r},{a!r}" for t, a in rep["adev"])
             _write_atomic(os.path.join(out_dir, f"{stem}_adev.csv"),
                           "tau_s,adev\n" + adev_rows + "\n")
-            off_rows = "\n".join(f"{t:.3f},{o}" for t, o in zip(elapsed, offsets))
             _write_atomic(os.path.join(out_dir, f"{stem}_offsets.csv"),
-                          "elapsed_s,offset_ns\n" + off_rows + "\n")
+                          _csv("elapsed_s,offset_ns", "%.3f,%d",
+                               elapsed, offsets))
 
 
 # ---------------------------------------------------------------------------

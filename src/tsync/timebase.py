@@ -364,7 +364,8 @@ class NoiseStream:
         self._n = n
 
     def next_phase_ns(self, dt_ns: int) -> float:
-        """Integrated noise phase over one step, in nanoseconds."""
+        """Integrated noise phase over one step, in nanoseconds, as a
+        builtin float."""
         if self._silent:
             return 0.0
         if self._i >= self._n:
@@ -379,4 +380,5 @@ class NoiseStream:
             phase += self._flicker[i] * dt_ns
         if self._rw is not None:
             phase += self._rw[i] * dt_ns
-        return phase
+        # A numpy scalar would reach ClockState and slow every clock read.
+        return float(phase)

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import tsync
 from tsync import engine, metrics, nmea, scenario
-from tsync.cli import main
+from tsync.cli import CSV_BLOCK, HARNESS_HEADER, _csv, main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DATA = os.path.join(ROOT, "tests", "data")
@@ -437,6 +437,62 @@ class TestAnalyze:
         res = runner.invoke(main, ["analyze", str(bad)])
         assert res.exit_code == 1
 
+    @pytest.mark.parametrize("header", [engine.LOOP_HEADER, HARNESS_HEADER])
+    def test_header_only_log_is_an_empty_report(self, runner, tmp_path,
+                                                header):
+        path = tmp_path / "empty.csv"
+        path.write_text(header + "\n")
+        res = runner.invoke(main, ["analyze", str(path)])
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.stdout)["n"] == 0
+        assert res.stderr == ""
+
+    def test_one_row_and_blank_lines(self, runner, tmp_path):
+        path = tmp_path / "h.csv"
+        path.write_text(f"{HARNESS_HEADER}\n0,100000000,5,2,3\n")
+        res = runner.invoke(main, ["analyze", str(path)])
+        assert res.exit_code == 0, res.output
+        rep = json.loads(res.output)
+        assert rep["n"] == 1 and rep["mean_ns"] == 3.0
+        path.write_text(f"{engine.LOOP_HEADER}\n\n1.000,4,0.0,PPS,0\n\n"
+                        "2.000,-6,0.0,PPS,0\n\n")
+        rep = json.loads(runner.invoke(main, ["analyze", str(path)]).output)
+        assert rep["n"] == 2 and rep["min_ns"] == -6.0
+
+    @pytest.mark.parametrize("header,row", [
+        (engine.LOOP_HEADER, "# a comment"),
+        (engine.LOOP_HEADER, "#1.000,4,0.0,PPS,0"),
+        (engine.LOOP_HEADER, "1.000,4.5,0.0,PPS,0"),
+        (engine.LOOP_HEADER, f"1.000,{2**63},0.0,PPS,0"),
+        (engine.LOOP_HEADER, f"1.000,{-2**63 - 1},0.0,PPS,0"),
+        (engine.LOOP_HEADER, "1.000"),
+        (HARNESS_HEADER, "0,100000000.5,5,2,3"),
+        (HARNESS_HEADER, "0,1e8,5,2,3"),
+        (HARNESS_HEADER, "0,100000000,5,2,3.0"),
+        (HARNESS_HEADER, f"0,100000000,5,2,{2**63}"),
+    ], ids=["comment", "hash-prefixed-row", "fractional-offset",
+            "offset-past-int64", "offset-below-int64", "missing-column",
+            "fractional-send-stamp", "exponent-send-stamp",
+            "fractional-harness-offset", "harness-offset-past-int64"])
+    def test_malformed_row_exits_1(self, runner, tmp_path, header, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{header}\n{row}\n")
+        res = runner.invoke(main, ["analyze", str(path)])
+        assert res.exit_code == 1
+        assert res.stderr.startswith(f"malformed log: {path}: ")
+        assert "Traceback" not in res.output
+
+    @pytest.mark.parametrize("data", [
+        b"\xff\xfe\x00junk\n1,2\n",
+        b"elapsed_s,offset_ns,freq_correction_ppm,source,holdover\n"
+        b"1.000,4\xff,0.0,PPS,0\n"], ids=["header", "row"])
+    def test_non_utf8_log_exits_1(self, runner, tmp_path, data):
+        path = tmp_path / "bin.csv"
+        path.write_bytes(data)
+        res = runner.invoke(main, ["analyze", str(path)])
+        assert res.exit_code == 1
+        assert res.stderr.startswith(f"malformed log: {path}: ")
+
     def test_csv_report_and_out_files(self, runner, tmp_path):
         cfg, path = short_lab(tmp_path)
         out = tmp_path / "run"
@@ -449,6 +505,25 @@ class TestAnalyze:
         assert (tmp_path / "rep" / "loop_bench_report.json").exists()
         assert (tmp_path / "rep" / "loop_bench_adev.csv").exists()
         assert (tmp_path / "rep" / "loop_bench_offsets.csv").exists()
+
+
+@pytest.mark.parametrize("n", [0, 1, CSV_BLOCK, CSV_BLOCK + 1])
+def test_block_rendered_csv_equals_per_row_rendering(n):
+    rng = np.random.default_rng(n)
+    ints = rng.integers(-2**62, 2**62, size=(n, 5))
+    ints[::7] = -rng.integers(0, 10, size=(len(ints[::7]), 5))
+    edges = [0.0005, 2.0005, -0.0005, 1.0015, -2.0005, 0.0, 12.3455]
+    floats = np.round(rng.uniform(-1e4, 1e4, n), 4)
+    floats[:min(n, len(edges))] = edges[:n]
+    cols = ints.T
+    by_row = "\n".join(
+        [HARNESS_HEADER, *(f"{p},{t},{a},{b},{o}"
+                           for p, t, a, b, o in ints.tolist())]) + "\n"
+    assert _csv(HARNESS_HEADER, "%d,%d,%d,%d,%d", *cols) == by_row
+    by_row = "\n".join(["elapsed_s,offset_ns",
+                        *(f"{t:.3f},{o}" for t, o in
+                          zip(floats.tolist(), cols[4].tolist()))]) + "\n"
+    assert _csv("elapsed_s,offset_ns", "%.3f,%d", floats, cols[4]) == by_row
 
 
 class TestReplay:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,19 @@ class TestBroadcast:
             seen = log.seen[name]
             assert seen.any()
             assert all(arrival[seen] >= log.send_ns[seen])
+
+    def test_clock_and_servo_state_hold_builtin_numbers(self):
+        cfg = scenario.preset("harness_10pps")
+        cfg = dataclasses.replace(
+            cfg, duration_s=60.0,
+            visibility=(VisibilitySeg(0.0, 60.0, 8, 6),))
+        assert any(n.oscillator.noise_white_fm for n in cfg.nodes)
+        _, nodes = run_broadcast(cfg)
+        for sim in nodes.values():
+            assert type(sim.clock.freq_error_ppm) is float
+            assert type(sim.servo.freq_correction_ppm) is float
+            assert type(sim.clock.phase_fs) is int
+            assert type(sim.clock.last_update_ns) is int
 
     def test_uniform_block_equals_scalar_draws(self):
         block = np.random.default_rng(5).uniform(0, 7000, size=500)

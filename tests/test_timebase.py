@@ -154,6 +154,21 @@ class TestAdvance:
 
         assert run() == run()
 
+    @pytest.mark.parametrize("noise", [
+        {"noise_white_fm": 1e-9}, {"noise_flicker_fm": 1e-9},
+        {"noise_randomwalk_fm": 1e-10},
+        {"noise_white_fm": 1e-9, "noise_flicker_fm": 1e-9,
+         "noise_randomwalk_fm": 1e-10}])
+    def test_noise_phase_is_a_builtin_float(self, noise):
+        # A numpy scalar here would be stored in ClockState.freq_error_ppm
+        # and make every later clock read compute on numpy scalars.
+        params = OscillatorParams(**noise)
+        stream = NoiseStream(params, 99, 64)
+        assert type(stream.next_phase_ns(NS)) is float
+        state = ClockState()
+        advance(state, params, NS, 25.0, stream)
+        assert type(state.freq_error_ppm) is float
+
 
 class TestReadClock:
     def test_perfect_clock(self):
