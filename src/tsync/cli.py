@@ -226,7 +226,13 @@ def _read_offsets(path: str):
                 # A header-only log is an empty report, not a warning.
                 warnings.filterwarnings(
                     "ignore", "loadtxt: input contained no data", UserWarning)
-                data = np.loadtxt(fh, delimiter=",", usecols=cols,
+                # numpy releases that still read "4.5" into an int64 column
+                # via a float warn first; as an error, loadtxt raises.
+                warnings.filterwarnings(
+                    "error", ".*integer via a float", DeprecationWarning)
+                # Lines of only whitespace are skipped, like empty ones.
+                data = np.loadtxt((line for line in fh if not line.isspace()),
+                                  delimiter=",", usecols=cols,
                                   comments=None, ndmin=1,
                                   dtype=[("t", t_type), ("off", np.int64)])
     except ValueError as exc:  # UnicodeDecodeError included

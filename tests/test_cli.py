@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,28 @@ from tsync.cli import CSV_BLOCK, HARNESS_HEADER, _csv, main
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DATA = os.path.join(ROOT, "tests", "data")
 BEACONS = os.path.join(DATA, "beacons.json")
+
+
+# Rows that make `tsync analyze` exit 1 with "malformed log:".
+MALFORMED_ROWS = [
+    pytest.param(engine.LOOP_HEADER, "# a comment", id="comment"),
+    pytest.param(engine.LOOP_HEADER, "#1.000,4,0.0,PPS,0",
+                 id="hash-prefixed-row"),
+    pytest.param(engine.LOOP_HEADER, "1.000,4.5,0.0,PPS,0",
+                 id="fractional-offset"),
+    pytest.param(engine.LOOP_HEADER, f"1.000,{2**63},0.0,PPS,0",
+                 id="offset-past-int64"),
+    pytest.param(engine.LOOP_HEADER, f"1.000,{-2**63 - 1},0.0,PPS,0",
+                 id="offset-below-int64"),
+    pytest.param(engine.LOOP_HEADER, "1.000", id="missing-column"),
+    pytest.param(HARNESS_HEADER, "0,100000000.5,5,2,3",
+                 id="fractional-send-stamp"),
+    pytest.param(HARNESS_HEADER, "0,1e8,5,2,3", id="exponent-send-stamp"),
+    pytest.param(HARNESS_HEADER, "0,100000000,5,2,3.0",
+                 id="fractional-harness-offset"),
+    pytest.param(HARNESS_HEADER, f"0,100000000,5,2,{2**63}",
+                 id="harness-offset-past-int64"),
+]
 
 
 @pytest.fixture()
@@ -459,21 +482,17 @@ class TestAnalyze:
         rep = json.loads(runner.invoke(main, ["analyze", str(path)]).output)
         assert rep["n"] == 2 and rep["min_ns"] == -6.0
 
-    @pytest.mark.parametrize("header,row", [
-        (engine.LOOP_HEADER, "# a comment"),
-        (engine.LOOP_HEADER, "#1.000,4,0.0,PPS,0"),
-        (engine.LOOP_HEADER, "1.000,4.5,0.0,PPS,0"),
-        (engine.LOOP_HEADER, f"1.000,{2**63},0.0,PPS,0"),
-        (engine.LOOP_HEADER, f"1.000,{-2**63 - 1},0.0,PPS,0"),
-        (engine.LOOP_HEADER, "1.000"),
-        (HARNESS_HEADER, "0,100000000.5,5,2,3"),
-        (HARNESS_HEADER, "0,1e8,5,2,3"),
-        (HARNESS_HEADER, "0,100000000,5,2,3.0"),
-        (HARNESS_HEADER, f"0,100000000,5,2,{2**63}"),
-    ], ids=["comment", "hash-prefixed-row", "fractional-offset",
-            "offset-past-int64", "offset-below-int64", "missing-column",
-            "fractional-send-stamp", "exponent-send-stamp",
-            "fractional-harness-offset", "harness-offset-past-int64"])
+    def test_whitespace_only_lines_are_skipped(self, runner, tmp_path):
+        path = tmp_path / "ws.csv"
+        path.write_bytes(f"{engine.LOOP_HEADER}\n   \n1.000,4,0.0,PPS,0\n"
+                         "\t\n2.000,-6,0.0,PPS,0\r\n \r\n".encode())
+        res = runner.invoke(main, ["analyze", str(path)])
+        assert res.exit_code == 0, res.output
+        rep = json.loads(res.stdout)
+        assert rep["n"] == 2 and rep["min_ns"] == -6.0
+        assert res.stderr == ""
+
+    @pytest.mark.parametrize("header,row", MALFORMED_ROWS)
     def test_malformed_row_exits_1(self, runner, tmp_path, header, row):
         path = tmp_path / "bad.csv"
         path.write_text(f"{header}\n{row}\n")
@@ -481,6 +500,36 @@ class TestAnalyze:
         assert res.exit_code == 1
         assert res.stderr.startswith(f"malformed log: {path}: ")
         assert "Traceback" not in res.output
+
+    # Outside pytest a DeprecationWarning from numpy is ignored, not an
+    # error, so a numpy that parses "4.5" into an int64 via a float and
+    # warns must still give a malformed log.
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
+    @pytest.mark.parametrize("header,row", MALFORMED_ROWS)
+    def test_malformed_row_exits_1_under_default_filters(
+            self, runner, tmp_path, header, row):
+        self.test_malformed_row_exits_1(runner, tmp_path, header, row)
+
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
+    def test_float_parsed_integer_warning_is_an_error(self, runner, tmp_path,
+                                                      monkeypatch):
+        # The warning numpy 1.23 to 2.x gave before casting "4.5" to 4; its
+        # C reader turns a warning raised as an error into a ValueError.
+        def warning_loadtxt(lines, dtype, **kw):
+            for _ in lines:
+                try:
+                    warnings.warn("loadtxt(): Parsing an integer via a float "
+                                  "is deprecated.", DeprecationWarning)
+                except DeprecationWarning as exc:
+                    raise ValueError("could not convert string") from exc
+            return np.zeros(1, dtype=dtype)
+
+        monkeypatch.setattr(np, "loadtxt", warning_loadtxt)
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{engine.LOOP_HEADER}\n1.000,4.5,0.0,PPS,0\n")
+        res = runner.invoke(main, ["analyze", str(path)])
+        assert res.exit_code == 1
+        assert res.stderr.startswith(f"malformed log: {path}: ")
 
     @pytest.mark.parametrize("data", [
         b"\xff\xfe\x00junk\n1,2\n",
