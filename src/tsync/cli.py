@@ -12,6 +12,7 @@ import json
 import logging
 import math
 import os
+import re
 import sys
 import tempfile
 import time
@@ -22,30 +23,29 @@ import click
 import numpy as np
 
 from . import __version__, engine, metrics, net, nmea, pps, scenario, servo
-from .engine import LOOP_HEADER, LoopRow
-from .timebase import NS_PER_S, NoiseExhausted, TimeReversalError
+from .engine import LOOP_FORMAT, LOOP_HEADER
+from .timebase import CSV_BLOCK, NS_PER_S, NoiseExhausted, TimeReversalError
 
 log = logging.getLogger("tsync")
 
 HARNESS_HEADER = "packet_id,send_true_ns,recv_a_stamp_ns,recv_b_stamp_ns,offset_ns"
 NTP_HEADER = "t_s,offset_est_ns,delay_est_ns,truth_offset_ns"
 TSF_HEADER = "t_s,max_spread_us"
-# Rows per `fmt % row` block of _csv: big enough to amortize the call,
-# small enough that one block's tuple stays a few MiB.
-CSV_BLOCK = 4096
 
 
 class FormatError(ValueError):
     pass
 
 
-def _write_atomic(path: str, text: str) -> None:
+def _write_atomic(path: str, chunks) -> None:
+    """Write the text blocks `chunks` to a temp file beside `path`, then
+    rename it to `path`; on any error the temp file is removed."""
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tsync-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -53,20 +53,28 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _csv(header: str, fmt: str, *columns) -> str:
-    """The header, then one `fmt % row` line per row of the equal-length
-    array columns, rendered CSV_BLOCK rows at a time."""
+def _csv(header: str, fmt: str, *columns):
+    """Text blocks: the header, then one `fmt % row` line per row of the
+    equal-length array columns, CSV_BLOCK rows to a block."""
     line = fmt + "\n"
-    parts = [header + "\n"]
+    yield header + "\n"
     for i in range(0, len(columns[0]), CSV_BLOCK):
         block = [c[i:i + CSV_BLOCK].tolist() for c in columns]
-        parts.append(line * len(block[0])
-                     % tuple(chain.from_iterable(zip(*block))))
-    return "".join(parts)
+        yield line * len(block[0]) % tuple(chain.from_iterable(zip(*block)))
 
 
-def _loop_csv(rows: list[LoopRow]) -> str:
-    return "\n".join([LOOP_HEADER, *(r.csv() for r in rows)]) + "\n"
+def _rows_csv(header: str, fmt: str, rows):
+    """Text blocks: the header, then one `fmt % row` line per row of the
+    list of row tuples, CSV_BLOCK rows to a block."""
+    line = fmt + "\n"
+    yield header + "\n"
+    for i in range(0, len(rows), CSV_BLOCK):
+        block = rows[i:i + CSV_BLOCK]
+        yield line * len(block) % tuple(chain.from_iterable(block))
+
+
+def _loop_csv(rows):
+    return _rows_csv(LOOP_HEADER, LOOP_FORMAT, rows)
 
 
 def _dump_json(data) -> str:
@@ -87,8 +95,8 @@ def _run_one(cfg: scenario.ScenarioConfig, out_dir: str) -> dict:
     t0 = time.monotonic()
     files: list[str] = []
 
-    def emit(name: str, text: str) -> None:
-        _write_atomic(os.path.join(out_dir, name), text)
+    def emit(name: str, chunks) -> None:
+        _write_atomic(os.path.join(out_dir, name), chunks)
         files.append(name)
 
     kinds = {t.kind for t in cfg.traffic}
@@ -126,18 +134,14 @@ def _run_one(cfg: scenario.ScenarioConfig, out_dir: str) -> dict:
 
     if "ntp" in kinds:
         rows = net.run_ntp(cfg)
-        lines = [NTP_HEADER]
-        lines += [f"{t:.3f},{off},{dly},{tru}" for t, off, dly, tru in rows]
-        emit("ntp.csv", "\n".join(lines) + "\n")
+        emit("ntp.csv", _rows_csv(NTP_HEADER, "%.3f,%s,%s,%s", rows))
         ests = [abs(r[1]) for r in rows]
         summary["ntp"] = {"n": len(rows),
                           "mean_abs_offset_ns": sum(ests) / len(ests) if ests else 0.0}
 
     if "tsf" in kinds:
         rows = net.run_tsf(cfg)
-        lines = [TSF_HEADER]
-        lines += [f"{t:.4f},{s}" for t, s in rows]
-        emit("tsf.csv", "\n".join(lines) + "\n")
+        emit("tsf.csv", _rows_csv(TSF_HEADER, "%.4f,%s", rows))
 
     manifest = {
         "scenario": cfg.name,
@@ -148,7 +152,8 @@ def _run_one(cfg: scenario.ScenarioConfig, out_dir: str) -> dict:
         "runtime_s": round(time.monotonic() - t0, 3),
         "summary": summary,
     }
-    _write_atomic(os.path.join(out_dir, "manifest.json"), _dump_json(manifest))
+    _write_atomic(os.path.join(out_dir, "manifest.json"),
+                  (_dump_json(manifest),))
     for name, sim in nodes.items():
         for w in sim.warnings:
             log.warning("%s: %s", name, w)
@@ -210,33 +215,67 @@ def run(scenario_paths, presets, seed, out_root, jobs):
 # analyze
 
 
+# The elapsed-time and offset columns of each run CSV, and the type of the
+# elapsed time: a harness log's send times are integer ns.
+_COLUMNS = {HARNESS_HEADER: ((1, 4), np.int64), LOOP_HEADER: ((0, 1), float),
+            NTP_HEADER: ((0, 1), float)}
+
+
+def _load_rows(lines, cols, t_type):
+    """The elapsed-time and offset columns `cols` of CSV rows, as one
+    structured array; a row that does not parse raises ValueError."""
+    with warnings.catch_warnings():
+        # A header-only log is an empty report, not a warning.
+        warnings.filterwarnings(
+            "ignore", "loadtxt: input contained no data", UserWarning)
+        # numpy releases that still read "4.5" into an int64 column via a
+        # float warn first; as an error, loadtxt raises.
+        warnings.filterwarnings(
+            "error", ".*integer via a float", DeprecationWarning)
+        return np.loadtxt(lines, delimiter=",", usecols=cols, comments=None,
+                          ndmin=1, dtype=[("t", t_type), ("off", np.int64)])
+
+
+def _first_bad_line(path: str, cols, t_type) -> int:
+    """The number of the file line holding the first row that `_load_rows`
+    rejects. It stops at that row, so the row ends the shortest prefix of
+    the data lines that fails: bisect for it."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        numbered = [(n, line) for n, line in enumerate(fh, 1)
+                    if n > 1 and not line.isspace()]
+    lines = [line for _, line in numbered]
+    ok, bad = 0, len(lines)  # lines[:ok] load, lines[:bad] do not
+    while bad - ok > 1:
+        mid = (ok + bad) // 2
+        try:
+            _load_rows(lines[:mid], cols, t_type)
+            ok = mid
+        except ValueError:
+            bad = mid
+    return numbered[bad - 1][0]
+
+
 def _read_offsets(path: str):
     """Elapsed times (s, float) and offsets (ns, int64) from any of the
-    run CSV formats, as arrays. A harness log's send times are integer ns."""
+    run CSV formats, as arrays. A row that does not parse is named by its
+    line in the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip()
-            if header == HARNESS_HEADER:
-                cols, t_type = (1, 4), np.int64
-            elif header in (LOOP_HEADER, NTP_HEADER):
-                cols, t_type = (0, 1), float
-            else:
-                raise FormatError(f"unrecognized header {header!r}")
-            with warnings.catch_warnings():
-                # A header-only log is an empty report, not a warning.
-                warnings.filterwarnings(
-                    "ignore", "loadtxt: input contained no data", UserWarning)
-                # numpy releases that still read "4.5" into an int64 column
-                # via a float warn first; as an error, loadtxt raises.
-                warnings.filterwarnings(
-                    "error", ".*integer via a float", DeprecationWarning)
+            cols, t_type = _COLUMNS.get(header, (None, None))
+            if cols is not None:
                 # Lines of only whitespace are skipped, like empty ones.
-                data = np.loadtxt((line for line in fh if not line.isspace()),
-                                  delimiter=",", usecols=cols,
-                                  comments=None, ndmin=1,
-                                  dtype=[("t", t_type), ("off", np.int64)])
-    except ValueError as exc:  # UnicodeDecodeError included
+                data = _load_rows((line for line in fh
+                                   if not line.isspace()), cols, t_type)
+    except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: {exc}") from exc
+    except ValueError as exc:
+        # numpy counts rows its own way; name the line of the file.
+        reason = re.sub(r" at row \d+", "", str(exc))
+        raise FormatError(f"{path}:{_first_bad_line(path, cols, t_type)}: "
+                          f"{reason}") from exc
+    if cols is None:
+        raise FormatError(f"{path}: unrecognized header {header!r}")
     elapsed = data["t"]
     if header == HARNESS_HEADER:
         elapsed = elapsed / NS_PER_S
@@ -284,10 +323,9 @@ def analyze(logs, fmt, out_dir):
         for name, (rep, elapsed, offsets) in reports.items():
             stem = os.path.splitext(name)[0]
             _write_atomic(os.path.join(out_dir, f"{stem}_report.json"),
-                          _dump_json(rep))
-            adev_rows = "\n".join(f"{t!r},{a!r}" for t, a in rep["adev"])
+                          (_dump_json(rep),))
             _write_atomic(os.path.join(out_dir, f"{stem}_adev.csv"),
-                          "tau_s,adev\n" + adev_rows + "\n")
+                          _rows_csv("tau_s,adev", "%r,%r", rep["adev"]))
             _write_atomic(os.path.join(out_dir, f"{stem}_offsets.csv"),
                           _csv("elapsed_s,offset_ns", "%.3f,%d",
                                elapsed, offsets))

@@ -11,6 +11,7 @@ linear drift model fitted to that outage's own samples.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,8 +29,7 @@ class OutsideScenario(ValueError):
     """A replayed event names a second the scenario does not cover."""
 
 
-@dataclass
-class LoopRow:
+class LoopRow(NamedTuple):
     """One offset sample (node minus reference, ns) and the loop state
     after it: the servo-loop log record."""
 
@@ -39,13 +39,11 @@ class LoopRow:
     source: str
     holdover: bool
 
-    def csv(self) -> str:
-        return (f"{self.elapsed_s:.3f},{self.offset_ns},"
-                f"{self.freq_correction_ppm!r},{self.source},"
-                f"{int(self.holdover)}")
-
 
 LOOP_HEADER = "elapsed_s,offset_ns,freq_correction_ppm,source,holdover"
+# A loop-log line is `LOOP_FORMAT % row`; %r keeps every bit of the
+# frequency correction.
+LOOP_FORMAT = "%.3f,%d,%r,%s,%d"
 
 
 @dataclass

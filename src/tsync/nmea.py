@@ -14,7 +14,7 @@ import functools
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .timebase import check_bounds, config_field
+from .timebase import CSV_BLOCK, check_bounds, config_field
 
 NS_PER_S = 1_000_000_000
 NS_PER_DAY = 86_400 * NS_PER_S
@@ -170,6 +170,14 @@ def _parse_tod(text: str) -> int:
     return (h * 3600 + m * 60) * NS_PER_S + round(s * NS_PER_S)
 
 
+# The pieces of a time field, "00".."99" and ".000"..".999", and the XOR
+# of each one's bytes.
+_PAIRS = [f"{i:02d}" for i in range(100)]
+_PAIRS_XOR = [int(checksum(t), 16) for t in _PAIRS]
+_MILLIS = [f".{i:03d}" for i in range(1000)]
+_MILLIS_XOR = [int(checksum(t), 16) for t in _MILLIS]
+
+
 @functools.lru_cache(maxsize=1)
 def _time_field(tod_ns: int) -> tuple[str, int]:
     """`hhmmss.sss`, the time truncated to whole milliseconds, and the XOR
@@ -177,8 +185,9 @@ def _time_field(tod_ns: int) -> tuple[str, int]:
     s, frac = divmod(tod_ns, NS_PER_S)
     h, rem = divmod(s, 3600)
     m, s = divmod(rem, 60)
-    text = f"{h:02d}{m:02d}{s:02d}.{frac // 1_000_000:03d}"
-    return text, int(checksum(text), 16)
+    ms = frac // 1_000_000
+    return (_PAIRS[h] + _PAIRS[m] + _PAIRS[s] + _MILLIS[ms],
+            _PAIRS_XOR[h] ^ _PAIRS_XOR[m] ^ _PAIRS_XOR[s] ^ _MILLIS_XOR[ms])
 
 
 def extract_fix(s: NmeaSentence, last_date: datetime.date | None = None) -> GnssFix:
@@ -293,23 +302,30 @@ class SerialDeliveryModel:
         return round((self.base_latency_ms + jitter) * 1e6)
 
 
+@functools.lru_cache(maxsize=1)
+def _run_date(days: int) -> datetime.date:
+    return SIM_EPOCH_DATE + datetime.timedelta(days=days)
+
+
 def fix_for_second(second: int, nsat: int, mask) -> GnssFix:
     """The fix a receiver reports for an absolute second of the run."""
     days, rem = divmod(second, 86_400)
-    date = SIM_EPOCH_DATE + datetime.timedelta(days=days)
-    return GnssFix(rem * NS_PER_S, date, nsat >= MIN_FIX_NSAT, nsat, mask)
+    return GnssFix(rem * NS_PER_S, _run_date(days), nsat >= MIN_FIX_NSAT,
+                   nsat, mask)
 
 
-def format_log(bursts, constellations) -> str:
-    """A run's sentence log. Each `(arrival_ns, second, nsat)` burst is an
-    RMC and a GGA for that second, each line prefixed with the arrival
-    time in ns."""
-    out = []
-    for arrival_ns, second, nsat in bursts:
-        fix = fix_for_second(second, nsat, constellations)
-        out.append(f"{arrival_ns} {generate(fix, SentenceKind.RMC)}\n"
-                   f"{arrival_ns} {generate(fix, SentenceKind.GGA)}\n")
-    return "".join(out)
+def format_log(bursts, constellations):
+    """A run's sentence log, as text blocks of CSV_BLOCK bursts. Each
+    `(arrival_ns, second, nsat)` burst is an RMC and a GGA for that
+    second, each line prefixed with the arrival time in ns."""
+    rmc, gga = SentenceKind.RMC, SentenceKind.GGA
+    for i in range(0, len(bursts), CSV_BLOCK):
+        out = []
+        for arrival_ns, second, nsat in bursts[i:i + CSV_BLOCK]:
+            fix = fix_for_second(second, nsat, constellations)
+            out.append(f"{arrival_ns} {generate(fix, rmc)}\n"
+                       f"{arrival_ns} {generate(fix, gga)}\n")
+        yield "".join(out)
 
 
 def read_log(path, assumed_latency_ms: float) -> list[tuple[int, int, bool]]:

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .timebase import (NS_PER_S, SimInstant, check_bounds, config_field,
-                       nearest_second)
+from .timebase import (CSV_BLOCK, NS_PER_S, SimInstant, check_bounds,
+                       config_field, nearest_second)
 
 # An edge may not wander more than this from its UTC second.
 MAX_JITTER_BOUND_NS = 100_000
@@ -79,9 +79,12 @@ def label_pps(edge_ns: int, arrival_ns: int, second: int,
     return second
 
 
-def format_log(edges) -> str:
-    """An edge capture log: one true edge time in ns per line."""
-    return "".join(f"{e}\n" for e in edges)
+def format_log(edges):
+    """An edge capture log, as text blocks of CSV_BLOCK lines: one true
+    edge time in ns per line."""
+    for i in range(0, len(edges), CSV_BLOCK):
+        block = edges[i:i + CSV_BLOCK]
+        yield "%d\n" * len(block) % tuple(block)
 
 
 def read_pps_log(path) -> list[int]:

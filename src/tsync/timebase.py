@@ -19,6 +19,10 @@ import numpy as np
 NS_PER_S = 1_000_000_000
 FS_PER_NS = 1_000_000
 
+# Rows per text block of a written log or CSV: big enough to amortize the
+# per-block call, small enough that one block's tuple stays a few MiB.
+CSV_BLOCK = 4096
+
 # Checked-arithmetic bound: instants and phase stay inside a 64-bit ns range.
 _MAX_INSTANT_NS = 2**63 - 1
 _MAX_PHASE_FS = (2**63 - 1) * FS_PER_NS

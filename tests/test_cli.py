@@ -13,7 +13,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import tsync
 from tsync import engine, metrics, nmea, scenario
-from tsync.cli import CSV_BLOCK, HARNESS_HEADER, _csv, main
+from tsync.cli import (CSV_BLOCK, HARNESS_HEADER, _csv, _loop_csv,
+                       _write_atomic, main)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DATA = os.path.join(ROOT, "tests", "data")
@@ -498,8 +499,34 @@ class TestAnalyze:
         path.write_text(f"{header}\n{row}\n")
         res = runner.invoke(main, ["analyze", str(path)])
         assert res.exit_code == 1
-        assert res.stderr.startswith(f"malformed log: {path}: ")
+        assert res.stderr.startswith(f"malformed log: {path}:2: ")
         assert "Traceback" not in res.output
+
+    @pytest.mark.parametrize("body,line", [
+        ("1.000,4,0.0,PPS,0\n2.000,x,0.0,PPS,0\n", 3),
+        ("1.000,4,0.0,PPS,0\n2.000\n", 3),
+        ("1.000,4,0.0,PPS,0\n \t\n3.000,4.5,0.0,PPS,0\n", 4),
+    ], ids=["bad-offset", "one-column", "after-whitespace-line"])
+    def test_malformed_row_names_its_file_line(self, runner, tmp_path, body,
+                                               line):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{engine.LOOP_HEADER}\n{body}")
+        res = runner.invoke(main, ["analyze", str(path)])
+        assert res.exit_code == 1
+        assert res.stderr.startswith(f"malformed log: {path}:{line}: ")
+        assert " at row " not in res.stderr
+
+    def test_header_only_log_writes_a_header_only_adev_csv(self, runner,
+                                                         tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text(engine.LOOP_HEADER + "\n")
+        res = runner.invoke(main, ["analyze", str(path),
+                                   "--out", str(tmp_path / "rep")])
+        assert res.exit_code == 0, res.output
+        assert (tmp_path / "rep" / "empty_adev.csv").read_bytes() == \
+            b"tau_s,adev\n"
+        assert (tmp_path / "rep" / "empty_offsets.csv").read_bytes() == \
+            b"elapsed_s,offset_ns\n"
 
     # Outside pytest a DeprecationWarning from numpy is ignored, not an
     # error, so a numpy that parses "4.5" into an int64 via a float and
@@ -529,7 +556,7 @@ class TestAnalyze:
         path.write_text(f"{engine.LOOP_HEADER}\n1.000,4.5,0.0,PPS,0\n")
         res = runner.invoke(main, ["analyze", str(path)])
         assert res.exit_code == 1
-        assert res.stderr.startswith(f"malformed log: {path}: ")
+        assert res.stderr.startswith(f"malformed log: {path}:2: ")
 
     @pytest.mark.parametrize("data", [
         b"\xff\xfe\x00junk\n1,2\n",
@@ -568,11 +595,45 @@ def test_block_rendered_csv_equals_per_row_rendering(n):
     by_row = "\n".join(
         [HARNESS_HEADER, *(f"{p},{t},{a},{b},{o}"
                            for p, t, a, b, o in ints.tolist())]) + "\n"
-    assert _csv(HARNESS_HEADER, "%d,%d,%d,%d,%d", *cols) == by_row
+    assert "".join(_csv(HARNESS_HEADER, "%d,%d,%d,%d,%d", *cols)) == by_row
     by_row = "\n".join(["elapsed_s,offset_ns",
                         *(f"{t:.3f},{o}" for t, o in
                           zip(floats.tolist(), cols[4].tolist()))]) + "\n"
-    assert _csv("elapsed_s,offset_ns", "%.3f,%d", floats, cols[4]) == by_row
+    assert "".join(_csv("elapsed_s,offset_ns", "%.3f,%d", floats,
+                        cols[4])) == by_row
+
+
+@pytest.mark.parametrize("n", [0, 1, CSV_BLOCK, CSV_BLOCK + 1])
+def test_block_rendered_loop_log_equals_per_row_rendering(n):
+    rng = np.random.default_rng(n)
+    elapsed = rng.uniform(-1e5, 1e5, n).tolist()
+    offsets = rng.integers(-2**62, 2**62, n).tolist()
+    freqs = (rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)).tolist()
+    edges = [(0.0005, -0.0, 0), (2.0005, 5e-324, -1), (-0.0005, 1e300, -7),
+             (0.0, -1.7976931348623157e308, 3), (86400.0, 1e-12, -2**62)]
+    for i, (t, f, o) in enumerate(edges[:n]):
+        elapsed[i], freqs[i], offsets[i] = t, f, o
+    sources = ["COMBINED", "PPS", "NMEA", "HOLDOVER"]
+    rows = [engine.LoopRow(t, o, f, sources[i % 4], i % 3 == 0)
+            for i, (t, o, f) in enumerate(zip(elapsed, offsets, freqs))]
+    by_row = "\n".join([engine.LOOP_HEADER, *(
+        f"{r.elapsed_s:.3f},{r.offset_ns},{r.freq_correction_ppm!r},"
+        f"{r.source},{int(r.holdover)}" for r in rows)]) + "\n"
+    assert "".join(_loop_csv(rows)) == by_row
+
+
+def test_failed_streamed_write_keeps_the_previous_file(tmp_path):
+    path = tmp_path / "loop.csv"
+    path.write_text("previous\n")
+
+    def chunks():
+        yield "x" * 100_000  # past the write buffer: the temp file grows
+        raise RuntimeError("rendering failed")
+
+    with pytest.raises(RuntimeError, match="rendering failed"):
+        _write_atomic(str(path), chunks())
+    assert path.read_text() == "previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["loop.csv"]
 
 
 class TestReplay:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tsync import engine, net, nmea, scenario, servo
+from tsync.engine import LOOP_FORMAT
 from tsync.pps import PpsJitter
 from tsync.scenario import (ConstantTemp, NodeSpec, ReceiverSpec,
                             ScenarioConfig, VisibilitySeg)
@@ -304,8 +305,8 @@ class TestReplayParity:
     def logged_events(res, cfg, tmp_path, node="n0"):
         """A node's sentence log, written and read back."""
         path = tmp_path / f"nmea_{node}.log"
-        path.write_text(nmea.format_log(res[node].nmea_log,
-                                        cfg.node(node).constellations))
+        path.write_text("".join(nmea.format_log(
+            res[node].nmea_log, cfg.node(node).constellations)))
         return nmea.read_log(path, 80.0)
 
     @pytest.mark.parametrize("mode", list(ServoMode), ids=lambda m: m.value)
@@ -319,7 +320,8 @@ class TestReplayParity:
             res["n0"].pps_log)
         assert warnings == []
         assert len(rows) == 180
-        assert [r.csv() for r in rows] == [r.csv() for r in res["n0"].loop_rows]
+        assert [LOOP_FORMAT % r for r in rows] == \
+            [LOOP_FORMAT % r for r in res["n0"].loop_rows]
 
     def test_second_node_replays_its_own_run(self, tmp_path):
         # Each node draws from its own seed; replay must pick node n1's.
@@ -330,13 +332,13 @@ class TestReplayParity:
                                  initial_offset_ns=3_000)
         cfg = dataclasses.replace(base, nodes=(base.nodes[0], n1))
         res = engine.run_scenario(cfg)
-        live = [r.csv() for r in res["n1"].loop_rows]
-        assert live != [r.csv() for r in res["n0"].loop_rows]
+        live = [LOOP_FORMAT % r for r in res["n1"].loop_rows]
+        assert live != [LOOP_FORMAT % r for r in res["n0"].loop_rows]
         rows, warnings = engine.run_replay(
             cfg, n1, self.logged_events(res, cfg, tmp_path, "n1"),
             res["n1"].pps_log)
         assert warnings == []
-        assert [r.csv() for r in rows] == live
+        assert [LOOP_FORMAT % r for r in rows] == live
 
     def test_missing_pulse_second_coasts_with_warning(self, tmp_path):
         cfg = small_cfg(duration=120.0)

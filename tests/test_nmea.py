@@ -242,6 +242,18 @@ class TestTimeField:
     def test_truncated_to_the_millisecond(self, tod_ns, text):
         assert nmea._time_field(tod_ns)[0] == text
 
+    def test_tables_match_per_call_formatting(self):
+        # Every second of a day at the millisecond edges, each with a
+        # sub-millisecond remainder that the field truncates.
+        for s in range(86_400):
+            h, m, sec = s // 3600, s // 60 % 60, s % 60
+            for ms, sub_ns in ((0, 0), (1, 999_999), (999, 999_999)):
+                text = f"{h:02d}{m:02d}{sec:02d}.{ms:03d}"
+                tod_ns = s * 10**9 + ms * 10**6 + sub_ns
+                assert nmea._time_field.__wrapped__(tod_ns) == \
+                    (text, int(checksum(text), 16))
+        assert nmea._time_field(86_399_999_999_999)[0] == "235959.999"
+
     def test_sentence_never_names_a_time_ahead(self):
         fix = GnssFix(59_999_700_000, datetime.date(2021, 1, 1), True, None,
                       frozenset({"GPS"}))
@@ -273,21 +285,47 @@ class TestSentenceLog:
                                     max_size=n))
         bursts = _bursts(seconds, nsats, delays)
         path = tmp_path / "nmea.log"
-        path.write_text(nmea.format_log(bursts, mask))
+        path.write_text("".join(nmea.format_log(bursts, mask)))
         want = [(rx, s * 10**9, nsat >= nmea.MIN_FIX_NSAT)
                 for rx, s, nsat in bursts for _ in ("RMC", "GGA")]
         assert nmea.read_log(path, 80.0) == want
 
+    @pytest.mark.parametrize("mask", [frozenset({"GPS"}),
+                                      frozenset({"BEIDOU"}),
+                                      frozenset(scenario.CONSTELLATIONS)])
+    def test_blocks_match_per_line_rendering(self, mask):
+        # Past a block boundary and across midnight (86 399 -> 86 401,
+        # where the date changes), with the satellite count changing.
+        seconds = range(86_401 - nmea.CSV_BLOCK - 4, 86_402)
+        nsats = [(8, 3, 0, 12, 4)[s % 5] for s in seconds]
+        bursts = _bursts(seconds, nsats, [s % 7 * 10**8 for s in seconds])
+        talker = {"GPS": "GP", "BEIDOU": "GB"}.get(",".join(mask), "GN")
+        want = []
+        for rx, s, nsat in bursts:
+            day, tod = divmod(s, 86_400)
+            date = nmea.SIM_EPOCH_DATE + datetime.timedelta(days=day)
+            hms = f"{tod // 3600:02d}{tod // 60 % 60:02d}{tod % 60:02d}.000"
+            valid = nsat >= nmea.MIN_FIX_NSAT
+            for payload in (
+                    f"{talker}RMC,{hms},{'A' if valid else 'V'},,,,,,,"
+                    f"{date:%d%m%y},,",
+                    f"{talker}GGA,{hms},,,,,{int(valid)},{nsat:02d},,,M,,M"):
+                want.append(f"{rx} ${payload}*{checksum(payload)}\n")
+        blocks = list(nmea.format_log(bursts, mask))
+        assert len(blocks) == 2
+        assert "".join(blocks) == "".join(want)
+
     def test_time_field_formatted_once_per_burst(self):
         nmea._time_field.cache_clear()
-        text = nmea.format_log(_bursts([1, 2, 3], [8, 8, 2], [0, 0, 0]),
-                               frozenset({"GPS"}))
+        text = "".join(nmea.format_log(
+            _bursts([1, 2, 3], [8, 8, 2], [0, 0, 0]), frozenset({"GPS"})))
         assert len(text.splitlines()) == 6
         assert nmea._time_field.cache_info().misses == 3
 
     def test_bare_sentences_arrive_after_the_assumed_latency(self, tmp_path):
         path = tmp_path / "nmea.log"
-        text = nmea.format_log(_bursts([5], [8], [0]), frozenset({"GPS"}))
+        text = "".join(nmea.format_log(_bursts([5], [8], [0]),
+                                       frozenset({"GPS"})))
         path.write_text("".join(line.partition(" ")[2] + "\n"
                                 for line in text.splitlines()))
         assert nmea.read_log(path, 12.5) == \
@@ -295,8 +333,8 @@ class TestSentenceLog:
 
     def test_unsorted_arrivals_rejected(self, tmp_path):
         path = tmp_path / "nmea.log"
-        path.write_text(nmea.format_log(
-            [(3 * 10**9, 2, 8), (2 * 10**9, 3, 8)], frozenset({"GPS"})))
+        path.write_text("".join(nmea.format_log(
+            [(3 * 10**9, 2, 8), (2 * 10**9, 3, 8)], frozenset({"GPS"}))))
         where = re.escape(str(path))
         with pytest.raises(MalformedField,
                            match=f"^{where}: arrivals not time-sorted$"):

@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from tsync.pps import (AmbiguousLabel, MalformedEdge, PpsJitter,
                        UnlabeledEdge, format_log, label_pps, next_pps,
                        read_pps_log)
-from tsync.timebase import nearest_second
+from tsync.timebase import CSV_BLOCK, nearest_second
 
 NS = 1_000_000_000
 WINDOW = 900_000_000
@@ -103,12 +103,18 @@ class TestEdgeLog:
            .map(sorted))
     def test_read_inverts_format(self, tmp_path, edges):
         path = tmp_path / "pps.log"
-        path.write_text(format_log(edges))
+        path.write_text("".join(format_log(edges)))
         assert read_pps_log(path) == edges
+
+    @pytest.mark.parametrize("n", [0, 1, CSV_BLOCK, CSV_BLOCK + 1])
+    def test_blocks_match_per_line_rendering(self, n):
+        edges = np.random.default_rng(n).integers(-2**63 + 1, 2**63 - 1, n)
+        edges = edges.tolist()
+        assert "".join(format_log(edges)) == "".join(f"{e}\n" for e in edges)
 
     def test_unsorted_edges_rejected(self, tmp_path):
         path = tmp_path / "pps.log"
-        path.write_text(format_log([2 * NS, NS]))
+        path.write_text("".join(format_log([2 * NS, NS])))
         where = re.escape(str(path))
         with pytest.raises(MalformedEdge,
                            match=f"^{where}: edges not time-sorted$"):
