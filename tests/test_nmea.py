@@ -242,7 +242,7 @@ class TestTimeField:
     def test_truncated_to_the_millisecond(self, tod_ns, text):
         assert nmea._time_field(tod_ns)[0] == text
 
-    def test_tables_match_per_call_formatting(self):
+    def test_xor_tables_match_per_call_checksum(self):
         # Every second of a day at the millisecond edges, each with a
         # sub-millisecond remainder that the field truncates.
         for s in range(86_400):
