@@ -39,12 +39,17 @@ class FormatError(ValueError):
 
 def _write_atomic(path: str, chunks) -> None:
     """Write the text blocks `chunks` to a temp file beside `path`, then
-    rename it to `path`; on any error the temp file is removed."""
-    d = os.path.dirname(os.path.abspath(path))
+    rename it to `path`, with the mode a plain open() under the process
+    umask gives; on any error the temp file is removed."""
+    path = os.path.abspath(path)
+    d = os.path.dirname(path)
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tsync-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)  # mkstemp made it 0o600
             fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
@@ -291,6 +296,11 @@ def _read_offsets(path: str):
               help="Also write report and plot-ready CSVs here.")
 def analyze(logs, fmt, out_dir):
     """Compute offset statistics, stability curve and box summary."""
+    names = [os.path.basename(path) for path in logs]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise click.UsageError(f"log name {name!r} given twice: reports "
+                                   f"and --out files are named by it")
     reports = {}
     try:
         for path in logs:

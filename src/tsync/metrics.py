@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import nnls
 
-NS_PER_S = 1_000_000_000
+from .timebase import NS_PER_S
 
 # Template exponents fitted against ADEV curves: white, flicker and
 # random-walk frequency modulation.
@@ -35,20 +35,6 @@ class AllanPoint:
     def __post_init__(self):
         if self.tau_s <= 0 or self.adev < 0 or self.n_pairs < 1:
             raise ValueError("invalid AllanPoint")
-
-
-@dataclass(frozen=True)
-class NoiseFit:
-    """Coefficients of adev(tau) ~ sum of kappa * tau**mu over the template."""
-
-    kappa_white: float
-    kappa_flicker: float
-    kappa_randomwalk: float
-    residual: float
-
-    def __post_init__(self):
-        if min(self.kappa_white, self.kappa_flicker, self.kappa_randomwalk) < 0:
-            raise ValueError("noise coefficients must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -146,8 +132,10 @@ def adev_slope(points: list[AllanPoint]) -> float:
     return float(np.polyfit(lt, la, 1)[0])
 
 
-def fit_noise(points: list[AllanPoint]) -> NoiseFit:
-    """Nonnegative least-squares fit of the three-slope noise template.
+def fit_noise(points: list[AllanPoint]) -> dict:
+    """Nonnegative least-squares fit of the three-slope noise template
+    adev(tau) ~ sum of kappa * tau**mu, as the mapping a report holds:
+    `kappa_white`, `kappa_flicker`, `kappa_randomwalk` and `residual`.
 
     The rows are weighted by 1/adev so the fit minimises relative error,
     which approximates a log-domain fit; the reported residual is the RMS
@@ -168,7 +156,8 @@ def fit_noise(points: list[AllanPoint]) -> NoiseFit:
     model = basis @ coef
     ok = model > 0
     residual = float(np.sqrt(np.mean(np.log(model[ok] / a[ok]) ** 2))) if ok.any() else math.inf
-    return NoiseFit(float(coef[0]), float(coef[1]), float(coef[2]), residual)
+    return {"kappa_white": float(coef[0]), "kappa_flicker": float(coef[1]),
+            "kappa_randomwalk": float(coef[2]), "residual": residual}
 
 
 def boxplot(samples) -> BoxStats:
@@ -208,14 +197,8 @@ def report(offsets_ns, tau0_s: float = 1.0) -> dict:
         points = overlapping_adev(x, tau0_s, taus)
         out["adev"] = [[p.tau_s, p.adev] for p in points]
         try:
-            fit = fit_noise(points)
-            out["noise_fit"] = {
-                "kappa_white": fit.kappa_white,
-                "kappa_flicker": fit.kappa_flicker,
-                "kappa_randomwalk": fit.kappa_randomwalk,
-                "residual": fit.residual,
-            }
-        except (DegenerateFitError, ValueError):
+            out["noise_fit"] = fit_noise(points)
+        except ValueError:  # DegenerateFitError among them
             out["noise_fit"] = None
     else:
         out["adev"] = []

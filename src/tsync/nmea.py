@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import datetime
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
-from .timebase import CSV_BLOCK, check_bounds, config_field
+from .timebase import CSV_BLOCK, NS_PER_S, check_bounds, config_field
 
-NS_PER_S = 1_000_000_000
 NS_PER_DAY = 86_400 * NS_PER_S
 
 # Satellites a receiver needs for a full position-and-time fix.
@@ -24,14 +24,6 @@ MIN_FIX_NSAT = 4
 # The date of a run's second 0; sentence logs name times from its midnight.
 SIM_EPOCH_DATE = datetime.date(2021, 1, 1)
 
-_TALKER_TO_MASK = {
-    "GP": frozenset({"GPS"}),
-    "GL": frozenset({"GLONASS"}),
-    "GB": frozenset({"BEIDOU"}),
-    "BD": frozenset({"BEIDOU"}),
-    "GA": frozenset({"GALILEO"}),
-    "GN": frozenset({"GPS", "GLONASS", "BEIDOU", "GALILEO"}),
-}
 # A node tracks GPS, BeiDou or both; generated sentences use these
 # talkers, and GN for both.
 _MASK_TO_TALKER = {frozenset({"GPS"}): "GP", frozenset({"BEIDOU"}): "GB"}
@@ -67,13 +59,13 @@ class SentenceKind(str, Enum):
     OTHER = "OTHER"
 
 
-def checksum(payload: str | bytes) -> str:
+def checksum(payload: str) -> str:
     """XOR fold of the payload bytes as two uppercase hex digits.
 
     The payload is everything between '$' and '*', exclusive; those
     delimiters must not appear inside it.
     """
-    data = payload.encode("ascii") if isinstance(payload, str) else payload
+    data = payload.encode("ascii")
     if b"$" in data or b"*" in data:
         raise ValueError("payload must exclude '$' and '*'")
     acc = 0
@@ -130,31 +122,20 @@ def parse_sentence(line: str) -> NmeaSentence:
     return NmeaSentence(talker, kind, fields, want, code)
 
 
-@dataclass(frozen=True)
-class GnssFix:
+class GnssFix(NamedTuple):
     """Time-of-day fix extracted from a sentence.
 
     tod_ns is nanoseconds since UTC midnight; nsat is None when the
     sentence type does not report satellite counts. fix_valid mirrors the
-    receiver's position-fix validity flag, not time validity.
+    receiver's position-fix validity flag, not time validity. talker is
+    the sentence's two-letter talker ID.
     """
 
     tod_ns: int | None = None
     date: datetime.date | None = None
     fix_valid: bool = False
     nsat: int | None = None
-    constellation_mask: frozenset = field(default_factory=frozenset)
-
-    def __post_init__(self):
-        if self.tod_ns is not None and not 0 <= self.tod_ns < NS_PER_DAY:
-            raise ValueError("tod_ns outside one day")
-        if self.fix_valid and self.tod_ns is None:
-            raise ValueError("a valid fix must carry a time of day")
-        if self.nsat is not None:
-            if self.nsat < 0:
-                raise ValueError("nsat must be >= 0")
-            if self.nsat == 0 and self.fix_valid:
-                raise ValueError("zero satellites cannot give a valid fix")
+    talker: str = "GN"
 
 
 def _parse_tod(text: str) -> int:
@@ -165,9 +146,11 @@ def _parse_tod(text: str) -> int:
         s = float(text[4:])
     except ValueError:
         raise MalformedField(f"bad time-of-day field {text!r}") from None
-    if not (0 <= h < 24 and 0 <= m < 60 and 0 <= s < 61):
-        raise MalformedField(f"time-of-day out of range {text!r}")
-    return (h * 3600 + m * 60) * NS_PER_S + round(s * NS_PER_S)
+    if 0 <= h < 24 and 0 <= m < 60 and 0 <= s < 61:
+        tod = (h * 3600 + m * 60) * NS_PER_S + round(s * NS_PER_S)
+        if tod < NS_PER_DAY:
+            return tod
+    raise MalformedField(f"time-of-day out of range {text!r}")
 
 
 # The XOR of the bytes of "00".."99" and of ".000"..".999". Tables of the
@@ -197,7 +180,6 @@ def extract_fix(s: NmeaSentence, last_date: datetime.date | None = None) -> Gnss
     """
     if s.kind not in (SentenceKind.RMC, SentenceKind.GGA, SentenceKind.ZDA):
         raise ValueError(f"no timing content in {s.kind} sentences")
-    mask = _TALKER_TO_MASK.get(s.talker, frozenset())
     if not s.fields[0]:
         raise NoTimeField(f"{s.kind.value} sentence with empty time field")
     tod = _parse_tod(s.fields[0])
@@ -207,19 +189,22 @@ def extract_fix(s: NmeaSentence, last_date: datetime.date | None = None) -> Gnss
         if len(raw) != 6 or not raw.isdigit():
             raise MalformedField(f"bad RMC date {raw!r}")
         date = datetime.date(2000 + int(raw[4:6]), int(raw[2:4]), int(raw[0:2]))
-        return GnssFix(tod, date, status == "A", None, mask)
+        return GnssFix(tod, date, status == "A", None, s.talker)
     if s.kind is SentenceKind.GGA:
         try:
             quality = int(s.fields[5])
             nsat = int(s.fields[6])
         except ValueError:
             raise MalformedField("bad GGA quality/satellite fields") from None
-        return GnssFix(tod, last_date, quality > 0 and nsat > 0, nsat, mask)
+        if nsat < 0:
+            raise MalformedField(f"negative GGA satellite count {nsat}")
+        return GnssFix(tod, last_date, quality > 0 and nsat > 0, nsat,
+                       s.talker)
     try:
         date = datetime.date(int(s.fields[3]), int(s.fields[2]), int(s.fields[1]))
     except ValueError:
         raise MalformedField("bad ZDA date fields") from None
-    return GnssFix(tod, date, True, None, mask)
+    return GnssFix(tod, date, True, None, s.talker)
 
 
 @functools.lru_cache(maxsize=64)
@@ -255,20 +240,19 @@ def generate(fix: GnssFix, kind: SentenceKind) -> str:
     """
     if fix.tod_ns is None:
         raise MissingField("fix has no time of day")
-    head, tail, acc = _frame(
-        _MASK_TO_TALKER.get(fix.constellation_mask, "GN"), kind, fix.date,
-        fix.fix_valid, fix.nsat)
+    head, tail, acc = _frame(fix.talker, kind, fix.date, fix.fix_valid,
+                             fix.nsat)
     tod, tod_acc = _time_field(fix.tod_ns)
     return f"{head}{tod}{tail}{acc ^ tod_acc:02X}"
 
 
-def absolute_second_ns(fix: GnssFix, epoch_date: datetime.date) -> int:
-    """Absolute time named by the fix, in ns since epoch_date midnight."""
+def absolute_second_ns(fix: GnssFix) -> int:
+    """Absolute time named by the fix, in ns since SIM_EPOCH_DATE midnight."""
     if fix.tod_ns is None:
         raise NoTimeField("fix has no time of day")
     if fix.date is None:
         raise MissingField("fix has no date to anchor the time of day")
-    days = (fix.date - epoch_date).days
+    days = (fix.date - SIM_EPOCH_DATE).days
     return days * NS_PER_DAY + fix.tod_ns
 
 
@@ -307,11 +291,11 @@ def _run_date(days: int) -> datetime.date:
     return SIM_EPOCH_DATE + datetime.timedelta(days=days)
 
 
-def fix_for_second(second: int, nsat: int, mask) -> GnssFix:
+def fix_for_second(second: int, nsat: int, talker: str) -> GnssFix:
     """The fix a receiver reports for an absolute second of the run."""
     days, rem = divmod(second, 86_400)
     return GnssFix(rem * NS_PER_S, _run_date(days), nsat >= MIN_FIX_NSAT,
-                   nsat, mask)
+                   nsat, talker)
 
 
 def format_log(bursts, constellations):
@@ -319,10 +303,11 @@ def format_log(bursts, constellations):
     `(arrival_ns, second, nsat)` burst is an RMC and a GGA for that
     second, each line prefixed with the arrival time in ns."""
     rmc, gga = SentenceKind.RMC, SentenceKind.GGA
+    talker = _MASK_TO_TALKER.get(constellations, "GN")
     for i in range(0, len(bursts), CSV_BLOCK):
         out = []
         for arrival_ns, second, nsat in bursts[i:i + CSV_BLOCK]:
-            fix = fix_for_second(second, nsat, constellations)
+            fix = fix_for_second(second, nsat, talker)
             out.append(f"{arrival_ns} {generate(fix, rmc)}\n"
                        f"{arrival_ns} {generate(fix, gga)}\n")
         yield "".join(out)
@@ -365,7 +350,7 @@ def read_log(path, assumed_latency_ms: float) -> list[tuple[int, int, bool]]:
             if fix.date is None:  # a GGA before any dated sentence
                 continue
             last_date = fix.date
-            named_ns = absolute_second_ns(fix, SIM_EPOCH_DATE)
+            named_ns = absolute_second_ns(fix)
             arrival = rx_ns if rx_ns is not None else named_ns + round(
                 assumed_latency_ms * 1e6)
             if events and arrival < events[-1][0]:

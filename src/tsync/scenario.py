@@ -23,7 +23,8 @@ from typing import ClassVar, get_args, get_origin, get_type_hints
 from .nmea import MIN_FIX_NSAT, SerialDeliveryModel
 from .pps import PpsJitter
 from .servo import ServoConfig, ServoMode
-from .timebase import OscillatorParams, OutOfBounds, check_bounds, config_field
+from .timebase import (PATH_COMPONENT, OscillatorParams, OutOfBounds,
+                       check_bounds, config_field)
 
 DEFAULT_SEED = 1787
 
@@ -163,7 +164,7 @@ class ReceiverSpec:
 
 @dataclass(frozen=True)
 class NodeSpec:
-    name: str = config_field(minLength=1)
+    name: str = config_field(minLength=1, pattern=PATH_COMPONENT)
     oscillator: OscillatorParams = field(default_factory=OscillatorParams)
     servo: ServoConfig = field(default_factory=ServoConfig)
     constellations: frozenset[str] = config_field(
@@ -274,7 +275,7 @@ class VisibilityStats:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    name: str = config_field(minLength=1)
+    name: str = config_field(minLength=1, pattern=PATH_COMPONENT)
     duration_s: float = config_field(exclusiveMinimum=0)
     visibility: tuple[VisibilitySeg, ...] = config_field(minItems=1)
     seed: int = config_field(DEFAULT_SEED, minimum=0)
@@ -542,9 +543,9 @@ def _build(cls, obj: dict, path: str, base_dir, prefix: str = ""):
     except SchemaError:
         raise
     except OutOfBounds as exc:  # a flattened field goes by its JSON key
-        name, meta = exc.args
+        name, *rest = exc.args
         raise SchemaError(f"{path or 'scenario'}: "
-                          f"{OutOfBounds(prefix + name, meta)}") from exc
+                          f"{OutOfBounds(prefix + name, *rest)}") from exc
     except ValueError as exc:
         raise SchemaError(f"{path or 'scenario'}: {exc}") from exc
 

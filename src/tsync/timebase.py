@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import re
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
@@ -27,7 +28,6 @@ CSV_BLOCK = 4096
 _MAX_INSTANT_NS = 2**63 - 1
 _MAX_PHASE_FS = (2**63 - 1) * FS_PER_NS
 
-WHITE_FM = -0.5
 FLICKER_FM = 0.0
 RANDOM_WALK_FM = 0.5
 
@@ -96,7 +96,12 @@ _BOUND_TESTS = {
     "maximum": operator.le, "exclusiveMaximum": operator.lt,
     "minLength": lambda value, n: len(value) >= n,
     "minItems": lambda value, n: len(value) >= n,
+    "pattern": lambda value, pattern: re.search(pattern, value) is not None,
 }
+
+# The `pattern` of a name that a run turns into a file or directory name:
+# one path component, so no '/' or '\', and not '.' or '..'.
+PATH_COMPONENT = r"^(?!\.\.?$)[^/\\]*$"
 
 
 def config_field(default=MISSING, **schema):
@@ -107,10 +112,10 @@ def config_field(default=MISSING, **schema):
 
 @functools.cache
 def _bounds(cls) -> tuple:
-    """(field, ((test, bound), ...)) for each bounded field of cls."""
+    """(field, ((keyword, test, bound), ...)) for each bounded field of cls."""
     out = []
     for f in fields(cls):
-        tests = tuple((_BOUND_TESTS[key], bound)
+        tests = tuple((key, _BOUND_TESTS[key], bound)
                       for key, bound in f.metadata.items()
                       if key in _BOUND_TESTS)
         if tests:
@@ -120,7 +125,7 @@ def _bounds(cls) -> tuple:
 
 class OutOfBounds(ValueError):
     """A config field lies outside a bound its metadata declares; the
-    args are the field's name and its metadata."""
+    args are the field's name, its metadata and the failed keyword."""
 
     def __str__(self) -> str:
         return _bound_message(*self.args)
@@ -131,12 +136,15 @@ def check_bounds(config) -> None:
     lies outside a bound its metadata declares. NaN passes no bound."""
     for f, tests in _bounds(type(config)):
         value = getattr(config, f.name)
-        for test, bound in tests:
+        for key, test, bound in tests:
             if not test(value, bound):
-                raise OutOfBounds(f.name, dict(f.metadata))
+                raise OutOfBounds(f.name, dict(f.metadata), key)
 
 
-def _bound_message(name: str, meta) -> str:
+def _bound_message(name: str, meta, key: str) -> str:
+    if key == "pattern":  # PATH_COMPONENT, the one pattern in use
+        return (f"{name} must be one path component: no '/' or '\\', "
+                f"and not '.' or '..'")
     size = meta.get("minLength", meta.get("minItems"))
     if size is not None:
         if size == 1:
@@ -295,37 +303,24 @@ def _fft_len(target: int) -> int:
     return best
 
 
-def gen_power_law_noise(mu: float, amplitude: float, n: int, tau0_s: float,
+def gen_power_law_noise(mu: float, amplitude: float, n: int,
                         seed) -> np.ndarray:
-    """Fractional-frequency series with ADEV amplitude * tau**mu.
+    """Fractional-frequency series at a 1 s step, ADEV amplitude * tau**mu.
 
-    mu selects the process: -0.5 white FM, 0 flicker FM, +0.5 random-walk
-    FM. The flicker branch shapes white noise with the fractional
-    differencing kernel h[i] = h[i-1] * (alpha/2 + i - 1) / i (alpha = 1),
-    which realises a 1/f frequency spectrum; white and random-walk scale
-    factors follow from the standard two-sample variance of iid and
-    Wiener frequency processes.
+    mu selects the process: 0 flicker FM, +0.5 random-walk FM (NoiseStream
+    draws white FM itself). The flicker branch shapes white noise with the
+    fractional differencing kernel h[i] = h[i-1] * (alpha/2 + i - 1) / i
+    (alpha = 1), which realises a 1/f frequency spectrum; the random-walk
+    step follows from the two-sample variance of a Wiener frequency
+    process.
 
     Deterministic per seed. Only the ADEV slope is contractual for the
     flicker branch; the level is calibrated to the amplitude.
     """
-    n = int(n)
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if amplitude < 0:
-        raise ValueError("amplitude must be >= 0")
-    if tau0_s <= 0:
-        raise ValueError("tau0_s must be > 0")
-    if amplitude == 0.0:
-        return np.zeros(n)
     rng = np.random.default_rng(seed)
-    if mu == WHITE_FM:
-        # iid frequency: avar(tau) = sigma^2 * tau0 / tau
-        return rng.standard_normal(n) * (amplitude / math.sqrt(tau0_s))
     if mu == RANDOM_WALK_FM:
         # Wiener frequency with rate q: avar(tau) = q * tau / 3
-        step = amplitude * math.sqrt(3.0 * tau0_s)
-        return np.cumsum(rng.standard_normal(n)) * step
+        return np.cumsum(rng.standard_normal(n)) * (amplitude * math.sqrt(3.0))
     if mu == FLICKER_FM:
         h = [1.0] * n
         for i in range(1, n):
@@ -350,21 +345,20 @@ class NoiseStream:
     (for example edge-aligned sub-steps) stay physically consistent.
     """
 
-    def __init__(self, params: OscillatorParams, seed, n_steps: int):
+    def __init__(self, params: OscillatorParams,
+                 seed: np.random.SeedSequence, n_steps: int):
         self._i = 0
         kw, kf, kr = (params.noise_white_fm, params.noise_flicker_fm,
                       params.noise_randomwalk_fm)
         self._silent = kw == kf == kr == 0.0
         if self._silent:
             return
-        seq = np.random.SeedSequence(seed) if not isinstance(
-            seed, np.random.SeedSequence) else seed
-        s_w, s_f, s_r = seq.spawn(3)
+        s_w, s_f, s_r = seed.spawn(3)
         n = max(2, int(n_steps))
         self._white_sigma = kw
         self._white = np.random.default_rng(s_w).standard_normal(n) if kw else None
-        self._flicker = gen_power_law_noise(FLICKER_FM, kf, n, 1.0, s_f) if kf else None
-        self._rw = gen_power_law_noise(RANDOM_WALK_FM, kr, n, 1.0, s_r) if kr else None
+        self._flicker = gen_power_law_noise(FLICKER_FM, kf, n, s_f) if kf else None
+        self._rw = gen_power_law_noise(RANDOM_WALK_FM, kr, n, s_r) if kr else None
         self._n = n
 
     def next_phase_ns(self, dt_ns: int) -> float:

@@ -2,6 +2,7 @@ import concurrent.futures
 import dataclasses
 import json
 import os
+import stat
 import subprocess
 import sys
 import warnings
@@ -69,6 +70,10 @@ def harness_file(keys, value, name="harness_10pps") -> dict[str, bytes]:
         target = target[key]
     target[keys[-1]] = value
     return {"bad.json": json.dumps(doc).encode()}
+
+
+# Scenario or node names that are not one path component.
+NOT_ONE_COMPONENT = ("/abs_escape", "../x", "a/b", ".", "..")
 
 
 class TestRun:
@@ -201,6 +206,10 @@ class TestRun:
                                   "harness_100pps"),
            f"traffic[0].params: node 'c{i + 1}' has servo mode 'nmea'")
           for i in (0, 2)),
+        *(((*at, "name"), name, {},
+           f"{where}: name must be one path component")
+          for at, where in (((), "scenario"), (("nodes", 0), "nodes[0]"))
+          for name in NOT_ONE_COMPONENT),
     ], ids=["receiver-key-typo", "unknown-top-level-key", "glonass-only",
             "no-constellations", "nodes-as-object", "servo-null",
             "trace-file-missing", "trace-file-is-directory",
@@ -219,7 +228,10 @@ class TestRun:
             "stamp-bias-int64-max", "stamp-bias-minus-200ms",
             "path-delta-past-c-long", "path-delta-int64-max",
             "path-delta-minus-200ms", "broadcast-sentence-only-client",
-            "broadcast-sentence-only-server"])
+            "broadcast-sentence-only-server",
+            *(f"{who}-name-{kind}" for who in ("scenario", "node")
+              for kind in ("absolute", "parent-prefix", "subdirectory", "dot",
+                           "dot-dot"))])
     def test_malformed_config_exits_2(self, runner, tmp_path, keys, value,
                                       files, match):
         short_lab(tmp_path, duration=30.0)
@@ -261,6 +273,24 @@ class TestRun:
             assert res.output.splitlines() == [
                 "scenario config error: scenario name 'lte_ntp' given twice"]
             assert not out.exists()
+
+    def test_one_component_names_run(self, runner, tmp_path):
+        _, p1 = short_lab(tmp_path, "lab\u00b0", 30.0)
+        _, p2 = short_lab(tmp_path, "...", 30.0)
+        res = runner.invoke(main, ["run", p1, p2,
+                                   "--out", str(tmp_path / "multi")])
+        assert res.exit_code == 0, res.output
+        assert (tmp_path / "multi" / "lab\u00b0" / "manifest.json").exists()
+        assert (tmp_path / "multi" / "..." / "manifest.json").exists()
+
+    def test_out_path_through_a_missing_directory(self, runner, tmp_path,
+                                                  monkeypatch):
+        _, path = short_lab(tmp_path, duration=30.0)
+        monkeypatch.chdir(tmp_path)
+        res = runner.invoke(main, ["run", path, "--out", "missing/../dir"])
+        assert res.exit_code == 0, res.output
+        assert (tmp_path / "dir" / "manifest.json").exists()
+        assert not (tmp_path / "missing").exists()
 
     def test_multi_scenario_out_dirs(self, runner, tmp_path):
         _, p1 = short_lab(tmp_path, "one", 120.0)
@@ -569,6 +599,18 @@ class TestAnalyze:
         assert res.exit_code == 1
         assert res.stderr.startswith(f"malformed log: {path}: ")
 
+    def test_repeated_base_name_exits_2(self, runner, tmp_path):
+        logs = []
+        for sub in ("a", "b"):
+            (tmp_path / sub).mkdir()
+            logs.append(tmp_path / sub / "loop_vehicle.csv")
+            logs[-1].write_text(f"{engine.LOOP_HEADER}\n1.000,4,0.0,PPS,0\n")
+        res = runner.invoke(main, ["analyze", *map(str, logs),
+                                   "--out", str(tmp_path / "rep")])
+        assert res.exit_code == 2
+        assert "log name 'loop_vehicle.csv' given twice" in res.stderr
+        assert not (tmp_path / "rep").exists()
+
     def test_csv_report_and_out_files(self, runner, tmp_path):
         cfg, path = short_lab(tmp_path)
         out = tmp_path / "run"
@@ -620,6 +662,19 @@ def test_block_rendered_loop_log_equals_per_row_rendering(n):
         f"{r.elapsed_s:.3f},{r.offset_ns},{r.freq_correction_ppm!r},"
         f"{r.source},{int(r.holdover)}" for r in rows)]) + "\n"
     assert "".join(_loop_csv(rows)) == by_row
+
+
+def test_written_file_mode_follows_the_umask(tmp_path):
+    modes = {}
+    for umask in (0o022, 0o077):
+        path = tmp_path / f"umask_{umask:03o}.csv"
+        old = os.umask(umask)
+        try:
+            _write_atomic(str(path), ["x\n"])
+        finally:
+            os.umask(old)
+        modes[umask] = stat.S_IMODE(path.stat().st_mode)
+    assert modes == {0o022: 0o644, 0o077: 0o600}
 
 
 def test_failed_streamed_write_keeps_the_previous_file(tmp_path):
@@ -850,7 +905,7 @@ class TestReplay:
         elif edit == "edge-before-start":
             pps_lines[0] = "400000000"  # nearest second 0
         else:
-            fix = nmea.fix_for_second(21, 8, frozenset({"GPS"}))
+            fix = nmea.fix_for_second(21, 8, "GP")
             nmea_lines.append(f"{21_080_000_000} "
                               f"{nmea.generate(fix, nmea.SentenceKind.RMC)}")
         (tmp_path / "nmea.log").write_text("\n".join(nmea_lines) + "\n")

@@ -119,10 +119,10 @@ class TestFitNoise:
     def test_exact_white_recovery(self):
         pts = self.template_points(3e-9, 0.0, 0.0, [1, 2, 4, 8, 16])
         fit = fit_noise(pts)
-        assert fit.kappa_white == pytest.approx(3e-9, rel=1e-9)
-        assert fit.kappa_flicker == pytest.approx(0.0, abs=1e-15)
-        assert fit.kappa_randomwalk == pytest.approx(0.0, abs=1e-15)
-        assert fit.residual < 1e-9
+        assert fit["kappa_white"] == pytest.approx(3e-9, rel=1e-9)
+        assert fit["kappa_flicker"] == pytest.approx(0.0, abs=1e-15)
+        assert fit["kappa_randomwalk"] == pytest.approx(0.0, abs=1e-15)
+        assert fit["residual"] < 1e-9
 
     def test_mixed_template_recovery_within_20pct(self):
         taus = [1, 2, 4, 8, 16, 32, 64, 128]
@@ -130,9 +130,9 @@ class TestFitNoise:
         pts = [AllanPoint(p.tau_s, p.adev * (1 + rng.uniform(-0.02, 0.02)), 10)
                for p in self.template_points(2e-9, 1e-9, 3e-10, taus)]
         fit = fit_noise(pts)
-        assert fit.kappa_white == pytest.approx(2e-9, rel=0.2)
-        assert fit.kappa_flicker == pytest.approx(1e-9, rel=0.2)
-        assert fit.kappa_randomwalk == pytest.approx(3e-10, rel=0.2)
+        assert fit["kappa_white"] == pytest.approx(2e-9, rel=0.2)
+        assert fit["kappa_flicker"] == pytest.approx(1e-9, rel=0.2)
+        assert fit["kappa_randomwalk"] == pytest.approx(3e-10, rel=0.2)
 
     def test_all_zero_curve_is_degenerate(self):
         pts = [AllanPoint(t, 0.0, 5) for t in (1, 4, 16)]

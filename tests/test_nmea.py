@@ -127,16 +127,13 @@ class TestExtract:
         fix = extract_fix(parse_sentence(
             "$GNZDA,235959.500,31,12,2021,00,00*4C\r\n"))
         assert fix == GnssFix(86_399_500_000_000, datetime.date(2021, 12, 31),
-                              True, None,
-                              frozenset({"GPS", "GLONASS", "BEIDOU",
-                                         "GALILEO"}))
+                              True, None, "GN")
 
-    @pytest.mark.parametrize("talker, mask", [
-        ("GL", {"GLONASS"}), ("GA", {"GALILEO"}), ("BD", {"BEIDOU"})])
-    def test_talkers_never_generated_still_parse(self, talker, mask):
+    @pytest.mark.parametrize("talker", ["GL", "GA", "BD"])
+    def test_talkers_never_generated_still_parse(self, talker):
         fix = extract_fix(parse_sentence(make_line(
             talker + RMC_PAYLOAD[2:])))
-        assert fix.constellation_mask == frozenset(mask)
+        assert fix.talker == talker
 
     def test_empty_time_field(self):
         payload = "GPRMC,,V,,,,,,,160321,,"
@@ -149,42 +146,38 @@ class TestExtract:
             extract_fix(s)
 
 
-# The masks a generated talker names: GP, GB and GN.
-MASKS = st.sampled_from([
-    frozenset({"GPS"}), frozenset({"BEIDOU"}),
-    frozenset({"GPS", "GLONASS", "BEIDOU", "GALILEO"}),
-])
+# The talkers of generated sentences.
+TALKERS = st.sampled_from(["GP", "GB", "GN"])
 TODS = st.integers(0, 86_399_999).map(lambda ms: ms * 10**6)
 DATES = st.dates(datetime.date(2000, 1, 1), datetime.date(2099, 12, 31))
 
 
 class TestGenerateRoundTrip:
-    @given(TODS, DATES, st.booleans(), MASKS)
+    @given(TODS, DATES, st.booleans(), TALKERS)
     @settings(max_examples=80)
-    def test_rmc(self, tod, date, valid, mask):
-        fix = GnssFix(tod, date, valid, None, mask)
+    def test_rmc(self, tod, date, valid, talker):
+        fix = GnssFix(tod, date, valid, None, talker)
         back = extract_fix(parse_sentence(generate(fix, SentenceKind.RMC)))
         assert back == fix
 
-    @given(TODS, DATES, st.integers(1, 32), st.booleans(), MASKS)
+    @given(TODS, DATES, st.integers(1, 32), st.booleans(), TALKERS)
     @settings(max_examples=80)
-    def test_gga(self, tod, date, nsat, valid, mask):
-        fix = GnssFix(tod, date, valid, nsat, mask)
+    def test_gga(self, tod, date, nsat, valid, talker):
+        fix = GnssFix(tod, date, valid, nsat, talker)
         back = extract_fix(parse_sentence(generate(fix, SentenceKind.GGA)),
                            last_date=date)
         assert back == fix
 
     def test_invalid_fix_renders_void_status(self):
-        fix = GnssFix(0, datetime.date(2021, 1, 1), False, None,
-                      frozenset({"GPS"}))
+        fix = GnssFix(0, datetime.date(2021, 1, 1), False, None, "GP")
         assert ",V," in generate(fix, SentenceKind.RMC)
 
     def test_nsat_formatting(self):
-        fix = GnssFix(0, None, True, 12, frozenset({"GPS"}))
+        fix = GnssFix(0, None, True, 12, "GP")
         assert ",12," in generate(fix, SentenceKind.GGA)
 
     def test_missing_fields(self):
-        fix = GnssFix(0, None, False, None, frozenset({"GPS"}))
+        fix = GnssFix(0, None, False, None, "GP")
         with pytest.raises(MissingField):
             generate(fix, SentenceKind.RMC)
         with pytest.raises(MissingField):
@@ -193,8 +186,6 @@ class TestGenerateRoundTrip:
 
 def reference_generate(fix: GnssFix, kind: SentenceKind) -> str:
     """Whole-sentence rendering: join every field, then checksum."""
-    talker = {frozenset({"GPS"}): "GP",
-              frozenset({"BEIDOU"}): "GB"}.get(fix.constellation_mask, "GN")
     s, frac = divmod(fix.tod_ns, 10**9)
     tod = f"{s // 3600:02d}{s // 60 % 60:02d}{s % 60:02d}.{frac // 10**6:03d}"
     d = fix.date
@@ -204,27 +195,21 @@ def reference_generate(fix: GnssFix, kind: SentenceKind) -> str:
     else:
         fields = [tod, "", "", "", "", "1" if fix.fix_valid else "0",
                   f"{fix.nsat:02d}", "", "", "M", "", "M"]
-    payload = ",".join((talker + kind.value, *fields))
+    payload = ",".join((fix.talker + kind.value, *fields))
     return f"${payload}*{xor_oracle(payload)}"
 
 
-# Any mask; all but GPS alone and BeiDou alone render as GN.
-ANY_MASK = st.sets(st.sampled_from(["GPS", "GLONASS", "BEIDOU", "GALILEO"]),
-                   min_size=1).map(frozenset)
-
-
 class TestGenerateMatchesReference:
-    @given(TODS, DATES, st.booleans(), st.integers(1, 32), ANY_MASK,
+    @given(TODS, DATES, st.booleans(), st.integers(1, 32), TALKERS,
            st.sampled_from([SentenceKind.RMC, SentenceKind.GGA]))
     @settings(max_examples=300)
     def test_cached_frames_render_the_same_bytes(self, tod, date, valid,
-                                                 nsat, mask, kind):
-        fix = GnssFix(tod, date, valid, nsat, mask)
+                                                 nsat, talker, kind):
+        fix = GnssFix(tod, date, valid, nsat, talker)
         assert generate(fix, kind) == reference_generate(fix, kind)
 
     def test_other_kinds_rejected(self):
-        fix = GnssFix(0, datetime.date(2021, 1, 1), True, 8,
-                      frozenset({"GPS"}))
+        fix = GnssFix(0, datetime.date(2021, 1, 1), True, 8, "GP")
         with pytest.raises(ValueError, match="cannot generate"):
             generate(fix, SentenceKind.OTHER)
         with pytest.raises(ValueError, match="cannot generate"):
@@ -256,7 +241,7 @@ class TestTimeField:
 
     def test_sentence_never_names_a_time_ahead(self):
         fix = GnssFix(59_999_700_000, datetime.date(2021, 1, 1), True, None,
-                      frozenset({"GPS"}))
+                      "GP")
         back = extract_fix(parse_sentence(generate(fix, SentenceKind.RMC)))
         assert back.tod_ns == 59_999_000_000
 
@@ -350,19 +335,22 @@ class TestSentenceLog:
         with pytest.raises(MalformedField, match=":2: non-ASCII byte$"):
             nmea.read_log(path, 80.0)
 
+    @pytest.mark.parametrize("payload", [
+        "GPRMC,235960.000,A,,,,,,,010121,,",
+        "GPGGA,000001.000,,,,,1,-1,,,M,,M",
+    ], ids=["time-of-day-past-the-day", "negative-satellite-count"])
+    def test_field_out_of_range_names_its_line(self, tmp_path, payload):
+        path = tmp_path / "nmea.log"
+        path.write_text(f"{make_line(RMC_PAYLOAD)}\n{make_line(payload)}\n")
+        where = re.escape(str(path))
+        with pytest.raises(MalformedField, match=f"^{where}:2: "):
+            nmea.read_log(path, 80.0)
+
 
 class TestFixInvariants:
-    def test_valid_fix_needs_time(self):
-        with pytest.raises(ValueError):
-            GnssFix(None, None, True, 5)
-
-    def test_zero_sats_cannot_be_valid(self):
-        with pytest.raises(ValueError):
-            GnssFix(0, None, True, 0)
-
     def test_absolute_second(self):
         fix = GnssFix(3 * 10**9, datetime.date(2021, 1, 2), True, None)
-        got = nmea.absolute_second_ns(fix, datetime.date(2021, 1, 1))
+        got = nmea.absolute_second_ns(fix)
         assert got == (86_400 + 3) * 10**9
 
 

@@ -14,6 +14,13 @@ from tsync.timebase import (_FLICKER_UNIT_ADEV, FLICKER_FM, ClockState,
 NS = 1_000_000_000
 
 
+def noise_phase_ns(params, seed, n, dt_ns=NS):
+    """Phase samples (ns) of a clock's oscillator noise alone: n steps of
+    dt_ns drawn from the NoiseStream a run uses."""
+    stream = NoiseStream(params, np.random.SeedSequence(seed), n)
+    return np.cumsum([0.0] + [stream.next_phase_ns(dt_ns) for _ in range(n)])
+
+
 class TestSimInstant:
     def test_normalization(self):
         t = SimInstant.from_ns(3 * NS + 250)
@@ -144,7 +151,7 @@ class TestAdvance:
                                   noise_randomwalk_fm=1e-10)
 
         def run():
-            stream = NoiseStream(params, 99, 64)
+            stream = NoiseStream(params, np.random.SeedSequence(99), 64)
             state = ClockState()
             out = []
             for _ in range(50):
@@ -163,7 +170,7 @@ class TestAdvance:
         # A numpy scalar here would be stored in ClockState.freq_error_ppm
         # and make every later clock read compute on numpy scalars.
         params = OscillatorParams(**noise)
-        stream = NoiseStream(params, 99, 64)
+        stream = NoiseStream(params, np.random.SeedSequence(99), 64)
         assert type(stream.next_phase_ns(NS)) is float
         state = ClockState()
         advance(state, params, NS, 25.0, stream)
@@ -188,39 +195,49 @@ class TestReadClock:
             read_clock(state, NS - 1)
 
 
+# The OscillatorParams amplitude of each power-law process, by exponent.
+NOISE_FIELD = {-0.5: "noise_white_fm", 0.0: "noise_flicker_fm",
+               0.5: "noise_randomwalk_fm"}
+
+
 class TestPowerLawNoise:
     def test_zero_amplitude_is_silent(self):
-        y = gen_power_law_noise(-0.5, 0.0, 1000, 1.0, 1)
-        assert not y.any()
+        assert not noise_phase_ns(OscillatorParams(), 1, 1000).any()
 
     def test_unsupported_exponent(self):
         with pytest.raises(ValueError):
-            gen_power_law_noise(1.0, 1e-9, 100, 1.0, 1)
+            gen_power_law_noise(1.0, 1e-9, 100, 1)
 
     def test_deterministic_per_seed(self):
-        a = gen_power_law_noise(0.0, 1e-9, 4096, 1.0, 7)
-        b = gen_power_law_noise(0.0, 1e-9, 4096, 1.0, 7)
+        a = gen_power_law_noise(0.0, 1e-9, 4096, 7)
+        b = gen_power_law_noise(0.0, 1e-9, 4096, 7)
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("mu,amp", [(-0.5, 1e-9), (0.0, 1e-9),
                                         (0.5, 1e-10)])
     def test_adev_slope_matches_exponent(self, mu, amp):
-        y = gen_power_law_noise(mu, amp, 100_000, 1.0, 20_21)
-        phase = metrics.frequency_to_phase_ns(y, 1.0)
+        params = OscillatorParams(**{NOISE_FIELD[mu]: amp})
+        phase = noise_phase_ns(params, 20_21, 100_000)
         points = metrics.overlapping_adev(phase, 1.0, [4, 8, 16, 32, 64])
         assert metrics.adev_slope(points) == pytest.approx(mu, abs=0.1)
 
-    @pytest.mark.parametrize("mu,amp", [(-0.5, 1e-9), (0.5, 1e-10)])
+    @pytest.mark.parametrize("mu,amp", [(-0.5, 1e-9), (0.0, 1e-9),
+                                        (0.5, 1e-10)])
     def test_adev_level_matches_amplitude(self, mu, amp):
-        y = gen_power_law_noise(mu, amp, 100_000, 1.0, 5)
-        phase = metrics.frequency_to_phase_ns(y, 1.0)
+        params = OscillatorParams(**{NOISE_FIELD[mu]: amp})
+        phase = noise_phase_ns(params, 5, 100_000)
         (point,) = metrics.overlapping_adev(phase, 1.0, [8.0])
         assert point.adev == pytest.approx(amp * 8.0**mu, rel=0.15)
 
     def test_white_scaling_with_tau0(self):
-        y = gen_power_law_noise(-0.5, 1e-9, 50_000, 0.25, 11)
-        assert float(np.std(y)) == pytest.approx(1e-9 / math.sqrt(0.25),
-                                                 rel=0.05)
+        # White FM phase grows with sqrt(dt): at 0.25 s steps the
+        # per-step frequency deviation doubles.
+        dt_ns = NS // 4
+        phase = noise_phase_ns(OscillatorParams(noise_white_fm=1e-9), 11,
+                               50_000, dt_ns)
+        freq = np.diff(phase) / dt_ns
+        assert float(np.std(freq)) == pytest.approx(1e-9 / math.sqrt(0.25),
+                                                    rel=0.05)
 
     @pytest.mark.parametrize("n", [2, 3, 1801, 4096, 172_816])
     def test_flicker_bits_match_fftconvolve(self, n):
@@ -231,7 +248,7 @@ class TestPowerLawNoise:
             h[i] = h[i - 1] * (0.5 + i - 1) / i
         w = np.random.default_rng(19).standard_normal(n)
         ref = signal.fftconvolve(h, w)[:n] * (1e-9 / _FLICKER_UNIT_ADEV)
-        y = gen_power_law_noise(FLICKER_FM, 1e-9, n, 1.0, 19)
+        y = gen_power_law_noise(FLICKER_FM, 1e-9, n, 19)
         assert y.tobytes() == ref.tobytes()
 
     def test_fft_len_matches_next_fast_len(self):
