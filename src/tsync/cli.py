@@ -363,7 +363,8 @@ def _finite(ctx, param, value: float) -> float:
 @click.option("--scenario", "scenario_path", default=None,
               type=click.Path(exists=True, dir_okay=False))
 @click.option("--node", "node_name", default=None,
-              help="Node of the scenario to replay (default: first).")
+              help="Node of --preset or --scenario to replay "
+              "(default: first).")
 @click.option("--seed", type=click.IntRange(min=0), default=None)
 @click.option("--assumed-latency-ms", type=float, default=80.0,
               show_default=True, callback=_finite,
@@ -387,7 +388,7 @@ def replay(nmea_log, pps_log, mode, preset_name, scenario_path, node_name,
         sys.exit(1)
     except NoiseExhausted as exc:
         click.echo(f"replay error: the capture has more measured events "
-                   f"than the noise stream of a {cfg.duration_s:g} s "
+                   f"than the noise stream of a {cfg.duration_s} s "
                    f"scenario holds ({exc})", err=True)
         sys.exit(1)
     for w in warnings:
@@ -399,7 +400,7 @@ def replay(nmea_log, pps_log, mode, preset_name, scenario_path, node_name,
 
 def _replay_target(preset_name, scenario_path, node_name, seed, mode,
                    have_pps, last_s):
-    """Scenario and node to replay against. Bare logs get a default node
+    """Scenario and node to replay against. Bare logs get one default node
     with full visibility through the capture's last second."""
     if preset_name and scenario_path:
         raise FormatError("give either --preset or --scenario, not both")
@@ -407,16 +408,17 @@ def _replay_target(preset_name, scenario_path, node_name, seed, mode,
         cfg = scenario.preset(preset_name)
     elif scenario_path:
         cfg = scenario.load(scenario_path)
+    elif node_name:
+        raise FormatError("--node names a node of --preset or --scenario; "
+                          "bare logs replay one default node")
     else:
-        mode_val = mode or ("nmea+pps" if have_pps else "nmea")
         node = scenario.NodeSpec(name="replay", servo=scenario.ServoConfig(
-            mode=scenario.ServoMode(mode_val)))
-        duration = float(max(last_s, 1))
+            mode=scenario.ServoMode("nmea+pps" if have_pps else "nmea")))
+        duration = max(last_s, 1)
         cfg = scenario.ScenarioConfig(
             name="replay", duration_s=duration,
             visibility=(scenario.VisibilitySeg(0.0, duration, 8, 6),),
             nodes=(node,))
-        return cfg, node
     if seed is not None:
         cfg = dataclasses.replace(cfg, seed=seed)
     if node_name:

@@ -90,7 +90,7 @@ class NodeSim:
         self.cfg = cfg
         self.spec = spec
         osc_seq, pps_seq, serial_seq, stamp_seq = seed_seq.spawn(4)
-        steps = 2 * int(round(cfg.duration_s)) + 16
+        steps = 2 * cfg.duration_s + 16
         self.noise = NoiseStream(spec.oscillator, osc_seq, steps)
         self.rng_pps = BlockDraws(np.random.default_rng(pps_seq))
         self.rng_serial = BlockDraws(np.random.default_rng(serial_seq))
@@ -308,14 +308,13 @@ def run_loop(cfg: ScenarioConfig, sims,
 
     `before_step(boundary)`, when given, runs ahead of each second's steps.
     """
-    duration = int(round(cfg.duration_s))
-    for boundary in range(1, duration + 1):
+    for boundary in range(1, cfg.duration_s + 1):
         if before_step is not None:
             before_step(boundary)
         for sim in sims:
             sim.step_boundary(boundary)
     for sim in sims:
-        sim.finish(duration)
+        sim.finish(cfg.duration_s)
     return {sim.spec.name: sim for sim in sims}
 
 
@@ -350,10 +349,10 @@ def run_replay(cfg: ScenarioConfig, spec: NodeSpec, nmea_events,
     """
     first, last = capture_seconds(nmea_events, pps_edges)
     for second in (first, last):
-        if not 1 <= second <= round(cfg.duration_s):
+        if not 1 <= second <= cfg.duration_s:
             raise OutsideScenario(
                 f"the capture's second {second} lies outside the "
-                f"scenario's {cfg.duration_s:g} s")
+                f"scenario's {cfg.duration_s} s")
     index = [n.name for n in cfg.nodes].index(spec.name)
     sim = NodeSim(cfg, spec, seed_sequences(cfg)[0][index])
 

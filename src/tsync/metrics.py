@@ -13,8 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import nnls
 
-from .timebase import NS_PER_S
-
 # Template exponents fitted against ADEV curves: white, flicker and
 # random-walk frequency modulation.
 TEMPLATE_MUS = (-0.5, 0.0, 0.5)
@@ -87,8 +85,6 @@ def overlapping_adev(phase_ns, tau0_s: float, taus_s) -> list[AllanPoint]:
     Second differences are taken on the raw nanosecond values so integer
     ramps cancel exactly.
     """
-    if tau0_s <= 0:
-        raise ValueError("tau0_s must be > 0")
     x = np.asarray(phase_ns, dtype=float)
     n = x.size
     points = []
@@ -103,13 +99,6 @@ def overlapping_adev(phase_ns, tau0_s: float, taus_s) -> list[AllanPoint]:
         avar = float(np.sum((d * 1e-9) ** 2)) / (2.0 * (n - 2 * m) * tau * tau)
         points.append(AllanPoint(float(tau), math.sqrt(avar), n - 2 * m))
     return points
-
-
-def frequency_to_phase_ns(y, tau0_s: float) -> np.ndarray:
-    """Integrate fractional frequency into phase samples in nanoseconds."""
-    y = np.asarray(y, dtype=float)
-    phase_s = np.concatenate(([0.0], np.cumsum(y) * tau0_s))
-    return phase_s * NS_PER_S
 
 
 def default_taus(n: int, tau0_s: float) -> list[float]:

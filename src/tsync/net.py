@@ -72,12 +72,11 @@ def run_broadcast(cfg: ScenarioConfig):
     clients = [by_name[name] for name in params.clients]
     drop_rng = np.random.default_rng(engine.seed_sequences(cfg)[1])
 
-    duration = int(round(cfg.duration_s))
-    n_packets = int(round(traffic.rate_hz * duration))
+    n_packets = int(round(traffic.rate_hz * cfg.duration_s))
     send_col = np.rint(np.arange(1, n_packets + 1, dtype=np.int64) * NS_PER_S
                        / traffic.rate_hz).astype(np.int64)
     # Packets due after the last second are never sent.
-    send_col = send_col[send_col <= duration * NS_PER_S]
+    send_col = send_col[send_col <= cfg.duration_s * NS_PER_S]
     send_ns = send_col.tolist()
     arrival = [send_col + params.path_delta_ns.get(sim.spec.name, 0)
                for sim in clients]

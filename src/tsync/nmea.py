@@ -32,19 +32,7 @@ _MASK_TO_TALKER = {frozenset({"GPS"}): "GP", frozenset({"BEIDOU"}): "GB"}
 _MIN_FIELDS = {"RMC": 9, "GGA": 7, "ZDA": 4}
 
 
-class BadChecksum(ValueError):
-    pass
-
-
-class Truncated(ValueError):
-    pass
-
-
 class MalformedField(ValueError):
-    pass
-
-
-class NoTimeField(ValueError):
     pass
 
 
@@ -67,7 +55,7 @@ def checksum(payload: str) -> str:
     """
     data = payload.encode("ascii")
     if b"$" in data or b"*" in data:
-        raise ValueError("payload must exclude '$' and '*'")
+        raise MalformedField("payload must exclude '$' and '*'")
     acc = 0
     for b in data:
         acc ^= b
@@ -76,36 +64,34 @@ def checksum(payload: str) -> str:
 
 @dataclass(frozen=True)
 class NmeaSentence:
-    """One parsed sentence: talker, type, raw fields and checksum."""
+    """One parsed sentence: talker, type and raw fields."""
 
     talker: str
     kind: SentenceKind
     fields: tuple[str, ...]
-    checksum: str
-    type_code: str = ""
 
 
 def parse_sentence(line: str) -> NmeaSentence:
     """Parse and checksum-verify one sentence.
 
-    Unknown sentence types are accepted with kind OTHER; structural
-    problems raise Truncated / MalformedField, checksum mismatches raise
-    BadChecksum.
+    Unknown sentence types are accepted with kind OTHER; a structural
+    problem or a checksum mismatch raises MalformedField.
     """
     text = line.rstrip("\r\n")
     if not text.startswith("$"):
-        raise Truncated(f"sentence does not start with '$': {text[:20]!r}")
+        raise MalformedField(
+            f"sentence does not start with '$': {text[:20]!r}")
     star = text.rfind("*")
     if star < 0 or len(text) - star != 3:
-        raise Truncated(f"missing or short checksum: {text[-6:]!r}")
+        raise MalformedField(f"missing or short checksum: {text[-6:]!r}")
     payload, given = text[1:star], text[star + 1:]
     try:
         int(given, 16)
     except ValueError:
-        raise Truncated(f"non-hex checksum {given!r}") from None
+        raise MalformedField(f"non-hex checksum {given!r}") from None
     want = checksum(payload)
     if given.upper() != want:
-        raise BadChecksum(f"checksum {given} != computed {want}")
+        raise MalformedField(f"checksum {given} != computed {want}")
     parts = payload.split(",")
     address = parts[0]
     if len(address) < 5:
@@ -119,23 +105,24 @@ def parse_sentence(line: str) -> NmeaSentence:
     if kind is not SentenceKind.OTHER and len(fields) < _MIN_FIELDS[kind.value]:
         raise MalformedField(
             f"{code} carries {len(fields)} fields, needs {_MIN_FIELDS[kind.value]}")
-    return NmeaSentence(talker, kind, fields, want, code)
+    return NmeaSentence(talker, kind, fields)
 
 
 class GnssFix(NamedTuple):
     """Time-of-day fix extracted from a sentence.
 
     tod_ns is nanoseconds since UTC midnight; nsat is None when the
-    sentence type does not report satellite counts. fix_valid mirrors the
-    receiver's position-fix validity flag, not time validity. talker is
-    the sentence's two-letter talker ID.
+    sentence type does not report satellite counts, and date for a GGA
+    read before any dated sentence. fix_valid mirrors the receiver's
+    position-fix validity flag, not time validity. talker is the
+    sentence's two-letter talker ID.
     """
 
-    tod_ns: int | None = None
-    date: datetime.date | None = None
-    fix_valid: bool = False
-    nsat: int | None = None
-    talker: str = "GN"
+    tod_ns: int
+    date: datetime.date | None
+    fix_valid: bool
+    nsat: int | None
+    talker: str
 
 
 def _parse_tod(text: str) -> int:
@@ -181,7 +168,7 @@ def extract_fix(s: NmeaSentence, last_date: datetime.date | None = None) -> Gnss
     if s.kind not in (SentenceKind.RMC, SentenceKind.GGA, SentenceKind.ZDA):
         raise ValueError(f"no timing content in {s.kind} sentences")
     if not s.fields[0]:
-        raise NoTimeField(f"{s.kind.value} sentence with empty time field")
+        raise MalformedField(f"{s.kind.value} sentence with empty time field")
     tod = _parse_tod(s.fields[0])
     if s.kind is SentenceKind.RMC:
         status = s.fields[1]
@@ -238,8 +225,6 @@ def generate(fix: GnssFix, kind: SentenceKind) -> str:
     carried fields. Only the time field is rendered per call: the rest
     of the sentence comes from a cached frame.
     """
-    if fix.tod_ns is None:
-        raise MissingField("fix has no time of day")
     head, tail, acc = _frame(fix.talker, kind, fix.date, fix.fix_valid,
                              fix.nsat)
     tod, tod_acc = _time_field(fix.tod_ns)
@@ -247,11 +232,8 @@ def generate(fix: GnssFix, kind: SentenceKind) -> str:
 
 
 def absolute_second_ns(fix: GnssFix) -> int:
-    """Absolute time named by the fix, in ns since SIM_EPOCH_DATE midnight."""
-    if fix.tod_ns is None:
-        raise NoTimeField("fix has no time of day")
-    if fix.date is None:
-        raise MissingField("fix has no date to anchor the time of day")
+    """Absolute time named by a dated fix, in ns since SIM_EPOCH_DATE
+    midnight."""
     days = (fix.date - SIM_EPOCH_DATE).days
     return days * NS_PER_DAY + fix.tod_ns
 

@@ -43,19 +43,7 @@ class SchemaError(ValueError):
     pass
 
 
-class OverlappingVisibility(SchemaError):
-    pass
-
-
-class UncoveredInterval(SchemaError):
-    pass
-
-
 class UnknownPreset(KeyError):
-    pass
-
-
-class TemperatureOutOfRange(ValueError):
     pass
 
 
@@ -109,9 +97,8 @@ class TraceTemp:
         i = bisect.bisect_left(pts, t_s, key=itemgetter(0))
         if i == len(pts):
             return pts[-1][1]
+        # bisect_left puts t_s in (pts[i-1][0], pts[i][0]], so t0 < t1.
         (t0, c0), (t1, c1) = pts[i - 1], pts[i]
-        if t1 == t0:
-            return c1
         return c0 + (c1 - c0) * (t_s - t0) / (t1 - t0)
 
 
@@ -276,7 +263,7 @@ class VisibilityStats:
 @dataclass(frozen=True)
 class ScenarioConfig:
     name: str = config_field(minLength=1, pattern=PATH_COMPONENT)
-    duration_s: float = config_field(exclusiveMinimum=0)
+    duration_s: int = config_field(exclusiveMinimum=0)
     visibility: tuple[VisibilitySeg, ...] = config_field(minItems=1)
     seed: int = config_field(DEFAULT_SEED, minimum=0)
     temperature: Temperature = field(
@@ -305,18 +292,17 @@ class ScenarioConfig:
         raise SchemaError(f"no node is named {name!r}")
 
 
-def _check_visibility(segments, duration_s: float) -> None:
+def _check_visibility(segments, duration_s: int) -> None:
     segs = sorted(segments, key=lambda s: s.t_start)
     if segs[0].t_start > _COVER_TOL_S:
-        raise UncoveredInterval(f"timeline starts at {segs[0].t_start}, not 0")
+        raise SchemaError(f"timeline starts at {segs[0].t_start}, not 0")
     for a, b in zip(segs, segs[1:]):
         if b.t_start < a.t_end - _COVER_TOL_S:
-            raise OverlappingVisibility(
-                f"segments overlap near t={b.t_start}")
+            raise SchemaError(f"segments overlap near t={b.t_start}")
         if b.t_start > a.t_end + _COVER_TOL_S:
-            raise UncoveredInterval(f"gap between t={a.t_end} and t={b.t_start}")
+            raise SchemaError(f"gap between t={a.t_end} and t={b.t_start}")
     if abs(segs[-1].t_end - duration_s) > _COVER_TOL_S:
-        raise UncoveredInterval(
+        raise SchemaError(
             f"timeline ends at {segs[-1].t_end}, duration is {duration_s}")
 
 
@@ -351,8 +337,7 @@ def traffic_params(cfg: ScenarioConfig, traffic: TrafficSpec,
 
 
 def temperature_at(cfg: ScenarioConfig, t_s: float) -> float:
-    if not 0.0 <= t_s <= cfg.duration_s:
-        raise TemperatureOutOfRange(f"t={t_s} outside [0, {cfg.duration_s}]")
+    """The temperature at `t_s`, which callers keep in [0, duration]."""
     return cfg.temperature.at(t_s)
 
 
@@ -660,7 +645,7 @@ def _temperature_schema(cls) -> dict:
 # Presets
 
 
-def _full_visibility(duration_s: float, gps: int = 8, bds: int = 6):
+def _full_visibility(duration_s: int, gps: int = 8, bds: int = 6):
     return (VisibilitySeg(0.0, duration_s, gps, bds),)
 
 
@@ -676,31 +661,29 @@ _BASE_OSC = OscillatorParams(
 )
 
 
-def _field_node(name: str, bias_ns: int, half_ns: int,
-                white: float = 2e-9) -> NodeSpec:
-    osc = replace(_BASE_OSC, noise_white_fm=white)
+def _field_node(name: str, bias_ns: int, half_ns: int) -> NodeSpec:
     return NodeSpec(
         name=name,
-        oscillator=osc,
+        oscillator=_BASE_OSC,
         servo=ServoConfig(mode=ServoMode.NMEA_PLUS_PPS),
         receiver=ReceiverSpec(pps=PpsJitter(half_ns, bias_ns)),
     )
 
 
-def _mixed_urban_visibility(duration_s: float, cycles: int = 10):
+def _mixed_urban_visibility(duration_s: int):
     """Interleaved urban-canyon timeline with exact availability fractions.
 
-    Per cycle: 49.6% open sky (combined NSAT >= 4), 32.4% partially
+    Each of ten cycles: 49.6% open sky (combined NSAT >= 4), 32.4% partially
     shadowed (GPS still visible, combined < 4), 18% GPS fully shadowed
     with BDS coverage keeping combined NSAT >= 1.
     """
     segs = []
-    cycle = duration_s / cycles
+    cycle = duration_s / 10
     t = 0.0
-    for i in range(cycles):
+    for i in range(10):
         a_end = t + 0.496 * cycle
         b_end = t + (0.496 + 0.324) * cycle
-        c_end = duration_s if i == cycles - 1 else t + cycle
+        c_end = duration_s if i == 9 else t + cycle
         segs.append(VisibilitySeg(t, a_end, 5, 3))
         segs.append(VisibilitySeg(a_end, b_end, 2, 1))
         segs.append(VisibilitySeg(b_end, c_end, 0, 2))
@@ -708,7 +691,7 @@ def _mixed_urban_visibility(duration_s: float, cycles: int = 10):
     return tuple(segs)
 
 
-def _tunnel_scenario(name: str, pre_s: float, outage_s: float, post_s: float,
+def _tunnel_scenario(name: str, pre_s: int, outage_s: int, post_s: int,
                      predict: bool) -> ScenarioConfig:
     duration = pre_s + outage_s + post_s
     out_start, out_end = pre_s, pre_s + outage_s
@@ -742,7 +725,7 @@ def _tunnel_scenario(name: str, pre_s: float, outage_s: float, post_s: float,
 
 def _harness_scenario(name: str, rate_hz: float, bias_a_ns: int,
                       latency_ns: int) -> ScenarioConfig:
-    duration = 1800.0
+    duration = 1800
 
     def client(nm: str, recv: ReceiverSpec) -> NodeSpec:
         return NodeSpec(name=nm, oscillator=_BASE_OSC,
@@ -776,9 +759,9 @@ def _build_presets() -> dict:
             serial=SerialDeliveryModel(base_latency_ms=80.0, jitter_ms=6.5)),
     )
     presets["lab_16c"] = ScenarioConfig(
-        name="lab_16c", duration_s=36_000.0, seed=DEFAULT_SEED,
+        name="lab_16c", duration_s=36_000, seed=DEFAULT_SEED,
         temperature=ConstantTemp(16.0),
-        visibility=_full_visibility(36_000.0),
+        visibility=_full_visibility(36_000),
         nodes=(lab,),
     )
 
@@ -789,32 +772,32 @@ def _build_presets() -> dict:
         receiver=ReceiverSpec(pps=PpsJitter(1550)),
     )
     presets["room_24h"] = ScenarioConfig(
-        name="room_24h", duration_s=86_400.0, seed=DEFAULT_SEED,
+        name="room_24h", duration_s=86_400, seed=DEFAULT_SEED,
         temperature=RangeTemp(20.0, 25.0, 86_400.0),
-        visibility=_full_visibility(86_400.0),
+        visibility=_full_visibility(86_400),
         nodes=(room,),
     )
 
     for name, bias, half in (("suburban", 533, 1200), ("highway", 495, 1500)):
         presets[name] = ScenarioConfig(
-            name=name, duration_s=1800.0, seed=DEFAULT_SEED,
+            name=name, duration_s=1800, seed=DEFAULT_SEED,
             temperature=RangeTemp(22.0, 26.0, 3600.0),
-            visibility=_full_visibility(1800.0, gps=7, bds=5),
+            visibility=_full_visibility(1800, gps=7, bds=5),
             nodes=(_field_node("vehicle", bias, half),),
         )
 
     presets["mixed_urban"] = ScenarioConfig(
-        name="mixed_urban", duration_s=1800.0, seed=DEFAULT_SEED,
+        name="mixed_urban", duration_s=1800, seed=DEFAULT_SEED,
         temperature=RangeTemp(22.0, 26.0, 3600.0),
-        visibility=_mixed_urban_visibility(1800.0),
+        visibility=_mixed_urban_visibility(1800),
         nodes=(_field_node("vehicle", 250, 1900),),
     )
 
     # 5.25 km tunnel at 60 km/h: 315 s without any satellite signal.
-    presets["tunnel_5km"] = _tunnel_scenario("tunnel_5km", 600.0, 315.0,
-                                             285.0, predict=True)
-    presets["blockage_4h"] = _tunnel_scenario("blockage_4h", 480.0, 14_400.0,
-                                              120.0, predict=False)
+    presets["tunnel_5km"] = _tunnel_scenario("tunnel_5km", 600, 315, 285,
+                                             predict=True)
+    presets["blockage_4h"] = _tunnel_scenario("blockage_4h", 480, 14_400,
+                                              120, predict=False)
 
     presets["harness_10pps"] = _harness_scenario("harness_10pps", 10.0, 1000, 9000)
     presets["harness_100pps"] = _harness_scenario("harness_100pps", 100.0, 1500, 7000)
@@ -822,9 +805,9 @@ def _build_presets() -> dict:
     presets["harness_300ppm"] = _harness_scenario("harness_300ppm", 5.0, 250, 8000)
 
     lte = ScenarioConfig(
-        name="lte_ntp", duration_s=1000.0, seed=DEFAULT_SEED,
+        name="lte_ntp", duration_s=1000, seed=DEFAULT_SEED,
         temperature=ConstantTemp(25.0),
-        visibility=_full_visibility(1000.0),
+        visibility=_full_visibility(1000),
         nodes=(NodeSpec(name="mobile"), NodeSpec(name="ntp_server")),
         traffic=(TrafficSpec("ntp", 1.0, {
             "client": "mobile", "server": "ntp_server",

@@ -28,10 +28,6 @@ class NonMonotonicSample(ValueError):
     pass
 
 
-class InsufficientHistory(ValueError):
-    pass
-
-
 class ServoMode(str, Enum):
     NMEA_ONLY = "nmea"
     PPS_ONLY = "pps"
@@ -51,17 +47,22 @@ class ServoConfig:
 
     kp and ki are dimensionless gains of a PI law applied in velocity form
     once per second; offsets beyond step_threshold_ns are stepped out
-    instead of slewed.
+    instead of slewed. The loop's characteristic polynomial
+    z^2 + (kp + ki - 2) z + (1 - kp) has both roots inside the unit circle
+    exactly when 0 < kp < 2 and 0 < ki < 4 - 2 kp (Jury's test).
     """
 
     mode: ServoMode = ServoMode.NMEA_PLUS_PPS
-    kp: float = config_field(2.0**-5, exclusiveMinimum=0)
+    kp: float = config_field(2.0**-5, exclusiveMinimum=0, exclusiveMaximum=2)
     ki: float = config_field(2.0**-10, exclusiveMinimum=0)
     step_threshold_ns: int = config_field(128_000_000, exclusiveMinimum=0)
     holdover_predict: bool = True
 
     def __post_init__(self):
         check_bounds(self)
+        if self.ki >= 4 - 2 * self.kp:
+            raise ValueError(f"ki must be < 4 - 2*kp = {4 - 2 * self.kp:g} "
+                             f"for a stable loop, got {self.ki:g}")
 
 
 @dataclass
@@ -111,14 +112,11 @@ def update(servo: ServoState, elapsed_s: float, offset_ns: int) -> int:
 
 def enter_holdover(samples) -> float:
     """Fit the drift slope (ns/s) from an outage's (elapsed_s, offset_ns)
-    samples, in time order.
+    samples, in time order; they span at least MIN_HOLDOVER_SPAN_S.
 
     The slope is an ordinary least-squares fit over the samples smoothed
     by a moving average a quarter of their count wide.
     """
-    if len(samples) < 2 or samples[-1][0] - samples[0][0] < MIN_HOLDOVER_SPAN_S:
-        raise InsufficientHistory(
-            f"need >= 2 samples spanning >= {MIN_HOLDOVER_SPAN_S:.0f} s")
     w = max(1, len(samples) // 4)
     kernel = np.full(w, 1.0 / w)
     ts = np.convolve([t for t, _ in samples], kernel, mode="valid")

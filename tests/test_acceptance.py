@@ -235,7 +235,7 @@ def test_criterion_9_property_suites(tmp_path):
 
     # pulse labelling correctness under default jitter and delivery
     lab = engine.run_scenario(dataclasses.replace(
-        scenario.preset("tunnel_5km"), name="label", duration_s=400.0,
+        scenario.preset("tunnel_5km"), name="label", duration_s=400,
         temperature=scenario.ConstantTemp(25.0),
         visibility=(scenario.VisibilitySeg(0.0, 400.0, 8, 6),)))
     checks["labeling"] = (len(lab["vehicle"].loop_rows) == 400
@@ -268,7 +268,7 @@ def test_criterion_9_property_suites(tmp_path):
 
     # pairwise antisymmetry on a harness run
     cfg = dataclasses.replace(
-        scenario.preset("harness_300ppm"), duration_s=120.0,
+        scenario.preset("harness_300ppm"), duration_s=120,
         visibility=(scenario.VisibilitySeg(0.0, 120.0, 8, 6),))
     log, _ = net.run_broadcast(cfg)
     _, ab, _ = net.pairwise_offsets(log, "c1", "c2")

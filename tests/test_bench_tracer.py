@@ -22,11 +22,11 @@ tracer.install()
 from tsync import engine, net, scenario
 
 drive = dataclasses.replace(
-    scenario.preset("suburban"), duration_s=60.0,
+    scenario.preset("suburban"), duration_s=60,
     visibility=(scenario.VisibilitySeg(0.0, 60.0, 7, 5),))
 engine.run_scenario(drive)
 harness = dataclasses.replace(
-    scenario.preset("harness_10pps"), duration_s=60.0,
+    scenario.preset("harness_10pps"), duration_s=60,
     visibility=(scenario.VisibilitySeg(0.0, 60.0, 8, 6),))
 net.run_broadcast(harness)
 summary = tracer.summary()

@@ -49,7 +49,7 @@ def runner():
     return CliRunner()
 
 
-def short_lab(tmp_path, name="lab_short", duration=300.0, seed=7):
+def short_lab(tmp_path, name="lab_short", duration=300, seed=7):
     cfg = scenario.preset("lab_16c")
     cfg = dataclasses.replace(
         cfg, name=name, duration_s=duration, seed=seed,
@@ -63,7 +63,7 @@ def harness_file(keys, value, name="harness_10pps") -> dict[str, bytes]:
     """A 20 s harness preset under full sky, with one key set, as the bytes
     of bad.json."""
     cfg = dataclasses.replace(
-        scenario.preset(name), duration_s=20.0,
+        scenario.preset(name), duration_s=20,
         visibility=(scenario.VisibilitySeg(0.0, 20.0, 8, 6),))
     doc = target = scenario.to_dict(cfg)
     for key in keys[:-1]:
@@ -107,12 +107,15 @@ class TestRun:
         assert res.exit_code == 2
         assert "config error" in res.output
 
-    @pytest.mark.parametrize("field, value", [
-        ("duration_s", "NaN"), ("duration_s", "Infinity"),
-        ("temperature", '{"kind": "constant", "c": NaN}'),
+    @pytest.mark.parametrize("field, value, match", [
+        ("duration_s", "NaN", "duration_s: expected a JSON integer, got nan"),
+        ("duration_s", "Infinity",
+         "duration_s: expected a JSON integer, got inf"),
+        ("temperature", '{"kind": "constant", "c": NaN}', "finite"),
     ], ids=["duration-nan", "duration-inf", "temperature-nan"])
-    def test_non_finite_number_exits_2(self, runner, tmp_path, field, value):
-        short_lab(tmp_path, duration=30.0)
+    def test_non_finite_number_exits_2(self, runner, tmp_path, field, value,
+                                       match):
+        short_lab(tmp_path, duration=30)
         data = json.loads((tmp_path / "lab_short.json").read_text())
         data[field] = "@@"
         (tmp_path / "bad.json").write_text(
@@ -121,7 +124,7 @@ class TestRun:
                                    "--out", str(tmp_path / "out")])
         assert res.exit_code == 2
         assert res.output.startswith("scenario config error:")
-        assert "finite" in res.output
+        assert match in res.output
 
     @pytest.mark.parametrize("keys, value, files, match", [
         (("nodes", 0, "receiver", "serial_jiter_ms"), 99, {},
@@ -186,7 +189,22 @@ class TestRun:
         (("visibility", 0, "nsat_gps"), 2.9, {},
          "visibility[0].nsat_gps: expected a JSON integer, got 2.9"),
         (("duration_s",), True, {},
-         "duration_s: expected a JSON number, got True"),
+         "duration_s: expected a JSON integer, got True"),
+        (("duration_s",), 11.5, {},
+         "duration_s: expected a JSON integer, got 11.5"),
+        (("duration_s",), 0.4, {},
+         "duration_s: expected a JSON integer, got 0.4"),
+        (("duration_s",), 0, {}, "scenario: duration_s must be positive"),
+        *((("nodes", 0, "servo"), gains, {}, f"nodes[0].servo: {match}")
+          for gains, match in (
+              ({"kp": 0.5, "ki": 3.1},
+               "ki must be < 4 - 2*kp = 3 for a stable loop, got 3.1"),
+              ({"kp": 2.05, "ki": 0.01}, "kp must be in (0, 2)"),
+              ({"kp": 1.9, "ki": 0.25},
+               "ki must be < 4 - 2*kp = 0.2 for a stable loop, got 0.25"),
+              ({"ki": 50},
+               "ki must be < 4 - 2*kp = 3.9375 for a stable loop, got 50"),
+              ({"kp": 3}, "kp must be in (0, 2)"))),
         (("nodes", 0, "servo", "mode"), 1, {},
          "nodes[0].servo.mode: expected a JSON string, got 1"),
         (("seed",), -1, {}, "scenario: seed must be >= 0"),
@@ -223,7 +241,11 @@ class TestRun:
             "empty-node-name", "removed-holdover-window",
             "boolean-as-string", "seed-as-string", "seed-fractional",
             "seed-as-boolean", "name-as-number", "nsat-fractional",
-            "duration-as-boolean", "mode-as-number", "seed-negative",
+            "duration-as-boolean", "duration-fractional",
+            "duration-under-a-second", "duration-zero",
+            "ki-past-triangle", "kp-past-2", "ki-past-triangle-at-high-kp",
+            "ki-50", "kp-3",
+            "mode-as-number", "seed-negative",
             "initial-offset-past-64-bit", "stamp-bias-past-c-long",
             "stamp-bias-int64-max", "stamp-bias-minus-200ms",
             "path-delta-past-c-long", "path-delta-int64-max",
@@ -234,7 +256,7 @@ class TestRun:
                            "dot-dot"))])
     def test_malformed_config_exits_2(self, runner, tmp_path, keys, value,
                                       files, match):
-        short_lab(tmp_path, duration=30.0)
+        short_lab(tmp_path, duration=30)
         data = json.loads((tmp_path / "lab_short.json").read_text())
         if keys:
             target = data
@@ -264,7 +286,7 @@ class TestRun:
         assert runner.invoke(main, ["run"]).exit_code == 2
 
     def test_repeated_scenario_name_exits_2(self, runner, tmp_path):
-        _, path = short_lab(tmp_path, "lte_ntp", 30.0)
+        _, path = short_lab(tmp_path, "lte_ntp", 30)
         for args in (["--preset", "lte_ntp", "--preset", "lte_ntp"],
                      [path, "--preset", "lte_ntp"]):
             out = tmp_path / "out"
@@ -275,8 +297,8 @@ class TestRun:
             assert not out.exists()
 
     def test_one_component_names_run(self, runner, tmp_path):
-        _, p1 = short_lab(tmp_path, "lab\u00b0", 30.0)
-        _, p2 = short_lab(tmp_path, "...", 30.0)
+        _, p1 = short_lab(tmp_path, "lab\u00b0", 30)
+        _, p2 = short_lab(tmp_path, "...", 30)
         res = runner.invoke(main, ["run", p1, p2,
                                    "--out", str(tmp_path / "multi")])
         assert res.exit_code == 0, res.output
@@ -285,7 +307,7 @@ class TestRun:
 
     def test_out_path_through_a_missing_directory(self, runner, tmp_path,
                                                   monkeypatch):
-        _, path = short_lab(tmp_path, duration=30.0)
+        _, path = short_lab(tmp_path, duration=30)
         monkeypatch.chdir(tmp_path)
         res = runner.invoke(main, ["run", path, "--out", "missing/../dir"])
         assert res.exit_code == 0, res.output
@@ -293,8 +315,8 @@ class TestRun:
         assert not (tmp_path / "missing").exists()
 
     def test_multi_scenario_out_dirs(self, runner, tmp_path):
-        _, p1 = short_lab(tmp_path, "one", 120.0)
-        _, p2 = short_lab(tmp_path, "two", 120.0)
+        _, p1 = short_lab(tmp_path, "one", 120)
+        _, p2 = short_lab(tmp_path, "two", 120)
         res = runner.invoke(main, ["run", p1, p2,
                                    "--out", str(tmp_path / "multi")])
         assert res.exit_code == 0, res.output
@@ -302,8 +324,8 @@ class TestRun:
         assert (tmp_path / "multi" / "two" / "loop_bench.csv").exists()
 
     def test_parallel_jobs_match_sequential(self, runner, tmp_path):
-        _, p1 = short_lab(tmp_path, "one", 120.0)
-        _, p2 = short_lab(tmp_path, "two", 120.0)
+        _, p1 = short_lab(tmp_path, "one", 120)
+        _, p2 = short_lab(tmp_path, "two", 120)
         res = runner.invoke(main, ["run", p1, p2, "--jobs", "2",
                                    "--out", str(tmp_path / "par")])
         assert res.exit_code == 0, res.output
@@ -359,8 +381,8 @@ class TestRun:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             RecordingPool)
-        _, p1 = short_lab(tmp_path, "one", 30.0)
-        _, p2 = short_lab(tmp_path, "two", 30.0)
+        _, p1 = short_lab(tmp_path, "one", 30)
+        _, p2 = short_lab(tmp_path, "two", 30)
         for args in ([p1, p2, "--jobs", "5000"], [p1, p2, "--jobs", "1"],
                      [p1, "--jobs", "8"]):
             res = runner.invoke(main, ["run", *args,
@@ -415,7 +437,7 @@ class TestRun:
             node.receiver, serial=dataclasses.replace(node.receiver.serial,
                                                       drop_prob=0.3)))
         cfg = dataclasses.replace(
-            cfg, duration_s=300.0, nodes=(node,),
+            cfg, duration_s=300, nodes=(node,),
             visibility=(scenario.VisibilitySeg(0.0, 300.0, 8, 6),))
         path = tmp_path / "lossy.json"
         scenario.save(cfg, path)
@@ -695,7 +717,7 @@ class TestReplay:
     def test_combined_round_trip(self, runner, tmp_path):
         cfg = scenario.preset("tunnel_5km")
         cfg = dataclasses.replace(
-            cfg, name="rt", duration_s=240.0,
+            cfg, name="rt", duration_s=240,
             visibility=(scenario.VisibilitySeg(0.0, 240.0, 8, 6),),
             temperature=scenario.ConstantTemp(25.0))
         path = tmp_path / "rt.json"
@@ -712,7 +734,7 @@ class TestReplay:
             (out / "loop_vehicle.csv").read_bytes()
 
     def test_missing_pulse_second_warns_and_coasts(self, runner, tmp_path):
-        cfg, path = short_lab(tmp_path, "combined", 120.0)
+        cfg, path = short_lab(tmp_path, "combined", 120)
         cfg = dataclasses.replace(
             cfg, nodes=(dataclasses.replace(
                 cfg.nodes[0], servo=dataclasses.replace(
@@ -751,7 +773,7 @@ class TestReplay:
 
     def test_sentence_outside_its_window_takes_no_sample(self, runner,
                                                          tmp_path, caplog):
-        _, path = short_lab(tmp_path, duration=20.0)
+        _, path = short_lab(tmp_path, duration=20)
         out = tmp_path / "run"
         assert runner.invoke(main, ["run", path, "--out", str(out)]
                              ).exit_code == 0
@@ -770,11 +792,11 @@ class TestReplay:
             "replay: sentence for second 20 arrived outside its window"]
 
     def test_capture_longer_than_scenario_fails_cleanly(self, runner, tmp_path):
-        _, path = short_lab(tmp_path, duration=300.0)
+        _, path = short_lab(tmp_path, duration=300)
         out = tmp_path / "run"
         assert runner.invoke(main, ["run", path, "--out", str(out)]
                              ).exit_code == 0
-        _, short_path = short_lab(tmp_path, name="lab_cut", duration=100.0)
+        _, short_path = short_lab(tmp_path, name="lab_cut", duration=100)
         res = runner.invoke(main, [
             "replay", str(out / "nmea_bench.log"),
             "--scenario", short_path, "--out", str(tmp_path / "rp")])
@@ -790,7 +812,7 @@ class TestReplay:
         # 284 edges inside seconds 1-29, each one clock advance, against
         # the 2 x 30 + 16 draws of a 30 s scenario's noise stream.
         cfg = dataclasses.replace(
-            scenario.preset("suburban"), duration_s=30.0,
+            scenario.preset("suburban"), duration_s=30,
             visibility=(scenario.VisibilitySeg(0.0, 30.0, 7, 5),))
         path = tmp_path / "suburban_30s.json"
         scenario.save(cfg, path)
@@ -812,7 +834,7 @@ class TestReplay:
         assert not (tmp_path / "rp" / "loop_replay.csv").exists()
 
     def test_repeated_pps_edge_fails_cleanly(self, runner, tmp_path):
-        cfg, path = short_lab(tmp_path, "combined", 30.0)
+        cfg, path = short_lab(tmp_path, "combined", 30)
         cfg = dataclasses.replace(
             cfg, nodes=(dataclasses.replace(
                 cfg.nodes[0], servo=dataclasses.replace(
@@ -883,7 +905,7 @@ class TestReplay:
         assert not (tmp_path / "rp" / "loop_replay.csv").exists()
 
     def test_unknown_node_fails_cleanly(self, runner, tmp_path):
-        _, path = short_lab(tmp_path, duration=30.0)
+        _, path = short_lab(tmp_path, duration=30)
         out = tmp_path / "run"
         assert runner.invoke(main, ["run", path, "--out", str(out)]
                              ).exit_code == 0
@@ -933,6 +955,22 @@ class TestReplay:
         rows = (tmp_path / "rp" / "loop_replay.csv").read_text().splitlines()
         assert [r.split(",")[0] for r in rows[1:]] == \
             [f"{s}.000" for s in range(1, 21)]
+
+    def test_bare_replay_refuses_a_node_name(self, runner, tmp_path,
+                                            combined_run):
+        _, nmea_lines, pps_lines = combined_run
+        (tmp_path / "nmea.log").write_text("\n".join(nmea_lines) + "\n")
+        (tmp_path / "pps.log").write_text("\n".join(pps_lines) + "\n")
+        res = runner.invoke(main, [
+            "replay", str(tmp_path / "nmea.log"),
+            "--pps", str(tmp_path / "pps.log"), "--node", "nosuchnode",
+            "--out", str(tmp_path / "rp")])
+        assert res.exit_code == 1
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert res.output.strip() == (
+            "replay error: --node names a node of --preset or --scenario; "
+            "bare logs replay one default node")
+        assert not (tmp_path / "rp").exists()
 
     def test_scenario_without_nodes_fails_cleanly(self, runner, tmp_path,
                                                   combined_run):
@@ -985,7 +1023,7 @@ def combined_run(tmp_path_factory):
     combined-mode drive."""
     tmp = tmp_path_factory.mktemp("combined")
     cfg = dataclasses.replace(
-        scenario.preset("suburban"), duration_s=20.0,
+        scenario.preset("suburban"), duration_s=20,
         visibility=(scenario.VisibilitySeg(0.0, 20.0, 7, 5),))
     path = tmp / "drive.json"
     scenario.save(cfg, path)

@@ -12,7 +12,7 @@ from tsync.servo import ServoConfig, ServoMode
 from tsync.timebase import OscillatorParams, SimInstant
 
 
-def small_cfg(mode=ServoMode.NMEA_PLUS_PPS, duration=120.0, seed=5, osc=None,
+def small_cfg(mode=ServoMode.NMEA_PLUS_PPS, duration=120, seed=5, osc=None,
               receiver=None, initial_offset_ns=0, predict=True):
     node = NodeSpec(
         name="n0",
@@ -40,20 +40,20 @@ class TestDiscipline:
         assert not offsets(res).any()
 
     def test_one_sample_per_second_combined(self):
-        res = engine.run_scenario(small_cfg(duration=60.0))
+        res = engine.run_scenario(small_cfg(duration=60))
         rows = res["n0"].loop_rows
         assert len(rows) == 60
         assert [r.source for r in rows] == ["COMBINED"] * 60
         assert [r.elapsed_s for r in rows] == [float(b) for b in range(1, 61)]
 
     def test_labeling_always_correct_under_defaults(self):
-        res = engine.run_scenario(small_cfg(duration=300.0))
+        res = engine.run_scenario(small_cfg(duration=300))
         assert len(res["n0"].loop_rows) == 300
         assert res["n0"].warnings == []
 
     def test_large_initial_offset_is_stepped(self):
         res = engine.run_scenario(small_cfg(initial_offset_ns=500_000_000,
-                                            duration=30.0))
+                                            duration=30))
         rows = res["n0"].loop_rows
         assert abs(rows[0].offset_ns - 500_000_000) < 1000
         assert abs(rows[1].offset_ns) < 1000
@@ -76,7 +76,7 @@ class TestDiscipline:
                               else "COMBINED")
 
     def test_run_steers_each_clock_in_place(self):
-        cfg = small_cfg(duration=30.0)
+        cfg = small_cfg(duration=30)
         (sim,) = engine.build_node_sims(cfg)
         clock = sim.clock
         assert engine.run_loop(cfg, [sim]) == {"n0": sim}
@@ -97,7 +97,7 @@ class TestDiscipline:
         osc = OscillatorParams(f0_ppm=0.05, noise_white_fm=1e-9)
         sigmas = {}
         for mode in ServoMode:
-            cfg = small_cfg(mode=mode, duration=900.0, osc=osc, seed=13)
+            cfg = small_cfg(mode=mode, duration=900, osc=osc, seed=13)
             tail = offsets(engine.run_scenario(cfg))[300:]
             sigmas[mode] = tail.std(ddof=1)
         assert sigmas[ServoMode.PPS_ONLY] <= sigmas[ServoMode.NMEA_PLUS_PPS]
@@ -107,7 +107,7 @@ class TestDiscipline:
     def test_zero_serial_jitter_arrivals_exact(self):
         recv = ReceiverSpec(serial=dataclasses.replace(
             ReceiverSpec().serial, jitter_ms=0.0))
-        cfg = small_cfg(duration=30.0, receiver=recv)
+        cfg = small_cfg(duration=30, receiver=recv)
         res = engine.run_scenario(cfg)
         for rx, second, _ in res["n0"].nmea_log:
             assert rx == second * 10**9 + 80_000_000
@@ -116,14 +116,14 @@ class TestDiscipline:
         cfg = scenario.preset("tunnel_5km")
         res = engine.run_scenario(cfg)
         edges = res["vehicle"].pps_log
-        assert len(edges) == int(cfg.duration_s) - 315
+        assert len(edges) == cfg.duration_s - 315
         seconds = [round(e / 10**9) for e in edges]
         assert len(set(seconds)) == len(seconds)
 
     def test_default_pulse_jitter_stays_sub_2us(self):
         # receiver-grade pulse jitter: excursions stay far below 2 us
         osc = OscillatorParams(f0_ppm=0.05, noise_white_fm=2e-9)
-        cfg = small_cfg(duration=7200.0, osc=osc, seed=21)
+        cfg = small_cfg(duration=7200, osc=osc, seed=21)
         offs = offsets(engine.run_scenario(cfg))
         assert np.abs(offs).max() <= 2000
         assert abs(offs[600:].mean()) <= 200
@@ -144,7 +144,7 @@ class TestDiscipline:
 
     def test_nmea_mode_measures_serial_spread(self):
         # default receiver: 80 ms transport with +/-10 ms jitter
-        cfg = small_cfg(mode=ServoMode.NMEA_ONLY, duration=600.0)
+        cfg = small_cfg(mode=ServoMode.NMEA_ONLY, duration=600)
         offs = offsets(engine.run_scenario(cfg))
         assert np.abs(offs).max() < 15_000_000
         assert offs.std(ddof=1) > 1_000_000
@@ -192,7 +192,7 @@ class TestSentenceSample:
     def test_nmea_invalid_fix_takes_no_sample(self):
         # second 6 sees two satellites: its sentences flag the fix invalid
         cfg = dataclasses.replace(
-            small_cfg(mode=ServoMode.NMEA_ONLY, duration=10.0),
+            small_cfg(mode=ServoMode.NMEA_ONLY, duration=10),
             visibility=(VisibilitySeg(0.0, 5.0, 8, 6),
                         VisibilitySeg(5.0, 6.0, 2, 0),
                         VisibilitySeg(6.0, 10.0, 8, 6)))
@@ -206,7 +206,7 @@ class TestSentenceSample:
 
 class TestOutage:
     @staticmethod
-    def outage_cfg(predict, duration=800.0, pre=360.0, gap=160.0):
+    def outage_cfg(predict, duration=800, pre=360, gap=160):
         node = NodeSpec(
             name="n0",
             oscillator=OscillatorParams(f0_ppm=0.2),
@@ -261,7 +261,7 @@ class TestOutage:
         # Two 80 s outages split by 10 s of two-satellite sky, which ends
         # the first outage but gives a sentence-only node no sample.
         cfg = dataclasses.replace(
-            small_cfg(mode=ServoMode.NMEA_ONLY, duration=300.0,
+            small_cfg(mode=ServoMode.NMEA_ONLY, duration=300,
                       osc=OscillatorParams(f0_ppm=0.1)),
             visibility=(VisibilitySeg(0.0, 60.0, 8, 6),
                         VisibilitySeg(60.0, 140.0, 0, 0),
@@ -300,6 +300,61 @@ class TestOutage:
         assert all(r.source == "HOLDOVER" for r in flagged)
 
 
+def record_calls(monkeypatch, module, name) -> list:
+    """Patch `module.name` to record each call's arguments."""
+    calls, real = [], getattr(module, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+class TestCallerGuarantees:
+    """Run and replay keep the inputs that scenario.temperature_at and
+    servo.enter_holdover take unchecked."""
+
+    @staticmethod
+    def short_tunnel():
+        # tunnel_5km shortened to 100 s of sky, a 120 s outage on a cooler
+        # trace temperature and 30 s of sky. Each pulse edge comes after
+        # its second, so the last falls past the last second.
+        cfg = scenario._tunnel_scenario("tunnel_short", 100, 120, 30,
+                                        predict=True)
+        node = dataclasses.replace(cfg.nodes[0], receiver=ReceiverSpec(
+            pps=PpsJitter(100, 500)))
+        return dataclasses.replace(cfg, nodes=(node,))
+
+    def test_temperature_asked_only_inside_the_scenario(self, monkeypatch,
+                                                        tmp_path):
+        calls = record_calls(monkeypatch, scenario, "temperature_at")
+        cfg = self.short_tunnel()
+        sim = engine.run_scenario(cfg)["vehicle"]
+        assert sim.holdover_segments
+        path = tmp_path / "nmea.log"
+        path.write_text("".join(nmea.format_log(sim.nmea_log,
+                                                sim.spec.constellations)))
+        events = nmea.read_log(path, 80.0)
+        end_ns = cfg.duration_s * 10**9
+        assert sim.pps_log[-1] > end_ns and events[-1][0] > end_ns
+        run_calls = len(calls)
+        engine.run_replay(cfg, sim.spec, events, sim.pps_log)
+        assert len(calls) > run_calls
+        assert all(0 <= t_s <= cfg.duration_s for _, t_s in calls)
+        assert calls[-1][1] == cfg.duration_s
+
+    def test_holdover_fit_gets_a_full_span(self, monkeypatch):
+        calls = record_calls(monkeypatch, servo, "enter_holdover")
+        engine.run_scenario(self.short_tunnel())
+        assert calls
+        for (samples,) in calls:
+            assert len(samples) >= 2
+            assert samples[-1][0] - samples[0][0] >= \
+                servo.MIN_HOLDOVER_SPAN_S
+
+
 class TestReplayParity:
     @staticmethod
     def logged_events(res, cfg, tmp_path, node="n0"):
@@ -313,7 +368,7 @@ class TestReplayParity:
     def test_combined_replay_reproduces_run(self, mode, tmp_path):
         osc = OscillatorParams(f0_ppm=0.1, noise_white_fm=2e-9,
                                noise_flicker_fm=1e-9)
-        cfg = small_cfg(mode=mode, osc=osc, duration=180.0)
+        cfg = small_cfg(mode=mode, osc=osc, duration=180)
         res = engine.run_scenario(cfg)
         rows, warnings = engine.run_replay(
             cfg, cfg.nodes[0], self.logged_events(res, cfg, tmp_path),
@@ -327,7 +382,7 @@ class TestReplayParity:
         # Each node draws from its own seed; replay must pick node n1's.
         osc = OscillatorParams(f0_ppm=0.1, noise_white_fm=2e-9,
                                noise_flicker_fm=1e-9)
-        base = small_cfg(osc=osc, duration=180.0)
+        base = small_cfg(osc=osc, duration=180)
         n1 = dataclasses.replace(base.nodes[0], name="n1",
                                  initial_offset_ns=3_000)
         cfg = dataclasses.replace(base, nodes=(base.nodes[0], n1))
@@ -341,7 +396,7 @@ class TestReplayParity:
         assert [LOOP_FORMAT % r for r in rows] == live
 
     def test_missing_pulse_second_coasts_with_warning(self, tmp_path):
-        cfg = small_cfg(duration=120.0)
+        cfg = small_cfg(duration=120)
         res = engine.run_scenario(cfg)
         events = self.logged_events(res, cfg, tmp_path)
         edges = [e for e in res["n0"].pps_log
@@ -370,14 +425,14 @@ class TestIntegerTime:
 
     @pytest.mark.parametrize("mode", list(ServoMode), ids=lambda m: m.value)
     def test_run_builds_no_instant(self, instants, mode):
-        res = engine.run_scenario(small_cfg(mode=mode, duration=60.0))
+        res = engine.run_scenario(small_cfg(mode=mode, duration=60))
         assert res["n0"].warnings == []
         assert len(res["n0"].loop_rows) == 60
         assert instants == []
 
     def test_broadcast_builds_no_instant(self, instants):
         cfg = dataclasses.replace(
-            scenario.preset("harness_10pps"), duration_s=60.0,
+            scenario.preset("harness_10pps"), duration_s=60,
             visibility=(VisibilitySeg(0.0, 60.0, 8, 6),))
         log, _ = net.run_broadcast(cfg)
         assert len(log) == 600
@@ -385,7 +440,7 @@ class TestIntegerTime:
 
     def test_warning_still_formats_the_edge_time(self, instants):
         recv = ReceiverSpec(pps=PpsJitter(0), label_window_ns=10_000_000)
-        res = engine.run_scenario(small_cfg(duration=3.0, receiver=recv))
+        res = engine.run_scenario(small_cfg(duration=3, receiver=recv))
         assert res["n0"].warnings == [f"UnlabeledEdge at {k}.000000000s"
                                       for k in (1, 2, 3)]
         assert len(instants) == 3

@@ -72,7 +72,7 @@ def test_broadcast_with_drops_and_path_deltas(tmp_path):
     params = {**traffic.params, "drop_prob": 0.3,
               "path_delta_ns": {"c1": 1500, "c2": -700}}
     cfg = dataclasses.replace(
-        cfg, name="harness_drops", duration_s=120.0,
+        cfg, name="harness_drops", duration_s=120,
         visibility=(scenario.VisibilitySeg(0.0, 120.0, 8, 6),),
         traffic=(dataclasses.replace(traffic, params=params),))
     assert all(n.receiver.stamp_latency_ns for n in cfg.nodes[:2])
@@ -92,7 +92,7 @@ def _serial_drops(name: str) -> scenario.ScenarioConfig:
                                                drop_prob=0.3)))
         for n in cfg.nodes)
     return dataclasses.replace(
-        cfg, name=f"{name}_drops", duration_s=300.0,
+        cfg, name=f"{name}_drops", duration_s=300,
         visibility=(scenario.VisibilitySeg(0.0, 300.0, 8, 6),), nodes=nodes)
 
 

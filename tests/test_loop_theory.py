@@ -22,7 +22,7 @@ from tsync import engine, scenario
 from tsync.pps import PpsJitter
 from tsync.servo import ServoMode
 
-DURATION_S = 3000.0
+DURATION_S = 3000
 TOLERANCE_NS = 1.5
 
 
@@ -64,7 +64,7 @@ def test_transient_follows_the_pi_recurrence(mode, initial_offset_ns):
     spec = cfg.nodes[0]
     rows = engine.run_scenario(cfg)[spec.name].loop_rows
     assert [r.elapsed_s for r in rows] == \
-        [float(k) for k in range(1, int(DURATION_S) + 1)]
+        [float(k) for k in range(1, DURATION_S + 1)]
     want = predicted_offsets(initial_offset_ns, spec.oscillator.f0_ppm,
                              spec.servo.kp, spec.servo.ki, len(rows))
     worst = max(abs(r.offset_ns - e) for r, e in zip(rows, want))

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from tsync import metrics
 from tsync.metrics import (AllanPoint, DegenerateFitError, boxplot,
-                           check_accuracy, fit_noise,
-                           frequency_to_phase_ns, mean_std, overlapping_adev)
+                           check_accuracy, fit_noise, mean_std,
+                           overlapping_adev)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -187,7 +187,3 @@ class TestReport:
         assert rep["n"] == 300
         assert rep["peak_to_peak_ns"] == rep["max_ns"] - rep["min_ns"]
         assert rep["adev"] and rep["box"]
-
-    def test_frequency_integration(self):
-        phase = frequency_to_phase_ns([1e-9, 1e-9], 2.0)
-        assert phase.tolist() == [0.0, 2.0, 4.0]

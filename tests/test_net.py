@@ -17,7 +17,7 @@ from tsync.timebase import ClockState
 NS = 1_000_000_000
 
 
-def harness_cfg(duration=60.0, recv_a=None, recv_b=None, deltas=None,
+def harness_cfg(duration=60, recv_a=None, recv_b=None, deltas=None,
                 drop=0.0):
     mk = lambda name, rc: NodeSpec(
         name=name, servo=ServoConfig(mode=ServoMode.NMEA_PLUS_PPS),
@@ -69,7 +69,7 @@ class TestBroadcast:
             pairwise_offsets(log, "c1", "nope")
 
     def test_arrivals_not_before_send(self):
-        log, _ = run_broadcast(harness_cfg(30.0, deltas={"c1": 1500}))
+        log, _ = run_broadcast(harness_cfg(30, deltas={"c1": 1500}))
         for name, arrival in log.arrival_ns.items():
             seen = log.seen[name]
             assert seen.any()
@@ -78,7 +78,7 @@ class TestBroadcast:
     def test_clock_and_servo_state_hold_builtin_numbers(self):
         cfg = scenario.preset("harness_10pps")
         cfg = dataclasses.replace(
-            cfg, duration_s=60.0,
+            cfg, duration_s=60,
             visibility=(VisibilitySeg(0.0, 60.0, 8, 6),))
         assert any(n.oscillator.noise_white_fm for n in cfg.nodes)
         _, nodes = run_broadcast(cfg)
@@ -143,7 +143,7 @@ class TestTsf:
 
     def test_20_node_drift_order_of_magnitude(self):
         # average max spread comparable to the reported ~1e2 us scale
-        rows = run_tsf(tsf_cfg(300.0, 1 / 0.1024, n_nodes=20,
+        rows = run_tsf(tsf_cfg(300, 1 / 0.1024, n_nodes=20,
                                spread_ppm=100.0, airtime_jitter_us=2.0))
         assert len(rows) == 2930
         mean_spread = np.mean([s for _, s in rows[100:]])
@@ -152,7 +152,7 @@ class TestTsf:
     def test_timer_rate_follows_frequency_error(self):
         # One 10 s interval: each timer counts 10 s at its rate error,
         # drawn first from the traffic seed, before any beacon.
-        cfg = tsf_cfg(10.0, 0.1, n_nodes=2, spread_ppm=100.0)
+        cfg = tsf_cfg(10, 0.1, n_nodes=2, spread_ppm=100.0)
         rates = np.random.default_rng(engine.seed_sequences(cfg)[1]).uniform(
             -100.0, 100.0, 2)
         counts = [int(10.0 * 1_000_000 * (1.0 + r * 1e-6)) for r in rates]

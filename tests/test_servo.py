@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, strategies as st
 
-from tsync.servo import (InsufficientHistory, NonMonotonicSample,
-                         ServoConfig, ServoMode, ServoState, enter_holdover,
-                         update)
+from tsync.servo import (NonMonotonicSample, ServoConfig, ServoMode,
+                         ServoState, enter_holdover, update)
 
 
 def closed_loop(f_osc_ppm, n_updates, noise=None, cfg=None, start_phase=0.0):
@@ -106,12 +106,6 @@ class TestHoldover:
         assert abs(slope - 17.0) < 1.0
         assert slope * 50.0 == pytest.approx(17.0 * 50.0, abs=50.0)
 
-    def test_insufficient_history(self):
-        with pytest.raises(InsufficientHistory):
-            enter_holdover([(1.0, 0)])
-        with pytest.raises(InsufficientHistory):  # spans < 60 s
-            enter_holdover(self.ramp(1.0, 30))
-
     def test_tunnel_scale_prediction(self):
         slope = enter_holdover(self.ramp(22.2, 120))
         # five minutes of outage at the fitted slope
@@ -126,6 +120,23 @@ class TestConfig:
             ServoConfig(ki=-1.0)
         with pytest.raises(ValueError):
             ServoConfig(step_threshold_ns=0)
+
+    @given(st.floats(0.01, 3.0), st.floats(0.01, 5.0))
+    @example(0.5, 2.9)
+    @example(1.9, 0.15)
+    @example(0.5, 3.1)
+    @example(1.9, 0.25)
+    def test_gains_accepted_exactly_inside_the_stability_triangle(self, kp,
+                                                                  ki):
+        # Stability from the roots of the loop's characteristic polynomial
+        # z^2 + (kp + ki - 2) z + (1 - kp), not from the rule under test.
+        radius = max(abs(np.roots([1.0, kp + ki - 2.0, 1.0 - kp])))
+        assume(abs(radius - 1.0) > 1e-6)
+        if radius < 1.0:
+            ServoConfig(kp=kp, ki=ki)
+        else:
+            with pytest.raises(ValueError, match="must be"):
+                ServoConfig(kp=kp, ki=ki)
 
     def test_mode_exposed(self):
         servo = ServoState(ServoConfig(mode=ServoMode.NMEA_ONLY))
