@@ -228,7 +228,8 @@ _COLUMNS = {HARNESS_HEADER: ((1, 4), np.int64), LOOP_HEADER: ((0, 1), float),
 
 def _load_rows(lines, cols, t_type):
     """The elapsed-time and offset columns `cols` of CSV rows, as one
-    structured array; a row that does not parse raises ValueError."""
+    structured array; a row that does not parse, or whose time is not
+    finite, raises ValueError."""
     with warnings.catch_warnings():
         # A header-only log is an empty report, not a warning.
         warnings.filterwarnings(
@@ -237,8 +238,12 @@ def _load_rows(lines, cols, t_type):
         # float warn first; as an error, loadtxt raises.
         warnings.filterwarnings(
             "error", ".*integer via a float", DeprecationWarning)
-        return np.loadtxt(lines, delimiter=",", usecols=cols, comments=None,
+        rows = np.loadtxt(lines, delimiter=",", usecols=cols, comments=None,
                           ndmin=1, dtype=[("t", t_type), ("off", np.int64)])
+    finite = np.isfinite(rows["t"])
+    if not finite.all():
+        raise ValueError(f"time {rows['t'][finite.argmin()]} is not finite")
+    return rows
 
 
 def _first_bad_line(path: str, cols, t_type) -> int:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .timebase import CSV_BLOCK, NS_PER_S, check_bounds, config_field
+from .timebase import CSV_BLOCK, NS_PER_S, Bounded, config_field
 
 NS_PER_DAY = 86_400 * NS_PER_S
 
@@ -239,7 +239,7 @@ def absolute_second_ns(fix: GnssFix) -> int:
 
 
 @dataclass(frozen=True)
-class SerialDeliveryModel:
+class SerialDeliveryModel(Bounded):
     """Latency model for the RS232 sentence stream.
 
     Arrival = second boundary + base latency + uniform jitter; a draw may
@@ -249,9 +249,6 @@ class SerialDeliveryModel:
     base_latency_ms: float = config_field(80.0, minimum=0)
     jitter_ms: float = config_field(10.0, minimum=0)
     drop_prob: float = config_field(0.0, minimum=0, exclusiveMaximum=1)
-
-    def __post_init__(self):
-        check_bounds(self)
 
     def delivery_delay_ns(self, rng) -> int | None:
         """Latency draw in ns, or None when the sentence is lost.

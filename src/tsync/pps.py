@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .timebase import (CSV_BLOCK, NS_PER_S, SimInstant, check_bounds,
+from .timebase import (CSV_BLOCK, NS_PER_S, Bounded, SimInstant,
                        config_field, nearest_second)
 
 # An edge may not wander more than this from its UTC second.
@@ -30,7 +30,7 @@ class MalformedEdge(ValueError):
 
 
 @dataclass(frozen=True)
-class PpsJitter:
+class PpsJitter(Bounded):
     """Uniform edge placement error around the true second boundary.
 
     bias_ns models a constant capture-path latency; half_width_ns the
@@ -41,7 +41,7 @@ class PpsJitter:
     bias_ns: int = 0
 
     def __post_init__(self):
-        check_bounds(self)
+        super().__post_init__()
         if abs(self.bias_ns) + self.half_width_ns >= MAX_JITTER_BOUND_NS:
             raise ValueError(f"jitter bound must stay below {MAX_JITTER_BOUND_NS} ns")
 

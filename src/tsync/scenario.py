@@ -23,8 +23,8 @@ from typing import ClassVar, get_args, get_origin, get_type_hints
 from .nmea import MIN_FIX_NSAT, SerialDeliveryModel
 from .pps import PpsJitter
 from .servo import ServoConfig, ServoMode
-from .timebase import (PATH_COMPONENT, OscillatorParams, OutOfBounds,
-                       check_bounds, config_field)
+from .timebase import (PATH_COMPONENT, Bounded, OscillatorParams,
+                       OutOfBounds, config_field)
 
 DEFAULT_SEED = 1787
 
@@ -40,7 +40,7 @@ MAX_STAMP_SHIFT_NS = 10**6
 
 
 class SchemaError(ValueError):
-    pass
+    """A scenario's JSON breaks a rule; the message starts with its path."""
 
 
 class UnknownPreset(KeyError):
@@ -52,7 +52,7 @@ class PacketDropped(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ConstantTemp:
+class ConstantTemp(Bounded):
     kind: ClassVar[str] = "constant"
     c: float
 
@@ -61,7 +61,7 @@ class ConstantTemp:
 
 
 @dataclass(frozen=True)
-class RangeTemp:
+class RangeTemp(Bounded):
     """Sinusoid from lo (at t = 0) to hi (at half period) and back."""
 
     kind: ClassVar[str] = "range"
@@ -69,26 +69,23 @@ class RangeTemp:
     hi: float
     period_s: float = config_field(exclusiveMinimum=0)
 
-    def __post_init__(self):
-        check_bounds(self)
-
     def at(self, t_s: float) -> float:
         phase = 2.0 * math.pi * t_s / self.period_s
         return self.lo + (self.hi - self.lo) * (1.0 - math.cos(phase)) / 2.0
 
 
 @dataclass(frozen=True)
-class TraceTemp:
+class TraceTemp(Bounded):
     """Piecewise-linear interpolation through (t_s, temp_c) points."""
 
     kind: ClassVar[str] = "trace"
     points: tuple[tuple[float, float], ...] = config_field(minItems=2)
 
     def __post_init__(self):
-        check_bounds(self)
+        super().__post_init__()
         ts = [p[0] for p in self.points]
         if ts != sorted(ts):
-            raise SchemaError("temperature trace must be time-sorted")
+            raise ValueError("points must be time-sorted")
 
     def at(self, t_s: float) -> float:
         pts = self.points
@@ -106,7 +103,7 @@ Temperature = ConstantTemp | RangeTemp | TraceTemp
 
 
 @dataclass(frozen=True)
-class VisibilitySeg:
+class VisibilitySeg(Bounded):
     """Satellite counts per constellation over [t_start, t_end)."""
 
     t_start: float = config_field(minimum=0)
@@ -115,9 +112,9 @@ class VisibilitySeg:
     nsat_bds: int = config_field(minimum=0)
 
     def __post_init__(self):
-        check_bounds(self)
+        super().__post_init__()
         if self.t_end <= self.t_start:
-            raise SchemaError("visibility segment must have t_end > t_start")
+            raise ValueError("t_end must be > t_start")
 
     def nsat(self, constellations) -> int:
         """Satellites usable by a receiver tracking those constellations."""
@@ -130,7 +127,7 @@ class VisibilitySeg:
 
 
 @dataclass(frozen=True)
-class ReceiverSpec:
+class ReceiverSpec(Bounded):
     """Receiver-side measurement characteristics of one node."""
 
     # Written inline in JSON as pps_half_width_ns and pps_bias_ns, and as
@@ -145,12 +142,9 @@ class ReceiverSpec:
                                       maximum=MAX_STAMP_SHIFT_NS)
     stamp_latency_ns: int = config_field(0, minimum=0)
 
-    def __post_init__(self):
-        check_bounds(self)
-
 
 @dataclass(frozen=True)
-class NodeSpec:
+class NodeSpec(Bounded):
     name: str = config_field(minLength=1, pattern=PATH_COMPONENT)
     oscillator: OscillatorParams = field(default_factory=OscillatorParams)
     servo: ServoConfig = field(default_factory=ServoConfig)
@@ -161,24 +155,15 @@ class NodeSpec:
     initial_offset_ns: int = config_field(0, minimum=-(2**63 - 1),
                                           maximum=2**63 - 1)
 
-    def __post_init__(self):
-        check_bounds(self)
-        if self.constellations - set(CONSTELLATIONS):
-            raise SchemaError(f"node {self.name!r}: constellations must be a "
-                              f"subset of {list(CONSTELLATIONS)}")
-
 
 @dataclass(frozen=True)
-class LinkModel:
+class LinkModel(Bounded):
     """One-way delays (possibly asymmetric) with uniform jitter."""
 
     delay_up_ms: float = config_field(20.0, minimum=0)
     delay_down_ms: float = config_field(20.0, minimum=0)
     jitter_ms: float = config_field(0.0, minimum=0)
     drop_prob: float = config_field(0.0, minimum=0, exclusiveMaximum=1)
-
-    def __post_init__(self):
-        check_bounds(self)
 
     def one_way_ns(self, base_ms: float, rng) -> int:
         if self.drop_prob and rng.random() < self.drop_prob:
@@ -188,19 +173,17 @@ class LinkModel:
 
 
 @dataclass(frozen=True)
-class BroadcastParams:
+class BroadcastParams(Bounded):
     """`server` floods `clients`, each client's path `path_delta_ns`
     longer and each delivery lost with `drop_prob`."""
 
     server: str
-    clients: tuple[str, ...] = config_field(minItems=2)
+    clients: tuple[str, ...] = config_field(minItems=2, uniqueItems=True)
     path_delta_ns: dict[str, int] = field(default_factory=dict)
     drop_prob: float = config_field(0.0, minimum=0, exclusiveMaximum=1)
 
     def __post_init__(self):
-        check_bounds(self)
-        if len(set(self.clients)) != len(self.clients):
-            raise ValueError("clients must be distinct nodes")
+        super().__post_init__()
         for name, delta in self.path_delta_ns.items():
             if abs(delta) > MAX_STAMP_SHIFT_NS:
                 raise ValueError(
@@ -209,7 +192,7 @@ class BroadcastParams:
 
 
 @dataclass(frozen=True)
-class NtpParams:
+class NtpParams(Bounded):
     """`client` exchanges with `server` over `link`, written inline."""
 
     client: str
@@ -219,7 +202,7 @@ class NtpParams:
 
 
 @dataclass(frozen=True)
-class TsfParams:
+class TsfParams(Bounded):
     """A beacon-timer contention run among its own `n_nodes` timers."""
 
     n_nodes: int = config_field(20, minimum=1)
@@ -227,24 +210,16 @@ class TsfParams:
     spread_ppm: float = config_field(100.0, minimum=0, maximum=100)
     airtime_jitter_us: float = config_field(2.0, minimum=0)
 
-    def __post_init__(self):
-        check_bounds(self)
-
 
 TRAFFIC_PARAMS = {"broadcast": BroadcastParams, "ntp": NtpParams,
                   "tsf": TsfParams}
 
 
 @dataclass(frozen=True)
-class TrafficSpec:
+class TrafficSpec(Bounded):
     kind: str = config_field(enum=tuple(TRAFFIC_PARAMS))
     rate_hz: float = config_field(exclusiveMinimum=0)
     params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        check_bounds(self)
-        if self.kind not in TRAFFIC_PARAMS:
-            raise SchemaError(f"unknown traffic kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -261,7 +236,7 @@ class VisibilityStats:
 
 
 @dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(Bounded):
     name: str = config_field(minLength=1, pattern=PATH_COMPONENT)
     duration_s: int = config_field(exclusiveMinimum=0)
     visibility: tuple[VisibilitySeg, ...] = config_field(minItems=1)
@@ -272,16 +247,16 @@ class ScenarioConfig:
     traffic: tuple[TrafficSpec, ...] = ()
 
     def __post_init__(self):
-        check_bounds(self)
+        super().__post_init__()
         _check_visibility(self.visibility, self.duration_s)
         names = [n.name for n in self.nodes]
         if len(set(names)) != len(names):
-            raise SchemaError("node names must be unique")
+            raise ValueError("node names must be unique")
         kinds = [t.kind for t in self.traffic]
         for i, kind in enumerate(kinds):
             if kind in kinds[:i]:
-                raise SchemaError(f"traffic[{i}]: a second {kind!r} entry; "
-                                  f"at most one entry per kind")
+                raise ValueError(f"traffic[{i}]: a second {kind!r} entry; "
+                                 f"at most one entry per kind")
         for i, traffic in enumerate(self.traffic):
             traffic_params(self, traffic, f"traffic[{i}].params")
 
@@ -295,14 +270,14 @@ class ScenarioConfig:
 def _check_visibility(segments, duration_s: int) -> None:
     segs = sorted(segments, key=lambda s: s.t_start)
     if segs[0].t_start > _COVER_TOL_S:
-        raise SchemaError(f"timeline starts at {segs[0].t_start}, not 0")
+        raise ValueError(f"timeline starts at {segs[0].t_start}, not 0")
     for a, b in zip(segs, segs[1:]):
         if b.t_start < a.t_end - _COVER_TOL_S:
-            raise SchemaError(f"segments overlap near t={b.t_start}")
+            raise ValueError(f"segments overlap near t={b.t_start}")
         if b.t_start > a.t_end + _COVER_TOL_S:
-            raise SchemaError(f"gap between t={a.t_end} and t={b.t_start}")
+            raise ValueError(f"gap between t={a.t_end} and t={b.t_start}")
     if abs(segs[-1].t_end - duration_s) > _COVER_TOL_S:
-        raise SchemaError(
+        raise ValueError(
             f"timeline ends at {segs[-1].t_end}, duration is {duration_s}")
 
 
@@ -435,9 +410,10 @@ def load_temperature_trace(path) -> TraceTemp:
             points.append((_finite(t, "t_s"), _finite(c, "temp_c")))
         except ValueError as exc:
             raise SchemaError(f"{path}: bad trace line {line!r}") from exc
-    if len(points) < 2:
-        raise SchemaError(f"{path}: trace needs at least 2 points")
-    return TraceTemp(tuple(points))
+    try:
+        return TraceTemp(tuple(points))
+    except ValueError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
 
 
 def from_dict(data: dict, base_dir=None) -> ScenarioConfig:

@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .timebase import check_bounds, config_field
+from .timebase import Bounded, config_field
 
 # ppm expressed as ns of phase per second of elapsed time.
 NS_PER_S_PER_PPM = 1000.0
@@ -42,7 +42,7 @@ class SampleSource(str, Enum):
 
 
 @dataclass(frozen=True)
-class ServoConfig:
+class ServoConfig(Bounded):
     """Gains and thresholds of the discipline loop.
 
     kp and ki are dimensionless gains of a PI law applied in velocity form
@@ -59,7 +59,7 @@ class ServoConfig:
     holdover_predict: bool = True
 
     def __post_init__(self):
-        check_bounds(self)
+        super().__post_init__()
         if self.ki >= 4 - 2 * self.kp:
             raise ValueError(f"ki must be < 4 - 2*kp = {4 - 2 * self.kp:g} "
                              f"for a stable loop, got {self.ki:g}")

@@ -88,8 +88,9 @@ def nearest_second(t_ns: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Config bounds: each is declared once, as field metadata in JSON Schema's
-# words. check_bounds enforces them; scenario.json_schema publishes them.
+# Config rules: each is declared once, as field metadata in JSON Schema's
+# words. check_bounds enforces every keyword but `flatten` (the codec's
+# prefix for a field written inline); scenario.json_schema publishes them.
 
 _BOUND_TESTS = {
     "minimum": operator.ge, "exclusiveMinimum": operator.gt,
@@ -97,6 +98,11 @@ _BOUND_TESTS = {
     "minLength": lambda value, n: len(value) >= n,
     "minItems": lambda value, n: len(value) >= n,
     "pattern": lambda value, pattern: re.search(pattern, value) is not None,
+    "enum": lambda value, allowed: value in allowed,
+    "items": lambda value, schema: all(_BOUND_TESTS[key](item, bound)
+                                       for item in value
+                                       for key, bound in schema.items()),
+    "uniqueItems": lambda value, on: not on or len(set(value)) == len(value),
 }
 
 # The `pattern` of a name that a run turns into a file or directory name:
@@ -112,20 +118,20 @@ def config_field(default=MISSING, **schema):
 
 @functools.cache
 def _bounds(cls) -> tuple:
-    """(field, ((keyword, test, bound), ...)) for each bounded field of cls."""
+    """(field, ((keyword, test, bound), ...)) for each field of cls that
+    declares a rule; a keyword with no test raises KeyError."""
     out = []
     for f in fields(cls):
         tests = tuple((key, _BOUND_TESTS[key], bound)
-                      for key, bound in f.metadata.items()
-                      if key in _BOUND_TESTS)
+                      for key, bound in f.metadata.items() if key != "flatten")
         if tests:
             out.append((f, tests))
     return tuple(out)
 
 
 class OutOfBounds(ValueError):
-    """A config field lies outside a bound its metadata declares; the
-    args are the field's name, its metadata and the failed keyword."""
+    """A config field breaks a rule its metadata declares; the args are
+    the field's name, its metadata and the failed keyword."""
 
     def __str__(self) -> str:
         return _bound_message(*self.args)
@@ -133,7 +139,7 @@ class OutOfBounds(ValueError):
 
 def check_bounds(config) -> None:
     """Raise OutOfBounds naming the first field of a config dataclass that
-    lies outside a bound its metadata declares. NaN passes no bound."""
+    breaks a rule its metadata declares. NaN passes no bound."""
     for f, tests in _bounds(type(config)):
         value = getattr(config, f.name)
         for key, test, bound in tests:
@@ -141,10 +147,25 @@ def check_bounds(config) -> None:
                 raise OutOfBounds(f.name, dict(f.metadata), key)
 
 
+class Bounded:
+    """The base of every config dataclass: constructing one checks the
+    rules its field metadata declares. A class with a rule across fields
+    extends __post_init__ and raises ValueError."""
+
+    def __post_init__(self):
+        check_bounds(self)
+
+
 def _bound_message(name: str, meta, key: str) -> str:
     if key == "pattern":  # PATH_COMPONENT, the one pattern in use
         return (f"{name} must be one path component: no '/' or '\\', "
                 f"and not '.' or '..'")
+    if key == "enum":
+        return f"{name} must be one of {', '.join(meta['enum'])}"
+    if key == "items":  # an item enum, the one item rule in use
+        return f"{name} must each be one of {', '.join(meta['items']['enum'])}"
+    if key == "uniqueItems":
+        return f"{name} must be distinct"
     size = meta.get("minLength", meta.get("minItems"))
     if size is not None:
         if size == 1:
@@ -163,7 +184,7 @@ def _bound_message(name: str, meta, key: str) -> str:
 
 
 @dataclass(frozen=True)
-class OscillatorParams:
+class OscillatorParams(Bounded):
     """Static description of a free-running oscillator.
 
     Noise amplitudes are the per-process ADEV levels at tau = 1 s; each
@@ -178,9 +199,6 @@ class OscillatorParams:
     noise_white_fm: float = config_field(0.0, minimum=0)
     noise_flicker_fm: float = config_field(0.0, minimum=0)
     noise_randomwalk_fm: float = config_field(0.0, minimum=0)
-
-    def __post_init__(self):
-        check_bounds(self)
 
     def freq_ppm_at(self, temp_c: float, elapsed_days: float) -> float:
         """Deterministic fractional frequency error in ppm."""

@@ -158,7 +158,7 @@ class TestRun:
          "traffic[0].params: no node is named 'nobody'"),
         (("traffic",), [{"kind": "broadcast", "rate_hz": 10.0, "params": {
             "server": "bench", "clients": ["bench", "bench"]}}], {},
-         "traffic[0].params: clients must be distinct nodes"),
+         "traffic[0].params: clients must be distinct"),
         (("traffic",), [{"kind": "tsf", "rate_hz": 1.0,
                          "params": {"n_nodes": 0}}], {},
          "traffic[0].params: n_nodes must be >= 1"),
@@ -567,6 +567,21 @@ class TestAnalyze:
         assert res.exit_code == 1
         assert res.stderr.startswith(f"malformed log: {path}:{line}: ")
         assert " at row " not in res.stderr
+
+    @pytest.mark.parametrize("times,line,value", [
+        (("1.000", "2.000", "3.000", "inf", "inf"), 5, "inf"),
+        (("1.000", "2.000", "nan", "4.000"), 4, "nan"),
+    ], ids=["inf-rows-4-5", "nan-row-3"])
+    def test_non_finite_time_names_its_file_line(self, runner, tmp_path,
+                                                 times, line, value):
+        path = tmp_path / "bad.csv"
+        path.write_text(engine.LOOP_HEADER + "\n" + "".join(
+            f"{t},{i},0.0,PPS,0\n" for i, t in enumerate(times)))
+        res = runner.invoke(main, ["analyze", str(path)])
+        assert res.exit_code == 1
+        assert res.stderr == (f"malformed log: {path}:{line}: "
+                              f"time {value} is not finite\n")
+        assert res.stdout == ""
 
     def test_header_only_log_writes_a_header_only_adev_csv(self, runner,
                                                          tmp_path):

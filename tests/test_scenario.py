@@ -1,10 +1,12 @@
+import dataclasses
 import json
 import os
+import typing
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from tsync import scenario
+from tsync import scenario, timebase
 from tsync.scenario import (ConstantTemp, LinkModel, NodeSpec, RangeTemp,
                             ScenarioConfig, SchemaError, TraceTemp,
                             TrafficSpec, UnknownPreset, VisibilitySeg, preset,
@@ -18,30 +20,66 @@ def minimal(duration=100, **kw):
     return ScenarioConfig(name="mini", duration_s=duration, **kw)
 
 
+# A value past each enum, items and uniqueItems rule that a config field
+# declares, keyed by (class, field, keyword), and the path in the
+# harness_10pps preset's JSON where it goes.
+_PAST_MEMBERSHIP = {
+    ("TrafficSpec", "kind", "enum"): (("traffic", 0, "kind"), "bogus"),
+    ("NodeSpec", "constellations", "items"):
+        (("nodes", 0, "constellations"), ["GPS", "GLONASS"]),
+    ("BroadcastParams", "clients", "uniqueItems"):
+        (("traffic", 0, "params", "clients"), ["c1", "c1"]),
+}
+
+
+def _config_classes() -> set:
+    """Every dataclass a scenario file is decoded into: those reached
+    through ScenarioConfig's field types, and each traffic kind's params."""
+    found, todo = set(), [ScenarioConfig, *scenario.TRAFFIC_PARAMS.values()]
+    while todo:
+        tp = todo.pop()
+        if not dataclasses.is_dataclass(tp):
+            todo += typing.get_args(tp)
+        elif tp not in found:
+            found.add(tp)
+            todo += typing.get_type_hints(tp).values()
+    return found
+
+
+def _with(name: str, keys, value) -> dict:
+    """The JSON of preset `name` with the value at `keys` replaced."""
+    doc = scenario.to_dict(preset(name))
+    target = doc
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    return doc
+
+
 class TestValidation:
     def test_minimal_config_loads(self):
         cfg = scenario.loads(scenario.dumps(minimal()))
         assert cfg.name == "mini"
 
     def test_overlapping_segments(self):
-        with pytest.raises(SchemaError, match="^segments overlap near t=5$"):
+        with pytest.raises(ValueError, match="^segments overlap near t=5$"):
             ScenarioConfig(name="x", duration_s=10, visibility=(
                 VisibilitySeg(0, 6, 8, 6), VisibilitySeg(5, 10, 8, 6)))
 
     def test_gap_in_coverage(self):
-        with pytest.raises(SchemaError, match="^gap between t=4 and t=5$"):
+        with pytest.raises(ValueError, match="^gap between t=4 and t=5$"):
             ScenarioConfig(name="x", duration_s=10, visibility=(
                 VisibilitySeg(0, 4, 8, 6), VisibilitySeg(5, 10, 8, 6)))
 
     def test_timeline_must_reach_duration(self):
-        with pytest.raises(SchemaError,
+        with pytest.raises(ValueError,
                            match="^timeline ends at 9, duration is 10$"):
             ScenarioConfig(name="x", duration_s=10,
                            visibility=(VisibilitySeg(0, 9, 8, 6),))
 
     def test_duplicate_node_names(self):
         node = scenario.NodeSpec(name="n")
-        with pytest.raises(SchemaError):
+        with pytest.raises(ValueError, match="^node names must be unique$"):
             minimal(nodes=(node, node))
 
     def test_invalid_json(self):
@@ -158,6 +196,46 @@ class TestValidation:
             accepted.append((keys, value))
         assert accepted == []
 
+    def test_every_config_class_checks_its_rules(self):
+        classes = _config_classes()
+        assert len(classes) == 16
+        assert all(issubclass(cls, timebase.Bounded) for cls in classes)
+        for cls in classes:
+            for f in dataclasses.fields(cls):
+                meta = dict(f.metadata)
+                meta |= meta.get("items", {})
+                assert meta.keys() - {"flatten"} <= \
+                    timebase._BOUND_TESTS.keys(), (cls, f.name)
+
+    def test_values_past_every_membership_rule_rejected(self):
+        declared = {(cls.__name__, f.name, key) for cls in _config_classes()
+                    for f in dataclasses.fields(cls) for key in f.metadata
+                    if key in ("enum", "items", "uniqueItems")}
+        assert declared == _PAST_MEMBERSHIP.keys()
+        scenario.from_dict(scenario.to_dict(preset("harness_10pps")))
+        for keys, value in _PAST_MEMBERSHIP.values():
+            with pytest.raises(SchemaError):
+                scenario.from_dict(_with("harness_10pps", keys, value))
+
+    @pytest.mark.parametrize("name, keys, value, match", [
+        ("tunnel_5km", ("temperature", "points", 1, 0), -5,
+         "temperature: points must be time-sorted"),
+        ("tunnel_5km", ("visibility", 1, "t_end"), 600.0,
+         r"visibility\[1\]: t_end must be > t_start"),
+        ("harness_10pps", *_PAST_MEMBERSHIP["TrafficSpec", "kind", "enum"],
+         r"traffic\[0\]: kind must be one of broadcast, ntp, tsf"),
+        ("harness_10pps",
+         *_PAST_MEMBERSHIP["NodeSpec", "constellations", "items"],
+         r"nodes\[0\]: constellations must each be one of GPS, BEIDOU"),
+        ("harness_10pps",
+         *_PAST_MEMBERSHIP["BroadcastParams", "clients", "uniqueItems"],
+         r"traffic\[0\]\.params: clients must be distinct"),
+    ], ids=["unsorted-trace", "empty-segment", "unknown-traffic-kind",
+            "unknown-constellation", "repeated-client"])
+    def test_broken_rule_names_its_path(self, name, keys, value, match):
+        with pytest.raises(SchemaError, match=f"^{match}$"):
+            scenario.from_dict(_with(name, keys, value))
+
 
 class TestTrafficParams:
     @pytest.mark.parametrize("name, key, value, match", [
@@ -165,7 +243,7 @@ class TestTrafficParams:
         ("harness_10pps", "server", "c9", "no node is named 'c9'"),
         ("harness_10pps", "path_delta_ns", {"c7": 5}, "no node is named 'c7'"),
         ("harness_10pps", "clients", ["c1"], "at least 2 clients"),
-        ("harness_10pps", "clients", ["c1", "c1"], "distinct nodes"),
+        ("harness_10pps", "clients", ["c1", "c1"], "clients must be distinct"),
         ("lte_ntp", "client", "nobody", "no node is named 'nobody'"),
         ("lte_ntp", "drop_prob", 1.0, "drop_prob must be in"),
         ("harness_10pps", "drop_prob", -0.3, "drop_prob must be in"),
