@@ -228,8 +228,9 @@ _COLUMNS = {HARNESS_HEADER: ((1, 4), np.int64), LOOP_HEADER: ((0, 1), float),
 
 def _load_rows(lines, cols, t_type):
     """The elapsed-time and offset columns `cols` of CSV rows, as one
-    structured array; a row that does not parse, or whose time is not
-    finite, raises ValueError."""
+    structured array; a row that does not parse, whose time is not finite,
+    or whose time is not a finite step of at least 1 ns after the row
+    before raises ValueError."""
     with warnings.catch_warnings():
         # A header-only log is an empty report, not a warning.
         warnings.filterwarnings(
@@ -240,9 +241,20 @@ def _load_rows(lines, cols, t_type):
             "error", ".*integer via a float", DeprecationWarning)
         rows = np.loadtxt(lines, delimiter=",", usecols=cols, comments=None,
                           ndmin=1, dtype=[("t", t_type), ("off", np.int64)])
-    finite = np.isfinite(rows["t"])
+    t = rows["t"]
+    finite = np.isfinite(t)
     if not finite.all():
-        raise ValueError(f"time {rows['t'][finite.argmin()]} is not finite")
+        raise ValueError(f"time {t[finite.argmin()]} is not finite")
+    if t_type is np.int64:  # a harness log's send times, in ns
+        forward = t[1:] > t[:-1]
+    else:  # seconds
+        with np.errstate(over="ignore"):
+            gaps = np.diff(t)
+        forward = np.isfinite(gaps) & (gaps >= 1e-9)
+    if not forward.all():
+        i = forward.argmin()
+        raise ValueError(f"time {t[i + 1]} does not follow {t[i]} by a "
+                         f"finite step of at least 1 ns")
     return rows
 
 
@@ -314,7 +326,7 @@ def analyze(logs, fmt, out_dir):
             if len(elapsed) > 1:
                 gaps = np.sort(np.diff(elapsed))
                 mid = gaps[len(gaps) // 2].item()
-                if mid > 0:
+                if mid > 0:  # send times past 2**53 ns may divide equal
                     tau0 = mid
             rep = metrics.report(offsets, tau0_s=tau0)
             reports[os.path.basename(path)] = (rep, elapsed, offsets)

@@ -7,11 +7,14 @@ noise-template fit, and five-number box summaries.
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 # Template exponents fitted against ADEV curves: white, flicker and
 # random-walk frequency modulation.
@@ -119,6 +122,46 @@ def adev_slope(points: list[AllanPoint]) -> float:
     lt = np.log10([p.tau_s for p in pts])
     la = np.log10([p.adev for p in pts])
     return float(np.polyfit(lt, la, 1)[0])
+
+
+@functools.cache
+def _nnls_kernel():
+    """scipy's compiled Lawson-Hanson solver, `nnls(A, b, maxiter) ->
+    (x, rnorm, info)`, loaded straight from its extension file: the
+    `scipy.optimize` package, which imports about 0.4 s of modules the
+    fit never uses, is not run."""
+    scipy_spec = importlib.util.find_spec("scipy")
+    spec = scipy_spec and importlib.machinery.FileFinder(
+        os.path.join(scipy_spec.submodule_search_locations[0], "optimize"),
+        (importlib.machinery.ExtensionFileLoader,
+         importlib.machinery.EXTENSION_SUFFIXES)).find_spec("_slsqplib")
+    if spec is None:
+        raise ImportError("scipy.optimize._slsqplib not found; "
+                          "the noise fit needs scipy >= 1.17")
+    # The extension starts scipy's OpenBLAS, which reads its thread count
+    # once, at start, and otherwise spins up idle workers for about 0.1 s
+    # of CPU. A three-column solve never uses them.
+    unset = "OPENBLAS_NUM_THREADS" not in os.environ
+    if unset:
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        if unset:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+    return module.nnls
+
+
+def nnls(a, b) -> tuple[np.ndarray, float]:
+    """`scipy.optimize.nnls(a, b)`: the same input checks, iteration cap
+    and compiled routine, so the same bits."""
+    a = np.asarray_chkfinite(a, dtype=np.float64, order="C")
+    b = np.asarray_chkfinite(b, dtype=np.float64)
+    x, rnorm, info = _nnls_kernel()(a, b, 3 * a.shape[1])
+    if info == 3:
+        raise RuntimeError("Maximum number of iterations reached.")
+    return x, rnorm
 
 
 def fit_noise(points: list[AllanPoint]) -> dict:

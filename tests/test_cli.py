@@ -583,6 +583,27 @@ class TestAnalyze:
                               f"time {value} is not finite\n")
         assert res.stdout == ""
 
+    @pytest.mark.parametrize("header,rows,line", [
+        (engine.LOOP_HEADER, ("1e308,0,0.0,PPS,0", "-1e308,1,0.0,PPS,0",
+                              "1e308,2,0.0,PPS,0"), 3),
+        (engine.LOOP_HEADER, ("-1e308,0,0.0,PPS,0", "1e308,1,0.0,PPS,0"), 3),
+        (engine.LOOP_HEADER, ("0,0,0.0,PPS,0", "1e-300,1,0.0,PPS,0"), 3),
+        (engine.LOOP_HEADER, ("1.000,0,0.0,PPS,0", "2.000,1,0.0,PPS,0",
+                              "2.000,2,0.0,PPS,0"), 4),
+        (HARNESS_HEADER, ("0,100000000,5,2,3", "1,100000001,5,2,3",
+                          "2,100000000,5,2,3"), 4),
+    ], ids=["steps-back", "gap-overflows", "gap-below-1ns", "repeated-time",
+            "harness-steps-back"])
+    def test_time_not_stepping_forward_names_its_file_line(
+            self, runner, tmp_path, header, rows, line):
+        path = tmp_path / "bad.csv"
+        path.write_text(header + "\n" + "\n".join(rows) + "\n")
+        res = runner.invoke(main, ["analyze", str(path)])
+        assert res.exit_code == 1
+        assert res.stderr.startswith(f"malformed log: {path}:{line}: time ")
+        assert res.stderr.endswith("by a finite step of at least 1 ns\n")
+        assert res.stderr.count("\n") == 1 and res.stdout == ""
+
     def test_header_only_log_writes_a_header_only_adev_csv(self, runner,
                                                          tmp_path):
         path = tmp_path / "empty.csv"
@@ -1135,12 +1156,70 @@ class TestPresets:
         assert runner.invoke(main, ["presets", "--show", "nope"]).exit_code == 2
 
 
-def test_import_leaves_scipy_signal_unloaded():
+# Runs the `tsync` command line given as arguments in a fresh interpreter.
+# Its stderr ends with two JSON lines, after the import and after the
+# command: the scipy modules loaded, OPENBLAS_NUM_THREADS and the number of
+# the process's threads.
+CLI_THEN_MODULES = """
+import json, os, sys
+
+def state():
+    print(json.dumps([sorted(m for m in sys.modules if m.startswith("scipy")),
+                      os.environ.get("OPENBLAS_NUM_THREADS"),
+                      len(os.listdir("/proc/self/task"))]), file=sys.stderr)
+
+from tsync.cli import main
+state()
+try:
+    main(sys.argv[1:])
+finally:
+    state()
+"""
+
+
+def run_fresh(args, threads=None):
+    """Exit code, stdout, and the state after the import and after the
+    command of `tsync args` in a fresh interpreter, whose environment sets
+    OPENBLAS_NUM_THREADS to `threads` (None: unset)."""
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("counts threads in /proc")
     src = os.path.dirname(os.path.dirname(os.path.abspath(tsync.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    res = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, tsync.cli; print(sorted(m for m in sys.modules"
-         " if m.startswith('scipy.signal')))"],
-        env=env, capture_output=True, text=True, timeout=120, check=True)
-    assert res.stdout.strip() == "[]"
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    res = subprocess.run([sys.executable, "-c", CLI_THEN_MODULES, *args],
+                         env=env, capture_output=True, text=True, timeout=120)
+    lines = res.stderr.splitlines()
+    return res.returncode, res.stdout, json.loads(lines[-2]), \
+        json.loads(lines[-1])
+
+
+def test_import_and_run_load_no_scipy(tmp_path):
+    code, _, imported, ran = run_fresh(
+        ["run", "--preset", "lte_ntp", "--out", str(tmp_path)])
+    assert code == 0
+    assert imported[0] == [] and ran[0] == []
+
+
+@pytest.mark.parametrize("threads", [None, "3"], ids=["unset", "user-set"])
+def test_analyze_fits_without_scipy_optimize(runner, tmp_path, threads):
+    assert runner.invoke(main, ["run", "--preset", "lte_ntp", "--out",
+                                str(tmp_path)]).exit_code == 0
+    code, out, imported, ran = run_fresh(
+        ["analyze", str(tmp_path / "loop_mobile.csv")], threads)
+    assert code == 0
+    assert json.loads(out)["noise_fit"] is not None
+    assert "scipy.optimize" not in ran[0]
+    assert ran[1] == threads
+
+
+def test_noise_fit_starts_no_blas_threads(tmp_path):
+    """Unless the user asks for threads, loading the solver starts none of
+    scipy's OpenBLAS workers, whose spin-up would cost CPU time."""
+    path = tmp_path / "loop.csv"
+    path.write_text(engine.LOOP_HEADER + "\n" + "".join(
+        f"{t}.000,{t * t % 7},0.0,PPS,0\n" for t in range(1, 41)))
+    code, out, imported, ran = run_fresh(["analyze", str(path)])
+    assert code == 0 and json.loads(out)["noise_fit"] is not None
+    assert ran[2] == imported[2]

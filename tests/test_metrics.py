@@ -1,5 +1,7 @@
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -143,6 +145,61 @@ class TestFitNoise:
         pts = self.template_points(1e-9, 0, 0, [1, 2, 4])
         with pytest.raises(ValueError):
             fit_noise(pts)
+
+
+# Solves random problems with `metrics.nnls` and with the public
+# `scipy.optimize.nnls`, loading one of the two first, and prints how many
+# answers differ in any bit (a problem on which both raise counts as equal).
+NNLS_COMPARISON = """
+import sys
+import numpy as np
+from tsync import metrics
+
+if sys.argv[1] == "loader-first":
+    metrics.nnls(np.ones((1, 1)), np.ones(1))
+    assert "scipy.optimize" not in sys.modules
+from scipy.optimize import nnls as reference
+
+def solve(f, a, b):
+    try:
+        x, rnorm = f(a.copy(), b.copy())
+    except RuntimeError as exc:
+        return str(exc)
+    return x.tobytes(), np.float64(rnorm).tobytes()
+
+rng = np.random.default_rng(int(sys.argv[2]))
+problems = int(sys.argv[3])
+mismatches = 0
+for k in range(problems):
+    m, n = int(rng.integers(3, 41)), int(rng.integers(1, 7))
+    a = rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-8, 8, n)
+    b = rng.standard_normal(m) * 10.0 ** rng.uniform(-8, 8)
+    kind = k % 5
+    if kind == 1:  # the noise fit's case: positive columns, unit targets
+        a, b = np.abs(a), np.ones(m)
+    elif kind == 2 and n > 1:  # a repeated column: rank-deficient
+        a[:, -1] = a[:, 0]
+    elif kind == 3:
+        b = -np.abs(b)
+    elif kind == 4:
+        a[:, rng.integers(n)] = 0.0
+    mismatches += solve(metrics.nnls, a, b) != solve(reference, a, b)
+print(mismatches, problems)
+"""
+
+
+@pytest.mark.parametrize("order,seed", [("loader-first", 1),
+                                        ("scipy-first", 2)])
+def test_nnls_bits_match_scipy_optimize(order, seed):
+    """`metrics.nnls` loads scipy's private compiled solver; a scipy release
+    that renames or changes it fails here."""
+    pytest.importorskip("scipy.optimize")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(metrics.__file__)))
+    res = subprocess.run(
+        [sys.executable, "-c", NNLS_COMPARISON, order, str(seed), "10000"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, timeout=300, check=True)
+    assert res.stdout.split() == ["0", "10000"]
 
 
 class TestBoxplot:
