@@ -326,7 +326,9 @@ def analyze(logs, fmt, out_dir):
             if len(elapsed) > 1:
                 gaps = np.sort(np.diff(elapsed))
                 mid = gaps[len(gaps) // 2].item()
-                if mid > 0:  # send times past 2**53 ns may divide equal
+                # Send times 1 ns apart past about 100 days divide to
+                # equal seconds, so the median gap can still be 0.
+                if mid > 0:
                     tau0 = mid
             rep = metrics.report(offsets, tau0_s=tau0)
             reports[os.path.basename(path)] = (rep, elapsed, offsets)

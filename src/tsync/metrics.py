@@ -128,7 +128,7 @@ def adev_slope(points: list[AllanPoint]) -> float:
 def _nnls_kernel():
     """scipy's compiled Lawson-Hanson solver, `nnls(A, b, maxiter) ->
     (x, rnorm, info)`, loaded straight from its extension file: the
-    `scipy.optimize` package, which imports about 0.4 s of modules the
+    `scipy.optimize` package, which imports some 300 scipy modules the
     fit never uses, is not run."""
     scipy_spec = importlib.util.find_spec("scipy")
     spec = scipy_spec and importlib.machinery.FileFinder(
@@ -139,8 +139,8 @@ def _nnls_kernel():
         raise ImportError("scipy.optimize._slsqplib not found; "
                           "the noise fit needs scipy >= 1.17")
     # The extension starts scipy's OpenBLAS, which reads its thread count
-    # once, at start, and otherwise spins up idle workers for about 0.1 s
-    # of CPU. A three-column solve never uses them.
+    # once, at start; by default it starts worker threads that spin for
+    # a while before they sleep. A three-column solve never uses them.
     unset = "OPENBLAS_NUM_THREADS" not in os.environ
     if unset:
         os.environ["OPENBLAS_NUM_THREADS"] = "1"
