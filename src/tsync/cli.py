@@ -229,8 +229,12 @@ _COLUMNS = {HARNESS_HEADER: ((1, 4), np.int64), LOOP_HEADER: ((0, 1), float),
 def _load_rows(lines, cols, t_type):
     """The elapsed-time and offset columns `cols` of CSV rows, as one
     structured array; a row that does not parse, whose time is not finite,
-    or whose time is not a finite step of at least 1 ns after the row
-    before raises ValueError."""
+    or whose time is neither the time of the row before nor a finite step
+    of at least 1 ns away from it raises ValueError.
+
+    Times may repeat or step back: a pulse-only node whose clock is whole
+    seconds off labels a pulse by its own second and a holdover row by
+    the true one. The median step is the stability curve's tau0."""
     with warnings.catch_warnings():
         # A header-only log is an empty report, not a warning.
         warnings.filterwarnings(
@@ -245,16 +249,14 @@ def _load_rows(lines, cols, t_type):
     finite = np.isfinite(t)
     if not finite.all():
         raise ValueError(f"time {t[finite.argmin()]} is not finite")
-    if t_type is np.int64:  # a harness log's send times, in ns
-        forward = t[1:] > t[:-1]
-    else:  # seconds
+    if t_type is float:  # seconds; integer ns never step by under 1 ns
         with np.errstate(over="ignore"):
-            gaps = np.diff(t)
-        forward = np.isfinite(gaps) & (gaps >= 1e-9)
-    if not forward.all():
-        i = forward.argmin()
-        raise ValueError(f"time {t[i + 1]} does not follow {t[i]} by a "
-                         f"finite step of at least 1 ns")
+            steps = np.abs(np.diff(t))
+        ok = (steps == 0) | (np.isfinite(steps) & (steps >= 1e-9))
+        if not ok.all():
+            i = ok.argmin()
+            raise ValueError(f"time {t[i + 1]} is neither {t[i]} nor a "
+                             f"finite step of at least 1 ns away from it")
     return rows
 
 

@@ -137,7 +137,7 @@ def _nnls_kernel():
          importlib.machinery.EXTENSION_SUFFIXES)).find_spec("_slsqplib")
     if spec is None:
         raise ImportError("scipy.optimize._slsqplib not found; "
-                          "the noise fit needs scipy >= 1.17")
+                          "the noise fit needs scipy 1.17.x")
     # The extension starts scipy's OpenBLAS, which reads its thread count
     # once, at start; by default it starts worker threads that spin for
     # a while before they sleep. A three-column solve never uses them.

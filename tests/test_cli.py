@@ -589,20 +589,66 @@ class TestAnalyze:
         (engine.LOOP_HEADER, ("-1e308,0,0.0,PPS,0", "1e308,1,0.0,PPS,0"), 3),
         (engine.LOOP_HEADER, ("0,0,0.0,PPS,0", "1e-300,1,0.0,PPS,0"), 3),
         (engine.LOOP_HEADER, ("1.000,0,0.0,PPS,0", "2.000,1,0.0,PPS,0",
-                              "2.000,2,0.0,PPS,0"), 4),
-        (HARNESS_HEADER, ("0,100000000,5,2,3", "1,100000001,5,2,3",
-                          "2,100000000,5,2,3"), 4),
-    ], ids=["steps-back", "gap-overflows", "gap-below-1ns", "repeated-time",
-            "harness-steps-back"])
-    def test_time_not_stepping_forward_names_its_file_line(
+                              "2.000,2,0.0,PPS,0",
+                              "1.9999999999,3,0.0,PPS,0"), 5),
+    ], ids=["gap-overflows-back", "gap-overflows", "gap-below-1ns",
+            "back-by-below-1ns"])
+    def test_time_step_not_finite_or_under_1ns_names_its_file_line(
             self, runner, tmp_path, header, rows, line):
         path = tmp_path / "bad.csv"
         path.write_text(header + "\n" + "\n".join(rows) + "\n")
         res = runner.invoke(main, ["analyze", str(path)])
         assert res.exit_code == 1
         assert res.stderr.startswith(f"malformed log: {path}:{line}: time ")
-        assert res.stderr.endswith("by a finite step of at least 1 ns\n")
+        assert res.stderr.endswith(" nor a finite step of at least 1 ns "
+                                   "away from it\n")
         assert res.stderr.count("\n") == 1 and res.stdout == ""
+
+    @pytest.mark.parametrize("header,rows", [
+        (engine.LOOP_HEADER, ("1.000,0,0.0,PPS,0", "2.000,1,0.0,HOLDOVER,0",
+                              "2.000,2,0.0,PPS,0", "3.000,3,0.0,PPS,0")),
+        (engine.LOOP_HEADER, ("5.000,0,0.0,PPS,0", "3.000,1,0.0,HOLDOVER,0",
+                              "4.000,2,0.0,HOLDOVER,0")),
+        (HARNESS_HEADER, ("0,100000000,5,2,3", "1,100000001,5,2,3",
+                          "2,100000000,5,2,3", "3,100000000,5,2,3")),
+    ], ids=["loop-repeats", "loop-steps-back", "harness"])
+    def test_repeated_or_earlier_time_is_a_valid_row(self, runner, tmp_path,
+                                                     header, rows):
+        path = tmp_path / "log.csv"
+        path.write_text(header + "\n" + "\n".join(rows) + "\n")
+        res = runner.invoke(main, ["analyze", str(path)])
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.stdout)["n"] == len(rows)
+
+    @pytest.mark.parametrize("offset_s,step", [(-0.7, 0), (2.6, -2)],
+                             ids=["repeats", "steps-back"])
+    def test_pulse_only_outage_log_analyzes(self, runner, tmp_path,
+                                            offset_s, step):
+        # A pulse-only node locks to the nearest second, so a clock whole
+        # seconds off labels its pulses by its own second, and its holdover
+        # rows by the true one: the times of a log tsync writes itself
+        # repeat or step back across an outage.
+        cfg = scenario.preset("lab_16c")
+        node = cfg.nodes[0]
+        servo = dataclasses.replace(node.servo,
+                                    mode=scenario.ServoMode.PPS_ONLY)
+        node = dataclasses.replace(
+            node, initial_offset_ns=round(offset_s * 1e9), servo=servo)
+        cfg = dataclasses.replace(
+            cfg, name="pps_outage", duration_s=120, nodes=(node,),
+            visibility=(scenario.VisibilitySeg(0.0, 40.0, 8, 6),
+                        scenario.VisibilitySeg(40.0, 70.0, 0, 0),
+                        scenario.VisibilitySeg(70.0, 120.0, 8, 6)))
+        scenario.save(cfg, tmp_path / "pps_outage.json")
+        res = runner.invoke(main, ["run", str(tmp_path / "pps_outage.json"),
+                                   "--out", str(tmp_path / "out")])
+        assert res.exit_code == 0, res.output
+        log = tmp_path / "out" / f"loop_{node.name}.csv"
+        times = np.loadtxt(log, delimiter=",", skiprows=1, usecols=0)
+        assert step in np.diff(times)
+        res = runner.invoke(main, ["analyze", str(log)])
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.stdout)["noise_fit"] is not None
 
     def test_header_only_log_writes_a_header_only_adev_csv(self, runner,
                                                          tmp_path):
