@@ -224,13 +224,17 @@ def run(scenario_paths, presets, seed, out_root, jobs):
 # elapsed time: a harness log's send times are integer ns.
 _COLUMNS = {HARNESS_HEADER: ((1, 4), np.int64), LOOP_HEADER: ((0, 1), float),
             NTP_HEADER: ((0, 1), float)}
+# The most seconds whole int64 ns hold. This double lies just above
+# (2**63 - 1) ns, so `|t| < _MAX_TIME_S` holds exactly the times within.
+_MAX_TIME_S = (2**63 - 1) / NS_PER_S
 
 
 def _load_rows(lines, cols, t_type):
     """The elapsed-time and offset columns `cols` of CSV rows, as one
-    structured array; a row that does not parse, whose time is not finite,
-    or whose time is neither the time of the row before nor a finite step
-    of at least 1 ns away from it raises ValueError.
+    structured array; a row that does not parse, whose time in seconds is
+    not within (2**63 - 1) ns of 0 (NaN is not), or whose time is neither
+    the time of the row before nor a step of at least 1 ns away from it
+    raises ValueError.
 
     Times may repeat or step back: a pulse-only node whose clock is whole
     seconds off labels a pulse by its own second and a holdover row by
@@ -246,13 +250,13 @@ def _load_rows(lines, cols, t_type):
         rows = np.loadtxt(lines, delimiter=",", usecols=cols, comments=None,
                           ndmin=1, dtype=[("t", t_type), ("off", np.int64)])
     t = rows["t"]
-    finite = np.isfinite(t)
-    if not finite.all():
-        raise ValueError(f"time {t[finite.argmin()]} is not finite")
     if t_type is float:  # seconds; integer ns never step by under 1 ns
-        with np.errstate(over="ignore"):
-            steps = np.abs(np.diff(t))
-        ok = (steps == 0) | (np.isfinite(steps) & (steps >= 1e-9))
+        inside = np.abs(t) < _MAX_TIME_S
+        if not inside.all():
+            raise ValueError(f"time {t[inside.argmin()]} is not within "
+                             f"9223372036.854775807 s of 0 (int64 ns)")
+        steps = np.abs(np.diff(t))
+        ok = (steps == 0) | (steps >= 1e-9)
         if not ok.all():
             i = ok.argmin()
             raise ValueError(f"time {t[i + 1]} is neither {t[i]} nor a "

@@ -12,7 +12,7 @@ import importlib.machinery
 import importlib.util
 import math
 import os
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,25 +21,15 @@ import numpy as np
 TEMPLATE_MUS = (-0.5, 0.0, 0.5)
 
 
-class DegenerateFitError(ValueError):
-    """Noise-template fit attempted on an all-zero ADEV curve."""
-
-
-@dataclass(frozen=True)
-class AllanPoint:
+class AllanPoint(NamedTuple):
     """Overlapping Allan deviation at one averaging time."""
 
     tau_s: float
     adev: float
     n_pairs: int
 
-    def __post_init__(self):
-        if self.tau_s <= 0 or self.adev < 0 or self.n_pairs < 1:
-            raise ValueError("invalid AllanPoint")
 
-
-@dataclass(frozen=True)
-class BoxStats:
+class BoxStats(NamedTuple):
     """Box-plot summary: quartiles, Tukey whiskers and outliers."""
 
     median: float
@@ -48,11 +38,6 @@ class BoxStats:
     lower_whisker: float
     upper_whisker: float
     outliers: tuple
-
-    def __post_init__(self):
-        if not (self.lower_whisker <= self.q1 <= self.median
-                <= self.q3 <= self.upper_whisker):
-            raise ValueError("box statistics out of order")
 
 
 def mean_std(samples) -> tuple[float, float]:
@@ -181,7 +166,7 @@ def fit_noise(points: list[AllanPoint]) -> dict:
     adevs = np.array([p.adev for p in points])
     mask = adevs > 0
     if not mask.any():
-        raise DegenerateFitError("all ADEV points are zero")
+        raise ValueError("all ADEV points are zero")
     t, a = taus[mask], adevs[mask]
     basis = np.stack([t**mu for mu in TEMPLATE_MUS], axis=1)
     coef, _ = nnls(basis / a[:, None], np.ones(a.size))
@@ -230,19 +215,10 @@ def report(offsets_ns, tau0_s: float = 1.0) -> dict:
         out["adev"] = [[p.tau_s, p.adev] for p in points]
         try:
             out["noise_fit"] = fit_noise(points)
-        except ValueError:  # DegenerateFitError among them
+        except ValueError:
             out["noise_fit"] = None
     else:
         out["adev"] = []
         out["noise_fit"] = None
-    if x.size:
-        box = boxplot(x)
-        out["box"] = {
-            "median": box.median, "q1": box.q1, "q3": box.q3,
-            "lower_whisker": box.lower_whisker,
-            "upper_whisker": box.upper_whisker,
-            "outliers": list(box.outliers),
-        }
-    else:
-        out["box"] = None
+    out["box"] = boxplot(x)._asdict() if x.size else None
     return out

@@ -22,10 +22,6 @@ from .timebase import ClockState, NS_PER_S, read_clock
 US_PER_S = 1_000_000
 
 
-class NoCommonPackets(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class BroadcastLog:
     """Every packet of one broadcast run, one int64 column per field.
@@ -126,7 +122,7 @@ def pairwise_offsets(log: BroadcastLog, node_a: str, node_b: str):
     packets = np.flatnonzero(log.seen.get(node_a, unseen)
                              & log.seen.get(node_b, unseen))
     if not packets.size:
-        raise NoCommonPackets(f"no packets seen by both {node_a} and {node_b}")
+        raise ValueError(f"no packets seen by both {node_a} and {node_b}")
     offsets = log.stamp_ns[node_a][packets] - log.stamp_ns[node_b][packets]
     return packets, offsets, len(log) - packets.size
 

@@ -36,10 +36,6 @@ class MalformedField(ValueError):
     pass
 
 
-class MissingField(ValueError):
-    pass
-
-
 class SentenceKind(str, Enum):
     RMC = "RMC"
     GGA = "GGA"
@@ -200,14 +196,10 @@ def _frame(talker: str, kind: SentenceKind, date: datetime.date | None,
     """A sentence less its time field: the text before and after that
     field, and the XOR of the payload bytes in both."""
     if kind is SentenceKind.RMC:
-        if date is None:
-            raise MissingField("RMC needs a date")
         status = "A" if fix_valid else "V"
         ddmmyy = f"{date.day:02d}{date.month:02d}{date.year % 100:02d}"
         rest = [status, "", "", "", "", "", "", ddmmyy, "", ""]
     elif kind is SentenceKind.GGA:
-        if nsat is None:
-            raise MissingField("GGA needs a satellite count")
         quality = "1" if fix_valid else "0"
         rest = ["", "", "", "", quality, f"{nsat:02d}", "", "", "M", "", "M"]
     else:

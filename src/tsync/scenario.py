@@ -18,7 +18,7 @@ import os
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 from operator import itemgetter
-from typing import ClassVar, get_args, get_origin, get_type_hints
+from typing import ClassVar, NamedTuple, get_args, get_origin, get_type_hints
 
 from .nmea import MIN_FIX_NSAT, SerialDeliveryModel
 from .pps import PpsJitter
@@ -222,17 +222,9 @@ class TrafficSpec(Bounded):
     params: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class VisibilityStats:
+class VisibilityStats(NamedTuple):
     frac_nsat_ge_1: float
     frac_nsat_ge_4: float
-
-    def __post_init__(self):
-        for v in (self.frac_nsat_ge_1, self.frac_nsat_ge_4):
-            if not 0.0 <= v <= 1.0:
-                raise ValueError("fractions must be in [0, 1]")
-        if self.frac_nsat_ge_4 > self.frac_nsat_ge_1 + 1e-12:
-            raise ValueError("NSAT>=4 cannot be more available than NSAT>=1")
 
 
 @dataclass(frozen=True)
@@ -630,7 +622,6 @@ def _full_visibility(duration_s: int, gps: int = 8, bds: int = 6):
 _BASE_OSC = OscillatorParams(
     f0_ppm=0.08,
     temp_coeff_ppm_per_c=80_000.0 / 3600.0 / 4.0 / 1000.0,
-    ref_temp_c=25.0,
     noise_white_fm=2e-9,
     noise_flicker_fm=5e-10,
     noise_randomwalk_fm=1e-11,
@@ -638,12 +629,8 @@ _BASE_OSC = OscillatorParams(
 
 
 def _field_node(name: str, bias_ns: int, half_ns: int) -> NodeSpec:
-    return NodeSpec(
-        name=name,
-        oscillator=_BASE_OSC,
-        servo=ServoConfig(mode=ServoMode.NMEA_PLUS_PPS),
-        receiver=ReceiverSpec(pps=PpsJitter(half_ns, bias_ns)),
-    )
+    return NodeSpec(name=name, oscillator=_BASE_OSC,
+                    receiver=ReceiverSpec(pps=PpsJitter(half_ns, bias_ns)))
 
 
 def _mixed_urban_visibility(duration_s: int):
@@ -673,12 +660,8 @@ def _tunnel_scenario(name: str, pre_s: int, outage_s: int, post_s: int,
     out_start, out_end = pre_s, pre_s + outage_s
     osc = replace(_BASE_OSC, noise_white_fm=1e-10, noise_flicker_fm=0.0,
                   noise_randomwalk_fm=0.0)
-    node = NodeSpec(
-        name="vehicle",
-        oscillator=osc,
-        servo=ServoConfig(mode=ServoMode.NMEA_PLUS_PPS,
-                          holdover_predict=predict),
-    )
+    node = NodeSpec(name="vehicle", oscillator=osc,
+                    servo=ServoConfig(holdover_predict=predict))
     # The sheltered section sits 4 C cooler; through the oscillator's
     # temperature coefficient that reproduces the 80 us/h free-run drift.
     temp = TraceTemp((
@@ -688,7 +671,6 @@ def _tunnel_scenario(name: str, pre_s: int, outage_s: int, post_s: int,
     return ScenarioConfig(
         name=name,
         duration_s=duration,
-        seed=DEFAULT_SEED,
         temperature=temp,
         visibility=(
             VisibilitySeg(0.0, out_start, 8, 6),
@@ -704,21 +686,17 @@ def _harness_scenario(name: str, rate_hz: float, bias_a_ns: int,
     duration = 1800
 
     def client(nm: str, recv: ReceiverSpec) -> NodeSpec:
-        return NodeSpec(name=nm, oscillator=_BASE_OSC,
-                        servo=ServoConfig(mode=ServoMode.NMEA_PLUS_PPS),
-                        receiver=recv)
+        return NodeSpec(name=nm, oscillator=_BASE_OSC, receiver=recv)
 
     recv_a = ReceiverSpec(stamp_bias_ns=bias_a_ns, stamp_latency_ns=latency_ns)
-    recv_b = ReceiverSpec(stamp_bias_ns=0, stamp_latency_ns=latency_ns)
+    recv_b = ReceiverSpec(stamp_latency_ns=latency_ns)
     return ScenarioConfig(
         name=name,
         duration_s=duration,
-        seed=DEFAULT_SEED,
         temperature=RangeTemp(20.0, 25.0, 86400.0),
         visibility=_full_visibility(duration),
         nodes=(client("c1", recv_a), client("c2", recv_b),
-               NodeSpec(name="c3",
-                        servo=ServoConfig(mode=ServoMode.NMEA_PLUS_PPS))),
+               NodeSpec(name="c3")),
         traffic=(TrafficSpec("broadcast", rate_hz,
                              {"server": "c3", "clients": ["c1", "c2"]}),),
     )
@@ -735,20 +713,16 @@ def _build_presets() -> dict:
             serial=SerialDeliveryModel(base_latency_ms=80.0, jitter_ms=6.5)),
     )
     presets["lab_16c"] = ScenarioConfig(
-        name="lab_16c", duration_s=36_000, seed=DEFAULT_SEED,
+        name="lab_16c", duration_s=36_000,
         temperature=ConstantTemp(16.0),
         visibility=_full_visibility(36_000),
         nodes=(lab,),
     )
 
-    room = NodeSpec(
-        name="bench",
-        oscillator=_BASE_OSC,
-        servo=ServoConfig(mode=ServoMode.NMEA_PLUS_PPS),
-        receiver=ReceiverSpec(pps=PpsJitter(1550)),
-    )
+    room = NodeSpec(name="bench", oscillator=_BASE_OSC,
+                    receiver=ReceiverSpec(pps=PpsJitter(1550)))
     presets["room_24h"] = ScenarioConfig(
-        name="room_24h", duration_s=86_400, seed=DEFAULT_SEED,
+        name="room_24h", duration_s=86_400,
         temperature=RangeTemp(20.0, 25.0, 86_400.0),
         visibility=_full_visibility(86_400),
         nodes=(room,),
@@ -756,14 +730,14 @@ def _build_presets() -> dict:
 
     for name, bias, half in (("suburban", 533, 1200), ("highway", 495, 1500)):
         presets[name] = ScenarioConfig(
-            name=name, duration_s=1800, seed=DEFAULT_SEED,
+            name=name, duration_s=1800,
             temperature=RangeTemp(22.0, 26.0, 3600.0),
             visibility=_full_visibility(1800, gps=7, bds=5),
             nodes=(_field_node("vehicle", bias, half),),
         )
 
     presets["mixed_urban"] = ScenarioConfig(
-        name="mixed_urban", duration_s=1800, seed=DEFAULT_SEED,
+        name="mixed_urban", duration_s=1800,
         temperature=RangeTemp(22.0, 26.0, 3600.0),
         visibility=_mixed_urban_visibility(1800),
         nodes=(_field_node("vehicle", 250, 1900),),
@@ -780,9 +754,8 @@ def _build_presets() -> dict:
     # 300 packets per minute
     presets["harness_300ppm"] = _harness_scenario("harness_300ppm", 5.0, 250, 8000)
 
-    lte = ScenarioConfig(
-        name="lte_ntp", duration_s=1000, seed=DEFAULT_SEED,
-        temperature=ConstantTemp(25.0),
+    presets["lte_ntp"] = ScenarioConfig(
+        name="lte_ntp", duration_s=1000,
         visibility=_full_visibility(1000),
         nodes=(NodeSpec(name="mobile"), NodeSpec(name="ntp_server")),
         traffic=(TrafficSpec("ntp", 1.0, {
@@ -791,7 +764,6 @@ def _build_presets() -> dict:
             "jitter_ms": 2.4, "drop_prob": 0.0,
         }),),
     )
-    presets["lte_ntp"] = lte
     return presets
 
 

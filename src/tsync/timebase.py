@@ -42,10 +42,6 @@ class TimeReversalError(ValueError):
     """A clock was asked to produce a reading earlier than its state."""
 
 
-class PhaseOverflowError(OverflowError):
-    """Phase accumulator left the representable 64-bit ns range."""
-
-
 class NoiseExhausted(RuntimeError):
     """A clock took more steps than its noise stream was sized for."""
 
@@ -248,7 +244,7 @@ def advance(state: ClockState, params: OscillatorParams, dt_ns: int,
     an interval is partitioned. One noise-stream draw is consumed per
     call when a stream is supplied. A dt_ns that is not positive raises
     TimeReversalError, and a phase or instant past the 64-bit ns range
-    PhaseOverflowError or OverflowError, leaving `state` unchanged.
+    OverflowError, leaving `state` unchanged.
     """
     dt_ns = int(dt_ns)
     t_ns = state.last_update_ns + dt_ns
@@ -268,7 +264,7 @@ def advance(state: ClockState, params: OscillatorParams, dt_ns: int,
     inc_fs = round(det_ppm * dt_ns) + round(noise_phase_ns * FS_PER_NS)
     new_fs = state.phase_fs + inc_fs
     if abs(new_fs) > _MAX_PHASE_FS:
-        raise PhaseOverflowError("phase accumulator overflow")
+        raise OverflowError("phase accumulator overflow")
     if t_ns > _MAX_INSTANT_NS:
         raise OverflowError("instant outside 64-bit nanosecond range")
 
@@ -279,10 +275,10 @@ def advance(state: ClockState, params: OscillatorParams, dt_ns: int,
 
 def slew_phase(state: ClockState, delta_fs: int) -> None:
     """Apply an externally commanded phase change (servo slew or step) in
-    place; a phase past the 64-bit ns range raises PhaseOverflowError."""
+    place; a phase past the 64-bit ns range raises OverflowError."""
     new_fs = state.phase_fs + int(delta_fs)
     if abs(new_fs) > _MAX_PHASE_FS:
-        raise PhaseOverflowError("phase accumulator overflow")
+        raise OverflowError("phase accumulator overflow")
     state.phase_fs = new_fs
 
 

@@ -14,13 +14,21 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import tsync
 from tsync import engine, metrics, nmea, scenario
-from tsync.cli import (CSV_BLOCK, HARNESS_HEADER, _csv, _loop_csv,
-                       _write_atomic, main)
+from tsync.cli import (CSV_BLOCK, HARNESS_HEADER, NTP_HEADER, _csv,
+                       _loop_csv, _write_atomic, main)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DATA = os.path.join(ROOT, "tests", "data")
 BEACONS = os.path.join(DATA, "beacons.json")
 
+
+# How `tsync analyze` names a time in seconds past the int64 ns range.
+OUT_OF_RANGE = "time {} is not within 9223372036.854775807 s of 0 (int64 ns)"
+
+# A loop log whose times step by 7e306 s from -1.6e308: an ADEV over such
+# steps squares tau past the largest double.
+STEP_7E306 = tuple(f"{-1.6e308 + i * 7e306!r},{i},0.0,PPS,0"
+                   for i in range(23))
 
 # Rows that make `tsync analyze` exit 1 with "malformed log:".
 MALFORMED_ROWS = [
@@ -580,29 +588,35 @@ class TestAnalyze:
         res = runner.invoke(main, ["analyze", str(path)])
         assert res.exit_code == 1
         assert res.stderr == (f"malformed log: {path}:{line}: "
-                              f"time {value} is not finite\n")
+                              f"{OUT_OF_RANGE.format(value)}\n")
         assert res.stdout == ""
 
-    @pytest.mark.parametrize("header,rows,line", [
-        (engine.LOOP_HEADER, ("1e308,0,0.0,PPS,0", "-1e308,1,0.0,PPS,0",
-                              "1e308,2,0.0,PPS,0"), 3),
-        (engine.LOOP_HEADER, ("-1e308,0,0.0,PPS,0", "1e308,1,0.0,PPS,0"), 3),
-        (engine.LOOP_HEADER, ("0,0,0.0,PPS,0", "1e-300,1,0.0,PPS,0"), 3),
-        (engine.LOOP_HEADER, ("1.000,0,0.0,PPS,0", "2.000,1,0.0,PPS,0",
-                              "2.000,2,0.0,PPS,0",
-                              "1.9999999999,3,0.0,PPS,0"), 5),
-    ], ids=["gap-overflows-back", "gap-overflows", "gap-below-1ns",
-            "back-by-below-1ns"])
+    @pytest.mark.parametrize("rows,line,reason", [
+        (("1e308,0,0.0,PPS,0", "-1e308,1,0.0,PPS,0", "1e308,2,0.0,PPS,0"), 2,
+         OUT_OF_RANGE.format("1e+308")),
+        (("-1e308,0,0.0,PPS,0", "1e308,1,0.0,PPS,0"), 2,
+         OUT_OF_RANGE.format("-1e+308")),
+        (STEP_7E306, 2, OUT_OF_RANGE.format("-1.6e+308")),
+        (("1,0,0.0,PPS,0", "9223372036.854775807,1,0.0,PPS,0"), 3,
+         OUT_OF_RANGE.format("9223372036.854776")),
+        (("0,0,0.0,PPS,0", "1e-300,1,0.0,PPS,0"), 3,
+         "time 1e-300 is neither 0.0 nor a finite step of at least 1 ns "
+         "away from it"),
+        (("1.000,0,0.0,PPS,0", "2.000,1,0.0,PPS,0", "2.000,2,0.0,PPS,0",
+          "1.9999999999,3,0.0,PPS,0"), 5,
+         "time 1.9999999999 is neither 2.0 nor a finite step of at least "
+         "1 ns away from it"),
+    ], ids=["gap-overflows-back", "gap-overflows", "steps-of-7e306",
+            "past-int64-ns", "gap-below-1ns", "back-by-below-1ns"])
     def test_time_step_not_finite_or_under_1ns_names_its_file_line(
-            self, runner, tmp_path, header, rows, line):
+            self, runner, tmp_path, rows, line, reason):
         path = tmp_path / "bad.csv"
-        path.write_text(header + "\n" + "\n".join(rows) + "\n")
+        path.write_text(engine.LOOP_HEADER + "\n" + "\n".join(rows) + "\n")
         res = runner.invoke(main, ["analyze", str(path)])
         assert res.exit_code == 1
-        assert res.stderr.startswith(f"malformed log: {path}:{line}: time ")
-        assert res.stderr.endswith(" nor a finite step of at least 1 ns "
-                                   "away from it\n")
-        assert res.stderr.count("\n") == 1 and res.stdout == ""
+        assert res.stderr == f"malformed log: {path}:{line}: {reason}\n"
+        assert res.stdout == ""
+
 
     @pytest.mark.parametrize("header,rows", [
         (engine.LOOP_HEADER, ("1.000,0,0.0,PPS,0", "2.000,1,0.0,HOLDOVER,0",
@@ -611,7 +625,10 @@ class TestAnalyze:
                               "4.000,2,0.0,HOLDOVER,0")),
         (HARNESS_HEADER, ("0,100000000,5,2,3", "1,100000001,5,2,3",
                           "2,100000000,5,2,3", "3,100000000,5,2,3")),
-    ], ids=["loop-repeats", "loop-steps-back", "harness"])
+        # The largest doubles under (2**63 - 1) ns, either side of 0.
+        (engine.LOOP_HEADER, ("9223372036.854774,0,0.0,PPS,0",
+                              "-9223372036.854774,1,0.0,PPS,0")),
+    ], ids=["loop-repeats", "loop-steps-back", "harness", "int64-ns-edges"])
     def test_repeated_or_earlier_time_is_a_valid_row(self, runner, tmp_path,
                                                      header, rows):
         path = tmp_path / "log.csv"
@@ -1185,6 +1202,76 @@ class TestReplayFuzz:
             assert res.exit_code == 1
             [line] = res.output.strip().splitlines()
             assert line.startswith("replay error:")
+
+
+# Each `analyze` input format: its header, a row's fields, the columns of
+# its time and offset, and the starts and steps of its times.
+_ANALYZE_FORMATS = {
+    "loop": (engine.LOOP_HEADER, ["", "", "0.0", "PPS", "0"], 0, 1,
+             [(1.0, 1.0), (0.0, 0.001), (0.0, 0.0), (5.0, -1.0),
+              (-1.6e308, 7e306), (9223372036.0, 0.5), (0.0, 1e-300)]),
+    "harness": (HARNESS_HEADER, ["0", "", "5", "7", ""], 1, 4,
+                [(0, 10**8), (10**8, 1), (2**63 - 10**9, 10**8),
+                 (-(2**63), 2**62), (0, -(10**9))]),
+    "two-way": (NTP_HEADER, ["", "", "40000000", "0"], 0, 1,
+                [(0.0, 1.0), (3.5, 0.25), (1e308, -1e308)]),
+}
+_HOSTILE_VALUES = st.sampled_from([
+    "inf", "-inf", "nan", "1e308", "-1e308", "1e-300", "7e306", "4.5",
+    "0.5", "1e8", "100000000.5", "9223372036.854775807", str(2**63 - 1),
+    str(-(2**63)), str(2**63), str(-(2**63) - 1), "", "x"])
+_NON_ASCII = st.sampled_from([b"\xc3\xa9", b"\xff", b"\xe2\x80\x8b",
+                              b"\xef\xbb\xbf", b"\x00"])
+
+
+class TestAnalyzeFuzz:
+    @pytest.mark.parametrize("kind,start,step", [
+        (kind, start, step) for kind, spec in _ANALYZE_FORMATS.items()
+        for start, step in spec[4]])
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture],
+              derandomize=True, deadline=None, max_examples=20)
+    @given(st.data())
+    def test_hostile_logs_analyze_or_fail_cleanly(self, runner, tmp_path,
+                                                  kind, start, step, data):
+        header, other, t_col, off_col, _ = _ANALYZE_FORMATS[kind]
+        n = data.draw(st.integers(0, 24))
+        bad = data.draw(st.sets(st.integers(0, n - 1), max_size=3)) if n else ()
+        lines, offsets = [header.encode()], []
+        for i in range(n):
+            fields = list(other)
+            fields[t_col] = repr(start + i * step)
+            fields[off_col] = str(data.draw(st.integers(-10**6, 10**6)))
+            how = "valid" if i not in bad else data.draw(st.sampled_from(
+                ["time", "offset", "columns", "bytes"]))
+            if how == "time" or how == "offset":
+                col = t_col if how == "time" else off_col
+                fields[col] = data.draw(_HOSTILE_VALUES)
+            offsets.append(fields[off_col])
+            if how == "columns":
+                del fields[data.draw(st.integers(1, len(fields) - 1)):]
+            line = ",".join(fields).encode()
+            if how == "bytes":
+                at = data.draw(st.integers(0, len(line)))
+                line = line[:at] + data.draw(_NON_ASCII) + line[at:]
+            lines.append(line)
+        path = tmp_path / "log.csv"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        res = runner.invoke(main, ["analyze", str(path)])
+        assert res.exception is None or isinstance(res.exception,
+                                                   SystemExit), res.exception
+        if res.exit_code == 0:
+            rep = json.loads(res.stdout)
+            assert rep["n"] == len(lines) - 1 and res.stderr == ""
+            # Every row parsed, so a changing series has a nonzero
+            # deviation at tau0.
+            x = np.array([int(v) for v in offsets], dtype=float)
+            if np.any(x[2:] - 2.0 * x[1:-1] + x[:-2]):
+                assert rep["adev"][0][1] > 0
+        else:
+            assert res.exit_code == 1
+            [line] = res.stderr.splitlines()
+            assert line.startswith(f"malformed log: {path}")
+            assert res.stdout == ""
 
 
 class TestPresets:

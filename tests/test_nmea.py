@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tsync import nmea, scenario
-from tsync.nmea import (GnssFix, MalformedField, MissingField, SentenceKind,
+from tsync.nmea import (GnssFix, MalformedField, SentenceKind,
                         SerialDeliveryModel, checksum, extract_fix, generate,
                         parse_sentence)
 
@@ -179,13 +179,6 @@ class TestGenerateRoundTrip:
     def test_nsat_formatting(self):
         fix = GnssFix(0, None, True, 12, "GP")
         assert ",12," in generate(fix, SentenceKind.GGA)
-
-    def test_missing_fields(self):
-        fix = GnssFix(0, None, False, None, "GP")
-        with pytest.raises(MissingField):
-            generate(fix, SentenceKind.RMC)
-        with pytest.raises(MissingField):
-            generate(fix, SentenceKind.GGA)
 
 
 def reference_generate(fix: GnssFix, kind: SentenceKind) -> str:
