@@ -123,7 +123,7 @@ def _run_one(cfg: scenario.ScenarioConfig, out_dir: str) -> dict:
 
     summary = {"scenario": cfg.name, "seed": cfg.seed,
                "nodes": {name: sim.summary() for name, sim in nodes.items()}}
-    if bcast:
+    if bcast is not None:
         a, b = list(bcast.stamp_ns)[:2]  # the first two clients
         packets, offsets, skipped = net.pairwise_offsets(bcast, a, b)
         emit("harness.csv", _csv(

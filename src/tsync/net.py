@@ -10,7 +10,6 @@ implements the classic four-timestamp offset/delay estimator.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,11 +54,12 @@ def run_broadcast(cfg: ScenarioConfig):
     Every client sees each packet at the same true instant (plus its
     configured per-client path delta); the recorded stamp is the client's
     disciplined clock read at capture time, which adds the node's stamp
-    bias and latency spread. The packets of each second are stamped ahead
-    of that second's node steps, one clock read per stamp; that second's
-    drop decisions are drawn as one (packet, client) block and each
-    client's latencies as one block over the packets it keeps. Returns
-    (log, nodes): a `BroadcastLog` and `engine.run_loop`'s nodes by name.
+    bias and latency spread. The drop decisions are drawn once per run as
+    one (packet, client) block, and each client's latencies as one block
+    over the packets it keeps. The packets of each second are stamped ahead
+    of that second's node steps, one clock read per stamp, into int64
+    columns. Returns (log, nodes): a `BroadcastLog` and `engine.run_loop`'s
+    nodes by name.
     """
     traffic, params = _entry(cfg, "broadcast")
     sims = engine.build_node_sims(cfg)
@@ -73,44 +73,39 @@ def run_broadcast(cfg: ScenarioConfig):
                        / traffic.rate_hz).astype(np.int64)
     # Packets due after the last second are never sent.
     send_col = send_col[send_col <= cfg.duration_s * NS_PER_S]
-    send_ns = send_col.tolist()
-    arrival = [send_col + params.path_delta_ns.get(sim.spec.name, 0)
-               for sim in clients]
-    seen = [np.zeros(len(send_ns), dtype=bool) for _ in clients]
-    send_stamps: list[int] = []
-    stamps: list[list[int]] = [[] for _ in clients]
-    next_pkt = 0
+    shape = (send_col.size, len(clients))
+    if params.drop_prob:
+        kept = drop_rng.random(shape) >= params.drop_prob
+    else:
+        kept = np.ones(shape, dtype=bool)
+    # Second s stamps the packets ends[s - 1] <= k < ends[s].
+    ends = np.searchsorted(send_col, np.arange(cfg.duration_s + 1) * NS_PER_S,
+                           "right")
+    log = BroadcastLog(send_col, send_col.copy(), {}, {}, {})
+    # Each reader's column holds its capture times until they are stamped.
+    readers = [(server.read_disciplined, log.send_stamp_ns, ends.tolist())]
+    for j, sim in enumerate(clients):
+        name, rc = sim.spec.name, sim.spec.receiver
+        log.arrival_ns[name] = send_col + params.path_delta_ns.get(name, 0)
+        log.seen[name] = kept[:, j]
+        idx = np.flatnonzero(kept[:, j])
+        t = log.arrival_ns[name][idx] + rc.stamp_bias_ns
+        if rc.stamp_latency_ns:
+            t += np.rint(sim.rng_stamp.uniform(
+                0, rc.stamp_latency_ns, idx.size)).astype(np.int64)
+        readers.append((sim.read_disciplined, t,
+                        np.searchsorted(idx, ends).tolist()))
 
     def stamp_packets(boundary: int) -> None:
-        nonlocal next_pkt
-        first = next_pkt
-        next_pkt = bisect_right(send_ns, boundary * NS_PER_S, first)
-        send_stamps.extend(map(server.read_disciplined,
-                               send_ns[first:next_pkt]))
-        shape = (next_pkt - first, len(clients))
-        if params.drop_prob:
-            kept = drop_rng.random(shape) >= params.drop_prob
-        else:
-            kept = np.ones(shape, dtype=bool)
-        for j, sim in enumerate(clients):
-            rc = sim.spec.receiver
-            idx = first + np.flatnonzero(kept[:, j])
-            seen[j][idx] = True
-            t = arrival[j][idx] + rc.stamp_bias_ns
-            if rc.stamp_latency_ns:
-                t += np.rint(sim.rng_stamp.uniform(
-                    0, rc.stamp_latency_ns, idx.size)).astype(np.int64)
-            stamps[j].extend(map(sim.read_disciplined, t.tolist()))
+        for read, col, col_ends in readers:
+            first, last = col_ends[boundary - 1], col_ends[boundary]
+            col[first:last] = list(map(read, col[first:last].tolist()))
 
     nodes = engine.run_loop(cfg, sims, stamp_packets)
-    log = BroadcastLog(send_col, np.array(send_stamps, dtype=np.int64),
-                       {}, {}, {})
-    for j, sim in enumerate(clients):
+    for sim, (_, stamps, _) in zip(clients, readers[1:]):
         name = sim.spec.name
-        log.arrival_ns[name] = arrival[j]
-        log.seen[name] = seen[j]
-        log.stamp_ns[name] = np.zeros(len(send_ns), dtype=np.int64)
-        log.stamp_ns[name][seen[j]] = stamps[j]
+        log.stamp_ns[name] = np.zeros(send_col.size, dtype=np.int64)
+        log.stamp_ns[name][log.seen[name]] = stamps
     return log, nodes
 
 

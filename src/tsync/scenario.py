@@ -23,7 +23,7 @@ from typing import ClassVar, NamedTuple, get_args, get_origin, get_type_hints
 from .nmea import MIN_FIX_NSAT, SerialDeliveryModel
 from .pps import PpsJitter
 from .servo import ServoConfig, ServoMode
-from .timebase import (PATH_COMPONENT, Bounded, OscillatorParams,
+from .timebase import (NS_PER_S, PATH_COMPONENT, Bounded, OscillatorParams,
                        OutOfBounds, config_field)
 
 DEFAULT_SEED = 1787
@@ -251,6 +251,15 @@ class ScenarioConfig(Bounded):
                                  f"at most one entry per kind")
         for i, traffic in enumerate(self.traffic):
             traffic_params(self, traffic, f"traffic[{i}].params")
+            # `net.run_broadcast` sends packet k at round(k * 1e9 / rate_hz)
+            # ns and never sends one due past the end.
+            first_ns = NS_PER_S / traffic.rate_hz
+            if traffic.kind == "broadcast" and (
+                    math.isinf(first_ns)
+                    or round(first_ns) > self.duration_s * NS_PER_S):
+                raise ValueError(
+                    f"traffic[{i}]: a broadcast at {traffic.rate_hz} Hz "
+                    f"sends no packet in {self.duration_s} s")
 
     def node(self, name: str) -> NodeSpec:
         for n in self.nodes:

@@ -232,6 +232,8 @@ class TestRun:
                                   "harness_100pps"),
            f"traffic[0].params: node 'c{i + 1}' has servo mode 'nmea'")
           for i in (0, 2)),
+        ((), None, harness_file(("traffic", 0, "rate_hz"), 0.01),
+         "traffic[0]: a broadcast at 0.01 Hz sends no packet in 20 s"),
         *(((*at, "name"), name, {},
            f"{where}: name must be one path component")
           for at, where in (((), "scenario"), (("nodes", 0), "nodes[0]"))
@@ -258,7 +260,7 @@ class TestRun:
             "stamp-bias-int64-max", "stamp-bias-minus-200ms",
             "path-delta-past-c-long", "path-delta-int64-max",
             "path-delta-minus-200ms", "broadcast-sentence-only-client",
-            "broadcast-sentence-only-server",
+            "broadcast-sentence-only-server", "broadcast-sends-no-packet",
             *(f"{who}-name-{kind}" for who in ("scenario", "node")
               for kind in ("absolute", "parent-prefix", "subdirectory", "dot",
                            "dot-dot"))])

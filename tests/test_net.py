@@ -1,4 +1,6 @@
 import dataclasses
+import tracemalloc
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from tsync.scenario import (ConstantTemp, NodeSpec, ReceiverSpec,
                             ScenarioConfig, TrafficSpec, TsfParams,
                             VisibilitySeg)
 from tsync.servo import ServoConfig, ServoMode
-from tsync.timebase import ClockState
+from tsync.timebase import NS_PER_S, ClockState
 
 NS = 1_000_000_000
 
@@ -33,7 +35,140 @@ def harness_cfg(duration=60, recv_a=None, recv_b=None, deltas=None,
     )
 
 
+def per_second_broadcast(cfg):
+    """`run_broadcast` as it once drew and stamped, second by second: each
+    second's drop decisions as one block, each client's latencies as one
+    block over that second's kept packets, and the stamps in lists."""
+    traffic = cfg.traffic[0]
+    params = scenario.traffic_params(cfg, traffic)
+    sims = engine.build_node_sims(cfg)
+    by_name = {s.spec.name: s for s in sims}
+    server = by_name[params.server]
+    clients = [by_name[name] for name in params.clients]
+    drop_rng = np.random.default_rng(engine.seed_sequences(cfg)[1])
+    n_packets = int(round(traffic.rate_hz * cfg.duration_s))
+    send_col = np.rint(np.arange(1, n_packets + 1, dtype=np.int64) * NS_PER_S
+                       / traffic.rate_hz).astype(np.int64)
+    send_col = send_col[send_col <= cfg.duration_s * NS_PER_S]
+    send_ns = send_col.tolist()
+    arrival = [send_col + params.path_delta_ns.get(sim.spec.name, 0)
+               for sim in clients]
+    seen = [np.zeros(len(send_ns), dtype=bool) for _ in clients]
+    send_stamps, stamps = [], [[] for _ in clients]
+    next_pkt = 0
+
+    def stamp_packets(boundary):
+        nonlocal next_pkt
+        first = next_pkt
+        next_pkt = bisect_right(send_ns, boundary * NS_PER_S, first)
+        send_stamps.extend(map(server.read_disciplined,
+                               send_ns[first:next_pkt]))
+        shape = (next_pkt - first, len(clients))
+        if params.drop_prob:
+            kept = drop_rng.random(shape) >= params.drop_prob
+        else:
+            kept = np.ones(shape, dtype=bool)
+        for j, sim in enumerate(clients):
+            rc = sim.spec.receiver
+            idx = first + np.flatnonzero(kept[:, j])
+            seen[j][idx] = True
+            t = arrival[j][idx] + rc.stamp_bias_ns
+            if rc.stamp_latency_ns:
+                t += np.rint(sim.rng_stamp.uniform(
+                    0, rc.stamp_latency_ns, idx.size)).astype(np.int64)
+            stamps[j].extend(map(sim.read_disciplined, t.tolist()))
+
+    engine.run_loop(cfg, sims, stamp_packets)
+    log = net.BroadcastLog(send_col, np.array(send_stamps, dtype=np.int64),
+                           {}, {}, {})
+    for j, sim in enumerate(clients):
+        name = sim.spec.name
+        log.arrival_ns[name] = arrival[j]
+        log.seen[name] = seen[j]
+        log.stamp_ns[name] = np.zeros(len(send_ns), dtype=np.int64)
+        log.stamp_ns[name][seen[j]] = stamps[j]
+    return log
+
+
+def varied_cfg(drop, clients=("c1", "c2"), outage=False):
+    """160 s of a 10 Hz broadcast from c3: c1 stamps with no latency and
+    1.5 us of extra path, c2 with 7 us of latency and 0.7 us less path,
+    c4 with 3 us. With `outage`, c2 tracks BeiDou alone and loses it for
+    30 s from t = 90 s, after the servo's holdover span."""
+    duration = 160
+    mk = lambda name, latency, constellations=scenario.CONSTELLATIONS: \
+        NodeSpec(name=name, constellations=frozenset(constellations),
+                 receiver=ReceiverSpec(stamp_bias_ns=300,
+                                       stamp_latency_ns=latency))
+    nodes = (mk("c1", 0), mk("c2", 7000, ["BEIDOU"] if outage else
+                             scenario.CONSTELLATIONS),
+             mk("c3", 0), mk("c4", 3000))
+    sky = (VisibilitySeg(0.0, 90.0, 8, 6), VisibilitySeg(90.0, 120.0, 8, 0),
+           VisibilitySeg(120.0, duration, 8, 6))
+    params = {"server": "c3", "clients": list(clients), "drop_prob": drop,
+              "path_delta_ns": {"c1": 1500, "c2": -700}}
+    return ScenarioConfig(
+        name="varied", duration_s=duration, seed=4,
+        temperature=ConstantTemp(25.0), visibility=sky, nodes=nodes,
+        traffic=(TrafficSpec("broadcast", 10.0, params),))
+
+
 class TestBroadcast:
+    @pytest.mark.parametrize("cfg", [
+        varied_cfg(0.0), varied_cfg(0.3),
+        varied_cfg(0.3, clients=("c1", "c2", "c4")),
+        varied_cfg(0.3, outage=True)],
+        ids=["no-drops", "drops", "three-clients", "outage"])
+    def test_whole_run_draws_equal_per_second_draws(self, cfg):
+        want = per_second_broadcast(cfg)
+        got, nodes = run_broadcast(cfg)
+        for field in dataclasses.fields(net.BroadcastLog):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            if isinstance(b, dict):
+                assert list(a) == list(b)
+                a, b = list(a.values()), list(b.values())
+            else:
+                a, b = [a], [b]
+            for x, y in zip(a, b, strict=True):
+                assert x.dtype == y.dtype
+                assert x.tolist() == y.tolist()
+        lost = sum(int((~seen).sum()) for seen in got.seen.values())
+        assert bool(lost) == bool(cfg.traffic[0].params["drop_prob"])
+        if cfg.nodes[1].constellations == {"BEIDOU"}:
+            assert nodes["c2"].holdover_segments
+
+    @pytest.mark.parametrize("rate_hz, packets", [
+        (0.05, 1), (0.1, 2), (0.04, 0), (1e-320, 0)])
+    def test_a_broadcast_must_send_a_packet(self, rate_hz, packets):
+        """At 20 s, 0.04 Hz rounds to one packet, due at 25 s: none is sent."""
+        make = lambda: ScenarioConfig(
+            name="sparse", duration_s=20,
+            visibility=(VisibilitySeg(0.0, 20.0, 8, 6),),
+            nodes=tuple(NodeSpec(name=n) for n in ("c1", "c2", "c3")),
+            traffic=(TrafficSpec("broadcast", rate_hz),))
+        if packets:
+            assert len(run_broadcast(make())[0]) == packets
+        else:
+            with pytest.raises(ValueError, match=r"^traffic\[0\]: a "
+                               r"broadcast at .* Hz sends no packet in 20 s$"):
+                make()
+
+    def test_memory_per_packet(self):
+        """The packets live in int64 columns: per-packet lists of Python
+        ints peaked at 382 B a packet here."""
+        cfg = scenario.preset("harness_100pps")
+        cfg = dataclasses.replace(
+            cfg, duration_s=120,
+            visibility=(VisibilitySeg(0.0, 120.0, 8, 6),))
+        tracemalloc.start()
+        try:
+            log, _ = run_broadcast(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(log) == 12_000
+        assert peak / len(log) < 300
+
     def test_perfectly_synchronized_clients_zero_offsets(self):
         log, _ = run_broadcast(harness_cfg())
         _, offsets, skipped = pairwise_offsets(log, "c1", "c2")
