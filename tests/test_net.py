@@ -13,7 +13,7 @@ from tsync.scenario import (ConstantTemp, NodeSpec, ReceiverSpec,
                             ScenarioConfig, TrafficSpec, TsfParams,
                             VisibilitySeg)
 from tsync.servo import ServoConfig, ServoMode
-from tsync.timebase import NS_PER_S, ClockState
+from tsync.timebase import ClockState
 
 NS = 1_000_000_000
 
@@ -47,9 +47,9 @@ def per_second_broadcast(cfg):
     clients = [by_name[name] for name in params.clients]
     drop_rng = np.random.default_rng(engine.seed_sequences(cfg)[1])
     n_packets = int(round(traffic.rate_hz * cfg.duration_s))
-    send_col = np.rint(np.arange(1, n_packets + 1, dtype=np.int64) * NS_PER_S
+    send_col = np.rint(np.arange(1, n_packets + 1, dtype=np.int64) * NS
                        / traffic.rate_hz).astype(np.int64)
-    send_col = send_col[send_col <= cfg.duration_s * NS_PER_S]
+    send_col = send_col[send_col <= cfg.duration_s * NS]
     send_ns = send_col.tolist()
     arrival = [send_col + params.path_delta_ns.get(sim.spec.name, 0)
                for sim in clients]
@@ -60,7 +60,7 @@ def per_second_broadcast(cfg):
     def stamp_packets(boundary):
         nonlocal next_pkt
         first = next_pkt
-        next_pkt = bisect_right(send_ns, boundary * NS_PER_S, first)
+        next_pkt = bisect_right(send_ns, boundary * NS, first)
         send_stamps.extend(map(server.read_disciplined,
                                send_ns[first:next_pkt]))
         shape = (next_pkt - first, len(clients))
@@ -91,13 +91,15 @@ def per_second_broadcast(cfg):
 
 
 def varied_cfg(drop, clients=("c1", "c2"), outage=False):
-    """160 s of a 10 Hz broadcast from c3: c1 stamps with no latency and
-    1.5 us of extra path, c2 with 7 us of latency and 0.7 us less path,
-    c4 with 3 us. With `outage`, c2 tracks BeiDou alone and loses it for
-    30 s from t = 90 s, after the servo's holdover span."""
+    """160 s of a 10 Hz broadcast from c3 between noisy clocks: c1 stamps
+    with no latency and 1.5 us of extra path, c2 with 7 us of latency and
+    0.7 us less path, c4 with 3 us. With `outage`, c2 tracks BeiDou alone
+    and loses it for 30 s from t = 90 s, after the servo's holdover span."""
     duration = 160
+    osc = scenario.preset("harness_10pps").nodes[0].oscillator
     mk = lambda name, latency, constellations=scenario.CONSTELLATIONS: \
-        NodeSpec(name=name, constellations=frozenset(constellations),
+        NodeSpec(name=name, oscillator=osc,
+                 constellations=frozenset(constellations),
                  receiver=ReceiverSpec(stamp_bias_ns=300,
                                        stamp_latency_ns=latency))
     nodes = (mk("c1", 0), mk("c2", 7000, ["BEIDOU"] if outage else
