@@ -28,9 +28,6 @@ CSV_BLOCK = 4096
 _MAX_INSTANT_NS = 2**63 - 1
 _MAX_PHASE_FS = (2**63 - 1) * FS_PER_NS
 
-FLICKER_FM = 0.0
-RANDOM_WALK_FM = 0.5
-
 # Unit-variance fractional-differencing flicker input settles at a flat
 # ADEV level of sqrt(2 ln2 / pi) (verified numerically; small-tau points
 # sit a few percent above). Dividing by it makes the amplitude parameter
@@ -46,14 +43,13 @@ class NoiseExhausted(RuntimeError):
     """A clock took more steps than its noise stream was sized for."""
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class SimInstant:
     """A point in time: whole seconds plus nanoseconds in [0, 1e9).
 
     The simulation itself passes plain integer nanoseconds; this type
     validates and formats an instant where one is shown, in warnings and
-    errors. Ordering is lexicographic on (seconds, frac_ns), which matches
-    chronological order because frac_ns is always non-negative.
+    errors.
     """
 
     seconds: int = 0
@@ -317,37 +313,38 @@ def _fft_len(target: int) -> int:
     return best
 
 
-def gen_power_law_noise(mu: float, amplitude: float, n: int,
-                        seed) -> np.ndarray:
-    """Fractional-frequency series at a 1 s step, ADEV amplitude * tau**mu.
+def flicker_fm_noise(amplitude: float, n: int, seed) -> np.ndarray:
+    """Flicker FM fractional-frequency series at a 1 s step, with a flat
+    ADEV of `amplitude`.
 
-    mu selects the process: 0 flicker FM, +0.5 random-walk FM (NoiseStream
-    draws white FM itself). The flicker branch shapes white noise with the
-    fractional differencing kernel h[i] = h[i-1] * (alpha/2 + i - 1) / i
-    (alpha = 1), which realises a 1/f frequency spectrum; the random-walk
-    step follows from the two-sample variance of a Wiener frequency
-    process.
-
-    Deterministic per seed. Only the ADEV slope is contractual for the
-    flicker branch; the level is calibrated to the amplitude.
+    Shapes white noise with the fractional differencing kernel
+    h[i] = h[i-1] * (alpha/2 + i - 1) / i (alpha = 1), which realises a
+    1/f frequency spectrum. Deterministic per seed. Only the flat ADEV
+    slope is contractual; the level is calibrated to the amplitude.
     """
     rng = np.random.default_rng(seed)
-    if mu == RANDOM_WALK_FM:
-        # Wiener frequency with rate q: avar(tau) = q * tau / 3
-        return np.cumsum(rng.standard_normal(n)) * (amplitude * math.sqrt(3.0))
-    if mu == FLICKER_FM:
-        h = [1.0] * n
-        for i in range(1, n):
-            h[i] = h[i - 1] * (0.5 + i - 1) / i
-        w = rng.standard_normal(n)
-        # Linear convolution through a zero-padded real FFT. The padded
-        # length sets the rounding of every output sample. Recorded seeded
-        # artifacts use the 5-smooth length; a power of two or exactly
-        # 2n - 1 changes their last bits.
-        size = _fft_len(2 * n - 1)
-        y = np.fft.irfft(np.fft.rfft(h, size) * np.fft.rfft(w, size), size)[:n]
-        return y * (amplitude / _FLICKER_UNIT_ADEV)
-    raise ValueError(f"unsupported power-law exponent mu={mu}")
+    h = [1.0] * n
+    for i in range(1, n):
+        h[i] = h[i - 1] * (0.5 + i - 1) / i
+    w = rng.standard_normal(n)
+    # Linear convolution through a zero-padded real FFT. The padded
+    # length sets the rounding of every output sample. Recorded seeded
+    # artifacts use the 5-smooth length; a power of two or exactly
+    # 2n - 1 changes their last bits.
+    size = _fft_len(2 * n - 1)
+    y = np.fft.irfft(np.fft.rfft(h, size) * np.fft.rfft(w, size), size)[:n]
+    return y * (amplitude / _FLICKER_UNIT_ADEV)
+
+
+def random_walk_fm_noise(amplitude: float, n: int, seed) -> np.ndarray:
+    """Random-walk FM fractional-frequency series at a 1 s step, with ADEV
+    amplitude * sqrt(tau). Deterministic per seed.
+
+    The step follows from the two-sample variance of a Wiener frequency
+    process with rate q: avar(tau) = q * tau / 3.
+    """
+    rng = np.random.default_rng(seed)
+    return np.cumsum(rng.standard_normal(n)) * (amplitude * math.sqrt(3.0))
 
 
 class NoiseStream:
@@ -371,8 +368,8 @@ class NoiseStream:
         n = max(2, int(n_steps))
         self._white_sigma = kw
         self._white = np.random.default_rng(s_w).standard_normal(n) if kw else None
-        self._flicker = gen_power_law_noise(FLICKER_FM, kf, n, s_f) if kf else None
-        self._rw = gen_power_law_noise(RANDOM_WALK_FM, kr, n, s_r) if kr else None
+        self._flicker = flicker_fm_noise(kf, n, s_f) if kf else None
+        self._rw = random_walk_fm_noise(kr, n, s_r) if kr else None
         self._n = n
 
     def next_phase_ns(self, dt_ns: int) -> float:
