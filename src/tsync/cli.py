@@ -77,8 +77,20 @@ def _rows_csv(header: str, fmt: str, rows):
         yield line * len(block) % tuple(chain.from_iterable(block))
 
 
-def _loop_csv(rows):
-    return _rows_csv(LOOP_HEADER, LOOP_FORMAT, rows)
+def _loop_csv(loop):
+    """Text blocks of the loop log `loop` (`engine.LOOP_COLUMNS`): the
+    header, then `LOOP_FORMAT % row` per row, its source index written as
+    the source's name, CSV_BLOCK rows to a block."""
+    names = engine.SOURCES
+    line = LOOP_FORMAT + "\n"
+    yield LOOP_HEADER + "\n"
+    for i in range(0, len(loop), CSV_BLOCK):
+        j = min(i + CSV_BLOCK, len(loop))
+        rows = zip(loop.elapsed_s[i:j].tolist(), loop.offset_ns[i:j].tolist(),
+                   loop.freq_correction_ppm[i:j].tolist(),
+                   [names[k] for k in loop.source[i:j]],
+                   loop.holdover[i:j].tolist())
+        yield line * (j - i) % tuple(chain.from_iterable(rows))
 
 
 def _dump_json(data) -> str:
@@ -127,14 +139,16 @@ def _run_one(cfg: scenario.ScenarioConfig, out_dir: str) -> dict:
         files.append(name)
 
     for name, sim in nodes.items():
-        emit(f"loop_{name}.csv", _loop_csv(sim.loop_rows))
+        emit(f"loop_{name}.csv", _loop_csv(sim.loop))
     for name, sim in nodes.items():
-        if sim.nmea_log:
+        bursts = sim.bursts
+        if bursts:
             emit(f"nmea_{name}.log", nmea.format_log(
-                sim.nmea_log, sim.spec.constellations))
+                bursts.arrival_ns, bursts.second, bursts.nsat,
+                sim.spec.constellations))
     for name, sim in nodes.items():
-        if sim.pps_log:
-            emit(f"pps_{name}.log", pps.format_log(sim.pps_log))
+        if sim.pulses:
+            emit(f"pps_{name}.log", pps.format_log(sim.pulses.edge_ns))
     if bcast is not None:
         emit("harness.csv", _csv(
             HARNESS_HEADER, "%d,%d,%d,%d,%d", packets,
@@ -234,9 +248,8 @@ def _load_rows(lines, cols, t_type):
     the time of the row before nor a step of at least 1 ns away from it
     raises ValueError.
 
-    Times may repeat or step back: a pulse-only node whose clock is whole
-    seconds off labels a pulse by its own second and a holdover row by
-    the true one. The median step is the stability curve's tau0."""
+    Times may repeat or step back, as in logs joined end to end. The
+    median step is the stability curve's tau0."""
     with warnings.catch_warnings():
         # A header-only log is an empty report, not a warning.
         warnings.filterwarnings(
@@ -392,7 +405,7 @@ def replay(nmea_log, pps_log, mode, preset_name, scenario_path, node_name,
         _, last_s = engine.capture_seconds(events, edges)
         cfg, spec = _replay_target(preset_name, scenario_path, node_name,
                                    seed, mode, pps_log is not None, last_s)
-        rows, warnings = engine.run_replay(cfg, spec, events, edges)
+        loop, warnings = engine.run_replay(cfg, spec, events, edges)
     except (FormatError, nmea.MalformedField, pps.MalformedEdge,
             TimeReversalError, OverflowError, scenario.SchemaError,
             scenario.UnknownPreset, engine.OutsideScenario,
@@ -407,7 +420,7 @@ def replay(nmea_log, pps_log, mode, preset_name, scenario_path, node_name,
     for w in warnings:
         log.warning("replay: %s", w)
     path = os.path.join(out_dir, "loop_replay.csv")
-    _write_atomic(path, _loop_csv(rows))
+    _write_atomic(path, _loop_csv(loop))
     click.echo(path)
 
 

@@ -4,14 +4,16 @@ Each simulated second produces a pulse edge and a sentence burst (subject
 to satellite visibility); the configured servo mode decides which of
 those events measure and steer the clock. During a total outage the loop
 records the monitored true offset once per second, exactly like the
-reference node in a multi-receiver bench, and can bridge the gap with the
-linear drift model fitted to that outage's own samples.
+reference node in a multi-receiver bench (a pulse-only node records it
+as a pulse would read it, on its own nearest second), and can bridge the
+gap with the linear drift model fitted to that outage's own samples.
+Each node keeps its logs as typed columns, allocated once.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -29,27 +31,43 @@ class OutsideScenario(ValueError):
     """A replayed event names a second the scenario does not cover."""
 
 
-class LoopRow(NamedTuple):
-    """One offset sample (node minus reference, ns) and the loop state
-    after it: the servo-loop log record."""
+class Columns:
+    """The typed columns of one log, each allocated once with `rows` rows
+    (an `array` of the given typecode per keyword): `n` counts the rows
+    written, and `trim` cuts every column to them."""
 
-    elapsed_s: float
-    offset_ns: int
-    freq_correction_ppm: float
-    source: str
-    holdover: bool
+    def __init__(self, rows: int, **typecodes: str):
+        self._names = tuple(typecodes)
+        for name, code in typecodes.items():
+            setattr(self, name, array(code, [0]) * rows)
+        self.n = 0
+
+    def __len__(self) -> int:
+        return self.n
+
+    def trim(self) -> None:
+        for name in self._names:
+            del getattr(self, name)[self.n:]
 
 
+# The loop log: one offset sample (node minus reference, ns) per row and
+# the loop state after it. `source` holds the index of the row's source
+# name in SOURCES, and `holdover` 0 or 1.
+LOOP_COLUMNS = {"elapsed_s": "d", "offset_ns": "q",
+                "freq_correction_ppm": "d", "source": "B", "holdover": "B"}
+SOURCES = tuple(source.value for source in SampleSource)
+_SOURCE_INDEX = {source: i for i, source in enumerate(SampleSource)}
 LOOP_HEADER = "elapsed_s,offset_ns,freq_correction_ppm,source,holdover"
-# A loop-log line is `LOOP_FORMAT % row`; %r keeps every bit of the
-# frequency correction.
+# A loop-log line is `LOOP_FORMAT % row`, with the row's source as its
+# name; %r keeps every bit of the frequency correction.
 LOOP_FORMAT = "%.3f,%d,%r,%s,%d"
 
 
 @dataclass
 class HoldoverSegment:
-    """Summary of one signal-outage interval for a node; `samples` holds
-    its monitored (elapsed_s, offset_ns) pairs up to the drift fit."""
+    """Summary of one signal-outage interval for a node; `end_offset_ns`
+    is its last HOLDOVER row's offset, and `samples` holds its monitored
+    (elapsed_s, offset_ns) pairs up to the drift fit."""
 
     start_s: float
     end_s: float = 0.0
@@ -86,7 +104,10 @@ class NodeSim:
     """
 
     def __init__(self, cfg: ScenarioConfig, spec: NodeSpec,
-                 seed_seq: np.random.SeedSequence):
+                 seed_seq: np.random.SeedSequence, rows: int | None = None):
+        """`rows` is the most rows any of the node's logs takes. The
+        default, the scenario's seconds, holds a live run: a second gives
+        at most one loop row, one burst, one pulse and one true offset."""
         self.cfg = cfg
         self.spec = spec
         osc_seq, pps_seq, serial_seq, stamp_seq = seed_seq.spawn(4)
@@ -102,12 +123,13 @@ class NodeSim:
         self.pending: tuple[int, int] | None = None
         self.last_sampled_second: int | None = None
 
-        self.loop_rows: list[LoopRow] = []
-        # The true clock offset (ns) at the end of each second.
-        self.true_rows: list[int] = []
-        # One (arrival_ns, second, nsat) record per delivered burst.
-        self.nmea_log: list[tuple[int, int, int]] = []
-        self.pps_log: list[int] = []
+        rows = cfg.duration_s if rows is None else rows
+        self.loop = Columns(rows, **LOOP_COLUMNS)
+        # One record per delivered sentence burst.
+        self.bursts = Columns(rows, arrival_ns="q", second="q", nsat="B")
+        self.pulses = Columns(rows, edge_ns="q")
+        # The true clock offset at the end of each second.
+        self.true = Columns(rows, offset_ns="q")
         self.warnings: list[str] = []
         self.holdover_segments: list[HoldoverSegment] = []
 
@@ -131,9 +153,14 @@ class NodeSim:
 
     def _log(self, elapsed_s: float, offset_ns: int,
              source: SampleSource) -> None:
-        self.loop_rows.append(LoopRow(elapsed_s, offset_ns,
-                                      self.servo.freq_correction_ppm,
-                                      source.value, self.holdover))
+        loop = self.loop
+        i = loop.n
+        loop.elapsed_s[i] = elapsed_s
+        loop.offset_ns[i] = offset_ns
+        loop.freq_correction_ppm[i] = self.servo.freq_correction_ppm
+        loop.source[i] = _SOURCE_INDEX[source]
+        loop.holdover[i] = self.holdover
+        loop.n = i + 1
 
     def _apply_reading(self, t_ns: int, reading_ns: int,
                        source: SampleSource) -> None:
@@ -158,8 +185,16 @@ class NodeSim:
             self.holdover_segments.append(seg)
             self.pending = None
         self._advance_to(boundary * NS_PER_S, temp_c)
-        offset_ns = seg.end_offset_ns = self.clock.phase_offset_ns
-        self._log(float(boundary), offset_ns, SampleSource.HOLDOVER)
+        offset_ns = self.clock.phase_offset_ns
+        second, logged_ns = boundary, offset_ns
+        if self.servo.mode is ServoMode.PPS_ONLY:
+            # What a pulse would read: the clock's own nearest second, and
+            # the offset from it.
+            reading_ns = boundary * NS_PER_S + offset_ns
+            second = nearest_second(reading_ns)
+            logged_ns = reading_ns - second * NS_PER_S
+        seg.end_offset_ns = logged_ns
+        self._log(float(second), logged_ns, SampleSource.HOLDOVER)
         if self.holdover:
             return
         seg.samples.append((float(boundary), offset_ns))
@@ -252,30 +287,45 @@ class NodeSim:
             if self.servo.mode is not ServoMode.NMEA_ONLY:
                 edge_ns = pps.next_pps((boundary - 1) * NS_PER_S,
                                        self.spec.receiver.pps, self.rng_pps)
-                self.pps_log.append(edge_ns)
+                pulses = self.pulses
+                pulses.edge_ns[pulses.n] = edge_ns
+                pulses.n += 1
                 self.on_edge(edge_ns, temp_c)
             delay = self.spec.receiver.serial.delivery_delay_ns(self.rng_serial)
             if delay is not None:
                 arrival_ns = boundary * NS_PER_S + delay
-                self.nmea_log.append((arrival_ns, boundary, nsat))
+                bursts = self.bursts
+                i = bursts.n
+                bursts.arrival_ns[i] = arrival_ns
+                bursts.second[i] = boundary
+                bursts.nsat[i] = nsat
+                bursts.n = i + 1
                 self.on_sentence(arrival_ns, boundary * NS_PER_S,
                                  nsat >= scenario.MIN_FIX_NSAT, temp_c)
         else:
             self._outage_tick(boundary, temp_c)
-        self.true_rows.append(self.clock.phase_offset_ns)
+        true = self.true
+        true.offset_ns[true.n] = self.clock.phase_offset_ns
+        true.n += 1
 
     def finish(self, duration: int) -> None:
         if self.outage is not None:
             self._end_outage(duration + 1)
         self._drop_pending("unlabeled edge")
+        self.trim()
+
+    def trim(self) -> None:
+        """Cut every log to the rows written."""
+        for log in (self.loop, self.bursts, self.pulses, self.true):
+            log.trim()
 
     def summary(self) -> dict:
-        """The node's entry in a run's manifest."""
-        offs = np.array(self.true_rows, dtype=float)
+        """The node's entry in a run's manifest, once it has finished."""
+        offs = np.array(self.true.offset_ns, dtype=float)
         return {
             "true_offset_mean_ns": float(offs.mean()) if offs.size else 0.0,
             "true_offset_max_abs_ns": float(np.abs(offs).max()) if offs.size else 0.0,
-            "loop_samples": len(self.loop_rows),
+            "loop_samples": len(self.loop),
             "warnings": len(self.warnings),
             "holdover_segments": [
                 {"start_s": seg.start_s, "end_s": seg.end_s,
@@ -333,8 +383,9 @@ def capture_seconds(nmea_events, pps_edges) -> tuple[int, int]:
 
 
 def run_replay(cfg: ScenarioConfig, spec: NodeSpec, nmea_events,
-               pps_edges) -> tuple[list[LoopRow], list[str]]:
-    """Drive one node's servo from recorded event streams.
+               pps_edges) -> tuple[Columns, list[str]]:
+    """Drive one node's servo from recorded event streams; returns its
+    loop log, as `LOOP_COLUMNS` columns, and its warnings.
 
     nmea_events are (arrival_ns, named_ns, fix_valid) tuples; pps_edges
     are true edge times in ns. Every second of the capture must lie in the
@@ -343,9 +394,11 @@ def run_replay(cfg: ScenarioConfig, spec: NodeSpec, nmea_events,
     live run gives that node, and the events go through the same `NodeSim`
     handlers as a live run, so replaying a run's own event logs reproduces
     its loop log exactly for outage-free, drop-free runs at constant
-    temperature. Two departures remain: temperature is taken at each
-    event's time instead of at the start of its second, and nothing
-    advances the clock through an outage.
+    temperature. The node's logs hold one row per event, since an event
+    logs at most one loop row; several edges within one second can each
+    log one. Two departures remain: temperature is taken at each event's
+    time instead of at the start of its second, and nothing advances the
+    clock through an outage.
     """
     first, last = capture_seconds(nmea_events, pps_edges)
     for second in (first, last):
@@ -354,7 +407,8 @@ def run_replay(cfg: ScenarioConfig, spec: NodeSpec, nmea_events,
                 f"the capture's second {second} lies outside the "
                 f"scenario's {cfg.duration_s} s")
     index = [n.name for n in cfg.nodes].index(spec.name)
-    sim = NodeSim(cfg, spec, seed_sequences(cfg)[0][index])
+    sim = NodeSim(cfg, spec, seed_sequences(cfg)[0][index],
+                  len(nmea_events) + len(pps_edges))
 
     # Edges sort ahead of sentences arriving at the same instant.
     merged = [(t, sim.on_edge, (t,)) for t in pps_edges]
@@ -363,4 +417,5 @@ def run_replay(cfg: ScenarioConfig, spec: NodeSpec, nmea_events,
     for t_ns, handle, args in merged:
         t = min(t_ns / NS_PER_S, cfg.duration_s)
         handle(*args, scenario.temperature_at(cfg, max(0.0, t)))
-    return sim.loop_rows, sim.warnings
+    sim.trim()
+    return sim.loop, sim.warnings

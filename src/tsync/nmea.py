@@ -238,8 +238,10 @@ class SerialDeliveryModel(Bounded):
     be dropped with drop_prob.
     """
 
-    base_latency_ms: float = config_field(80.0, minimum=0)
-    jitter_ms: float = config_field(10.0, minimum=0)
+    # Under a second each, so a second's burst leaves before the next one.
+    base_latency_ms: float = config_field(80.0, minimum=0,
+                                          exclusiveMaximum=1000)
+    jitter_ms: float = config_field(10.0, minimum=0, exclusiveMaximum=1000)
     drop_prob: float = config_field(0.0, minimum=0, exclusiveMaximum=1)
 
     def delivery_delay_ns(self, rng) -> int | None:
@@ -269,15 +271,18 @@ def fix_for_second(second: int, nsat: int, talker: str) -> GnssFix:
                    nsat, talker)
 
 
-def format_log(bursts, constellations):
-    """A run's sentence log, as text blocks of CSV_BLOCK bursts. Each
-    `(arrival_ns, second, nsat)` burst is an RMC and a GGA for that
-    second, each line prefixed with the arrival time in ns."""
+def format_log(arrivals, seconds, nsats, constellations):
+    """A run's sentence log, as text blocks of CSV_BLOCK bursts, from the
+    bursts' equal-length columns of arrival times (ns), seconds and
+    satellite counts. Each burst is an RMC and a GGA for its second, each
+    line prefixed with its arrival time."""
     rmc, gga = SentenceKind.RMC, SentenceKind.GGA
     talker = _MASK_TO_TALKER.get(constellations, "GN")
-    for i in range(0, len(bursts), CSV_BLOCK):
+    for i in range(0, len(arrivals), CSV_BLOCK):
+        j = i + CSV_BLOCK
         out = []
-        for arrival_ns, second, nsat in bursts[i:i + CSV_BLOCK]:
+        for arrival_ns, second, nsat in zip(arrivals[i:j], seconds[i:j],
+                                            nsats[i:j]):
             fix = fix_for_second(second, nsat, talker)
             out.append(f"{arrival_ns} {generate(fix, rmc)}\n"
                        f"{arrival_ns} {generate(fix, gga)}\n")

@@ -80,8 +80,8 @@ def label_pps(edge_ns: int, arrival_ns: int, second: int,
 
 
 def format_log(edges):
-    """An edge capture log, as text blocks of CSV_BLOCK lines: one true
-    edge time in ns per line."""
+    """An edge capture log, as text blocks of CSV_BLOCK lines, from a
+    column of true edge times in ns: one per line."""
     for i in range(0, len(edges), CSV_BLOCK):
         block = edges[i:i + CSV_BLOCK]
         yield "%d\n" * len(block) % tuple(block)

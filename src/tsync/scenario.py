@@ -108,8 +108,10 @@ class VisibilitySeg(Bounded):
 
     t_start: float = config_field(minimum=0)
     t_end: float = config_field(exclusiveMinimum=0)
-    nsat_gps: int = config_field(minimum=0)
-    nsat_bds: int = config_field(minimum=0)
+    # At most the PRN slots of each constellation, so the sum fits GGA's
+    # two-digit satellite field.
+    nsat_gps: int = config_field(minimum=0, maximum=32)
+    nsat_bds: int = config_field(minimum=0, maximum=63)
 
     def __post_init__(self):
         super().__post_init__()

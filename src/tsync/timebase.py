@@ -10,6 +10,7 @@ expressed as the Allan-deviation level at tau = 1 s.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 import re
@@ -323,9 +324,11 @@ def flicker_fm_noise(amplitude: float, n: int, seed) -> np.ndarray:
     slope is contractual; the level is calibrated to the amplitude.
     """
     rng = np.random.default_rng(seed)
-    h = [1.0] * n
-    for i in range(1, n):
-        h[i] = h[i - 1] * (0.5 + i - 1) / i
+    # The recurrence runs in builtin floats, in this order: np.cumprod of
+    # the ratios rounds differently.
+    h = np.fromiter(itertools.accumulate(
+        range(1, n), lambda h_prev, i: h_prev * (0.5 + i - 1) / i,
+        initial=1.0), np.float64, n)
     w = rng.standard_normal(n)
     # Linear convolution through a zero-padded real FFT. The padded
     # length sets the rounding of every output sample. Recorded seeded

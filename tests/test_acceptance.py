@@ -29,7 +29,7 @@ def _report(num: int, desc: str, ok: bool, detail: str) -> None:
 
 
 def _loop_offsets(result, node):
-    return np.array([r.offset_ns for r in result[node].loop_rows])
+    return np.array(result[node].loop.offset_ns)
 
 
 @pytest.fixture(scope="module")
@@ -238,7 +238,7 @@ def test_criterion_9_property_suites(tmp_path):
         scenario.preset("tunnel_5km"), name="label", duration_s=400,
         temperature=scenario.ConstantTemp(25.0),
         visibility=(scenario.VisibilitySeg(0.0, 400.0, 8, 6),)))
-    checks["labeling"] = (len(lab["vehicle"].loop_rows) == 400
+    checks["labeling"] = (len(lab["vehicle"].loop) == 400
                           and not lab["vehicle"].warnings)
 
     # beacon timer monotonicity and one-step convergence

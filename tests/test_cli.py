@@ -154,7 +154,12 @@ class TestRun:
         (("nodes", 0, "receiver", "label_window_ns"), 0, {},
          "label_window_ns must be positive"),
         (("nodes", 0, "receiver", "serial_jitter_ms"), -1, {},
-         "nodes[0].receiver: serial_jitter_ms must be >= 0"),
+         "nodes[0].receiver: serial_jitter_ms must be in [0, 1000)"),
+        *((("nodes", 0, "receiver", "serial_base_latency_ms"), latency, {},
+           "nodes[0].receiver: serial_base_latency_ms must be in [0, 1000)")
+          for latency in (1e12, 1e13)),
+        (("visibility", 0, "nsat_gps"), 33, {},
+         "visibility[0]: nsat_gps must be in [0, 32]"),
         (("nodes", 0, "receiver", "pps_half_width_ns"), -1, {},
          "nodes[0].receiver: pps_half_width_ns must be >= 0"),
         (("traffic",), [{"kind": "broadcast", "rate_hz": 10.0, "params": {
@@ -242,6 +247,7 @@ class TestRun:
             "trace-file-missing", "trace-file-is-directory",
             "trace-file-not-utf8", "scenario-not-utf8", "range-period-zero",
             "label-window-zero", "receiver-serial-jitter-negative",
+            "serial-latency-1e12", "serial-latency-1e13", "nsat-gps-33",
             "receiver-pps-half-width-negative", "traffic-param-typo",
             "traffic-unknown-node", "broadcast-repeated-client",
             "tsf-no-nodes", "tsf-spread-past-100ppm",
@@ -447,7 +453,7 @@ class TestAnalyze:
                              ).exit_code == 0
         res = runner.invoke(main, ["analyze", str(out / "loop_bench.csv")])
         rep = json.loads(res.output)
-        offs = [r.offset_ns for r in engine.run_scenario(cfg)["bench"].loop_rows]
+        offs = list(engine.run_scenario(cfg)["bench"].loop.offset_ns)
         direct = metrics.report(offs, tau0_s=1.0)
         assert rep["mean_ns"] == direct["mean_ns"]
         assert rep["peak_to_peak_ns"] == direct["peak_to_peak_ns"]
@@ -602,14 +608,15 @@ class TestAnalyze:
         assert res.exit_code == 0, res.output
         assert json.loads(res.stdout)["n"] == len(rows)
 
-    @pytest.mark.parametrize("offset_s,step", [(-0.7, 0), (2.6, -2)],
-                             ids=["repeats", "steps-back"])
+    @pytest.mark.parametrize("offset_s", [-0.7, 2.6],
+                             ids=["behind-0.7s", "ahead-2.6s"])
     def test_pulse_only_outage_log_analyzes(self, runner, tmp_path,
-                                            offset_s, step):
+                                            offset_s):
         # A pulse-only node locks to the nearest second, so a clock whole
-        # seconds off labels its pulses by its own second, and its holdover
-        # rows by the true one: the times of a log tsync writes itself
-        # repeat or step back across an outage.
+        # seconds off labels its pulses by its own second. Its holdover
+        # rows take the reading a pulse would give, so across an outage
+        # the log's times still rise in 1 s steps, and every offset lies
+        # within half a second.
         cfg = scenario.preset("lab_16c")
         node = cfg.nodes[0]
         servo = dataclasses.replace(node.servo,
@@ -626,8 +633,16 @@ class TestAnalyze:
                                    "--out", str(tmp_path / "out")])
         assert res.exit_code == 0, res.output
         log = tmp_path / "out" / f"loop_{node.name}.csv"
-        times = np.loadtxt(log, delimiter=",", skiprows=1, usecols=0)
-        assert step in np.diff(times)
+        rows = [line.split(",") for line in log.read_text().splitlines()[1:]]
+        times = np.array([float(r[0]) for r in rows])
+        offsets = np.array([int(r[1]) for r in rows])
+        assert (np.diff(times) == 1.0).all()
+        assert (np.abs(offsets) <= 500_000_000).all()
+        held = [int(r[1]) for r in rows if r[3] == "HOLDOVER"]
+        assert len(held) == 30
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        (seg,) = manifest["summary"]["nodes"][node.name]["holdover_segments"]
+        assert seg["end_offset_ns"] == held[-1]
         res = runner.invoke(main, ["analyze", str(log)])
         assert res.exit_code == 0, res.output
         assert json.loads(res.stdout)["noise_fit"] is not None
@@ -740,12 +755,18 @@ def test_block_rendered_loop_log_equals_per_row_rendering(n):
     for i, (t, f, o) in enumerate(edges[:n]):
         elapsed[i], freqs[i], offsets[i] = t, f, o
     sources = ["COMBINED", "PPS", "NMEA", "HOLDOVER"]
-    rows = [engine.LoopRow(t, o, f, sources[i % 4], i % 3 == 0)
+    rows = [(t, o, f, sources[i % 4], int(i % 3 == 0))
             for i, (t, o, f) in enumerate(zip(elapsed, offsets, freqs))]
+    loop = engine.Columns(n, **engine.LOOP_COLUMNS)
+    for i, (t, o, f, source, holdover) in enumerate(rows):
+        loop.elapsed_s[i], loop.offset_ns[i] = t, o
+        loop.freq_correction_ppm[i] = f
+        loop.source[i] = engine.SOURCES.index(source)
+        loop.holdover[i] = holdover
+    loop.n = n
     by_row = "\n".join([engine.LOOP_HEADER, *(
-        f"{r.elapsed_s:.3f},{r.offset_ns},{r.freq_correction_ppm!r},"
-        f"{r.source},{int(r.holdover)}" for r in rows)]) + "\n"
-    assert "".join(_loop_csv(rows)) == by_row
+        engine.LOOP_FORMAT % row for row in rows)]) + "\n"
+    assert "".join(_loop_csv(loop)) == by_row
 
 
 def test_written_file_mode_follows_the_umask(tmp_path):
@@ -1017,6 +1038,26 @@ class TestReplay:
         rows = (tmp_path / "rp" / "loop_replay.csv").read_text().splitlines()
         assert [r.split(",")[0] for r in rows[1:]] == \
             [f"{s}.000" for s in range(1, 21)]
+
+    def test_pulse_steps_within_a_second_each_log_a_row(self, runner,
+                                                         tmp_path):
+        # Edges 0.2 s apart over a 3 s capture: a pulse-only node steps
+        # its clock at each, labelling several within one second, so the
+        # replay logs more rows than the capture has seconds.
+        edges = [1_300_000_000 + k * 200_000_000 for k in range(11)]
+        (tmp_path / "pps.log").write_text("".join(f"{e}\n" for e in edges))
+        (tmp_path / "nmea.log").write_text("".join(nmea.format_log(
+            [s * 10**9 + 80_000_000 for s in (1, 2, 3)], [1, 2, 3], [8] * 3,
+            frozenset({"GPS"}))))
+        res = runner.invoke(main, [
+            "replay", str(tmp_path / "nmea.log"),
+            "--pps", str(tmp_path / "pps.log"), "--mode", "pps",
+            "--out", str(tmp_path / "rp")])
+        assert res.exit_code == 0, res.output
+        rows = (tmp_path / "rp" / "loop_replay.csv").read_text().splitlines()
+        assert len(rows) == 1 + len(edges)
+        assert {r.split(",")[3] for r in rows[1:]} == {"PPS"}
+        assert len({r.split(",")[0] for r in rows[1:]}) < len(edges)
 
     def test_bare_replay_refuses_a_node_name(self, runner, tmp_path,
                                             combined_run):

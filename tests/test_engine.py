@@ -1,4 +1,7 @@
 import dataclasses
+import gc
+import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -30,7 +33,29 @@ def small_cfg(mode=ServoMode.NMEA_PLUS_PPS, duration=120, seed=5, osc=None,
 
 
 def offsets(result, node="n0"):
-    return np.array([r.offset_ns for r in result[node].loop_rows])
+    return np.array(result[node].loop.offset_ns)
+
+
+class Row(NamedTuple):
+    elapsed_s: float
+    offset_ns: int
+    freq_correction_ppm: float
+    source: str
+    holdover: int
+
+
+def loop_rows(loop) -> list[Row]:
+    """The rows written to a loop log's columns, each source as its name."""
+    n = len(loop)
+    return [Row(t, o, f, engine.SOURCES[s], h) for t, o, f, s, h in zip(
+        loop.elapsed_s[:n], loop.offset_ns[:n],
+        loop.freq_correction_ppm[:n], loop.source[:n], loop.holdover[:n])]
+
+
+def bursts(sim) -> list[tuple[int, int, int]]:
+    """A node's (arrival_ns, second, nsat) bursts, read from its columns."""
+    b = sim.bursts
+    return list(zip(b.arrival_ns, b.second, b.nsat))
 
 
 class TestDiscipline:
@@ -41,20 +66,20 @@ class TestDiscipline:
 
     def test_one_sample_per_second_combined(self):
         res = engine.run_scenario(small_cfg(duration=60))
-        rows = res["n0"].loop_rows
+        rows = loop_rows(res["n0"].loop)
         assert len(rows) == 60
         assert [r.source for r in rows] == ["COMBINED"] * 60
         assert [r.elapsed_s for r in rows] == [float(b) for b in range(1, 61)]
 
     def test_labeling_always_correct_under_defaults(self):
         res = engine.run_scenario(small_cfg(duration=300))
-        assert len(res["n0"].loop_rows) == 300
+        assert len(res["n0"].loop) == 300
         assert res["n0"].warnings == []
 
     def test_large_initial_offset_is_stepped(self):
         res = engine.run_scenario(small_cfg(initial_offset_ns=500_000_000,
                                             duration=30))
-        rows = res["n0"].loop_rows
+        rows = loop_rows(res["n0"].loop)
         assert abs(rows[0].offset_ns - 500_000_000) < 1000
         assert abs(rows[1].offset_ns) < 1000
 
@@ -70,7 +95,7 @@ class TestDiscipline:
         sim = engine.NodeSim(cfg, cfg.nodes[0], np.random.SeedSequence(0))
         sim.on_edge(100 * 10**9, 25.0)
         sim.on_sentence(100 * 10**9 + 80_000_000, 100 * 10**9, True, 25.0)
-        (row,) = sim.loop_rows
+        (row,) = loop_rows(sim.loop)
         assert (row.elapsed_s, row.offset_ns) == (100.0, offset_ns)
         assert row.source == ("PPS" if mode is ServoMode.PPS_ONLY
                               else "COMBINED")
@@ -89,8 +114,8 @@ class TestDiscipline:
         a = engine.run_scenario(small_cfg(osc=osc))
         b = engine.run_scenario(small_cfg(osc=osc))
         assert np.array_equal(offsets(a), offsets(b))
-        assert a["n0"].nmea_log == b["n0"].nmea_log
-        assert a["n0"].pps_log == b["n0"].pps_log
+        assert bursts(a["n0"]) == bursts(b["n0"])
+        assert a["n0"].pulses.edge_ns == b["n0"].pulses.edge_ns
 
     def test_mode_noise_ordering(self):
         # steady-state spread: pulse-disciplined <= combined < sentence-only
@@ -109,13 +134,13 @@ class TestDiscipline:
             ReceiverSpec().serial, jitter_ms=0.0))
         cfg = small_cfg(duration=30, receiver=recv)
         res = engine.run_scenario(cfg)
-        for rx, second, _ in res["n0"].nmea_log:
+        for rx, second, _ in bursts(res["n0"]):
             assert rx == second * 10**9 + 80_000_000
 
     def test_one_pulse_per_second_while_fix_holds(self):
         cfg = scenario.preset("tunnel_5km")
         res = engine.run_scenario(cfg)
-        edges = res["vehicle"].pps_log
+        edges = res["vehicle"].pulses.edge_ns
         assert len(edges) == cfg.duration_s - 315
         seconds = [round(e / 10**9) for e in edges]
         assert len(set(seconds)) == len(seconds)
@@ -132,14 +157,15 @@ class TestDiscipline:
         # NSAT 1..3 still drives the pulse train; only NSAT=0 coasts
         cfg = scenario.preset("mixed_urban")
         res = engine.run_scenario(cfg)
-        rows = res["vehicle"].loop_rows
+        rows = loop_rows(res["vehicle"].loop)
         assert not any(r.source == "HOLDOVER" for r in rows)
         assert res["vehicle"].warnings == []
         gps_only = dataclasses.replace(
             cfg, nodes=(dataclasses.replace(
                 cfg.nodes[0], constellations=frozenset({"GPS"})),))
         res2 = engine.run_scenario(gps_only)
-        hold = [r for r in res2["vehicle"].loop_rows if r.source == "HOLDOVER"]
+        hold = [r for r in loop_rows(res2["vehicle"].loop)
+                if r.source == "HOLDOVER"]
         assert hold, "GPS-only receiver should coast through shadowed spans"
 
     def test_nmea_mode_measures_serial_spread(self):
@@ -148,6 +174,29 @@ class TestDiscipline:
         offs = offsets(engine.run_scenario(cfg))
         assert np.abs(offs).max() < 15_000_000
         assert offs.std(ddof=1) > 1_000_000
+
+
+class TestRetainedMemory:
+    def test_bytes_held_per_node_second(self):
+        # A node's logs are typed columns allocated once. After a 3 600 s
+        # run with noise, about 180 B per node-second stay held: the
+        # columns, the noise series and two blocks of draws. Logs kept as
+        # lists of Python objects held about 480 B.
+        osc = OscillatorParams(f0_ppm=0.1, noise_white_fm=2e-9,
+                               noise_flicker_fm=1e-9,
+                               noise_randomwalk_fm=1e-11)
+        engine.run_scenario(small_cfg(osc=osc, duration=60))  # fill caches
+        cfg = small_cfg(osc=osc, duration=3600)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            res = engine.run_scenario(cfg)
+            gc.collect()
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(res["n0"].loop) == 3600
+        assert held / cfg.duration_s < 330
 
 
 class TestBlockDraws:
@@ -171,13 +220,13 @@ class TestSentenceSample:
     def test_nmea_perfect_clock_exact_delay_estimate(self):
         sim = self.sentence_sim()
         sim.on_sentence(100 * 10**9 + 80_000_000, 100 * 10**9, True, 25.0)
-        (row,) = sim.loop_rows
+        (row,) = loop_rows(sim.loop)
         assert (row.elapsed_s, row.offset_ns, row.source) == (100.0, 0, "NMEA")
 
     def test_nmea_unmodeled_bias_passes_through(self):
         sim = self.sentence_sim()
         sim.on_sentence(100 * 10**9 + 85_000_000, 100 * 10**9, True, 25.0)
-        (row,) = sim.loop_rows
+        (row,) = loop_rows(sim.loop)
         assert row.offset_ns == 5_000_000
 
     def test_fractional_named_time_is_the_reference(self):
@@ -186,7 +235,7 @@ class TestSentenceSample:
         sim.on_sentence(named_ns + 80_000_000, named_ns, True, 25.0)
         # a second sentence naming the same second takes no sample
         sim.on_sentence(named_ns + 90_000_000, named_ns + 1, True, 25.0)
-        (row,) = sim.loop_rows
+        (row,) = loop_rows(sim.loop)
         assert (row.elapsed_s, row.offset_ns) == (100.25, 0)
 
     def test_nmea_invalid_fix_takes_no_sample(self):
@@ -197,9 +246,9 @@ class TestSentenceSample:
                         VisibilitySeg(5.0, 6.0, 2, 0),
                         VisibilitySeg(6.0, 10.0, 8, 6)))
         res = engine.run_scenario(cfg)
-        assert [r.elapsed_s for r in res["n0"].loop_rows] == \
+        assert [r.elapsed_s for r in loop_rows(res["n0"].loop)] == \
             [float(s) for s in range(1, 11) if s != 6]
-        assert [(s, n) for _, s, n in res["n0"].nmea_log] == \
+        assert [(s, n) for _, s, n in bursts(res["n0"])] == \
             [(s, 2 if s == 6 else 14) for s in range(1, 11)]
         assert res["n0"].holdover_segments == []
 
@@ -231,7 +280,7 @@ class TestOutage:
 
     def test_holdover_rows_cover_gap(self):
         res = engine.run_scenario(self.outage_cfg(predict=False))
-        hold = [r for r in res["n0"].loop_rows if r.source == "HOLDOVER"]
+        hold = [r for r in loop_rows(res["n0"].loop) if r.source == "HOLDOVER"]
         assert len(hold) == 160
         segs = res["n0"].holdover_segments
         assert len(segs) == 1
@@ -254,7 +303,7 @@ class TestOutage:
 
     def test_reacquisition_recovers(self):
         res = engine.run_scenario(self.outage_cfg(predict=False))
-        rows = [r for r in res["n0"].loop_rows if r.source == "COMBINED"]
+        rows = [r for r in loop_rows(res["n0"].loop) if r.source == "COMBINED"]
         assert abs(rows[-1].offset_ns) < 500
 
     def test_holdover_flag_waits_for_each_segments_fit(self):
@@ -272,7 +321,7 @@ class TestOutage:
         segs = res["n0"].holdover_segments
         assert [(s.start_s, s.end_s) for s in segs] == [(60.0, 140.0),
                                                         (150.0, 230.0)]
-        rows = res["n0"].loop_rows
+        rows = loop_rows(res["n0"].loop)
         for seg in segs:
             # the slope is fitted once the observations span the minimum
             fit_s = seg.start_s + 1 + servo.MIN_HOLDOVER_SPAN_S
@@ -288,14 +337,15 @@ class TestOutage:
         cfg = scenario.preset("tunnel_5km")
         res = engine.run_scenario(cfg)
         (seg,) = res["vehicle"].holdover_segments
-        hold = [(r.elapsed_s, r.offset_ns) for r in res["vehicle"].loop_rows
+        hold = [(r.elapsed_s, r.offset_ns)
+                for r in loop_rows(res["vehicle"].loop)
                 if r.source == "HOLDOVER"
                 and seg.start_s < r.elapsed_s <= seg.end_s]
         assert seg.slope_ns_per_s == servo.enter_holdover(hold[:61])
 
     def test_holdover_flag_in_rows(self):
         res = engine.run_scenario(self.outage_cfg(predict=True))
-        flagged = [r for r in res["n0"].loop_rows if r.holdover]
+        flagged = [r for r in loop_rows(res["n0"].loop) if r.holdover]
         assert flagged, "holdover never became active"
         assert all(r.source == "HOLDOVER" for r in flagged)
 
@@ -334,13 +384,14 @@ class TestCallerGuarantees:
         sim = engine.run_scenario(cfg)["vehicle"]
         assert sim.holdover_segments
         path = tmp_path / "nmea.log"
-        path.write_text("".join(nmea.format_log(sim.nmea_log,
-                                                sim.spec.constellations)))
+        b = sim.bursts
+        path.write_text("".join(nmea.format_log(
+            b.arrival_ns, b.second, b.nsat, sim.spec.constellations)))
         events = nmea.read_log(path, 80.0)
         end_ns = cfg.duration_s * 10**9
-        assert sim.pps_log[-1] > end_ns and events[-1][0] > end_ns
+        assert sim.pulses.edge_ns[-1] > end_ns and events[-1][0] > end_ns
         run_calls = len(calls)
-        engine.run_replay(cfg, sim.spec, events, sim.pps_log)
+        engine.run_replay(cfg, sim.spec, events, sim.pulses.edge_ns)
         assert len(calls) > run_calls
         assert all(0 <= t_s <= cfg.duration_s for _, t_s in calls)
         assert calls[-1][1] == cfg.duration_s
@@ -360,8 +411,9 @@ class TestReplayParity:
     def logged_events(res, cfg, tmp_path, node="n0"):
         """A node's sentence log, written and read back."""
         path = tmp_path / f"nmea_{node}.log"
+        b = res[node].bursts
         path.write_text("".join(nmea.format_log(
-            res[node].nmea_log, cfg.node(node).constellations)))
+            b.arrival_ns, b.second, b.nsat, cfg.node(node).constellations)))
         return nmea.read_log(path, 80.0)
 
     @pytest.mark.parametrize("mode", list(ServoMode), ids=lambda m: m.value)
@@ -372,11 +424,11 @@ class TestReplayParity:
         res = engine.run_scenario(cfg)
         rows, warnings = engine.run_replay(
             cfg, cfg.nodes[0], self.logged_events(res, cfg, tmp_path),
-            res["n0"].pps_log)
+            res["n0"].pulses.edge_ns)
         assert warnings == []
         assert len(rows) == 180
-        assert [LOOP_FORMAT % r for r in rows] == \
-            [LOOP_FORMAT % r for r in res["n0"].loop_rows]
+        assert [LOOP_FORMAT % r for r in loop_rows(rows)] == \
+            [LOOP_FORMAT % r for r in loop_rows(res["n0"].loop)]
 
     def test_second_node_replays_its_own_run(self, tmp_path):
         # Each node draws from its own seed; replay must pick node n1's.
@@ -387,24 +439,24 @@ class TestReplayParity:
                                  initial_offset_ns=3_000)
         cfg = dataclasses.replace(base, nodes=(base.nodes[0], n1))
         res = engine.run_scenario(cfg)
-        live = [LOOP_FORMAT % r for r in res["n1"].loop_rows]
-        assert live != [LOOP_FORMAT % r for r in res["n0"].loop_rows]
+        live = [LOOP_FORMAT % r for r in loop_rows(res["n1"].loop)]
+        assert live != [LOOP_FORMAT % r for r in loop_rows(res["n0"].loop)]
         rows, warnings = engine.run_replay(
             cfg, n1, self.logged_events(res, cfg, tmp_path, "n1"),
-            res["n1"].pps_log)
+            res["n1"].pulses.edge_ns)
         assert warnings == []
-        assert [LOOP_FORMAT % r for r in rows] == live
+        assert [LOOP_FORMAT % r for r in loop_rows(rows)] == live
 
     def test_missing_pulse_second_coasts_with_warning(self, tmp_path):
         cfg = small_cfg(duration=120)
         res = engine.run_scenario(cfg)
         events = self.logged_events(res, cfg, tmp_path)
-        edges = [e for e in res["n0"].pps_log
+        edges = [e for e in res["n0"].pulses.edge_ns
                  if abs(e - 60 * 10**9) > 10**8]  # drop second 60's edge
         rows, warnings = engine.run_replay(cfg, cfg.nodes[0], events, edges)
         assert len(warnings) == 1
         assert "60" in warnings[0]
-        assert len(rows) == len(res["n0"].loop_rows) - 1
+        assert len(rows) == len(res["n0"].loop) - 1
 
 
 class TestIntegerTime:
@@ -427,7 +479,7 @@ class TestIntegerTime:
     def test_run_builds_no_instant(self, instants, mode):
         res = engine.run_scenario(small_cfg(mode=mode, duration=60))
         assert res["n0"].warnings == []
-        assert len(res["n0"].loop_rows) == 60
+        assert len(res["n0"].loop) == 60
         assert instants == []
 
     def test_broadcast_builds_no_instant(self, instants):

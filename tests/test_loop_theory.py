@@ -62,10 +62,9 @@ def predicted_offsets(initial_offset_ns: int, f_ppm: float, kp: float,
 def test_transient_follows_the_pi_recurrence(mode, initial_offset_ns):
     cfg = quiet_room(mode, initial_offset_ns)
     spec = cfg.nodes[0]
-    rows = engine.run_scenario(cfg)[spec.name].loop_rows
-    assert [r.elapsed_s for r in rows] == \
-        [float(k) for k in range(1, DURATION_S + 1)]
+    loop = engine.run_scenario(cfg)[spec.name].loop
+    assert list(loop.elapsed_s) == [float(k) for k in range(1, DURATION_S + 1)]
     want = predicted_offsets(initial_offset_ns, spec.oscillator.f0_ppm,
-                             spec.servo.kp, spec.servo.ki, len(rows))
-    worst = max(abs(r.offset_ns - e) for r, e in zip(rows, want))
+                             spec.servo.kp, spec.servo.ki, len(loop))
+    worst = max(abs(o - e) for o, e in zip(loop.offset_ns, want))
     assert worst <= TOLERANCE_NS

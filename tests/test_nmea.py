@@ -244,8 +244,10 @@ class TestTimeField:
 
 
 def _bursts(seconds, nsats, delays):
-    """Bursts of a run: one per second, each arriving inside its second."""
-    return [(s * 10**9 + d, s, n) for s, n, d in zip(seconds, nsats, delays)]
+    """The burst columns of a run (arrival times, seconds and satellite
+    counts): one burst per second, each arriving inside its second."""
+    return ([s * 10**9 + d for s, d in zip(seconds, delays)], list(seconds),
+            list(nsats))
 
 
 # Seconds of a run, crowded around the first two midnights.
@@ -267,9 +269,9 @@ class TestSentenceLog:
                                     max_size=n))
         bursts = _bursts(seconds, nsats, delays)
         path = tmp_path / "nmea.log"
-        path.write_text("".join(nmea.format_log(bursts, mask)))
+        path.write_text("".join(nmea.format_log(*bursts, mask)))
         want = [(rx, s * 10**9, nsat >= nmea.MIN_FIX_NSAT)
-                for rx, s, nsat in bursts for _ in ("RMC", "GGA")]
+                for rx, s, nsat in zip(*bursts) for _ in ("RMC", "GGA")]
         assert nmea.read_log(path, 80.0) == want
 
     @pytest.mark.parametrize("mask", [frozenset({"GPS"}),
@@ -283,7 +285,7 @@ class TestSentenceLog:
         bursts = _bursts(seconds, nsats, [s % 7 * 10**8 for s in seconds])
         talker = {"GPS": "GP", "BEIDOU": "GB"}.get(",".join(mask), "GN")
         want = []
-        for rx, s, nsat in bursts:
+        for rx, s, nsat in zip(*bursts):
             day, tod = divmod(s, 86_400)
             date = nmea.SIM_EPOCH_DATE + datetime.timedelta(days=day)
             hms = f"{tod // 3600:02d}{tod // 60 % 60:02d}{tod % 60:02d}.000"
@@ -293,20 +295,20 @@ class TestSentenceLog:
                     f"{date:%d%m%y},,",
                     f"{talker}GGA,{hms},,,,,{int(valid)},{nsat:02d},,,M,,M"):
                 want.append(f"{rx} ${payload}*{checksum(payload)}\n")
-        blocks = list(nmea.format_log(bursts, mask))
+        blocks = list(nmea.format_log(*bursts, mask))
         assert len(blocks) == 2
         assert "".join(blocks) == "".join(want)
 
     def test_time_field_formatted_once_per_burst(self):
         nmea._time_field.cache_clear()
         text = "".join(nmea.format_log(
-            _bursts([1, 2, 3], [8, 8, 2], [0, 0, 0]), frozenset({"GPS"})))
+            *_bursts([1, 2, 3], [8, 8, 2], [0, 0, 0]), frozenset({"GPS"})))
         assert len(text.splitlines()) == 6
         assert nmea._time_field.cache_info().misses == 3
 
     def test_bare_sentences_arrive_after_the_assumed_latency(self, tmp_path):
         path = tmp_path / "nmea.log"
-        text = "".join(nmea.format_log(_bursts([5], [8], [0]),
+        text = "".join(nmea.format_log(*_bursts([5], [8], [0]),
                                        frozenset({"GPS"})))
         path.write_text("".join(line.partition(" ")[2] + "\n"
                                 for line in text.splitlines()))
@@ -316,7 +318,7 @@ class TestSentenceLog:
     def test_unsorted_arrivals_rejected(self, tmp_path):
         path = tmp_path / "nmea.log"
         path.write_text("".join(nmea.format_log(
-            [(3 * 10**9, 2, 8), (2 * 10**9, 3, 8)], frozenset({"GPS"}))))
+            [3 * 10**9, 2 * 10**9], [2, 3], [8, 8], frozenset({"GPS"}))))
         where = re.escape(str(path))
         with pytest.raises(MalformedField,
                            match=f"^{where}: arrivals not time-sorted$"):
