@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import logging
 import math
 import os
 import re
@@ -21,19 +20,13 @@ from itertools import chain
 import click
 import numpy as np
 
-from . import __version__, engine, metrics, net, nmea, pps, scenario, servo
+from . import __version__, engine, metrics, net, nmea, pps, scenario
 from .engine import LOOP_FORMAT, LOOP_HEADER
-from .timebase import CSV_BLOCK, NS_PER_S, NoiseExhausted, TimeReversalError
-
-log = logging.getLogger("tsync")
+from .timebase import CSV_BLOCK, NS_PER_S, NoiseExhausted
 
 HARNESS_HEADER = "packet_id,send_true_ns,recv_a_stamp_ns,recv_b_stamp_ns,offset_ns"
 NTP_HEADER = "t_s,offset_est_ns,delay_est_ns,truth_offset_ns"
 TSF_HEADER = "t_s,max_spread_us"
-
-
-class FormatError(ValueError):
-    pass
 
 
 def _write_atomic(path: str, chunks) -> None:
@@ -101,9 +94,6 @@ def _dump_json(data) -> str:
 @click.version_option(__version__)
 def main():
     """Simulate and analyze receiver-disciplined clock networks."""
-    level = os.environ.get("TSYNC_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s")
 
 
 def _run_one(cfg: scenario.ScenarioConfig, out_dir: str) -> dict:
@@ -181,7 +171,7 @@ def _run_one(cfg: scenario.ScenarioConfig, out_dir: str) -> dict:
                   (_dump_json(manifest),))
     for name, sim in nodes.items():
         for w in sim.warnings:
-            log.warning("%s: %s", name, w)
+            click.echo(f"WARNING tsync: {name}: {w}", err=True)
     return manifest
 
 
@@ -307,14 +297,14 @@ def _read_offsets(path: str):
                 data = _load_rows((line for line in fh
                                    if not line.isspace()), cols, t_type)
     except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
     except ValueError as exc:
         # numpy counts rows its own way; name the line of the file.
         reason = re.sub(r" at row \d+", "", str(exc))
-        raise FormatError(f"{path}:{_first_bad_line(path, cols, t_type)}: "
-                          f"{reason}") from exc
+        raise ValueError(f"{path}:{_first_bad_line(path, cols, t_type)}: "
+                         f"{reason}") from exc
     if cols is None:
-        raise FormatError(f"{path}: unrecognized header {header!r}")
+        raise ValueError(f"{path}: unrecognized header {header!r}")
     elapsed = data["t"]
     if header == HARNESS_HEADER:
         elapsed = elapsed / NS_PER_S
@@ -334,22 +324,22 @@ def analyze(logs, out_dir):
             raise click.UsageError(f"log name {name!r} given twice: reports "
                                    f"and --out files are named by it")
     reports = {}
-    try:
-        for path in logs:
+    for path in logs:
+        try:
             elapsed, offsets = _read_offsets(path)
-            tau0 = 1.0
-            if len(elapsed) > 1:
-                gaps = np.sort(np.diff(elapsed))
-                mid = gaps[len(gaps) // 2].item()
-                # Send times 1 ns apart past about 100 days divide to
-                # equal seconds, so the median gap can still be 0.
-                if mid > 0:
-                    tau0 = mid
-            rep = metrics.report(offsets, tau0_s=tau0)
-            reports[os.path.basename(path)] = (rep, elapsed, offsets)
-    except FormatError as exc:
-        click.echo(f"malformed log: {exc}", err=True)
-        sys.exit(1)
+        except ValueError as exc:
+            click.echo(f"malformed log: {exc}", err=True)
+            sys.exit(1)
+        tau0 = 1.0
+        if len(elapsed) > 1:
+            gaps = np.sort(np.diff(elapsed))
+            mid = gaps[len(gaps) // 2].item()
+            # Send times 1 ns apart past about 100 days divide to equal
+            # seconds, so the median gap can still be 0.
+            if mid > 0:
+                tau0 = mid
+        rep = metrics.report(offsets, tau0_s=tau0)
+        reports[os.path.basename(path)] = (rep, elapsed, offsets)
 
     flat = {k: v[0] for k, v in reports.items()}
     payload = next(iter(flat.values())) if len(flat) == 1 else flat
@@ -406,10 +396,8 @@ def replay(nmea_log, pps_log, mode, preset_name, scenario_path, node_name,
         cfg, spec = _replay_target(preset_name, scenario_path, node_name,
                                    seed, mode, pps_log is not None, last_s)
         loop, warnings = engine.run_replay(cfg, spec, events, edges)
-    except (FormatError, nmea.MalformedField, pps.MalformedEdge,
-            TimeReversalError, OverflowError, scenario.SchemaError,
-            scenario.UnknownPreset, engine.OutsideScenario,
-            servo.NonMonotonicSample) as exc:  # Overflow: past 64 bits
+    except (ValueError, OverflowError, scenario.UnknownPreset) as exc:
+        # OverflowError: a time or phase past 64 bits
         click.echo(f"replay error: {exc}", err=True)
         sys.exit(1)
     except NoiseExhausted as exc:
@@ -418,7 +406,7 @@ def replay(nmea_log, pps_log, mode, preset_name, scenario_path, node_name,
                    f"scenario holds ({exc})", err=True)
         sys.exit(1)
     for w in warnings:
-        log.warning("replay: %s", w)
+        click.echo(f"WARNING tsync: replay: {w}", err=True)
     path = os.path.join(out_dir, "loop_replay.csv")
     _write_atomic(path, _loop_csv(loop))
     click.echo(path)
@@ -429,14 +417,14 @@ def _replay_target(preset_name, scenario_path, node_name, seed, mode,
     """Scenario and node to replay against. Bare logs get one default node
     with full visibility through the capture's last second."""
     if preset_name and scenario_path:
-        raise FormatError("give either --preset or --scenario, not both")
+        raise ValueError("give either --preset or --scenario, not both")
     if preset_name:
         cfg = scenario.preset(preset_name)
     elif scenario_path:
         cfg = scenario.load(scenario_path)
     elif node_name:
-        raise FormatError("--node names a node of --preset or --scenario; "
-                          "bare logs replay one default node")
+        raise ValueError("--node names a node of --preset or --scenario; "
+                         "bare logs replay one default node")
     else:
         node = scenario.NodeSpec(name="replay", servo=scenario.ServoConfig(
             mode=scenario.ServoMode("nmea+pps" if have_pps else "nmea")))
@@ -452,7 +440,7 @@ def _replay_target(preset_name, scenario_path, node_name, seed, mode,
     elif cfg.nodes:
         spec = cfg.nodes[0]
     else:
-        raise FormatError(f"scenario {cfg.name!r} has no node to replay")
+        raise ValueError(f"scenario {cfg.name!r} has no node to replay")
     if mode:
         spec = dataclasses.replace(spec, servo=dataclasses.replace(
             spec.servo, mode=scenario.ServoMode(mode)))

@@ -27,10 +27,6 @@ from .timebase import (ClockState, FS_PER_NS, NS_PER_S, NoiseStream,
 DRAW_BLOCK = 4096
 
 
-class OutsideScenario(ValueError):
-    """A replayed event names a second the scenario does not cover."""
-
-
 class Columns:
     """The typed columns of one log, each allocated once with `rows` rows
     (an `array` of the given typecode per keyword): `n` counts the rows
@@ -262,7 +258,7 @@ class NodeSim:
             if second == last or not valid:
                 return
             if last is not None and second < last:
-                raise servo_mod.NonMonotonicSample(
+                raise ValueError(
                     f"sentence for second {second} not after history tail "
                     f"second {last}")
             self.last_sampled_second = second
@@ -389,7 +385,7 @@ def run_replay(cfg: ScenarioConfig, spec: NodeSpec, nmea_events,
 
     nmea_events are (arrival_ns, named_ns, fix_valid) tuples; pps_edges
     are true edge times in ns. Every second of the capture must lie in the
-    scenario's seconds 1..duration, else OutsideScenario. `spec` names a
+    scenario's seconds 1..duration, else ValueError. `spec` names a
     node of `cfg`; clock physics are rebuilt from it and from the seed a
     live run gives that node, and the events go through the same `NodeSim`
     handlers as a live run, so replaying a run's own event logs reproduces
@@ -403,7 +399,7 @@ def run_replay(cfg: ScenarioConfig, spec: NodeSpec, nmea_events,
     first, last = capture_seconds(nmea_events, pps_edges)
     for second in (first, last):
         if not 1 <= second <= cfg.duration_s:
-            raise OutsideScenario(
+            raise ValueError(
                 f"the capture's second {second} lies outside the "
                 f"scenario's {cfg.duration_s} s")
     index = [n.name for n in cfg.nodes].index(spec.name)

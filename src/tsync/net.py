@@ -26,14 +26,12 @@ class BroadcastLog:
     """Every packet of one broadcast run, one int64 column per field.
 
     `send_ns` is each packet's true send time and `send_stamp_ns` the
-    server's stamp of it. Per client, `arrival_ns` is the true arrival
-    time, `seen` marks the packets it kept and `stamp_ns` holds their
-    capture stamps (0 for the dropped ones).
+    server's stamp of it. Per client, `seen` marks the packets it kept
+    and `stamp_ns` holds their capture stamps (0 for the dropped ones).
     """
 
     send_ns: np.ndarray
     send_stamp_ns: np.ndarray
-    arrival_ns: dict[str, np.ndarray]
     stamp_ns: dict[str, np.ndarray]
     seen: dict[str, np.ndarray]
 
@@ -81,15 +79,16 @@ def run_broadcast(cfg: ScenarioConfig):
     # Second s stamps the packets ends[s - 1] <= k < ends[s].
     ends = np.searchsorted(send_col, np.arange(cfg.duration_s + 1) * NS_PER_S,
                            "right")
-    log = BroadcastLog(send_col, send_col.copy(), {}, {}, {})
+    log = BroadcastLog(send_col, send_col.copy(), {}, {})
     # Each reader's column holds its capture times until they are stamped.
     readers = [(server.read_disciplined, log.send_stamp_ns, ends.tolist())]
     for j, sim in enumerate(clients):
         name, rc = sim.spec.name, sim.spec.receiver
-        log.arrival_ns[name] = send_col + params.path_delta_ns.get(name, 0)
         log.seen[name] = kept[:, j]
         idx = np.flatnonzero(kept[:, j])
-        t = log.arrival_ns[name][idx] + rc.stamp_bias_ns
+        # The true arrival, plus the stamp bias.
+        t = send_col[idx] + (params.path_delta_ns.get(name, 0)
+                             + rc.stamp_bias_ns)
         if rc.stamp_latency_ns:
             t += np.rint(sim.rng_stamp.uniform(
                 0, rc.stamp_latency_ns, idx.size)).astype(np.int64)

@@ -32,10 +32,6 @@ _MASK_TO_TALKER = {frozenset({"GPS"}): "GP", frozenset({"BEIDOU"}): "GB"}
 _MIN_FIELDS = {"RMC": 9, "GGA": 7, "ZDA": 4}
 
 
-class MalformedField(ValueError):
-    pass
-
-
 class SentenceKind(str, Enum):
     RMC = "RMC"
     GGA = "GGA"
@@ -51,7 +47,7 @@ def checksum(payload: str) -> str:
     """
     data = payload.encode("ascii")
     if b"$" in data or b"*" in data:
-        raise MalformedField("payload must exclude '$' and '*'")
+        raise ValueError("payload must exclude '$' and '*'")
     acc = 0
     for b in data:
         acc ^= b
@@ -71,27 +67,26 @@ def parse_sentence(line: str) -> NmeaSentence:
     """Parse and checksum-verify one sentence.
 
     Unknown sentence types are accepted with kind OTHER; a structural
-    problem or a checksum mismatch raises MalformedField.
+    problem or a checksum mismatch raises ValueError.
     """
     text = line.rstrip("\r\n")
     if not text.startswith("$"):
-        raise MalformedField(
-            f"sentence does not start with '$': {text[:20]!r}")
+        raise ValueError(f"sentence does not start with '$': {text[:20]!r}")
     star = text.rfind("*")
     if star < 0 or len(text) - star != 3:
-        raise MalformedField(f"missing or short checksum: {text[-6:]!r}")
+        raise ValueError(f"missing or short checksum: {text[-6:]!r}")
     payload, given = text[1:star], text[star + 1:]
     try:
         int(given, 16)
     except ValueError:
-        raise MalformedField(f"non-hex checksum {given!r}") from None
+        raise ValueError(f"non-hex checksum {given!r}") from None
     want = checksum(payload)
     if given.upper() != want:
-        raise MalformedField(f"checksum {given} != computed {want}")
+        raise ValueError(f"checksum {given} != computed {want}")
     parts = payload.split(",")
     address = parts[0]
     if len(address) < 5:
-        raise MalformedField(f"short address field {address!r}")
+        raise ValueError(f"short address field {address!r}")
     talker, code = address[:2], address[2:]
     try:
         kind = SentenceKind(code)
@@ -99,7 +94,7 @@ def parse_sentence(line: str) -> NmeaSentence:
         kind = SentenceKind.OTHER
     fields = tuple(parts[1:])
     if kind is not SentenceKind.OTHER and len(fields) < _MIN_FIELDS[kind.value]:
-        raise MalformedField(
+        raise ValueError(
             f"{code} carries {len(fields)} fields, needs {_MIN_FIELDS[kind.value]}")
     return NmeaSentence(talker, kind, fields)
 
@@ -123,17 +118,17 @@ class GnssFix(NamedTuple):
 
 def _parse_tod(text: str) -> int:
     if len(text) < 6:
-        raise MalformedField(f"bad time-of-day field {text!r}")
+        raise ValueError(f"bad time-of-day field {text!r}")
     try:
         h, m = int(text[0:2]), int(text[2:4])
         s = float(text[4:])
     except ValueError:
-        raise MalformedField(f"bad time-of-day field {text!r}") from None
+        raise ValueError(f"bad time-of-day field {text!r}") from None
     if 0 <= h < 24 and 0 <= m < 60 and 0 <= s < 61:
         tod = (h * 3600 + m * 60) * NS_PER_S + round(s * NS_PER_S)
         if tod < NS_PER_DAY:
             return tod
-    raise MalformedField(f"time-of-day out of range {text!r}")
+    raise ValueError(f"time-of-day out of range {text!r}")
 
 
 # The XOR of the bytes of "00".."99" and of ".000"..".999". Tables of the
@@ -164,13 +159,13 @@ def extract_fix(s: NmeaSentence, last_date: datetime.date | None = None) -> Gnss
     if s.kind not in (SentenceKind.RMC, SentenceKind.GGA, SentenceKind.ZDA):
         raise ValueError(f"no timing content in {s.kind} sentences")
     if not s.fields[0]:
-        raise MalformedField(f"{s.kind.value} sentence with empty time field")
+        raise ValueError(f"{s.kind.value} sentence with empty time field")
     tod = _parse_tod(s.fields[0])
     if s.kind is SentenceKind.RMC:
         status = s.fields[1]
         raw = s.fields[8]
         if len(raw) != 6 or not raw.isdigit():
-            raise MalformedField(f"bad RMC date {raw!r}")
+            raise ValueError(f"bad RMC date {raw!r}")
         date = datetime.date(2000 + int(raw[4:6]), int(raw[2:4]), int(raw[0:2]))
         return GnssFix(tod, date, status == "A", None, s.talker)
     if s.kind is SentenceKind.GGA:
@@ -178,15 +173,15 @@ def extract_fix(s: NmeaSentence, last_date: datetime.date | None = None) -> Gnss
             quality = int(s.fields[5])
             nsat = int(s.fields[6])
         except ValueError:
-            raise MalformedField("bad GGA quality/satellite fields") from None
+            raise ValueError("bad GGA quality/satellite fields") from None
         if nsat < 0:
-            raise MalformedField(f"negative GGA satellite count {nsat}")
+            raise ValueError(f"negative GGA satellite count {nsat}")
         return GnssFix(tod, last_date, quality > 0 and nsat > 0, nsat,
                        s.talker)
     try:
         date = datetime.date(int(s.fields[3]), int(s.fields[2]), int(s.fields[1]))
     except ValueError:
-        raise MalformedField("bad ZDA date fields") from None
+        raise ValueError("bad ZDA date fields") from None
     return GnssFix(tod, date, True, None, s.talker)
 
 
@@ -295,7 +290,7 @@ def read_log(path, assumed_latency_ms: float) -> list[tuple[int, int, bool]]:
     A bare sentence, one without an '<arrival_ns> ' prefix, arrives
     `assumed_latency_ms` after the time it names. The first bad prefix or
     byte, sentence that does not parse, or arrival earlier than the one
-    before it raises MalformedField naming the file (and line).
+    before it raises ValueError naming the file (and line).
     """
     events = []
     last_date = None
@@ -305,24 +300,24 @@ def read_log(path, assumed_latency_ms: float) -> list[tuple[int, int, bool]]:
             if not line:
                 continue
             if not line.isascii():
-                raise MalformedField(f"{path}:{lineno}: non-ASCII byte")
+                raise ValueError(f"{path}:{lineno}: non-ASCII byte")
             head, _, rest = line.partition(" ")
             if rest.startswith("$"):
                 try:
                     rx_ns, line = int(head), rest
                 except ValueError:
-                    raise MalformedField(
+                    raise ValueError(
                         f"{path}:{lineno}: bad arrival time {head!r}") from None
                 if abs(rx_ns) >= 2**63:
-                    raise MalformedField(f"{path}:{lineno}: arrival time "
-                                         f"{head} past the 64-bit ns range")
+                    raise ValueError(f"{path}:{lineno}: arrival time "
+                                     f"{head} past the 64-bit ns range")
             try:
                 sentence = parse_sentence(line)
                 if sentence.kind is SentenceKind.OTHER:
                     continue
                 fix = extract_fix(sentence, last_date)
             except ValueError as exc:
-                raise MalformedField(f"{path}:{lineno}: {exc}") from exc
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
             if fix.date is None:  # a GGA before any dated sentence
                 continue
             last_date = fix.date
@@ -330,6 +325,6 @@ def read_log(path, assumed_latency_ms: float) -> list[tuple[int, int, bool]]:
             arrival = rx_ns if rx_ns is not None else named_ns + round(
                 assumed_latency_ms * 1e6)
             if events and arrival < events[-1][0]:
-                raise MalformedField(f"{path}: arrivals not time-sorted")
+                raise ValueError(f"{path}: arrivals not time-sorted")
             events.append((arrival, named_ns, fix.fix_valid))
     return events

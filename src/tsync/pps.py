@@ -25,10 +25,6 @@ class AmbiguousLabel(ValueError):
     """Sentences arrived in the window but named a different second."""
 
 
-class MalformedEdge(ValueError):
-    """An edge log line is not an integer time in ns, or the log is unsorted."""
-
-
 @dataclass(frozen=True)
 class PpsJitter(Bounded):
     """Uniform edge placement error around the true second boundary.
@@ -91,7 +87,7 @@ def read_pps_log(path) -> list[int]:
     """Read an edge capture log: one true edge time in ns per line.
 
     A line that is not an integer, or holds a non-ASCII byte, raises
-    MalformedEdge naming the file and line; unsorted edges, the file.
+    ValueError naming the file and line; unsorted edges, the file.
     """
     edges = []
     with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
@@ -101,8 +97,8 @@ def read_pps_log(path) -> list[int]:
                 try:  # a non-ASCII byte decodes to a lone surrogate
                     edges.append(int(line))
                 except ValueError:
-                    raise MalformedEdge(
+                    raise ValueError(
                         f"{path}:{lineno}: bad edge time {line!r}") from None
     if edges != sorted(edges):
-        raise MalformedEdge(f"{path}: edges not time-sorted")
+        raise ValueError(f"{path}: edges not time-sorted")
     return edges

@@ -24,10 +24,6 @@ NS_PER_S_PER_PPM = 1000.0
 MIN_HOLDOVER_SPAN_S = 60.0
 
 
-class NonMonotonicSample(ValueError):
-    pass
-
-
 class ServoMode(str, Enum):
     NMEA_ONLY = "nmea"
     PPS_ONLY = "pps"
@@ -96,7 +92,7 @@ def update(servo: ServoState, elapsed_s: float, offset_ns: int) -> int:
     cfg = servo.config
     last = servo.last_elapsed_s
     if last is not None and elapsed_s <= last:
-        raise NonMonotonicSample(
+        raise ValueError(
             f"sample at {elapsed_s}s not after the last at {last}s")
     e = offset_ns
     if abs(e) > cfg.step_threshold_ns:

@@ -36,10 +36,6 @@ _MAX_PHASE_FS = (2**63 - 1) * FS_PER_NS
 _FLICKER_UNIT_ADEV = math.sqrt(2.0 * math.log(2.0) / math.pi)
 
 
-class TimeReversalError(ValueError):
-    """A clock was asked to produce a reading earlier than its state."""
-
-
 class NoiseExhausted(RuntimeError):
     """A clock took more steps than its noise stream was sized for."""
 
@@ -186,12 +182,13 @@ class OscillatorParams(Bounded):
     """
 
     f0_ppm: float = config_field(0.0, minimum=-1000, maximum=1000)
-    temp_coeff_ppm_per_c: float = 0.0
+    temp_coeff_ppm_per_c: float = config_field(0.0, minimum=-1000,
+                                               maximum=1000)
     ref_temp_c: float = 25.0
-    aging_ppm_per_day: float = 0.0
-    noise_white_fm: float = config_field(0.0, minimum=0)
-    noise_flicker_fm: float = config_field(0.0, minimum=0)
-    noise_randomwalk_fm: float = config_field(0.0, minimum=0)
+    aging_ppm_per_day: float = config_field(0.0, minimum=-1000, maximum=1000)
+    noise_white_fm: float = config_field(0.0, minimum=0, maximum=1e-3)
+    noise_flicker_fm: float = config_field(0.0, minimum=0, maximum=1e-3)
+    noise_randomwalk_fm: float = config_field(0.0, minimum=0, maximum=1e-3)
 
     def freq_ppm_at(self, temp_c: float, elapsed_days: float) -> float:
         """Deterministic fractional frequency error in ppm."""
@@ -240,13 +237,13 @@ def advance(state: ClockState, params: OscillatorParams, dt_ns: int,
     step start), so deterministic drift is exact and independent of how
     an interval is partitioned. One noise-stream draw is consumed per
     call when a stream is supplied. A dt_ns that is not positive raises
-    TimeReversalError, and a phase or instant past the 64-bit ns range
+    ValueError, and a phase or instant past the 64-bit ns range
     OverflowError, leaving `state` unchanged.
     """
     dt_ns = int(dt_ns)
     t_ns = state.last_update_ns + dt_ns
     if dt_ns <= 0:
-        raise TimeReversalError(
+        raise ValueError(
             f"event at {t_ns} ns does not move time "
             f"forward from {state.last_update_ns} ns")
     elapsed_days = state.last_update_ns / (86400.0 * NS_PER_S)
@@ -288,7 +285,7 @@ def read_clock(state: ClockState, t_ns: int,
     """
     delta_ns = t_ns - state.last_update_ns
     if delta_ns < 0:
-        raise TimeReversalError(
+        raise ValueError(
             f"read at {SimInstant.from_ns(t_ns)} precedes clock state at "
             f"{SimInstant.from_ns(state.last_update_ns)}")
     drift_fs = round((state.freq_error_ppm + extra_freq_ppm) * delta_ns)

@@ -238,6 +238,13 @@ class TestRun:
           for i in (0, 2)),
         ((), None, harness_file(("traffic", 0, "rate_hz"), 0.01),
          "traffic[0]: a broadcast at 0.01 Hz sends no packet in 20 s"),
+        *((("nodes", 0, "oscillator", key), 1e300, {},
+           f"nodes[0].oscillator: {key} must be in {bounds}")
+          for key, bounds in (("temp_coeff_ppm_per_c", "[-1000, 1000]"),
+                              ("aging_ppm_per_day", "[-1000, 1000]"),
+                              ("noise_white_fm", "[0, 0.001]"),
+                              ("noise_flicker_fm", "[0, 0.001]"),
+                              ("noise_randomwalk_fm", "[0, 0.001]"))),
         *(((*at, "name"), name, {},
            f"{where}: name must be one path component")
           for at, where in (((), "scenario"), (("nodes", 0), "nodes[0]"))
@@ -266,6 +273,8 @@ class TestRun:
             "path-delta-past-c-long", "path-delta-int64-max",
             "path-delta-minus-200ms", "broadcast-sentence-only-client",
             "broadcast-sentence-only-server", "broadcast-sends-no-packet",
+            "temp-coeff-1e300", "aging-1e300", "white-fm-1e300",
+            "flicker-fm-1e300", "randomwalk-fm-1e300",
             *(f"{who}-name-{kind}" for who in ("scenario", "node")
               for kind in ("absolute", "parent-prefix", "subdirectory", "dot",
                            "dot-dot"))])
@@ -424,7 +433,7 @@ class TestRun:
         res = subprocess.run(
             [sys.executable, "-m", "tsync.cli", "run", str(path),
              "--out", str(tmp_path / "out")],
-            env=dict(os.environ, PYTHONPATH=src, TSYNC_LOG="WARNING"),
+            env=dict(os.environ, PYTHONPATH=src),
             capture_output=True, text=True, timeout=120)
         assert res.returncode == 0, res.stderr
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
@@ -833,8 +842,7 @@ class TestReplay:
         res = runner.invoke(main, [
             "replay", str(out / "nmea_bench.log"),
             "--pps", str(tmp_path / "gappy.log"),
-            "--scenario", str(path), "--out", str(tmp_path / "rp")],
-            env={"TSYNC_LOG": "WARNING"})
+            "--scenario", str(path), "--out", str(tmp_path / "rp")])
         assert res.exit_code == 0, res.output
         rows = (tmp_path / "rp" / "loop_replay.csv").read_text().splitlines()
         full = (out / "loop_bench.csv").read_text().splitlines()
@@ -855,7 +863,7 @@ class TestReplay:
         assert np.abs(offs).max() < 100_000_000
 
     def test_sentence_outside_its_window_takes_no_sample(self, runner,
-                                                         tmp_path, caplog):
+                                                         tmp_path):
         _, path = short_lab(tmp_path, duration=20)
         out = tmp_path / "run"
         assert runner.invoke(main, ["run", path, "--out", str(out)]
@@ -871,8 +879,8 @@ class TestReplay:
         rows = (tmp_path / "rp" / "loop_replay.csv").read_text().splitlines()
         assert [r.split(",")[0] for r in rows[1:]] == \
             [f"{s}.000" for s in range(1, 20)]
-        assert [r.getMessage() for r in caplog.records] == [
-            "replay: sentence for second 20 arrived outside its window"]
+        assert res.stderr == ("WARNING tsync: replay: sentence for second 20 "
+                              "arrived outside its window\n")
 
     def test_capture_longer_than_scenario_fails_cleanly(self, runner, tmp_path):
         _, path = short_lab(tmp_path, duration=300)
@@ -1118,6 +1126,53 @@ class TestReplay:
                                    "--out", str(tmp_path / "rp")])
         assert res.exit_code == 1
         assert "not time-sorted" in res.output
+
+
+RMC_1 = "1077527366 $GNRMC,000001.000,A,,,,,,,010121,,*24"
+RMC_2 = "2075149360 $GNRMC,000002.000,A,,,,,,,010121,,*27"
+
+
+@pytest.mark.parametrize("command, files, extra, line", [
+    ("replay", {"nmea.log": [RMC_1, RMC_2],
+                "pps.log": ["2000000000", "1000000000"]}, [],
+     "replay error: {dir}/pps.log: edges not time-sorted"),
+    ("replay", {"nmea.log": [RMC_1, RMC_2], "pps.log": ["100", "1000000000"]},
+     [], "replay error: the capture's second 0 lies outside the scenario's "
+     "2 s"),
+    ("replay", {"nmea.log": [
+        RMC_1, RMC_2, "2500000000 $GNRMC,000001.000,A,,,,,,,010121,,*24"]},
+     ["--mode", "nmea"],
+     "replay error: sentence for second 1 not after history tail second 2"),
+    ("replay", {"nmea.log": [RMC_1, RMC_2],
+                "pps.log": ["1000000000", "1000000000"]}, [],
+     "replay error: event at 1000000000 ns does not move time forward from "
+     "1000000000 ns"),
+    ("replay", {"nmea.log": [
+        RMC_1, "2075149360 $GNRMC,000002.000,A,,,,,,,010121,,*28"]}, [],
+     "replay error: {dir}/nmea.log:2: checksum 28 != computed 27"),
+    ("replay", {"nmea.log": [RMC_1, RMC_2]},
+     ["--preset", "suburban", "--scenario", BEACONS],
+     "replay error: give either --preset or --scenario, not both"),
+    ("analyze", {"loop.csv": [engine.LOOP_HEADER, "1.000,4.5,0.0,PPS,0"]}, [],
+     "malformed log: {dir}/loop.csv:2: could not convert string '4.5' to "
+     "int64, column 2."),
+], ids=["unsorted-pulse-log", "edge-outside-scenario",
+        "sentence-names-earlier-second", "repeated-edge", "bad-checksum",
+        "preset-and-scenario", "fractional-analyze-offset"])
+def test_data_error_is_one_line_exit_1(runner, tmp_path, command, files,
+                                       extra, line):
+    """Each data error a command catches exits 1 with one exact stderr
+    line, and writes nothing."""
+    for name, lines in files.items():
+        (tmp_path / name).write_text("\n".join(lines) + "\n")
+    args = [command, str(tmp_path / next(iter(files)))]
+    if "pps.log" in files:
+        args += ["--pps", str(tmp_path / "pps.log")]
+    res = runner.invoke(main, args + extra + ["--out", str(tmp_path / "out")])
+    assert res.exit_code == 1
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert res.stderr == line.format(dir=tmp_path) + "\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.fixture(scope="module")
