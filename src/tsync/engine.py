@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -75,25 +76,23 @@ class HoldoverSegment:
 
 class BlockDraws:
     """A Generator's `random()` doubles, drawn DRAW_BLOCK at a time; the
-    same sequence as scalar calls, as long as nothing else reads it."""
+    same sequence as scalar calls, as long as nothing else reads it.
+    `random` is the `__next__` of a chain of blocks, so a draw runs no
+    Python frame."""
 
     def __init__(self, rng: np.random.Generator):
-        self._rng = rng
-        self._doubles = iter(())
-
-    def random(self) -> float:
-        try:
-            return next(self._doubles)
-        except StopIteration:
-            self._doubles = iter(self._rng.random(DRAW_BLOCK).tolist())
-            return next(self._doubles)
+        blocks = iter(lambda: rng.random(DRAW_BLOCK).tolist(), None)
+        self.random = chain.from_iterable(blocks).__next__
 
 
 class NodeSim:
     """Single disciplined node driven by pulse edges and sentences.
 
     A live run draws each second's events in `step_boundary`; replay
-    feeds recorded ones. Both go through `on_edge` and `on_sentence`.
+    feeds recorded ones through `on_edge` and `on_sentence`. A live
+    second goes through those handlers too, unless it is a combined-mode
+    second with signal, no outage to close and no edge pending, which
+    `_live_seconds` steps inline in the same order.
     One advance (and one noise draw) happens per measurement event: the
     pulse edge in pulse-bearing modes, the sentence arrival in
     sentence-only mode, and the top of the second during outages.
@@ -128,6 +127,10 @@ class NodeSim:
         self.true = Columns(rows, offset_ns="q")
         self.warnings: list[str] = []
         self.holdover_segments: list[HoldoverSegment] = []
+        # The generator step_boundary resumes, made at the first live
+        # second. It refers to the node, so finish drops it: the node then
+        # goes with its last reference, not at the next cyclic collection.
+        self._seconds = None
 
     # -- clock helpers ----------------------------------------------------
 
@@ -274,9 +277,92 @@ class NodeSim:
 
     def step_boundary(self, boundary: int) -> None:
         """Advance through true second [boundary-1, boundary]."""
-        temp_c = scenario.temperature_at(self.cfg, float(boundary - 1))
-        nsat = scenario.effective_nsat(self.cfg, boundary - 0.5,
-                                       self.spec.constellations)
+        if self._seconds is None:
+            self._seconds = self._live_seconds()
+            next(self._seconds)
+        self._seconds.send(boundary)
+
+    def _live_seconds(self):
+        """The generator `step_boundary` resumes, once per second.
+
+        A combined-mode second with signal, no outage to close and no
+        edge pending is stepped here, with the node's state bound once:
+        the edge, the clock advance, the steering, the capture, the serial
+        draw, the burst row, the label, the PI update, the loop row and
+        the true offset, in the handlers' order. Every other second goes
+        through `_step_events` and the handlers replay drives. The clock
+        is `self.clock`, changed in place, so reads between seconds see it.
+        """
+        cfg, spec, clock, servo = self.cfg, self.spec, self.clock, self.servo
+        constellations = spec.constellations
+        combined = spec.servo.mode is ServoMode.NMEA_PLUS_PPS
+        osc, noise = spec.oscillator, self.noise
+        receiver = spec.receiver
+        jitter, window_ns = receiver.pps, receiver.label_window_ns
+        delivery_delay_ns = receiver.serial.delivery_delay_ns
+        rng_pps, rng_serial = self.rng_pps, self.rng_serial
+        pulses, bursts, loop, true = self.pulses, self.bursts, self.loop, self.true
+        edges, true_ns = pulses.edge_ns, true.offset_ns
+        arrivals, seconds, nsats = bursts.arrival_ns, bursts.second, bursts.nsat
+        elapsed_col, offset_col, freq_col = (loop.elapsed_s, loop.offset_ns,
+                                             loop.freq_correction_ppm)
+        source_col, holdover_col = loop.source, loop.holdover
+        label_errors = (pps.UnlabeledEdge, pps.AmbiguousLabel)
+        source = _SOURCE_INDEX[SampleSource.COMBINED]
+        boundary = yield
+        while True:
+            temp_c = scenario.temperature_at(cfg, float(boundary - 1))
+            nsat = scenario.effective_nsat(cfg, boundary - 0.5, constellations)
+            if not (combined and nsat >= 1 and self.outage is None
+                    and self.pending is None):
+                self._step_events(boundary, temp_c, nsat)
+                boundary = yield
+                continue
+            edge_ns = pps.next_pps((boundary - 1) * NS_PER_S, jitter, rng_pps)
+            i = pulses.n
+            edges[i] = edge_ns
+            pulses.n = i + 1
+            # The advance to the edge and the steering over it.
+            dt_ns = edge_ns - clock.last_update_ns
+            advance(clock, osc, dt_ns, temp_c, noise)
+            steer_fs = round(servo.freq_correction_ppm * dt_ns)
+            if steer_fs:
+                slew_phase(clock, steer_fs)
+            capture_ns = edge_ns + clock.phase_offset_ns
+            delay = delivery_delay_ns(rng_serial)
+            if delay is None:
+                # The edge waits; the next second's handlers drop it.
+                self.pending = (edge_ns, capture_ns)
+            else:
+                t_ns = boundary * NS_PER_S
+                arrival_ns = t_ns + delay
+                i = bursts.n
+                arrivals[i], seconds[i], nsats[i] = arrival_ns, boundary, nsat
+                bursts.n = i + 1
+                try:
+                    pps.label_pps(edge_ns, arrival_ns, boundary, window_ns)
+                except label_errors as exc:
+                    self.pending = (edge_ns, capture_ns)
+                    self._drop_pending(type(exc).__name__)
+                else:
+                    self.last_sampled_second = boundary
+                    elapsed_s, offset_ns = t_ns / NS_PER_S, capture_ns - t_ns
+                    step_ns = servo_mod.update(servo, elapsed_s, offset_ns)
+                    if step_ns:
+                        slew_phase(clock, step_ns * FS_PER_NS)
+                    i = loop.n
+                    elapsed_col[i], offset_col[i] = elapsed_s, offset_ns
+                    freq_col[i] = servo.freq_correction_ppm
+                    source_col[i], holdover_col[i] = source, 0
+                    loop.n = i + 1
+            i = true.n
+            true_ns[i] = clock.phase_offset_ns
+            true.n = i + 1
+            boundary = yield
+
+    def _step_events(self, boundary: int, temp_c: float, nsat: int) -> None:
+        """Step second [boundary-1, boundary] through the event handlers,
+        at temperature `temp_c` with `nsat` satellites in view."""
         if nsat >= 1:
             if self.outage is not None:
                 self._end_outage(boundary)
@@ -305,6 +391,7 @@ class NodeSim:
         true.n += 1
 
     def finish(self, duration: int) -> None:
+        self._seconds = None
         if self.outage is not None:
             self._end_outage(duration + 1)
         self._drop_pending("unlabeled edge")

@@ -142,12 +142,12 @@ _MILLIS_XOR = [int(checksum(f".{i:03d}"), 16) for i in range(1000)]
 @functools.lru_cache(maxsize=1)
 def _time_field(tod_ns: int) -> tuple[str, int]:
     """`hhmmss.sss`, the time truncated to whole milliseconds, and the XOR
-    of its bytes; the sentences of a burst share it."""
-    s, frac = divmod(tod_ns, NS_PER_S)
-    h, rem = divmod(s, 3600)
-    m, s = divmod(rem, 60)
-    ms = frac // 1_000_000
-    return ("%02d%02d%02d.%03d" % (h, m, s, ms),
+    of its bytes; the sentences of a burst share it. The divisions run on
+    small ints, and `hhmmss` is formatted as one number."""
+    s, ms = divmod(tod_ns // 1_000_000, 1000)
+    m, s = divmod(s, 60)
+    h, m = divmod(m, 60)
+    return ("%06d.%03d" % ((h * 100 + m) * 100 + s, ms),
             _PAIRS_XOR[h] ^ _PAIRS_XOR[m] ^ _PAIRS_XOR[s] ^ _MILLIS_XOR[ms])
 
 
@@ -212,9 +212,9 @@ def generate(fix: GnssFix, kind: SentenceKind) -> str:
     carried fields. Only the time field is rendered per call: the rest
     of the sentence comes from a cached frame.
     """
-    head, tail, acc = _frame(fix.talker, kind, fix.date, fix.fix_valid,
-                             fix.nsat)
-    tod, tod_acc = _time_field(fix.tod_ns)
+    tod_ns, date, fix_valid, nsat, talker = fix
+    head, tail, acc = _frame(talker, kind, date, fix_valid, nsat)
+    tod, tod_acc = _time_field(tod_ns)
     return f"{head}{tod}{tail}{acc ^ tod_acc:02X}"
 
 
@@ -254,33 +254,33 @@ class SerialDeliveryModel(Bounded):
         return round((self.base_latency_ms + jitter) * 1e6)
 
 
-@functools.lru_cache(maxsize=1)
-def _run_date(days: int) -> datetime.date:
-    return SIM_EPOCH_DATE + datetime.timedelta(days=days)
-
-
-def fix_for_second(second: int, nsat: int, talker: str) -> GnssFix:
-    """The fix a receiver reports for an absolute second of the run."""
-    days, rem = divmod(second, 86_400)
-    return GnssFix(rem * NS_PER_S, _run_date(days), nsat >= MIN_FIX_NSAT,
-                   nsat, talker)
-
-
 def format_log(arrivals, seconds, nsats, constellations):
     """A run's sentence log, as text blocks of CSV_BLOCK bursts, from the
     bursts' equal-length columns of arrival times (ns), seconds and
     satellite counts. Each burst is an RMC and a GGA for its second, each
-    line prefixed with its arrival time."""
+    line prefixed with its arrival time.
+
+    A burst's fix is the one a receiver reports for its second of the run:
+    the time of day and date from SIM_EPOCH_DATE, valid with at least
+    MIN_FIX_NSAT satellites. It is built as a plain tuple of GnssFix's
+    fields, and the date is worked out only when the day changes."""
     rmc, gga = SentenceKind.RMC, SentenceKind.GGA
     talker = _MASK_TO_TALKER.get(constellations, "GN")
+    new_fix = tuple.__new__
+    day = date = None
     for i in range(0, len(arrivals), CSV_BLOCK):
         j = i + CSV_BLOCK
         out = []
-        for arrival_ns, second, nsat in zip(arrivals[i:j], seconds[i:j],
-                                            nsats[i:j]):
-            fix = fix_for_second(second, nsat, talker)
-            out.append(f"{arrival_ns} {generate(fix, rmc)}\n"
-                       f"{arrival_ns} {generate(fix, gga)}\n")
+        for arrival, second, nsat in zip(map(str, arrivals[i:j]),
+                                         seconds[i:j], nsats[i:j]):
+            days, rem = divmod(second, 86_400)
+            if days != day:
+                day = days
+                date = SIM_EPOCH_DATE + datetime.timedelta(days=days)
+            fix = new_fix(GnssFix, (rem * NS_PER_S, date,
+                                    nsat >= MIN_FIX_NSAT, nsat, talker))
+            out.append(f"{arrival} {generate(fix, rmc)}\n"
+                       f"{arrival} {generate(fix, gga)}\n")
         yield "".join(out)
 
 

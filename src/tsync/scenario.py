@@ -23,8 +23,8 @@ from typing import ClassVar, NamedTuple, get_args, get_origin, get_type_hints
 from .nmea import MIN_FIX_NSAT, SerialDeliveryModel
 from .pps import PpsJitter
 from .servo import ServoConfig, ServoMode
-from .timebase import (NS_PER_S, PATH_COMPONENT, Bounded, OscillatorParams,
-                       OutOfBounds, config_field)
+from .timebase import (NS_PER_S, PATH_COMPONENT, TEMPERATURE_BOUNDS_C,
+                       Bounded, OscillatorParams, OutOfBounds, config_field)
 
 DEFAULT_SEED = 1787
 
@@ -54,7 +54,7 @@ class PacketDropped(RuntimeError):
 @dataclass(frozen=True)
 class ConstantTemp(Bounded):
     kind: ClassVar[str] = "constant"
-    c: float
+    c: float = config_field(**TEMPERATURE_BOUNDS_C)
 
     def at(self, t_s: float) -> float:
         return self.c
@@ -65,8 +65,8 @@ class RangeTemp(Bounded):
     """Sinusoid from lo (at t = 0) to hi (at half period) and back."""
 
     kind: ClassVar[str] = "range"
-    lo: float
-    hi: float
+    lo: float = config_field(**TEMPERATURE_BOUNDS_C)
+    hi: float = config_field(**TEMPERATURE_BOUNDS_C)
     period_s: float = config_field(exclusiveMinimum=0)
 
     def at(self, t_s: float) -> float:
@@ -79,7 +79,8 @@ class TraceTemp(Bounded):
     """Piecewise-linear interpolation through (t_s, temp_c) points."""
 
     kind: ClassVar[str] = "trace"
-    points: tuple[tuple[float, float], ...] = config_field(minItems=2)
+    points: tuple[tuple[float, float], ...] = config_field(
+        minItems=2, items={"prefixItems": [{}, TEMPERATURE_BOUNDS_C]})
 
     def __post_init__(self):
         super().__post_init__()
@@ -319,16 +320,13 @@ def temperature_at(cfg: ScenarioConfig, t_s: float) -> float:
     return cfg.temperature.at(t_s)
 
 
-def _segment_at(cfg: ScenarioConfig, t_s: float) -> VisibilitySeg:
+def effective_nsat(cfg: ScenarioConfig, t_s: float, constellations) -> int:
+    """Satellites usable at t by a receiver tracking those constellations:
+    those of the first segment holding t, else of the last."""
     for seg in cfg.visibility:
         if seg.t_start - _COVER_TOL_S <= t_s < seg.t_end:
-            return seg
-    return cfg.visibility[-1]
-
-
-def effective_nsat(cfg: ScenarioConfig, t_s: float, constellations) -> int:
-    """Satellites usable at t by a receiver tracking those constellations."""
-    return _segment_at(cfg, t_s).nsat(constellations)
+            return seg.nsat(constellations)
+    return cfg.visibility[-1].nsat(constellations)
 
 
 def visibility_stats(cfg: ScenarioConfig, constellations) -> VisibilityStats:
@@ -603,10 +601,22 @@ def _properties(cls, prefix: str = "") -> tuple[dict, list]:
             props.update(sub)
             required += sub_required
             continue
-        props[prefix + f.name] = _schema(tp) | f.metadata
+        props[prefix + f.name] = _merged(_schema(tp), dict(f.metadata))
         if f.default is MISSING and f.default_factory is MISSING:
             required.append(prefix + f.name)
     return props, required
+
+
+def _merged(schema, rules):
+    """`schema` with a field's `rules` laid over it, key by key and item
+    by item, so a rule on a tuple's item keeps the item's type."""
+    if isinstance(schema, dict) and isinstance(rules, dict):
+        return {**schema, **{key: _merged(schema.get(key), rule)
+                             for key, rule in rules.items()}}
+    if (isinstance(schema, list) and isinstance(rules, list)
+            and len(schema) == len(rules)):
+        return [_merged(s, rule) for s, rule in zip(schema, rules)]
+    return rules
 
 
 def _temperature_schema(cls) -> dict:

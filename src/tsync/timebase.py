@@ -88,15 +88,28 @@ _BOUND_TESTS = {
     "minItems": lambda value, n: len(value) >= n,
     "pattern": lambda value, pattern: re.search(pattern, value) is not None,
     "enum": lambda value, allowed: value in allowed,
-    "items": lambda value, schema: all(_BOUND_TESTS[key](item, bound)
-                                       for item in value
-                                       for key, bound in schema.items()),
+    "items": lambda value, schema: all(_obeys(item, schema)
+                                       for item in value),
+    "prefixItems": lambda value, schemas: all(
+        _obeys(item, schema) for item, schema in zip(value, schemas)),
     "uniqueItems": lambda value, on: not on or len(set(value)) == len(value),
 }
+
+
+
+def _obeys(value, schema: dict) -> bool:
+    return all(_BOUND_TESTS[key](value, bound) for key, bound in schema.items())
+
 
 # The `pattern` of a name that a run turns into a file or directory name:
 # one path component, so no '/' or '\', and not '.' or '..'.
 PATH_COMPONENT = r"^(?!\.\.?$)[^/\\]*$"
+
+
+# Every temperature a config gives, in degrees C: from absolute zero to far
+# past any oscillator's rating. Unbounded, a temperature of 1e300 passed
+# the load and overflowed the phase accumulator inside the run.
+TEMPERATURE_BOUNDS_C = {"minimum": -273.15, "maximum": 1000}
 
 
 def config_field(default=MISSING, **schema):
@@ -151,8 +164,14 @@ def _bound_message(name: str, meta, key: str) -> str:
                 f"and not '.' or '..'")
     if key == "enum":
         return f"{name} must be one of {', '.join(meta['enum'])}"
-    if key == "items":  # an item enum, the one item rule in use
-        return f"{name} must each be one of {', '.join(meta['items']['enum'])}"
+    if key == "items":
+        items = meta["items"]
+        if "enum" in items:
+            return f"{name} must each be one of {', '.join(items['enum'])}"
+        return _bound_message(f"{name}[*]", items, "prefixItems")
+    if key == "prefixItems":  # one bounded position, the one in use
+        i, rule = next((i, rule) for i, rule in enumerate(meta[key]) if rule)
+        return _bound_message(f"{name}[{i}]", rule, next(iter(rule)))
     if key == "uniqueItems":
         return f"{name} must be distinct"
     size = meta.get("minLength", meta.get("minItems"))
@@ -184,7 +203,7 @@ class OscillatorParams(Bounded):
     f0_ppm: float = config_field(0.0, minimum=-1000, maximum=1000)
     temp_coeff_ppm_per_c: float = config_field(0.0, minimum=-1000,
                                                maximum=1000)
-    ref_temp_c: float = 25.0
+    ref_temp_c: float = config_field(25.0, **TEMPERATURE_BOUNDS_C)
     aging_ppm_per_day: float = config_field(0.0, minimum=-1000, maximum=1000)
     noise_white_fm: float = config_field(0.0, minimum=0, maximum=1e-3)
     noise_flicker_fm: float = config_field(0.0, minimum=0, maximum=1e-3)
@@ -367,9 +386,12 @@ class NoiseStream:
         s_w, s_f, s_r = seed.spawn(3)
         n = max(2, int(n_steps))
         self._white_sigma = kw
-        self._white = np.random.default_rng(s_w).standard_normal(n) if kw else None
-        self._flicker = flicker_fm_noise(kf, n, s_f) if kf else None
-        self._rw = random_walk_fm_noise(kr, n, s_r) if kr else None
+        # Each series is read through a memoryview, whose items are
+        # builtin floats; numpy scalars would slow every step's sum.
+        self._white = memoryview(
+            np.random.default_rng(s_w).standard_normal(n)) if kw else None
+        self._flicker = memoryview(flicker_fm_noise(kf, n, s_f)) if kf else None
+        self._rw = memoryview(random_walk_fm_noise(kr, n, s_r)) if kr else None
         self._n = n
 
     def next_phase_ns(self, dt_ns: int) -> float:
@@ -389,5 +411,4 @@ class NoiseStream:
             phase += self._flicker[i] * dt_ns
         if self._rw is not None:
             phase += self._rw[i] * dt_ns
-        # A numpy scalar would reach ClockState and slow every clock read.
-        return float(phase)
+        return phase

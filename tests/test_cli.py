@@ -249,6 +249,24 @@ class TestRun:
            f"{where}: name must be one path component")
           for at, where in (((), "scenario"), (("nodes", 0), "nodes[0]"))
           for name in NOT_ONE_COMPONENT),
+        # A temperature lies in [-273.15, 1000] degrees C wherever a
+        # scenario gives one.
+        (("temperature",), {"kind": "constant", "c": 1e300}, {},
+         "temperature: c must be in [-273.15, 1000]"),
+        (("temperature",), {"kind": "range", "lo": -300, "hi": 25,
+                            "period_s": 60}, {},
+         "temperature: lo must be in [-273.15, 1000]"),
+        (("temperature",), {"kind": "range", "lo": 20, "hi": 1e300,
+                            "period_s": 60}, {},
+         "temperature: hi must be in [-273.15, 1000]"),
+        (("temperature",), {"kind": "trace",
+                            "points": [[0, 16], [10, 1e300]]}, {},
+         "temperature: points[*][1] must be in [-273.15, 1000]"),
+        (("temperature",), {"kind": "trace", "file": "t.csv"},
+         {"t.csv": b"t_s,temp_c\n0,16\n10,-1e300\n"},
+         "t.csv: points[*][1] must be in [-273.15, 1000]"),
+        (("nodes", 0, "oscillator", "ref_temp_c"), 1e300, {},
+         "nodes[0].oscillator: ref_temp_c must be in [-273.15, 1000]"),
     ], ids=["receiver-key-typo", "unknown-top-level-key", "glonass-only",
             "no-constellations", "nodes-as-object", "servo-null",
             "trace-file-missing", "trace-file-is-directory",
@@ -277,7 +295,10 @@ class TestRun:
             "flicker-fm-1e300", "randomwalk-fm-1e300",
             *(f"{who}-name-{kind}" for who in ("scenario", "node")
               for kind in ("absolute", "parent-prefix", "subdirectory", "dot",
-                           "dot-dot"))])
+                           "dot-dot")),
+            "constant-temperature-1e300", "range-lo-below-absolute-zero",
+            "range-hi-1e300", "trace-point-1e300", "trace-file-point-1e300",
+            "ref-temperature-1e300"])
     def test_malformed_config_exits_2(self, runner, tmp_path, keys, value,
                                       files, match):
         short_lab(tmp_path, duration=30)
@@ -377,6 +398,25 @@ class TestRun:
         assert res.exit_code == 1
         assert res.stderr.splitlines() == [
             "run failed: no packets seen by both c1 and c2"]
+        assert not out.exists()
+
+    def test_phase_overflow_fails_the_run_and_writes_nothing(self, runner,
+                                                              tmp_path):
+        """A clock whose phase leaves the 64-bit range while a live
+        combined-mode second is stepped ends the run with one line."""
+        cfg = dataclasses.replace(
+            scenario.preset("suburban"), duration_s=30,
+            visibility=(scenario.VisibilitySeg(0.0, 30.0, 7, 5),))
+        doc = scenario.to_dict(cfg)
+        doc["nodes"][0]["initial_offset_ns"] = 2**63 - 1000
+        doc["nodes"][0]["oscillator"]["f0_ppm"] = 1000
+        (tmp_path / "fast.json").write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        res = runner.invoke(main, ["run", str(tmp_path / "fast.json"),
+                                   "--out", str(out)])
+        assert res.exit_code == 1
+        assert res.stderr.splitlines() == [
+            "run failed: phase accumulator overflow"]
         assert not out.exists()
 
     def test_tsf_traffic_writes_log(self, runner, tmp_path):
@@ -1018,7 +1058,7 @@ class TestReplay:
         elif edit == "edge-before-start":
             pps_lines[0] = "400000000"  # nearest second 0
         else:
-            fix = nmea.fix_for_second(21, 8, "GP")
+            fix = nmea.GnssFix(21 * 10**9, nmea.SIM_EPOCH_DATE, True, 8, "GP")
             nmea_lines.append(f"{21_080_000_000} "
                               f"{nmea.generate(fix, nmea.SentenceKind.RMC)}")
         (tmp_path / "nmea.log").write_text("\n".join(nmea_lines) + "\n")

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import tracemalloc
+import weakref
 from typing import NamedTuple
 
 import numpy as np
@@ -82,6 +83,9 @@ class TestDiscipline:
         rows = loop_rows(res["n0"].loop)
         assert abs(rows[0].offset_ns - 500_000_000) < 1000
         assert abs(rows[1].offset_ns) < 1000
+        # A second's true offset is read after its servo update, so the
+        # step shows in the first second's; only the edge's jitter is left.
+        assert abs(res["n0"].true.offset_ns[0]) <= 30
 
     @pytest.mark.parametrize("mode", [ServoMode.PPS_ONLY,
                                       ServoMode.NMEA_PLUS_PPS],
@@ -197,6 +201,22 @@ class TestRetainedMemory:
             tracemalloc.stop()
         assert len(res["n0"].loop) == 3600
         assert held / cfg.duration_s < 330
+
+    def test_nodes_go_with_their_last_reference(self):
+        # A node's logs and noise series are freed as soon as nothing
+        # refers to the node, after a live run and after a replay, without
+        # waiting for the cyclic collector.
+        cfg = small_cfg(duration=30)
+        gc.disable()
+        try:
+            res = engine.run_scenario(cfg)
+            live = weakref.ref(res["n0"])
+            replayed = weakref.ref(engine.NodeSim(
+                cfg, cfg.nodes[0], np.random.SeedSequence(0)))
+            del res
+            assert live() is None and replayed() is None
+        finally:
+            gc.enable()
 
 
 class TestBlockDraws:
@@ -392,7 +412,7 @@ class TestCallerGuarantees:
         assert sim.pulses.edge_ns[-1] > end_ns and events[-1][0] > end_ns
         run_calls = len(calls)
         engine.run_replay(cfg, sim.spec, events, sim.pulses.edge_ns)
-        assert len(calls) > run_calls
+        assert 0 < run_calls < len(calls)
         assert all(0 <= t_s <= cfg.duration_s for _, t_s in calls)
         assert calls[-1][1] == cfg.duration_s
 
@@ -427,6 +447,30 @@ class TestReplayParity:
             res["n0"].pulses.edge_ns)
         assert warnings == []
         assert len(rows) == 180
+        assert [LOOP_FORMAT % r for r in loop_rows(rows)] == \
+            [LOOP_FORMAT % r for r in loop_rows(res["n0"].loop)]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("mode", list(ServoMode), ids=lambda m: m.value)
+    def test_replay_with_dropped_sentences_reproduces_run(self, mode, seed,
+                                                          tmp_path):
+        # A fifth of the sentences lost and 1.55 us of pulse jitter: the
+        # live run's edges left pending, the unlabeled-edge warnings and
+        # the seconds after them go through the same handlers in replay.
+        osc = OscillatorParams(f0_ppm=0.1, noise_white_fm=2e-9,
+                               noise_flicker_fm=1e-9)
+        recv = ReceiverSpec(pps=PpsJitter(1550),
+                            serial=nmea.SerialDeliveryModel(drop_prob=0.2))
+        cfg = small_cfg(mode=mode, osc=osc, duration=600, seed=seed,
+                        receiver=recv)
+        res = engine.run_scenario(cfg)
+        rows, warnings = engine.run_replay(
+            cfg, cfg.nodes[0], self.logged_events(res, cfg, tmp_path),
+            res["n0"].pulses.edge_ns)
+        assert len(res["n0"].bursts) < 600
+        if mode is ServoMode.NMEA_PLUS_PPS:
+            assert res["n0"].warnings
+        assert warnings == res["n0"].warnings
         assert [LOOP_FORMAT % r for r in loop_rows(rows)] == \
             [LOOP_FORMAT % r for r in loop_rows(res["n0"].loop)]
 

@@ -29,6 +29,8 @@ _PAST_MEMBERSHIP = {
         (("nodes", 0, "constellations"), ["GPS", "GLONASS"]),
     ("BroadcastParams", "clients", "uniqueItems"):
         (("traffic", 0, "params", "clients"), ["c1", "c1"]),
+    ("TraceTemp", "points", "items"):
+        (("temperature",), {"kind": "trace", "points": [[0, 16], [10, 1e300]]}),
 }
 
 
@@ -175,15 +177,22 @@ class TestValidation:
     def test_values_past_every_schema_bound_rejected(self):
         with open(os.path.join(DOCS, "scenario.schema.json")) as fh:
             schema = json.load(fh)
-        doc = scenario.to_dict(minimal(
-            temperature=RangeTemp(20.0, 25.0, 3600.0),
-            nodes=(NodeSpec(name="n"),), traffic=(TrafficSpec("tsf", 1.0),)))
-        scenario.from_dict(doc)
-        bounds = list(_past_bounds(schema, doc))
+        # One document per temperature kind, so that every branch of the
+        # temperature's oneOf is walked; each bound is tried on the first
+        # document that reaches it.
+        bounds = {}
+        for temperature in (RangeTemp(20.0, 25.0, 3600.0), ConstantTemp(20.0),
+                            TraceTemp(((0.0, 20.0), (100.0, 21.0)))):
+            doc = scenario.to_dict(minimal(
+                temperature=temperature, nodes=(NodeSpec(name="n"),),
+                traffic=(TrafficSpec("tsf", 1.0),)))
+            scenario.from_dict(doc)
+            for keys, value in _past_bounds(schema, doc):
+                bounds.setdefault((keys, value), doc)
         # each (exclusive) minimum and maximum in the file is reached
         assert len(bounds) == json.dumps(schema).count("imum\"")
         accepted = []
-        for keys, value in bounds:
+        for (keys, value), doc in bounds.items():
             bad = json.loads(json.dumps(doc))
             target = bad
             for key in keys[:-1]:
@@ -230,8 +239,10 @@ class TestValidation:
         ("harness_10pps",
          *_PAST_MEMBERSHIP["BroadcastParams", "clients", "uniqueItems"],
          r"traffic\[0\]\.params: clients must be distinct"),
+        ("harness_10pps", *_PAST_MEMBERSHIP["TraceTemp", "points", "items"],
+         r"temperature: points\[\*\]\[1\] must be in \[-273\.15, 1000\]"),
     ], ids=["unsorted-trace", "empty-segment", "unknown-traffic-kind",
-            "unknown-constellation", "repeated-client"])
+            "unknown-constellation", "repeated-client", "trace-temperature"])
     def test_broken_rule_names_its_path(self, name, keys, value, match):
         with pytest.raises(SchemaError, match=f"^{match}$"):
             scenario.from_dict(_with(name, keys, value))
@@ -421,14 +432,18 @@ def _key_paths(doc, keys=()):
 def _past_bounds(schema, doc, keys=()):
     """(path, value) just past each numeric bound the schema sets on a
     value of `doc`; a `oneOf` is followed into the branch of doc's kind,
-    an array into its first item."""
+    an array into its first item, a tuple into each of its items, and an
+    object into the keys doc gives (a trace's `points`, not its `file`)."""
     for sub in schema.get("oneOf", ()):
         if sub["properties"]["kind"]["const"] == doc["kind"]:
             yield from _past_bounds(sub, doc, keys)
     for key, sub in schema.get("properties", {}).items():
-        yield from _past_bounds(sub, doc[key], keys + (key,))
+        if key in doc:
+            yield from _past_bounds(sub, doc[key], keys + (key,))
     if isinstance(schema.get("items"), dict):
         yield from _past_bounds(schema["items"], doc[0], keys + (0,))
+    for i, sub in enumerate(schema.get("prefixItems", ())):
+        yield from _past_bounds(sub, doc[i], keys + (i,))
     step = 1 if schema.get("type") == "integer" else 1e-6
     for bound, past in (("minimum", -step), ("exclusiveMinimum", 0),
                         ("maximum", step), ("exclusiveMaximum", 0)):
