@@ -392,10 +392,10 @@ def replay(nmea_log, pps_log, mode, preset_name, scenario_path, node_name,
     try:
         events = nmea.read_log(nmea_log, assumed_latency_ms)
         edges = pps.read_pps_log(pps_log) if pps_log else []
-        _, last_s = engine.capture_seconds(events, edges)
+        seconds = engine.capture_seconds(events, edges)
         cfg, spec = _replay_target(preset_name, scenario_path, node_name,
-                                   seed, mode, pps_log is not None, last_s)
-        loop, warnings = engine.run_replay(cfg, spec, events, edges)
+                                   seed, mode, pps_log is not None, seconds[1])
+        loop, warnings = engine.run_replay(cfg, spec, events, edges, seconds)
     except (ValueError, OverflowError, scenario.UnknownPreset) as exc:
         # OverflowError: a time or phase past 64 bits
         click.echo(f"replay error: {exc}", err=True)

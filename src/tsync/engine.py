@@ -15,6 +15,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -58,6 +59,11 @@ LOOP_HEADER = "elapsed_s,offset_ns,freq_correction_ppm,source,holdover"
 # A loop-log line is `LOOP_FORMAT % row`, with the row's source as its
 # name; %r keeps every bit of the frequency correction.
 LOOP_FORMAT = "%.3f,%d,%r,%s,%d"
+
+# The servo modes as module globals: the handlers test the mode at every
+# event, and reading a member off its Enum class costs a descriptor call.
+_NMEA_ONLY, _PPS_ONLY, _NMEA_PLUS_PPS = (
+    ServoMode.NMEA_ONLY, ServoMode.PPS_ONLY, ServoMode.NMEA_PLUS_PPS)
 
 
 @dataclass
@@ -186,7 +192,7 @@ class NodeSim:
         self._advance_to(boundary * NS_PER_S, temp_c)
         offset_ns = self.clock.phase_offset_ns
         second, logged_ns = boundary, offset_ns
-        if self.servo.mode is ServoMode.PPS_ONLY:
+        if self.servo.mode is _PPS_ONLY:
             # What a pulse would read: the clock's own nearest second, and
             # the offset from it.
             reading_ns = boundary * NS_PER_S + offset_ns
@@ -216,12 +222,13 @@ class NodeSim:
     def on_edge(self, edge_ns: int, temp_c: float) -> None:
         """A pulse edge: sampled at once in pulse-only mode, otherwise held
         for the next sentence to name its second."""
-        if self.servo.mode is ServoMode.NMEA_ONLY:
+        mode = self.servo.mode
+        if mode is _NMEA_ONLY:
             return
         self._drop_pending("unlabeled edge")
         self._advance_to(edge_ns, temp_c)
         capture_ns = edge_ns + self.clock.phase_offset_ns
-        if self.servo.mode is ServoMode.PPS_ONLY:
+        if mode is _PPS_ONLY:
             self._apply_reading(nearest_second(capture_ns) * NS_PER_S,
                                 capture_ns, SampleSource.PPS)
         else:
@@ -239,7 +246,7 @@ class NodeSim:
         """
         second = named_ns // NS_PER_S
         mode = self.servo.mode
-        if mode is ServoMode.NMEA_PLUS_PPS:
+        if mode is _NMEA_PLUS_PPS:
             if self.pending is None:
                 if second != self.last_sampled_second:
                     self.warnings.append(f"no edge to label for second {second}")
@@ -256,7 +263,7 @@ class NodeSim:
             self.last_sampled_second = second
             self._apply_reading(second * NS_PER_S, capture_ns,
                                 SampleSource.COMBINED)
-        elif mode is ServoMode.NMEA_ONLY:
+        elif mode is _NMEA_ONLY:
             last = self.last_sampled_second
             if second == last or not valid:
                 return
@@ -295,7 +302,7 @@ class NodeSim:
         """
         cfg, spec, clock, servo = self.cfg, self.spec, self.clock, self.servo
         constellations = spec.constellations
-        combined = spec.servo.mode is ServoMode.NMEA_PLUS_PPS
+        combined = spec.servo.mode is _NMEA_PLUS_PPS
         osc, noise = spec.oscillator, self.noise
         receiver = spec.receiver
         jitter, window_ns = receiver.pps, receiver.label_window_ns
@@ -366,7 +373,7 @@ class NodeSim:
         if nsat >= 1:
             if self.outage is not None:
                 self._end_outage(boundary)
-            if self.servo.mode is not ServoMode.NMEA_ONLY:
+            if self.servo.mode is not _NMEA_ONLY:
                 edge_ns = pps.next_pps((boundary - 1) * NS_PER_S,
                                        self.spec.receiver.pps, self.rng_pps)
                 pulses = self.pulses
@@ -465,14 +472,16 @@ def capture_seconds(nmea_events, pps_edges) -> tuple[int, int]:
     return min(seconds, default=1), max(seconds, default=1)
 
 
-def run_replay(cfg: ScenarioConfig, spec: NodeSpec, nmea_events,
-               pps_edges) -> tuple[Columns, list[str]]:
+def run_replay(cfg: ScenarioConfig, spec: NodeSpec, nmea_events, pps_edges,
+               seconds: tuple[int, int] | None = None
+               ) -> tuple[Columns, list[str]]:
     """Drive one node's servo from recorded event streams; returns its
     loop log, as `LOOP_COLUMNS` columns, and its warnings.
 
     nmea_events are (arrival_ns, named_ns, fix_valid) tuples; pps_edges
     are true edge times in ns. Every second of the capture must lie in the
-    scenario's seconds 1..duration, else ValueError. `spec` names a
+    scenario's seconds 1..duration, else ValueError; `seconds`, when the
+    caller has it, is the capture's `capture_seconds`. `spec` names a
     node of `cfg`; clock physics are rebuilt from it and from the seed a
     live run gives that node, and the events go through the same `NodeSim`
     handlers as a live run, so replaying a run's own event logs reproduces
@@ -483,22 +492,30 @@ def run_replay(cfg: ScenarioConfig, spec: NodeSpec, nmea_events,
     time instead of at the start of its second, and nothing advances the
     clock through an outage.
     """
-    first, last = capture_seconds(nmea_events, pps_edges)
-    for second in (first, last):
-        if not 1 <= second <= cfg.duration_s:
+    if seconds is None:
+        seconds = capture_seconds(nmea_events, pps_edges)
+    duration = cfg.duration_s
+    for second in seconds:
+        if not 1 <= second <= duration:
             raise ValueError(
                 f"the capture's second {second} lies outside the "
-                f"scenario's {cfg.duration_s} s")
+                f"scenario's {duration} s")
     index = [n.name for n in cfg.nodes].index(spec.name)
     sim = NodeSim(cfg, spec, seed_sequences(cfg)[0][index],
                   len(nmea_events) + len(pps_edges))
 
-    # Edges sort ahead of sentences arriving at the same instant.
-    merged = [(t, sim.on_edge, (t,)) for t in pps_edges]
-    merged += [(event[0], sim.on_sentence, event) for event in nmea_events]
-    merged.sort(key=lambda e: e[0])
+    # Edges sort ahead of sentences arriving at the same instant. A burst's
+    # sentences arrive together, and share the temperature of their time.
+    on_edge, on_sentence = sim.on_edge, sim.on_sentence
+    merged = [(t, on_edge, (t,)) for t in pps_edges]
+    merged += [(event[0], on_sentence, event) for event in nmea_events]
+    merged.sort(key=itemgetter(0))
+    last_ns = temp_c = None
     for t_ns, handle, args in merged:
-        t = min(t_ns / NS_PER_S, cfg.duration_s)
-        handle(*args, scenario.temperature_at(cfg, max(0.0, t)))
+        if t_ns != last_ns:
+            last_ns = t_ns
+            t = min(t_ns / NS_PER_S, duration)
+            temp_c = scenario.temperature_at(cfg, max(0.0, t))
+        handle(*args, temp_c)
     sim.trim()
     return sim.loop, sim.warnings

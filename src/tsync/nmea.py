@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import datetime
 import functools
+import math
+import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -28,9 +30,6 @@ SIM_EPOCH_DATE = datetime.date(2021, 1, 1)
 # talkers, and GN for both.
 _MASK_TO_TALKER = {frozenset({"GPS"}): "GP", frozenset({"BEIDOU"}): "GB"}
 
-# Minimum field counts for structural validation per sentence type.
-_MIN_FIELDS = {"RMC": 9, "GGA": 7, "ZDA": 4}
-
 
 class SentenceKind(str, Enum):
     RMC = "RMC"
@@ -39,23 +38,41 @@ class SentenceKind(str, Enum):
     OTHER = "OTHER"
 
 
+# The kinds as module globals: the parsers test a sentence's kind at every
+# line, and reading a member off its Enum class costs a descriptor call.
+_RMC, _GGA, _ZDA, _OTHER = (SentenceKind.RMC, SentenceKind.GGA,
+                            SentenceKind.ZDA, SentenceKind.OTHER)
+# Each interpreted sentence code: its kind and the fields it must carry.
+# Any other code is OTHER, with no minimum.
+_KINDS = {"RMC": (_RMC, 9), "GGA": (_GGA, 7), "ZDA": (_ZDA, 4)}
+_OTHER_CODE = (_OTHER, 0)
+
+# Builds a NamedTuple from a tuple of its fields, without the Python-level
+# __new__ that keyword support costs.
+_new_tuple = tuple.__new__
+
+
+# Each byte value as two uppercase hex digits.
+_HEX = tuple(f"{i:02X}" for i in range(256))
+
+
 def checksum(payload: str) -> str:
     """XOR fold of the payload bytes as two uppercase hex digits.
 
     The payload is everything between '$' and '*', exclusive; those
-    delimiters must not appear inside it.
+    delimiters must not appear inside it. (They are looked for in the
+    text: a search of the bytes costs several times as much.)
     """
     data = payload.encode("ascii")
-    if b"$" in data or b"*" in data:
+    if "$" in payload or "*" in payload:
         raise ValueError("payload must exclude '$' and '*'")
     acc = 0
     for b in data:
         acc ^= b
-    return f"{acc:02X}"
+    return _HEX[acc]
 
 
-@dataclass(frozen=True)
-class NmeaSentence:
+class NmeaSentence(NamedTuple):
     """One parsed sentence: talker, type and raw fields."""
 
     talker: str
@@ -87,16 +104,12 @@ def parse_sentence(line: str) -> NmeaSentence:
     address = parts[0]
     if len(address) < 5:
         raise ValueError(f"short address field {address!r}")
-    talker, code = address[:2], address[2:]
-    try:
-        kind = SentenceKind(code)
-    except ValueError:
-        kind = SentenceKind.OTHER
+    code = address[2:]
+    kind, need = _KINDS.get(code, _OTHER_CODE)
     fields = tuple(parts[1:])
-    if kind is not SentenceKind.OTHER and len(fields) < _MIN_FIELDS[kind.value]:
-        raise ValueError(
-            f"{code} carries {len(fields)} fields, needs {_MIN_FIELDS[kind.value]}")
-    return NmeaSentence(talker, kind, fields)
+    if len(fields) < need:
+        raise ValueError(f"{code} carries {len(fields)} fields, needs {need}")
+    return _new_tuple(NmeaSentence, (address[:2], kind, fields))
 
 
 class GnssFix(NamedTuple):
@@ -116,19 +129,40 @@ class GnssFix(NamedTuple):
     talker: str
 
 
+def _digits(text: str) -> bool:
+    """Whether a field is a plain string of ASCII digits; int() alone would
+    also take signs, spaces and underscores."""
+    return text.isdigit() and text.isascii()
+
+
+# A time-of-day field: `hhmmss`, optionally followed by `.` and one or
+# more digits, in ASCII digits only; int() and float() alone would also
+# take signs, spaces and underscores.
+_TOD_FIELD = re.compile(r"([0-9]{2})([0-9]{2})([0-9]{2}(?:\.[0-9]+)?)")
+
+
+@functools.lru_cache(maxsize=1)
 def _parse_tod(text: str) -> int:
-    if len(text) < 6:
+    """Nanoseconds since midnight named by a time-of-day field; the
+    sentences of a burst share it."""
+    match = _TOD_FIELD.fullmatch(text)
+    if match is None:
         raise ValueError(f"bad time-of-day field {text!r}")
-    try:
-        h, m = int(text[0:2]), int(text[2:4])
-        s = float(text[4:])
-    except ValueError:
-        raise ValueError(f"bad time-of-day field {text!r}") from None
-    if 0 <= h < 24 and 0 <= m < 60 and 0 <= s < 61:
+    h, m, s = match.groups()
+    h, m, s = int(h), int(m), float(s)
+    if h < 24 and m < 60 and s < 61:
         tod = (h * 3600 + m * 60) * NS_PER_S + round(s * NS_PER_S)
         if tod < NS_PER_DAY:
             return tod
     raise ValueError(f"time-of-day out of range {text!r}")
+
+
+@functools.lru_cache(maxsize=1)
+def _parse_rmc_date(raw: str) -> datetime.date:
+    """The date an RMC's `ddmmyy` field names; a log repeats it."""
+    if len(raw) != 6 or not _digits(raw):
+        raise ValueError(f"bad RMC date {raw!r}")
+    return datetime.date(2000 + int(raw[4:6]), int(raw[2:4]), int(raw[0:2]))
 
 
 # The XOR of the bytes of "00".."99" and of ".000"..".999". Tables of the
@@ -154,35 +188,34 @@ def _time_field(tod_ns: int) -> tuple[str, int]:
 def extract_fix(s: NmeaSentence, last_date: datetime.date | None = None) -> GnssFix:
     """Pull the timing content out of an RMC, GGA or ZDA sentence.
 
-    GGA carries no date, so the caller's last known date is attached.
+    GGA carries no date, so the caller's last known date is attached. The
+    number fields take ASCII digits only.
     """
-    if s.kind not in (SentenceKind.RMC, SentenceKind.GGA, SentenceKind.ZDA):
-        raise ValueError(f"no timing content in {s.kind} sentences")
-    if not s.fields[0]:
-        raise ValueError(f"{s.kind.value} sentence with empty time field")
-    tod = _parse_tod(s.fields[0])
-    if s.kind is SentenceKind.RMC:
-        status = s.fields[1]
-        raw = s.fields[8]
-        if len(raw) != 6 or not raw.isdigit():
-            raise ValueError(f"bad RMC date {raw!r}")
-        date = datetime.date(2000 + int(raw[4:6]), int(raw[2:4]), int(raw[0:2]))
-        return GnssFix(tod, date, status == "A", None, s.talker)
-    if s.kind is SentenceKind.GGA:
+    talker, kind, fields = s
+    if kind is not _RMC and kind is not _GGA and kind is not _ZDA:
+        raise ValueError(f"no timing content in {kind} sentences")
+    if not fields[0]:
+        raise ValueError(f"{kind.value} sentence with empty time field")
+    tod = _parse_tod(fields[0])
+    if kind is _RMC:
+        return _new_tuple(GnssFix, (tod, _parse_rmc_date(fields[8]),
+                                    fields[1] == "A", None, talker))
+    if kind is _GGA:
+        quality, nsat = fields[5], fields[6]
+        if not (_digits(quality) and _digits(nsat)):
+            raise ValueError("bad GGA quality/satellite fields")
+        nsat = int(nsat)
+        return _new_tuple(GnssFix, (tod, last_date,
+                                    int(quality) > 0 and nsat > 0, nsat,
+                                    talker))
+    day, month, year = fields[1:4]
+    if _digits(day) and _digits(month) and _digits(year):
         try:
-            quality = int(s.fields[5])
-            nsat = int(s.fields[6])
+            return GnssFix(tod, datetime.date(int(year), int(month), int(day)),
+                           True, None, talker)
         except ValueError:
-            raise ValueError("bad GGA quality/satellite fields") from None
-        if nsat < 0:
-            raise ValueError(f"negative GGA satellite count {nsat}")
-        return GnssFix(tod, last_date, quality > 0 and nsat > 0, nsat,
-                       s.talker)
-    try:
-        date = datetime.date(int(s.fields[3]), int(s.fields[2]), int(s.fields[1]))
-    except ValueError:
-        raise ValueError("bad ZDA date fields") from None
-    return GnssFix(tod, date, True, None, s.talker)
+            pass
+    raise ValueError("bad ZDA date fields")
 
 
 @functools.lru_cache(maxsize=64)
@@ -218,11 +251,18 @@ def generate(fix: GnssFix, kind: SentenceKind) -> str:
     return f"{head}{tod}{tail}{acc ^ tod_acc:02X}"
 
 
+_EPOCH_DAY = SIM_EPOCH_DATE.toordinal()
+
+
+def _midnight_ns(date: datetime.date) -> int:
+    """The start of `date`, in ns since SIM_EPOCH_DATE midnight."""
+    return (date.toordinal() - _EPOCH_DAY) * NS_PER_DAY
+
+
 def absolute_second_ns(fix: GnssFix) -> int:
     """Absolute time named by a dated fix, in ns since SIM_EPOCH_DATE
     midnight."""
-    days = (fix.date - SIM_EPOCH_DATE).days
-    return days * NS_PER_DAY + fix.tod_ns
+    return _midnight_ns(fix.date) + fix.tod_ns
 
 
 @dataclass(frozen=True)
@@ -293,7 +333,8 @@ def read_log(path, assumed_latency_ms: float) -> list[tuple[int, int, bool]]:
     before it raises ValueError naming the file (and line).
     """
     events = []
-    last_date = None
+    last_date = day_ns = None
+    last = -math.inf  # the arrival of the last event
     with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, 1):
             line, rx_ns = raw.rstrip("\r\n"), None
@@ -311,20 +352,24 @@ def read_log(path, assumed_latency_ms: float) -> list[tuple[int, int, bool]]:
                 if abs(rx_ns) >= 2**63:
                     raise ValueError(f"{path}:{lineno}: arrival time "
                                      f"{head} past the 64-bit ns range")
+            # Both parsers are looked up on the module at each line, so a
+            # wrapper installed there sees every call.
             try:
                 sentence = parse_sentence(line)
-                if sentence.kind is SentenceKind.OTHER:
+                if sentence.kind is _OTHER:
                     continue
-                fix = extract_fix(sentence, last_date)
+                tod, date, valid, _, _ = extract_fix(sentence, last_date)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
-            if fix.date is None:  # a GGA before any dated sentence
+            if date is None:  # a GGA before any dated sentence
                 continue
-            last_date = fix.date
-            named_ns = absolute_second_ns(fix)
+            if date is not last_date:
+                last_date, day_ns = date, _midnight_ns(date)
+            named_ns = day_ns + tod
             arrival = rx_ns if rx_ns is not None else named_ns + round(
                 assumed_latency_ms * 1e6)
-            if events and arrival < events[-1][0]:
+            if arrival < last:
                 raise ValueError(f"{path}: arrivals not time-sorted")
-            events.append((arrival, named_ns, fix.fix_valid))
+            last = arrival
+            events.append((arrival, named_ns, valid))
     return events

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .timebase import (CSV_BLOCK, NS_PER_S, Bounded, SimInstant,
-                       config_field, nearest_second)
+                       config_field, is_sorted, nearest_second)
 
 # An edge may not wander more than this from its UTC second.
 MAX_JITTER_BOUND_NS = 100_000
@@ -99,6 +99,6 @@ def read_pps_log(path) -> list[int]:
                 except ValueError:
                     raise ValueError(
                         f"{path}:{lineno}: bad edge time {line!r}") from None
-    if edges != sorted(edges):
+    if not is_sorted(edges):
         raise ValueError(f"{path}: edges not time-sorted")
     return edges

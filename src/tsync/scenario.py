@@ -24,7 +24,8 @@ from .nmea import MIN_FIX_NSAT, SerialDeliveryModel
 from .pps import PpsJitter
 from .servo import ServoConfig, ServoMode
 from .timebase import (NS_PER_S, PATH_COMPONENT, TEMPERATURE_BOUNDS_C,
-                       Bounded, OscillatorParams, OutOfBounds, config_field)
+                       Bounded, OscillatorParams, OutOfBounds, config_field,
+                       is_sorted)
 
 DEFAULT_SEED = 1787
 
@@ -84,15 +85,17 @@ class TraceTemp(Bounded):
 
     def __post_init__(self):
         super().__post_init__()
-        ts = [p[0] for p in self.points]
-        if ts != sorted(ts):
+        times = tuple(map(itemgetter(0), self.points))
+        if not is_sorted(times):
             raise ValueError("points must be time-sorted")
+        # The points' times, which `at` bisects; not a field.
+        object.__setattr__(self, "_times", times)
 
     def at(self, t_s: float) -> float:
         pts = self.points
-        if t_s <= pts[0][0]:
+        i = bisect.bisect_left(self._times, t_s)
+        if i == 0:
             return pts[0][1]
-        i = bisect.bisect_left(pts, t_s, key=itemgetter(0))
         if i == len(pts):
             return pts[-1][1]
         # bisect_left puts t_s in (pts[i-1][0], pts[i][0]], so t0 < t1.
@@ -402,15 +405,19 @@ def _read_text(path) -> str:
 def load_temperature_trace(path) -> TraceTemp:
     """Read a `t_s,temp_c` CSV (header optional) into a trace model."""
     points = []
+    isfinite = math.isfinite
     for raw in _read_text(path).split("\n"):
         line = raw.strip()
         if not line or line.startswith("t_s"):
             continue
         try:
             t, c = line.split(",")
-            points.append((_finite(t, "t_s"), _finite(c, "temp_c")))
+            t, c = float(t), float(c)
+            if not (isfinite(t) and isfinite(c)):
+                raise ValueError("not a finite number")
         except ValueError as exc:
             raise SchemaError(f"{path}: bad trace line {line!r}") from exc
+        points.append((t, c))
     try:
         return TraceTemp(tuple(points))
     except ValueError as exc:

@@ -80,25 +80,43 @@ def nearest_second(t_ns: int) -> int:
 # Config rules: each is declared once, as field metadata in JSON Schema's
 # words. check_bounds enforces every keyword but `flatten` (the codec's
 # prefix for a field written inline); scenario.json_schema publishes them.
+# A keyword's test takes a sequence of values and the keyword's bound, and
+# holds when every value passes: the rules on items check a column of all
+# the items at once, so a trace's thousands of points cost no Python call
+# each.
+
+
+def _each(test):
+    """The test that `test(value, bound)` holds for every value."""
+    return lambda values, bound: all(map(test, values, itertools.repeat(bound)))
+
 
 _BOUND_TESTS = {
-    "minimum": operator.ge, "exclusiveMinimum": operator.gt,
-    "maximum": operator.le, "exclusiveMaximum": operator.lt,
-    "minLength": lambda value, n: len(value) >= n,
-    "minItems": lambda value, n: len(value) >= n,
-    "pattern": lambda value, pattern: re.search(pattern, value) is not None,
-    "enum": lambda value, allowed: value in allowed,
-    "items": lambda value, schema: all(_obeys(item, schema)
-                                       for item in value),
-    "prefixItems": lambda value, schemas: all(
-        _obeys(item, schema) for item, schema in zip(value, schemas)),
-    "uniqueItems": lambda value, on: not on or len(set(value)) == len(value),
+    "minimum": _each(operator.ge), "exclusiveMinimum": _each(operator.gt),
+    "maximum": _each(operator.le), "exclusiveMaximum": _each(operator.lt),
+    "minLength": _each(lambda value, n: len(value) >= n),
+    "minItems": _each(lambda value, n: len(value) >= n),
+    "pattern": _each(lambda value, pattern: re.search(pattern, value)
+                     is not None),
+    "enum": _each(lambda value, allowed: value in allowed),
+    "items": lambda values, schema: _obeys(
+        list(itertools.chain.from_iterable(values)), schema),
+    "prefixItems": lambda values, schemas: all(
+        _obeys([value[i] for value in values if len(value) > i], schema)
+        for i, schema in enumerate(schemas) if schema),
+    "uniqueItems": _each(lambda value, on: not on
+                         or len(set(value)) == len(value)),
 }
 
 
+def _obeys(values, schema: dict) -> bool:
+    """Every one of `values` obeys `schema`."""
+    return all(_BOUND_TESTS[key](values, bound) for key, bound in schema.items())
 
-def _obeys(value, schema: dict) -> bool:
-    return all(_BOUND_TESTS[key](value, bound) for key, bound in schema.items())
+
+def is_sorted(values) -> bool:
+    """Whether a sequence never decreases, in one pass."""
+    return all(map(operator.le, values, itertools.islice(values, 1, None)))
 
 
 # The `pattern` of a name that a run turns into a file or directory name:
@@ -145,7 +163,7 @@ def check_bounds(config) -> None:
     for f, tests in _bounds(type(config)):
         value = getattr(config, f.name)
         for key, test, bound in tests:
-            if not test(value, bound):
+            if not test((value,), bound):
                 raise OutOfBounds(f.name, dict(f.metadata), key)
 
 

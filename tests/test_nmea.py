@@ -346,6 +346,58 @@ class TestSentenceLog:
             nmea.read_log(path, 80.0)
 
 
+    @pytest.mark.parametrize("payload, message", [
+        ("GPRMC,+1+100.000,A,,,,,,,010121,,",
+         "bad time-of-day field '+1+100.000'"),
+        ("GPRMC,00001_0,A,,,,,,,010121,,", "bad time-of-day field '00001_0'"),
+        ("GPRMC, 1 100.5,A,,,,,,,010121,,",
+         "bad time-of-day field ' 1 100.5'"),
+        ("GPGGA,083559.000,,,,,+1,0_8,,,M,,M",
+         "bad GGA quality/satellite fields"),
+        ("GPRMC,083600.,A,,,,,,,160321,,", "bad time-of-day field '083600.'"),
+        ("GPZDA,083600.000,+7,03,2021,00,00", "bad ZDA date fields"),
+    ], ids=["signed-time", "underscored-time", "spaced-time",
+            "signed-gga-fields", "time-with-bare-point", "signed-zda-day"])
+    def test_number_fields_take_ascii_digits_only(self, tmp_path, payload,
+                                                  message):
+        # int() and float() alone would take each of these fields.
+        path = tmp_path / "nmea.log"
+        path.write_text(f"{make_line(RMC_PAYLOAD)}\n{make_line(payload)}\n")
+        where = re.escape(str(path))
+        with pytest.raises(ValueError, match=f"^{where}:2: "
+                           f"{re.escape(message)}$"):
+            nmea.read_log(path, 80.0)
+
+    @pytest.mark.parametrize("field, tod_ns", [
+        ("083600", 30_960 * 10**9), ("083600.5", 30_960_500_000_000),
+        ("083600.000000001", 30_960_000_000_001)])
+    def test_time_field_grammar(self, field, tod_ns):
+        fix = extract_fix(parse_sentence(make_line(
+            f"GPRMC,{field},A,,,,,,,160321,,")))
+        assert fix.tod_ns == tod_ns
+
+    def test_read_log_parses_through_the_module(self, tmp_path,
+                                                monkeypatch):
+        # The benchmark's tracer wraps both functions on the module: read_log
+        # must look them up there at each line, once per sentence line.
+        calls = {"parse_sentence": 0, "extract_fix": 0}
+        for name in calls:
+            real = getattr(nmea, name)
+
+            def spy(*args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(nmea, name, spy)
+        path = tmp_path / "nmea.log"
+        text = "".join(nmea.format_log(*_bursts([7, 8, 9], [8, 2, 8],
+                                                [0, 0, 0]),
+                                       frozenset({"GPS"})))
+        path.write_text("$GPGSV,1,1,00*79\n" + text)
+        assert len(nmea.read_log(path, 80.0)) == 6
+        assert calls == {"parse_sentence": 7, "extract_fix": 6}
+
+
 class TestFixInvariants:
     def test_absolute_second(self):
         fix = GnssFix(3 * 10**9, datetime.date(2021, 1, 2), True, None, "GP")

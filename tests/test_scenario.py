@@ -1,7 +1,9 @@
+import bisect
 import dataclasses
 import json
 import os
 import typing
+from operator import itemgetter
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -307,6 +309,23 @@ class TestTemperature:
                                   st.floats(-5.0, 25.0)))
         assert TraceTemp(pts).at(t_s) == _scan_trace(pts, t_s)
 
+    @settings(derandomize=True, max_examples=300)
+    @given(st.lists(st.tuples(st.sampled_from([0.0, 0.5, 1.25, 7.0, 7.1])
+                              | st.floats(-1e4, 1e4),
+                              st.floats(-273.15, 1000)),
+                    min_size=2).map(sorted),
+           st.data())
+    def test_trace_lookup_is_the_keyed_bisection(self, points, data):
+        # A few times recur often, so points share times; probes land on
+        # the points, between them, and before and past the ends.
+        pts = tuple(points)
+        times = [t for t, _ in pts]
+        t_s = data.draw(st.one_of(
+            st.sampled_from(times), st.floats(times[0] - 10, times[-1] + 10),
+            st.sampled_from([times[0] - 1, times[-1] + 1])))
+        got = TraceTemp(pts).at(t_s)
+        assert got.hex() == _keyed_bisect_trace(pts, t_s).hex()
+
     def test_trace_from_csv_file(self, tmp_path):
         (tmp_path / "temps.csv").write_text(
             "t_s,temp_c\n0,16.0\n50,18.0\n100,16.0\n")
@@ -407,6 +426,18 @@ def _scan_trace(pts, t_s):
                 return c1
             return c0 + (c1 - c0) * (t_s - t0) / (t1 - t0)
     return pts[-1][1]
+
+
+def _keyed_bisect_trace(pts, t_s):
+    """The lookup as it was when it bisected the points themselves, keyed
+    on their times."""
+    if t_s <= pts[0][0]:
+        return pts[0][1]
+    i = bisect.bisect_left(pts, t_s, key=itemgetter(0))
+    if i == len(pts):
+        return pts[-1][1]
+    (t0, c0), (t1, c1) = pts[i - 1], pts[i]
+    return c0 + (c1 - c0) * (t_s - t0) / (t1 - t0)
 
 
 _JSON_VALUES = st.recursive(

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from tsync import metrics
 from tsync.timebase import (_FLICKER_UNIT_ADEV, ClockState, NoiseStream,
                             OscillatorParams, SimInstant, _fft_len, advance,
-                            flicker_fm_noise, nearest_second,
+                            flicker_fm_noise, is_sorted, nearest_second,
                             random_walk_fm_noise, read_clock, slew_phase)
 
 NS = 1_000_000_000
@@ -45,6 +45,12 @@ class TestSimInstant:
         assert nearest_second(int(2.5001e9)) == 3
         assert nearest_second(NS // 2) == 1
         assert nearest_second(-NS // 2 - 1) == -1
+
+
+@given(st.lists(st.integers(-3, 3), max_size=8))
+def test_is_sorted_is_equality_with_the_sorted_copy(values):
+    assert is_sorted(values) == (values == sorted(values))
+    assert is_sorted(tuple(values)) == (values == sorted(values))
 
 
 class TestAdvance:
