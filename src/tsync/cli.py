@@ -20,9 +20,9 @@ from itertools import chain
 import click
 import numpy as np
 
-from . import __version__, engine, metrics, net, nmea, pps, scenario
+from . import __version__, engine, nmea, pps, scenario
 from .engine import LOOP_FORMAT, LOOP_HEADER
-from .timebase import CSV_BLOCK, NS_PER_S, NoiseExhausted
+from .timebase import CSV_BLOCK, NS_PER_S
 
 HARNESS_HEADER = "packet_id,send_true_ns,recv_a_stamp_ns,recv_b_stamp_ns,offset_ns"
 NTP_HEADER = "t_s,offset_est_ns,delay_est_ns,truth_offset_ns"
@@ -102,6 +102,8 @@ def _run_one(cfg: scenario.ScenarioConfig, out_dir: str) -> dict:
     fails leaves no file."""
     t0 = time.monotonic()
     kinds = {t.kind for t in cfg.traffic}
+    if kinds:  # a run without traffic loads no traffic or analysis code
+        from . import metrics, net
     bcast = None
     if "broadcast" in kinds:
         bcast, nodes = net.run_broadcast(cfg)
@@ -318,6 +320,7 @@ def _read_offsets(path: str):
               help="Also write report and plot-ready CSVs here.")
 def analyze(logs, out_dir):
     """Compute offset statistics, stability curve and box summary."""
+    from . import metrics
     names = [os.path.basename(path) for path in logs]
     for i, name in enumerate(names):
         if name in names[:i]:
@@ -399,11 +402,6 @@ def replay(nmea_log, pps_log, mode, preset_name, scenario_path, node_name,
     except (ValueError, OverflowError, scenario.UnknownPreset) as exc:
         # OverflowError: a time or phase past 64 bits
         click.echo(f"replay error: {exc}", err=True)
-        sys.exit(1)
-    except NoiseExhausted as exc:
-        click.echo(f"replay error: the capture has more measured events "
-                   f"than the noise stream of a {cfg.duration_s} s "
-                   f"scenario holds ({exc})", err=True)
         sys.exit(1)
     for w in warnings:
         click.echo(f"WARNING tsync: replay: {w}", err=True)

@@ -84,10 +84,10 @@ class BlockDraws:
     """A Generator's `random()` doubles, drawn DRAW_BLOCK at a time; the
     same sequence as scalar calls, as long as nothing else reads it.
     `random` is the `__next__` of a chain of blocks, so a draw runs no
-    Python frame."""
+    Python frame; a memoryview of each block yields builtin floats."""
 
     def __init__(self, rng: np.random.Generator):
-        blocks = iter(lambda: rng.random(DRAW_BLOCK).tolist(), None)
+        blocks = iter(lambda: memoryview(rng.random(DRAW_BLOCK)), None)
         self.random = chain.from_iterable(blocks).__next__
 
 
@@ -106,14 +106,16 @@ class NodeSim:
 
     def __init__(self, cfg: ScenarioConfig, spec: NodeSpec,
                  seed_seq: np.random.SeedSequence, rows: int | None = None):
-        """`rows` is the most rows any of the node's logs takes. The
-        default, the scenario's seconds, holds a live run: a second gives
-        at most one loop row, one burst, one pulse and one true offset."""
+        """`rows` is the most rows any of the node's logs takes, and the
+        most measurement events. The default, the scenario's seconds,
+        holds a live run: a second gives at most one row of each log and
+        one noise draw."""
         self.cfg = cfg
         self.spec = spec
         osc_seq, pps_seq, serial_seq, stamp_seq = seed_seq.spawn(4)
-        steps = 2 * cfg.duration_s + 16
-        self.noise = NoiseStream(spec.oscillator, osc_seq, steps)
+        rows = cfg.duration_s if rows is None else rows
+        self.noise = NoiseStream(spec.oscillator, osc_seq,
+                                 max(cfg.duration_s, rows))
         self.rng_pps = BlockDraws(np.random.default_rng(pps_seq))
         self.rng_serial = BlockDraws(np.random.default_rng(serial_seq))
         self.rng_stamp = np.random.default_rng(stamp_seq)
@@ -124,7 +126,6 @@ class NodeSim:
         self.pending: tuple[int, int] | None = None
         self.last_sampled_second: int | None = None
 
-        rows = cfg.duration_s if rows is None else rows
         self.loop = Columns(rows, **LOOP_COLUMNS)
         # One record per delivered sentence burst.
         self.bursts = Columns(rows, arrival_ns="q", second="q", nsat="B")
@@ -486,9 +487,9 @@ def run_replay(cfg: ScenarioConfig, spec: NodeSpec, nmea_events, pps_edges,
     live run gives that node, and the events go through the same `NodeSim`
     handlers as a live run, so replaying a run's own event logs reproduces
     its loop log exactly for outage-free, drop-free runs at constant
-    temperature. The node's logs hold one row per event, since an event
-    logs at most one loop row; several edges within one second can each
-    log one. Two departures remain: temperature is taken at each event's
+    temperature. Only the edges in pulse-bearing modes, and the sentences
+    in sentence-only mode, advance the clock, and each logs at most one
+    loop row. Two departures remain: temperature is taken at each event's
     time instead of at the start of its second, and nothing advances the
     clock through an outage.
     """
@@ -501,18 +502,20 @@ def run_replay(cfg: ScenarioConfig, spec: NodeSpec, nmea_events, pps_edges,
                 f"the capture's second {second} lies outside the "
                 f"scenario's {duration} s")
     index = [n.name for n in cfg.nodes].index(spec.name)
+    sentences_only = spec.servo.mode is _NMEA_ONLY
     sim = NodeSim(cfg, spec, seed_sequences(cfg)[0][index],
-                  len(nmea_events) + len(pps_edges))
+                  len(nmea_events if sentences_only else pps_edges))
 
     # Edges sort ahead of sentences arriving at the same instant. A burst's
     # sentences arrive together, and share the temperature of their time.
     on_edge, on_sentence = sim.on_edge, sim.on_sentence
+    advancing = on_sentence if sentences_only else on_edge
     merged = [(t, on_edge, (t,)) for t in pps_edges]
     merged += [(event[0], on_sentence, event) for event in nmea_events]
     merged.sort(key=itemgetter(0))
     last_ns = temp_c = None
     for t_ns, handle, args in merged:
-        if t_ns != last_ns:
+        if handle is advancing and t_ns != last_ns:
             last_ns = t_ns
             t = min(t_ns / NS_PER_S, duration)
             temp_c = scenario.temperature_at(cfg, max(0.0, t))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .timebase import CSV_BLOCK, NS_PER_S, Bounded, config_field
+from .timebase import CSV_BLOCK, NS_PER_S, Bounded, config_field, is_digits
 
 NS_PER_DAY = 86_400 * NS_PER_S
 
@@ -129,12 +129,6 @@ class GnssFix(NamedTuple):
     talker: str
 
 
-def _digits(text: str) -> bool:
-    """Whether a field is a plain string of ASCII digits; int() alone would
-    also take signs, spaces and underscores."""
-    return text.isdigit() and text.isascii()
-
-
 # A time-of-day field: `hhmmss`, optionally followed by `.` and one or
 # more digits, in ASCII digits only; int() and float() alone would also
 # take signs, spaces and underscores.
@@ -160,17 +154,19 @@ def _parse_tod(text: str) -> int:
 @functools.lru_cache(maxsize=1)
 def _parse_rmc_date(raw: str) -> datetime.date:
     """The date an RMC's `ddmmyy` field names; a log repeats it."""
-    if len(raw) != 6 or not _digits(raw):
+    if len(raw) != 6 or not is_digits(raw):
         raise ValueError(f"bad RMC date {raw!r}")
     return datetime.date(2000 + int(raw[4:6]), int(raw[2:4]), int(raw[0:2]))
 
 
-# The XOR of the bytes of "00".."99" and of ".000"..".999". Tables of the
-# strings themselves render faster still, but their 1 100 long-lived
-# objects raised the peak RSS of most run-replay-analyze processes by
-# 1 MiB.
-_PAIRS_XOR = [int(checksum(f"{i:02d}"), 16) for i in range(100)]
-_MILLIS_XOR = [int(checksum(f".{i:03d}"), 16) for i in range(1000)]
+# The XOR of the bytes of "00".."99" and of ".000"..".999", from the ASCII
+# codes of the digits. Tables of the strings themselves render faster
+# still, but their 1 100 long-lived objects raised the peak RSS of most
+# run-replay-analyze processes by 1 MiB.
+_ZERO = ord("0")
+_PAIRS_XOR = [(_ZERO + i // 10) ^ (_ZERO + i % 10) for i in range(100)]
+_MILLIS_XOR = [ord(".") ^ _PAIRS_XOR[i // 10] ^ (_ZERO + i % 10)
+               for i in range(1000)]
 
 
 @functools.lru_cache(maxsize=1)
@@ -202,14 +198,14 @@ def extract_fix(s: NmeaSentence, last_date: datetime.date | None = None) -> Gnss
                                     fields[1] == "A", None, talker))
     if kind is _GGA:
         quality, nsat = fields[5], fields[6]
-        if not (_digits(quality) and _digits(nsat)):
+        if not (is_digits(quality) and is_digits(nsat)):
             raise ValueError("bad GGA quality/satellite fields")
         nsat = int(nsat)
         return _new_tuple(GnssFix, (tod, last_date,
                                     int(quality) > 0 and nsat > 0, nsat,
                                     talker))
     day, month, year = fields[1:4]
-    if _digits(day) and _digits(month) and _digits(year):
+    if is_digits(day) and is_digits(month) and is_digits(year):
         try:
             return GnssFix(tod, datetime.date(int(year), int(month), int(day)),
                            True, None, talker)
@@ -328,9 +324,10 @@ def read_log(path, assumed_latency_ms: float) -> list[tuple[int, int, bool]]:
     """Read a sentence log as (arrival_ns, named_ns, fix_valid) events.
 
     A bare sentence, one without an '<arrival_ns> ' prefix, arrives
-    `assumed_latency_ms` after the time it names. The first bad prefix or
-    byte, sentence that does not parse, or arrival earlier than the one
-    before it raises ValueError naming the file (and line).
+    `assumed_latency_ms` after the time it names. A prefix is an optional
+    '-' and ASCII digits. The first bad prefix or byte, sentence that does
+    not parse, or arrival earlier than the one before it raises ValueError
+    naming the file (and line).
     """
     events = []
     last_date = day_ns = None
@@ -344,11 +341,10 @@ def read_log(path, assumed_latency_ms: float) -> list[tuple[int, int, bool]]:
                 raise ValueError(f"{path}:{lineno}: non-ASCII byte")
             head, _, rest = line.partition(" ")
             if rest.startswith("$"):
-                try:
-                    rx_ns, line = int(head), rest
-                except ValueError:
+                if not is_digits(head.removeprefix("-")):
                     raise ValueError(
-                        f"{path}:{lineno}: bad arrival time {head!r}") from None
+                        f"{path}:{lineno}: bad arrival time {head!r}")
+                rx_ns, line = int(head), rest
                 if abs(rx_ns) >= 2**63:
                     raise ValueError(f"{path}:{lineno}: arrival time "
                                      f"{head} past the 64-bit ns range")

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .timebase import (CSV_BLOCK, NS_PER_S, Bounded, SimInstant,
-                       config_field, is_sorted, nearest_second)
+                       config_field, is_digits, is_sorted, nearest_second)
 
 # An edge may not wander more than this from its UTC second.
 MAX_JITTER_BOUND_NS = 100_000
@@ -86,19 +86,17 @@ def format_log(edges):
 def read_pps_log(path) -> list[int]:
     """Read an edge capture log: one true edge time in ns per line.
 
-    A line that is not an integer, or holds a non-ASCII byte, raises
-    ValueError naming the file and line; unsorted edges, the file.
+    A line that is not an optional '-' and ASCII digits raises ValueError
+    naming the file and line; unsorted edges, the file.
     """
     edges = []
     with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if line:
-                try:  # a non-ASCII byte decodes to a lone surrogate
-                    edges.append(int(line))
-                except ValueError:
-                    raise ValueError(
-                        f"{path}:{lineno}: bad edge time {line!r}") from None
+                if not is_digits(line.removeprefix("-")):
+                    raise ValueError(f"{path}:{lineno}: bad edge time {line!r}")
+                edges.append(int(line))
     if not is_sorted(edges):
         raise ValueError(f"{path}: edges not time-sorted")
     return edges

@@ -36,10 +36,6 @@ _MAX_PHASE_FS = (2**63 - 1) * FS_PER_NS
 _FLICKER_UNIT_ADEV = math.sqrt(2.0 * math.log(2.0) / math.pi)
 
 
-class NoiseExhausted(RuntimeError):
-    """A clock took more steps than its noise stream was sized for."""
-
-
 @dataclass(frozen=True)
 class SimInstant:
     """A point in time: whole seconds plus nanoseconds in [0, 1e9).
@@ -112,6 +108,12 @@ _BOUND_TESTS = {
 def _obeys(values, schema: dict) -> bool:
     """Every one of `values` obeys `schema`."""
     return all(_BOUND_TESTS[key](values, bound) for key, bound in schema.items())
+
+
+def is_digits(text: str) -> bool:
+    """Whether text is a plain string of ASCII digits; int() alone would
+    also take signs, spaces and underscores."""
+    return text.isdigit() and text.isascii()
 
 
 def is_sorted(values) -> bool:
@@ -348,21 +350,25 @@ def _fft_len(target: int) -> int:
     return best
 
 
+def _flicker_kernel(n: int) -> np.ndarray:
+    """The first n taps of the fractional differencing kernel (Kasdin
+    1995), h[i] = h[i-1] * ((i - 0.5) / i): one product of the rounded
+    ratios, in C, within 1e-12 of the recurrence that divides last."""
+    k = np.arange(1.0, n)
+    return np.cumprod(np.concatenate(([1.0], (k - 0.5) / k)))
+
+
 def flicker_fm_noise(amplitude: float, n: int, seed) -> np.ndarray:
     """Flicker FM fractional-frequency series at a 1 s step, with a flat
     ADEV of `amplitude`.
 
-    Shapes white noise with the fractional differencing kernel
-    h[i] = h[i-1] * (alpha/2 + i - 1) / i (alpha = 1), which realises a
-    1/f frequency spectrum. Deterministic per seed. Only the flat ADEV
-    slope is contractual; the level is calibrated to the amplitude.
+    Shapes white noise with the fractional differencing kernel, which
+    realises a 1/f frequency spectrum. Deterministic per seed. Only the
+    flat ADEV slope is contractual; the level is calibrated to the
+    amplitude.
     """
     rng = np.random.default_rng(seed)
-    # The recurrence runs in builtin floats, in this order: np.cumprod of
-    # the ratios rounds differently.
-    h = np.fromiter(itertools.accumulate(
-        range(1, n), lambda h_prev, i: h_prev * (0.5 + i - 1) / i,
-        initial=1.0), np.float64, n)
+    h = _flicker_kernel(n)
     w = rng.standard_normal(n)
     # Linear convolution through a zero-padded real FFT. The padded
     # length sets the rounding of every output sample. Recorded seeded
@@ -417,8 +423,6 @@ class NoiseStream:
         builtin float."""
         if self._silent:
             return 0.0
-        if self._i >= self._n:
-            raise NoiseExhausted(f"all {self._n} noise draws used")
         i = self._i
         self._i = i + 1
         dt_s = dt_ns / NS_PER_S

@@ -938,10 +938,10 @@ class TestReplay:
         assert len(res.output.strip().splitlines()) == 1
         assert not (tmp_path / "rp" / "loop_replay.csv").exists()
 
-    def test_more_events_than_noise_draws_fails_cleanly(self, runner,
-                                                         tmp_path):
-        # 284 edges inside seconds 1-29, each one clock advance, against
-        # the 2 x 30 + 16 draws of a 30 s scenario's noise stream.
+    def test_capture_denser_than_its_seconds_replays(self, runner,
+                                                     tmp_path):
+        # 284 edges inside seconds 1-29, each one clock advance, against a
+        # 30 s scenario: the noise stream holds a draw for each of them.
         cfg = dataclasses.replace(
             scenario.preset("suburban"), duration_s=30,
             visibility=(scenario.VisibilitySeg(0.0, 30.0, 7, 5),))
@@ -956,13 +956,9 @@ class TestReplay:
             "replay", str(out / "nmea_vehicle.log"),
             "--pps", str(tmp_path / "dense.log"),
             "--scenario", str(path), "--out", str(tmp_path / "rp")])
-        assert res.exit_code == 1
-        assert res.exception is None or isinstance(res.exception, SystemExit)
-        assert res.output == (
-            "replay error: the capture has more measured events than the "
-            "noise stream of a 30 s scenario holds (all 76 noise draws "
-            "used)\n")
-        assert not (tmp_path / "rp" / "loop_replay.csv").exists()
+        assert res.exit_code == 0, res.output
+        loop = (tmp_path / "rp" / "loop_replay.csv").read_text()
+        assert loop.startswith(engine.LOOP_HEADER + "\n")
 
     def test_repeated_pps_edge_fails_cleanly(self, runner, tmp_path):
         cfg, path = short_lab(tmp_path, "combined", 30)
@@ -1033,6 +1029,32 @@ class TestReplay:
         assert res.output.startswith("replay error:")
         assert where in res.output
         assert len(res.output.strip().splitlines()) == 1
+        assert not (tmp_path / "rp" / "loop_replay.csv").exists()
+
+    @pytest.mark.parametrize("log, lines, message", [
+        ("nmea", ["1_077_527_366 $GNRMC,000001.000,A,,,,,,,010121,,*24"],
+         "1: bad arrival time '1_077_527_366'"),
+        ("nmea", ["1077527366 $GNRMC,000001.000,A,,,,,,,010121,,*24",
+                  "+2075149360 $GNRMC,000002.000,A,,,,,,,010121,,*27"],
+         "2: bad arrival time '+2075149360'"),
+        ("pps", ["1_000_000_000"], "1: bad edge time '1_000_000_000'"),
+        ("pps", ["1000000000", "+2_000_000_000"],
+         "2: bad edge time '+2_000_000_000'"),
+    ], ids=["arrival-underscores", "arrival-plus", "edge-underscores",
+            "edge-plus-underscores"])
+    def test_log_time_is_a_minus_and_ascii_digits(self, runner, tmp_path,
+                                                   log, lines, message):
+        # int() alone takes a '+' and '_' between digits.
+        logs = {"nmea": ["1077527366 $GNRMC,000001.000,A,,,,,,,010121,,*24"],
+                "pps": ["1000000000"], log: lines}
+        for name, text in logs.items():
+            (tmp_path / f"{name}.log").write_text("\n".join(text) + "\n")
+        res = runner.invoke(main, [
+            "replay", str(tmp_path / "nmea.log"),
+            "--pps", str(tmp_path / "pps.log"), "--out", str(tmp_path / "rp")])
+        assert res.exit_code == 1
+        assert res.output == (
+            f"replay error: {tmp_path / log}.log:{message}\n")
         assert not (tmp_path / "rp" / "loop_replay.csv").exists()
 
     def test_unknown_node_fails_cleanly(self, runner, tmp_path):
@@ -1454,6 +1476,26 @@ def test_import_loads_no_process_pool():
         text=True, timeout=120)
     assert res.returncode == 0, res.stderr
     assert res.stdout == "[]\n"
+
+
+def test_plain_run_loads_no_traffic_or_analysis_code(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tsync.__file__)))
+    code = ("import sys\n"
+            "from tsync.cli import main\n"
+            "loaded = lambda: sorted({'tsync.net', 'tsync.metrics'}"
+            " & set(sys.modules))\n"
+            "print(loaded())\n"
+            "try:\n"
+            "    main(sys.argv[1:])\n"
+            "finally:\n"
+            "    print(loaded())\n")
+    res = subprocess.run(
+        [sys.executable, "-c", code, "run", "--preset", "suburban", "--out",
+         str(tmp_path)], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    imported, _, ran = res.stdout.splitlines()
+    assert imported == ran == "[]"
 
 
 def test_import_and_run_load_no_scipy(tmp_path):

@@ -227,6 +227,62 @@ class TestBlockDraws:
         assert [draws.random() for _ in range(n)] == \
             [ref.random() for _ in range(n)]
 
+    def test_draws_are_the_scalar_bits_as_builtin_floats(self):
+        n = 10_000  # across two block boundaries
+        draws = engine.BlockDraws(np.random.default_rng(21))
+        got = [draws.random() for _ in range(n)]
+        ref = np.random.default_rng(21)
+        assert {type(x) for x in got} == {float}
+        assert np.array(got).tobytes() == \
+            np.array([ref.random() for _ in range(n)]).tobytes()
+
+
+class TestNoiseDraws:
+    """A live second advances the clock at most once, so a node's noise
+    stream holds one draw per second; these runs read every one."""
+
+    NOISY = OscillatorParams(f0_ppm=0.1, noise_white_fm=2e-9,
+                             noise_flicker_fm=1e-9)
+
+    @staticmethod
+    def draws(cfg):
+        """(draws held, draws read) of the one node of `cfg`, run live."""
+        (sim,) = engine.build_node_sims(cfg)
+        engine.run_loop(cfg, [sim])
+        return sim.noise._n, sim.noise._i
+
+    @pytest.mark.parametrize("mode", list(ServoMode), ids=lambda m: m.value)
+    def test_live_run_reads_a_draw_per_second(self, mode):
+        assert self.draws(small_cfg(mode=mode, osc=self.NOISY)) == (120, 120)
+
+    def test_outage_with_holdover_reads_a_draw_per_second(self):
+        cfg = TestOutage.outage_cfg(predict=True)
+        node = dataclasses.replace(cfg.nodes[0], oscillator=dataclasses.replace(
+            cfg.nodes[0].oscillator, noise_white_fm=2e-9))
+        cfg = dataclasses.replace(cfg, nodes=(node,))
+        assert self.draws(cfg) == (800, 800)
+        (seg,) = engine.run_scenario(cfg)["n0"].holdover_segments
+        assert seg.predicted
+
+    def test_replay_of_a_runs_own_logs_holds_a_draw_per_second(
+            self, monkeypatch, tmp_path):
+        streams = []
+
+        class Recorded(engine.NoiseStream):
+            def __init__(self, *args):
+                super().__init__(*args)
+                streams.append(self)
+
+        cfg = scenario.preset("suburban")
+        res = engine.run_scenario(cfg)
+        events = TestReplayParity.logged_events(res, cfg, tmp_path,
+                                                cfg.nodes[0].name)
+        monkeypatch.setattr(engine, "NoiseStream", Recorded)
+        engine.run_replay(cfg, cfg.nodes[0], events,
+                          res[cfg.nodes[0].name].pulses.edge_ns)
+        (stream,) = streams
+        assert stream._n == cfg.duration_s
+
 
 class TestSentenceSample:
     """A sentence-only node measures the clock at a sentence's arrival,

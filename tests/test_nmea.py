@@ -236,6 +236,12 @@ class TestTimeField:
                     (text, int(checksum(text), 16))
         assert nmea._time_field(86_399_999_999_999)[0] == "235959.999"
 
+    def test_xor_tables_equal_the_checksums_of_their_strings(self):
+        assert nmea._PAIRS_XOR == [int(checksum(f"{i:02d}"), 16)
+                                   for i in range(100)]
+        assert nmea._MILLIS_XOR == [int(checksum(f".{i:03d}"), 16)
+                                    for i in range(1000)]
+
     def test_sentence_never_names_a_time_ahead(self):
         fix = GnssFix(59_999_700_000, datetime.date(2021, 1, 1), True, None,
                       "GP")

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from tsync import metrics
 from tsync.timebase import (_FLICKER_UNIT_ADEV, ClockState, NoiseStream,
-                            OscillatorParams, SimInstant, _fft_len, advance,
+                            OscillatorParams, SimInstant, _fft_len,
+                            _flicker_kernel, advance,
                             flicker_fm_noise, is_sorted, nearest_second,
                             random_walk_fm_noise, read_clock, slew_phase)
 
@@ -245,11 +246,23 @@ class TestPowerLawNoise:
         h = np.empty(n)
         h[0] = 1.0
         for i in range(1, n):
-            h[i] = h[i - 1] * (0.5 + i - 1) / i
+            h[i] = h[i - 1] * ((i - 0.5) / i)
         w = np.random.default_rng(19).standard_normal(n)
         ref = signal.fftconvolve(h, w)[:n] * (1e-9 / _FLICKER_UNIT_ADEV)
         y = flicker_fm_noise(1e-9, n, 19)
         assert y.tobytes() == ref.tobytes()
+
+    def test_flicker_kernel_stays_near_the_divide_last_recurrence(self):
+        # h[i] = h[i-1] * (i - 0.5) / i, rounded after the product and
+        # again after the division, at the length of a 24 h run's old
+        # stream.
+        n = 172_816
+        ref = np.empty(n)
+        ref[0] = 1.0
+        for i in range(1, n):
+            ref[i] = ref[i - 1] * (i - 0.5) / i
+        h = _flicker_kernel(n)
+        assert np.max(np.abs(h - ref) / ref) <= 1e-12
 
     def test_fft_len_matches_next_fast_len(self):
         sp_fft = pytest.importorskip("scipy.fft")
