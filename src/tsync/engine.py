@@ -64,6 +64,8 @@ LOOP_FORMAT = "%.3f,%d,%r,%s,%d"
 # event, and reading a member off its Enum class costs a descriptor call.
 _NMEA_ONLY, _PPS_ONLY, _NMEA_PLUS_PPS = (
     ServoMode.NMEA_ONLY, ServoMode.PPS_ONLY, ServoMode.NMEA_PLUS_PPS)
+_COMBINED = _SOURCE_INDEX[SampleSource.COMBINED]
+_LABEL_ERRORS = (pps.UnlabeledEdge, pps.AmbiguousLabel)
 
 
 @dataclass
@@ -95,10 +97,8 @@ class NodeSim:
     """Single disciplined node driven by pulse edges and sentences.
 
     A live run draws each second's events in `step_boundary`; replay
-    feeds recorded ones through `on_edge` and `on_sentence`. A live
-    second goes through those handlers too, unless it is a combined-mode
-    second with signal, no outage to close and no edge pending, which
-    `_live_seconds` steps inline in the same order.
+    feeds recorded ones. Both hand each edge to `on_edge` and each
+    sentence to `on_sentence`, which run with no outage open.
     One advance (and one noise draw) happens per measurement event: the
     pulse edge in pulse-bearing modes, the sentence arrival in
     sentence-only mode, and the top of the second during outages.
@@ -121,6 +121,9 @@ class NodeSim:
         self.rng_stamp = np.random.default_rng(stamp_seq)
         self.clock = ClockState.from_offset_ns(spec.initial_offset_ns)
         self.servo = ServoState(spec.servo)
+        # Read by the handlers at every event.
+        self.mode = spec.servo.mode
+        self.label_window_ns = spec.receiver.label_window_ns
         self.outage: HoldoverSegment | None = None
         self.holdover = False
         self.pending: tuple[int, int] | None = None
@@ -134,10 +137,6 @@ class NodeSim:
         self.true = Columns(rows, offset_ns="q")
         self.warnings: list[str] = []
         self.holdover_segments: list[HoldoverSegment] = []
-        # The generator step_boundary resumes, made at the first live
-        # second. It refers to the node, so finish drops it: the node then
-        # goes with its last reference, not at the next cyclic collection.
-        self._seconds = None
 
     # -- clock helpers ----------------------------------------------------
 
@@ -189,11 +188,11 @@ class NodeSim:
         if seg is None:
             seg = self.outage = HoldoverSegment(float(boundary - 1))
             self.holdover_segments.append(seg)
-            self.pending = None
+            self._drop_pending("unlabeled edge")
         self._advance_to(boundary * NS_PER_S, temp_c)
         offset_ns = self.clock.phase_offset_ns
         second, logged_ns = boundary, offset_ns
-        if self.servo.mode is _PPS_ONLY:
+        if self.mode is _PPS_ONLY:
             # What a pulse would read: the clock's own nearest second, and
             # the offset from it.
             reading_ns = boundary * NS_PER_S + offset_ns
@@ -223,12 +222,20 @@ class NodeSim:
     def on_edge(self, edge_ns: int, temp_c: float) -> None:
         """A pulse edge: sampled at once in pulse-only mode, otherwise held
         for the next sentence to name its second."""
-        mode = self.servo.mode
+        mode = self.mode
         if mode is _NMEA_ONLY:
             return
-        self._drop_pending("unlabeled edge")
-        self._advance_to(edge_ns, temp_c)
-        capture_ns = edge_ns + self.clock.phase_offset_ns
+        if self.pending is not None:
+            self._drop_pending("unlabeled edge")
+        # The advance to the edge and the steering over it; with no outage
+        # open, only the servo's correction steers.
+        clock = self.clock
+        dt_ns = edge_ns - clock.last_update_ns
+        advance(clock, self.spec.oscillator, dt_ns, temp_c, self.noise)
+        steer_fs = round(self.servo.freq_correction_ppm * dt_ns)
+        if steer_fs:
+            slew_phase(clock, steer_fs)
+        capture_ns = edge_ns + clock.phase_offset_ns
         if mode is _PPS_ONLY:
             self._apply_reading(nearest_second(capture_ns) * NS_PER_S,
                                 capture_ns, SampleSource.PPS)
@@ -240,30 +247,43 @@ class NodeSim:
         """A sentence naming time `named_ns`, whose floor is its second; at
         most one sample per named second.
 
-        Combined mode labels the pending edge with the second; sentence-only
-        mode measures the clock at its arrival, less the path delay, against
-        the named time when the fix is `valid` and the arrival lies in
-        [named time, named time + label window].
+        Combined mode labels the pending edge with the second and measures
+        the edge's capture against it; sentence-only mode measures the
+        clock at its arrival, less the path delay, against the named time
+        when the fix is `valid` and the arrival lies in [named time, named
+        time + label window].
         """
         second = named_ns // NS_PER_S
-        mode = self.servo.mode
+        mode = self.mode
         if mode is _NMEA_PLUS_PPS:
-            if self.pending is None:
+            pending = self.pending
+            if pending is None:
                 if second != self.last_sampled_second:
                     self.warnings.append(f"no edge to label for second {second}")
                     self.last_sampled_second = second
                 return
-            edge_ns, capture_ns = self.pending
+            edge_ns, capture_ns = pending
             try:
                 pps.label_pps(edge_ns, arrival_ns, second,
-                              self.spec.receiver.label_window_ns)
-            except (pps.UnlabeledEdge, pps.AmbiguousLabel) as exc:
+                              self.label_window_ns)
+            except _LABEL_ERRORS as exc:
                 self._drop_pending(type(exc).__name__)
                 return
             self.pending = None
             self.last_sampled_second = second
-            self._apply_reading(second * NS_PER_S, capture_ns,
-                                SampleSource.COMBINED)
+            # `_apply_reading` and `_log` inline, the hottest row.
+            servo = self.servo
+            t_ns = second * NS_PER_S
+            elapsed_s, offset_ns = t_ns / NS_PER_S, capture_ns - t_ns
+            step_ns = servo_mod.update(servo, elapsed_s, offset_ns)
+            if step_ns:
+                slew_phase(self.clock, step_ns * FS_PER_NS)
+            loop = self.loop
+            i = loop.n
+            loop.elapsed_s[i], loop.offset_ns[i] = elapsed_s, offset_ns
+            loop.freq_correction_ppm[i] = servo.freq_correction_ppm
+            loop.source[i], loop.holdover[i] = _COMBINED, 0
+            loop.n = i + 1
         elif mode is _NMEA_ONLY:
             last = self.last_sampled_second
             if second == last or not valid:
@@ -273,7 +293,7 @@ class NodeSim:
                     f"sentence for second {second} not after history tail "
                     f"second {last}")
             self.last_sampled_second = second
-            window_ns = self.spec.receiver.label_window_ns
+            window_ns = self.label_window_ns
             if not named_ns <= arrival_ns <= named_ns + window_ns:
                 self.warnings.append(
                     f"sentence for second {second} arrived outside its window")
@@ -284,113 +304,36 @@ class NodeSim:
                                 SampleSource.NMEA)
 
     def step_boundary(self, boundary: int) -> None:
-        """Advance through true second [boundary-1, boundary]."""
-        if self._seconds is None:
-            self._seconds = self._live_seconds()
-            next(self._seconds)
-        self._seconds.send(boundary)
-
-    def _live_seconds(self):
-        """The generator `step_boundary` resumes, once per second.
-
-        A combined-mode second with signal, no outage to close and no
-        edge pending is stepped here, with the node's state bound once:
-        the edge, the clock advance, the steering, the capture, the serial
-        draw, the burst row, the label, the PI update, the loop row and
-        the true offset, in the handlers' order. Every other second goes
-        through `_step_events` and the handlers replay drives. The clock
-        is `self.clock`, changed in place, so reads between seconds see it.
-        """
-        cfg, spec, clock, servo = self.cfg, self.spec, self.clock, self.servo
-        constellations = spec.constellations
-        combined = spec.servo.mode is _NMEA_PLUS_PPS
-        osc, noise = spec.oscillator, self.noise
-        receiver = spec.receiver
-        jitter, window_ns = receiver.pps, receiver.label_window_ns
-        delivery_delay_ns = receiver.serial.delivery_delay_ns
-        rng_pps, rng_serial = self.rng_pps, self.rng_serial
-        pulses, bursts, loop, true = self.pulses, self.bursts, self.loop, self.true
-        edges, true_ns = pulses.edge_ns, true.offset_ns
-        arrivals, seconds, nsats = bursts.arrival_ns, bursts.second, bursts.nsat
-        elapsed_col, offset_col, freq_col = (loop.elapsed_s, loop.offset_ns,
-                                             loop.freq_correction_ppm)
-        source_col, holdover_col = loop.source, loop.holdover
-        label_errors = (pps.UnlabeledEdge, pps.AmbiguousLabel)
-        source = _SOURCE_INDEX[SampleSource.COMBINED]
-        boundary = yield
-        while True:
-            temp_c = scenario.temperature_at(cfg, float(boundary - 1))
-            nsat = scenario.effective_nsat(cfg, boundary - 0.5, constellations)
-            if not (combined and nsat >= 1 and self.outage is None
-                    and self.pending is None):
-                self._step_events(boundary, temp_c, nsat)
-                boundary = yield
-                continue
-            edge_ns = pps.next_pps((boundary - 1) * NS_PER_S, jitter, rng_pps)
-            i = pulses.n
-            edges[i] = edge_ns
-            pulses.n = i + 1
-            # The advance to the edge and the steering over it.
-            dt_ns = edge_ns - clock.last_update_ns
-            advance(clock, osc, dt_ns, temp_c, noise)
-            steer_fs = round(servo.freq_correction_ppm * dt_ns)
-            if steer_fs:
-                slew_phase(clock, steer_fs)
-            capture_ns = edge_ns + clock.phase_offset_ns
-            delay = delivery_delay_ns(rng_serial)
-            if delay is None:
-                # The edge waits; the next second's handlers drop it.
-                self.pending = (edge_ns, capture_ns)
-            else:
-                t_ns = boundary * NS_PER_S
-                arrival_ns = t_ns + delay
-                i = bursts.n
-                arrivals[i], seconds[i], nsats[i] = arrival_ns, boundary, nsat
-                bursts.n = i + 1
-                try:
-                    pps.label_pps(edge_ns, arrival_ns, boundary, window_ns)
-                except label_errors as exc:
-                    self.pending = (edge_ns, capture_ns)
-                    self._drop_pending(type(exc).__name__)
-                else:
-                    self.last_sampled_second = boundary
-                    elapsed_s, offset_ns = t_ns / NS_PER_S, capture_ns - t_ns
-                    step_ns = servo_mod.update(servo, elapsed_s, offset_ns)
-                    if step_ns:
-                        slew_phase(clock, step_ns * FS_PER_NS)
-                    i = loop.n
-                    elapsed_col[i], offset_col[i] = elapsed_s, offset_ns
-                    freq_col[i] = servo.freq_correction_ppm
-                    source_col[i], holdover_col[i] = source, 0
-                    loop.n = i + 1
-            i = true.n
-            true_ns[i] = clock.phase_offset_ns
-            true.n = i + 1
-            boundary = yield
-
-    def _step_events(self, boundary: int, temp_c: float, nsat: int) -> None:
-        """Step second [boundary-1, boundary] through the event handlers,
-        at temperature `temp_c` with `nsat` satellites in view."""
+        """Advance through true second [boundary-1, boundary], at the
+        temperature of its start, with the satellites in view at its middle:
+        its edge goes to `on_edge` and its burst to `on_sentence`, or the
+        outage ticks when none is in view. Then the true offset is logged."""
+        cfg, spec = self.cfg, self.spec
+        temp_c = scenario.temperature_at(cfg, float(boundary - 1))
+        nsat = scenario.effective_nsat(cfg, boundary - 0.5,
+                                       spec.constellations)
         if nsat >= 1:
             if self.outage is not None:
                 self._end_outage(boundary)
-            if self.servo.mode is not _NMEA_ONLY:
+            receiver = spec.receiver
+            if self.mode is not _NMEA_ONLY:
                 edge_ns = pps.next_pps((boundary - 1) * NS_PER_S,
-                                       self.spec.receiver.pps, self.rng_pps)
+                                       receiver.pps, self.rng_pps)
                 pulses = self.pulses
                 pulses.edge_ns[pulses.n] = edge_ns
                 pulses.n += 1
                 self.on_edge(edge_ns, temp_c)
-            delay = self.spec.receiver.serial.delivery_delay_ns(self.rng_serial)
+            delay = receiver.serial.delivery_delay_ns(self.rng_serial)
             if delay is not None:
-                arrival_ns = boundary * NS_PER_S + delay
+                t_ns = boundary * NS_PER_S
+                arrival_ns = t_ns + delay
                 bursts = self.bursts
                 i = bursts.n
                 bursts.arrival_ns[i] = arrival_ns
                 bursts.second[i] = boundary
                 bursts.nsat[i] = nsat
                 bursts.n = i + 1
-                self.on_sentence(arrival_ns, boundary * NS_PER_S,
+                self.on_sentence(arrival_ns, t_ns,
                                  nsat >= scenario.MIN_FIX_NSAT, temp_c)
         else:
             self._outage_tick(boundary, temp_c)
@@ -399,7 +342,6 @@ class NodeSim:
         true.n += 1
 
     def finish(self, duration: int) -> None:
-        self._seconds = None
         if self.outage is not None:
             self._end_outage(duration + 1)
         self._drop_pending("unlabeled edge")
@@ -484,14 +426,15 @@ def run_replay(cfg: ScenarioConfig, spec: NodeSpec, nmea_events, pps_edges,
     scenario's seconds 1..duration, else ValueError; `seconds`, when the
     caller has it, is the capture's `capture_seconds`. `spec` names a
     node of `cfg`; clock physics are rebuilt from it and from the seed a
-    live run gives that node, and the events go through the same `NodeSim`
-    handlers as a live run, so replaying a run's own event logs reproduces
-    its loop log exactly for outage-free, drop-free runs at constant
-    temperature. Only the edges in pulse-bearing modes, and the sentences
-    in sentence-only mode, advance the clock, and each logs at most one
-    loop row. Two departures remain: temperature is taken at each event's
-    time instead of at the start of its second, and nothing advances the
-    clock through an outage.
+    live run gives that node. The events go through `on_edge` and
+    `on_sentence`, the handlers every live second hands its edge and burst
+    to, so replaying a run's own event logs reproduces its loop log
+    exactly, lost sentences included, for a run without an outage at
+    constant temperature. Only the edges in pulse-bearing modes, and the
+    sentences in sentence-only mode, advance the clock, and each logs at
+    most one loop row. Two departures remain: temperature is taken at each
+    event's time instead of at the start of its second, and nothing
+    advances the clock through an outage.
     """
     if seconds is None:
         seconds = capture_seconds(nmea_events, pps_edges)

@@ -71,10 +71,6 @@ class ServoState:
     # Time of the last sample the loop took; None after a step.
     last_elapsed_s: float | None = None
 
-    @property
-    def mode(self) -> ServoMode:
-        return self.config.mode
-
 
 def update(servo: ServoState, elapsed_s: float, offset_ns: int) -> int:
     """Fold one offset (node minus reference, ns) measured at `elapsed_s`

@@ -559,6 +559,41 @@ class TestReplayParity:
         assert len(rows) == len(res["n0"].loop) - 1
 
 
+def gap_cfg(mode=ServoMode.NMEA_PLUS_PPS, drop_prob=0.5, seed=1):
+    """40 s with half the sentences lost and no satellite in [20, 30)."""
+    recv = ReceiverSpec(serial=nmea.SerialDeliveryModel(drop_prob=drop_prob))
+    cfg = small_cfg(mode=mode, duration=40, seed=seed, receiver=recv)
+    return dataclasses.replace(cfg, visibility=(
+        VisibilitySeg(0.0, 20.0, 8, 6), VisibilitySeg(20.0, 30.0, 0, 0),
+        VisibilitySeg(30.0, 40.0, 8, 6)))
+
+
+class TestEventPath:
+    """A live second hands its edge and its burst to the handlers replay
+    drives."""
+
+    @pytest.mark.parametrize("mode", list(ServoMode), ids=lambda m: m.value)
+    def test_live_run_calls_a_handler_per_event(self, monkeypatch, mode):
+        edges = record_calls(monkeypatch, engine.NodeSim, "on_edge")
+        sentences = record_calls(monkeypatch, engine.NodeSim, "on_sentence")
+        sim = engine.run_scenario(gap_cfg(mode, drop_prob=0.2))["n0"]
+        assert len(sim.bursts) > 0
+        assert [e for _, e, _ in edges] == list(sim.pulses.edge_ns)
+        assert [(a, named // 10**9) for _, a, named, _, _ in sentences] == \
+            list(zip(sim.bursts.arrival_ns, sim.bursts.second))
+
+    def test_edge_pending_at_an_outage_start_warns(self):
+        # Every edge no burst labels warns once, the edge of second 20,
+        # left pending when the outage starts at second 21, too.
+        sim = engine.run_scenario(gap_cfg())["n0"]
+        labeled = set(sim.bursts.second)
+        unlabeled = [e for e in sim.pulses.edge_ns
+                     if round(e / 10**9) not in labeled]
+        assert 20 not in labeled
+        assert sim.warnings == [f"unlabeled edge at {SimInstant.from_ns(e)}"
+                                for e in unlabeled]
+
+
 class TestIntegerTime:
     """Clock reads, edges and packet stamps stay plain integer ns; a
     `SimInstant` is built only to format a warning or an error."""

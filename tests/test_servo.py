@@ -139,7 +139,3 @@ class TestConfig:
         else:
             with pytest.raises(ValueError, match="must be"):
                 ServoConfig(kp=kp, ki=ki)
-
-    def test_mode_exposed(self):
-        servo = ServoState(ServoConfig(mode=ServoMode.NMEA_ONLY))
-        assert servo.mode is ServoMode.NMEA_ONLY
