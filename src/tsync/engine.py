@@ -432,9 +432,11 @@ def run_replay(cfg: ScenarioConfig, spec: NodeSpec, nmea_events, pps_edges,
     exactly, lost sentences included, for a run without an outage at
     constant temperature. Only the edges in pulse-bearing modes, and the
     sentences in sentence-only mode, advance the clock, and each logs at
-    most one loop row. Two departures remain: temperature is taken at each
-    event's time instead of at the start of its second, and nothing
-    advances the clock through an outage.
+    most one loop row. The node ends with `finish`, as a live run's does,
+    so an edge still pending after the last event is warned. Two
+    departures remain: temperature is taken at each event's time instead
+    of at the start of its second, and nothing advances the clock through
+    an outage.
     """
     if seconds is None:
         seconds = capture_seconds(nmea_events, pps_edges)
@@ -463,5 +465,5 @@ def run_replay(cfg: ScenarioConfig, spec: NodeSpec, nmea_events, pps_edges,
             t = min(t_ns / NS_PER_S, duration)
             temp_c = scenario.temperature_at(cfg, max(0.0, t))
         handle(*args, temp_c)
-    sim.trim()
+    sim.finish(duration)
     return sim.loop, sim.warnings

@@ -1,8 +1,8 @@
 """Statistics for clock offset series.
 
-Covers the accuracy/precision bound checks, exact mean and sample
-standard deviation, the overlapping Allan deviation with a power-law
-noise-template fit, and five-number box summaries.
+Covers the overlapping Allan deviation with a power-law noise-template
+fit, five-number box summaries, and the report that adds the exact mean
+and sample standard deviation to them.
 """
 
 from __future__ import annotations
@@ -40,28 +40,6 @@ class BoxStats(NamedTuple):
     outliers: tuple
 
 
-def mean_std(samples) -> tuple[float, float]:
-    """Exact two-pass mean and sample standard deviation (N-1 divisor)."""
-    x = np.asarray(samples, dtype=float)
-    if x.size < 2:
-        raise ValueError("need at least 2 samples for a standard deviation")
-    mean = float(np.mean(x))
-    std = math.sqrt(float(np.sum((x - mean) ** 2)) / (x.size - 1))
-    return mean, std
-
-
-def check_accuracy(samples, alpha_ns: float):
-    """Whether every |offset| stays within alpha_ns; returns the worst sample.
-
-    Empty input is vacuously within bounds.
-    """
-    x = np.asarray(samples, dtype=float)
-    if x.size == 0:
-        return True, None
-    worst = float(x[np.argmax(np.abs(x))])
-    return bool(abs(worst) <= alpha_ns), worst
-
-
 def overlapping_adev(phase_ns, tau0_s: float, taus_s) -> list[AllanPoint]:
     """Overlapping Allan deviation from phase samples (ns) at spacing tau0.
 
@@ -71,18 +49,14 @@ def overlapping_adev(phase_ns, tau0_s: float, taus_s) -> list[AllanPoint]:
 
     with x in seconds and i running over all N-2m overlapping triples.
     Second differences are taken on the raw nanosecond values so integer
-    ramps cancel exactly.
+    ramps cancel exactly. Each tau must be a whole multiple m of tau0 with
+    N >= 2m + 1, as `default_taus` gives.
     """
     x = np.asarray(phase_ns, dtype=float)
     n = x.size
     points = []
     for tau in taus_s:
-        m_f = tau / tau0_s
-        m = int(round(m_f))
-        if m < 1 or abs(m_f - m) > 1e-9:
-            raise ValueError(f"tau={tau} is not a positive multiple of tau0")
-        if n < 2 * m + 1:
-            raise ValueError(f"series too short for tau={tau} (need {2*m+1})")
+        m = round(tau / tau0_s)
         d = x[2 * m:] - 2.0 * x[m:n - m] + x[:n - 2 * m]
         avar = float(np.sum((d * 1e-9) ** 2)) / (2.0 * (n - 2 * m) * tau * tau)
         points.append(AllanPoint(float(tau), math.sqrt(avar), n - 2 * m))
@@ -97,16 +71,6 @@ def default_taus(n: int, tau0_s: float) -> list[float]:
         taus.append(m * tau0_s)
         m *= 2
     return taus
-
-
-def adev_slope(points: list[AllanPoint]) -> float:
-    """Log-log regression slope of an ADEV curve."""
-    pts = [p for p in points if p.adev > 0]
-    if len(pts) < 2:
-        raise ValueError("need at least 2 nonzero points for a slope")
-    lt = np.log10([p.tau_s for p in pts])
-    la = np.log10([p.adev for p in pts])
-    return float(np.polyfit(lt, la, 1)[0])
 
 
 @functools.cache
@@ -181,11 +145,10 @@ def boxplot(samples) -> BoxStats:
     """Five-number box summary with linear-interpolation quartiles.
 
     Whiskers extend to the most extreme samples within 1.5 IQR of the
-    quartiles; anything beyond is reported as an outlier.
+    quartiles; anything beyond is reported as an outlier. The samples
+    must not be empty.
     """
     x = np.asarray(samples, dtype=float)
-    if x.size < 1:
-        raise ValueError("need at least 1 sample")
     q1, med, q3 = (float(v) for v in np.percentile(x, [25.0, 50.0, 75.0]))
     iqr = q3 - q1
     lo_fence, hi_fence = q1 - 1.5 * iqr, q3 + 1.5 * iqr
@@ -201,10 +164,13 @@ def boxplot(samples) -> BoxStats:
 def report(offsets_ns, tau0_s: float = 1.0) -> dict:
     """Composite JSON-ready report: moments, ADEV curve, noise fit, box."""
     x = np.asarray(offsets_ns, dtype=float)
+    mean = float(np.mean(x)) if x.size else 0.0
     out: dict = {
         "n": int(x.size),
-        "mean_ns": float(np.mean(x)) if x.size else 0.0,
-        "std_ns": mean_std(x)[1] if x.size >= 2 else 0.0,
+        "mean_ns": mean,
+        # Two-pass sample standard deviation (N-1 divisor).
+        "std_ns": (math.sqrt(float(np.sum((x - mean) ** 2)) / (x.size - 1))
+                   if x.size >= 2 else 0.0),
         "max_ns": float(np.max(x)) if x.size else 0.0,
         "min_ns": float(np.min(x)) if x.size else 0.0,
     }

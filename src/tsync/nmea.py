@@ -255,12 +255,6 @@ def _midnight_ns(date: datetime.date) -> int:
     return (date.toordinal() - _EPOCH_DAY) * NS_PER_DAY
 
 
-def absolute_second_ns(fix: GnssFix) -> int:
-    """Absolute time named by a dated fix, in ns since SIM_EPOCH_DATE
-    midnight."""
-    return _midnight_ns(fix.date) + fix.tod_ns
-
-
 @dataclass(frozen=True)
 class SerialDeliveryModel(Bounded):
     """Latency model for the RS232 sentence stream.

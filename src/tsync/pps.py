@@ -86,8 +86,9 @@ def format_log(edges):
 def read_pps_log(path) -> list[int]:
     """Read an edge capture log: one true edge time in ns per line.
 
-    A line that is not an optional '-' and ASCII digits raises ValueError
-    naming the file and line; unsorted edges, the file.
+    A line that is not an optional '-' and ASCII digits, or whose time
+    lies past the 64-bit ns range, raises ValueError naming the file and
+    line; unsorted edges, the file.
     """
     edges = []
     with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
@@ -96,7 +97,11 @@ def read_pps_log(path) -> list[int]:
             if line:
                 if not is_digits(line.removeprefix("-")):
                     raise ValueError(f"{path}:{lineno}: bad edge time {line!r}")
-                edges.append(int(line))
+                edge_ns = int(line)
+                if abs(edge_ns) >= 2**63:
+                    raise ValueError(f"{path}:{lineno}: edge time {line} "
+                                     f"past the 64-bit ns range")
+                edges.append(edge_ns)
     if not is_sorted(edges):
         raise ValueError(f"{path}: edges not time-sorted")
     return edges

@@ -18,7 +18,7 @@ import os
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 from operator import itemgetter
-from typing import ClassVar, NamedTuple, get_args, get_origin, get_type_hints
+from typing import ClassVar, get_args, get_origin, get_type_hints
 
 from .nmea import MIN_FIX_NSAT, SerialDeliveryModel
 from .pps import PpsJitter
@@ -228,11 +228,6 @@ class TrafficSpec(Bounded):
     params: dict = field(default_factory=dict)
 
 
-class VisibilityStats(NamedTuple):
-    frac_nsat_ge_1: float
-    frac_nsat_ge_4: float
-
-
 @dataclass(frozen=True)
 class ScenarioConfig(Bounded):
     name: str = config_field(minLength=1, pattern=PATH_COMPONENT)
@@ -330,23 +325,6 @@ def effective_nsat(cfg: ScenarioConfig, t_s: float, constellations) -> int:
         if seg.t_start - _COVER_TOL_S <= t_s < seg.t_end:
             return seg.nsat(constellations)
     return cfg.visibility[-1].nsat(constellations)
-
-
-def visibility_stats(cfg: ScenarioConfig, constellations) -> VisibilityStats:
-    """Time-weighted availability fractions over the whole scenario. A
-    receiver needs MIN_FIX_NSAT satellites for a full position-and-time
-    fix, so the NSAT >= MIN_FIX_NSAT fraction is the valid-fix fraction.
-    """
-    total = ge1 = ge4 = 0.0
-    for seg in cfg.visibility:
-        dur = seg.t_end - seg.t_start
-        n = seg.nsat(constellations)
-        total += dur
-        if n >= 1:
-            ge1 += dur
-        if n >= MIN_FIX_NSAT:
-            ge4 += dur
-    return VisibilityStats(ge1 / total, ge4 / total)
 
 
 # ---------------------------------------------------------------------------
@@ -550,11 +528,6 @@ def load(path) -> ScenarioConfig:
 
 def dumps(cfg: ScenarioConfig) -> str:
     return json.dumps(to_dict(cfg), indent=2, sort_keys=True)
-
-
-def save(cfg: ScenarioConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(cfg) + "\n")
 
 
 _JSON_TYPES = {bool: "boolean", int: "integer", float: "number",

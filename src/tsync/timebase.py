@@ -269,15 +269,15 @@ def _round_div(value: int, div: int) -> int:
 
 
 def advance(state: ClockState, params: OscillatorParams, dt_ns: int,
-            temp_c: float, noise: "NoiseStream | None" = None) -> None:
+            temp_c: float, noise: NoiseStream) -> None:
     """Propagate a clock forward by dt_ns of true time, in place.
 
     Frequency is held piecewise constant over the step (evaluated at the
     step start), so deterministic drift is exact and independent of how
-    an interval is partitioned. One noise-stream draw is consumed per
-    call when a stream is supplied. A dt_ns that is not positive raises
-    ValueError, and a phase or instant past the 64-bit ns range
-    OverflowError, leaving `state` unchanged.
+    an interval is partitioned. One draw of the `noise` stream is
+    consumed per call; a silent stream adds none. A dt_ns that is not
+    positive raises ValueError, and a phase or instant past the 64-bit ns
+    range OverflowError, leaving `state` unchanged.
     """
     dt_ns = int(dt_ns)
     t_ns = state.last_update_ns + dt_ns
@@ -287,10 +287,7 @@ def advance(state: ClockState, params: OscillatorParams, dt_ns: int,
             f"forward from {state.last_update_ns} ns")
     elapsed_days = state.last_update_ns / (86400.0 * NS_PER_S)
     det_ppm = params.freq_ppm_at(temp_c, elapsed_days)
-
-    noise_phase_ns = 0.0
-    if noise is not None:
-        noise_phase_ns = noise.next_phase_ns(dt_ns)
+    noise_phase_ns = noise.next_phase_ns(dt_ns)
 
     # 1 ppm * 1 ns == 1 fs, so the ppm product is already in femtoseconds.
     # round() also rejects a NaN or infinite frequency.

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import pathlib
 import stat
 import subprocess
 import sys
@@ -62,7 +63,7 @@ def short_lab(tmp_path, name="lab_short", duration=300, seed=7):
         cfg, name=name, duration_s=duration, seed=seed,
         visibility=(scenario.VisibilitySeg(0.0, duration, 8, 6),))
     path = tmp_path / f"{name}.json"
-    scenario.save(cfg, path)
+    path.write_text(scenario.dumps(cfg) + "\n")
     return cfg, str(path)
 
 
@@ -468,7 +469,7 @@ class TestRun:
             cfg, duration_s=300, nodes=(node,),
             visibility=(scenario.VisibilitySeg(0.0, 300.0, 8, 6),))
         path = tmp_path / "lossy.json"
-        scenario.save(cfg, path)
+        path.write_text(scenario.dumps(cfg) + "\n")
         src = os.path.dirname(os.path.dirname(os.path.abspath(tsync.__file__)))
         res = subprocess.run(
             [sys.executable, "-m", "tsync.cli", "run", str(path),
@@ -677,7 +678,7 @@ class TestAnalyze:
             visibility=(scenario.VisibilitySeg(0.0, 40.0, 8, 6),
                         scenario.VisibilitySeg(40.0, 70.0, 0, 0),
                         scenario.VisibilitySeg(70.0, 120.0, 8, 6)))
-        scenario.save(cfg, tmp_path / "pps_outage.json")
+        (tmp_path / "pps_outage.json").write_text(scenario.dumps(cfg) + "\n")
         res = runner.invoke(main, ["run", str(tmp_path / "pps_outage.json"),
                                    "--out", str(tmp_path / "out")])
         assert res.exit_code == 0, res.output
@@ -853,7 +854,7 @@ class TestReplay:
             visibility=(scenario.VisibilitySeg(0.0, 240.0, 8, 6),),
             temperature=scenario.ConstantTemp(25.0))
         path = tmp_path / "rt.json"
-        scenario.save(cfg, path)
+        path.write_text(scenario.dumps(cfg) + "\n")
         out = tmp_path / "run"
         assert runner.invoke(main, ["run", str(path), "--out", str(out)]
                              ).exit_code == 0
@@ -872,7 +873,7 @@ class TestReplay:
                 cfg.nodes[0], servo=dataclasses.replace(
                     cfg.nodes[0].servo,
                     mode=scenario.ServoMode.NMEA_PLUS_PPS)),))
-        scenario.save(cfg, path)
+        pathlib.Path(path).write_text(scenario.dumps(cfg) + "\n")
         out = tmp_path / "run"
         assert runner.invoke(main, ["run", str(path), "--out", str(out)]
                              ).exit_code == 0
@@ -946,7 +947,7 @@ class TestReplay:
             scenario.preset("suburban"), duration_s=30,
             visibility=(scenario.VisibilitySeg(0.0, 30.0, 7, 5),))
         path = tmp_path / "suburban_30s.json"
-        scenario.save(cfg, path)
+        path.write_text(scenario.dumps(cfg) + "\n")
         out = tmp_path / "run"
         assert runner.invoke(main, ["run", str(path), "--out", str(out)]
                              ).exit_code == 0
@@ -967,7 +968,7 @@ class TestReplay:
                 cfg.nodes[0], servo=dataclasses.replace(
                     cfg.nodes[0].servo,
                     mode=scenario.ServoMode.NMEA_PLUS_PPS)),))
-        scenario.save(cfg, path)
+        pathlib.Path(path).write_text(scenario.dumps(cfg) + "\n")
         out = tmp_path / "run"
         assert runner.invoke(main, ["run", path, "--out", str(out)]
                              ).exit_code == 0
@@ -1040,11 +1041,14 @@ class TestReplay:
         ("pps", ["1_000_000_000"], "1: bad edge time '1_000_000_000'"),
         ("pps", ["1000000000", "+2_000_000_000"],
          "2: bad edge time '+2_000_000_000'"),
+        ("pps", ["1000000000", "99999999999999999999"],
+         "2: edge time 99999999999999999999 past the 64-bit ns range"),
     ], ids=["arrival-underscores", "arrival-plus", "edge-underscores",
-            "edge-plus-underscores"])
+            "edge-plus-underscores", "edge-past-64-bit"])
     def test_log_time_is_a_minus_and_ascii_digits(self, runner, tmp_path,
                                                    log, lines, message):
-        # int() alone takes a '+' and '_' between digits.
+        # int() alone takes a '+' and '_' between digits, and any number
+        # of digits.
         logs = {"nmea": ["1077527366 $GNRMC,000001.000,A,,,,,,,010121,,*24"],
                 "pps": ["1000000000"], log: lines}
         for name, text in logs.items():
@@ -1246,7 +1250,7 @@ def combined_run(tmp_path_factory):
         scenario.preset("suburban"), duration_s=20,
         visibility=(scenario.VisibilitySeg(0.0, 20.0, 7, 5),))
     path = tmp / "drive.json"
-    scenario.save(cfg, path)
+    path.write_text(scenario.dumps(cfg) + "\n")
     res = CliRunner().invoke(main, ["run", str(path), "--out", str(tmp)])
     assert res.exit_code == 0, res.output
     return (str(path), (tmp / "nmea_vehicle.log").read_text().splitlines(),

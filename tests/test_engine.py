@@ -530,6 +530,22 @@ class TestReplayParity:
         assert [LOOP_FORMAT % r for r in loop_rows(rows)] == \
             [LOOP_FORMAT % r for r in loop_rows(res["n0"].loop)]
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_edge_pending_at_the_end_is_warned(self, seed, tmp_path):
+        # Half the sentences lost: the last second's burst is lost, so its
+        # edge is still pending when the events run out.
+        recv = ReceiverSpec(serial=nmea.SerialDeliveryModel(drop_prob=0.5))
+        cfg = small_cfg(duration=20, seed=seed, receiver=recv)
+        res = engine.run_scenario(cfg)
+        live = res["n0"].warnings
+        assert live[-1].startswith("unlabeled edge at 19.99")
+        rows, warnings = engine.run_replay(
+            cfg, cfg.nodes[0], self.logged_events(res, cfg, tmp_path),
+            res["n0"].pulses.edge_ns)
+        assert warnings == live
+        assert [LOOP_FORMAT % r for r in loop_rows(rows)] == \
+            [LOOP_FORMAT % r for r in loop_rows(res["n0"].loop)]
+
     def test_second_node_replays_its_own_run(self, tmp_path):
         # Each node draws from its own seed; replay must pick node n1's.
         osc = OscillatorParams(f0_ppm=0.1, noise_white_fm=2e-9,

@@ -77,7 +77,7 @@ def test_broadcast_with_drops_and_path_deltas(tmp_path):
         traffic=(dataclasses.replace(traffic, params=params),))
     assert all(n.receiver.stamp_latency_ns for n in cfg.nodes[:2])
     path = tmp_path / "harness_drops.json"
-    scenario.save(cfg, path)
+    path.write_text(scenario.dumps(cfg) + "\n")
     out = tmp_path / "out"
     res = CliRunner().invoke(main, ["run", str(path), "--out", str(out)])
     assert res.exit_code == 0, res.output
@@ -124,7 +124,7 @@ SERIAL_DROPS = {
 @pytest.mark.parametrize("name", sorted(SERIAL_DROPS))
 def test_serial_drops(name, tmp_path):
     path = tmp_path / f"{name}_drops.json"
-    scenario.save(_serial_drops(name), path)
+    path.write_text(scenario.dumps(_serial_drops(name)) + "\n")
     out = tmp_path / "out"
     res = CliRunner().invoke(main, ["run", str(path), "--out", str(out)])
     assert res.exit_code == 0, res.output

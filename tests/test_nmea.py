@@ -405,10 +405,13 @@ class TestSentenceLog:
 
 
 class TestFixInvariants:
-    def test_absolute_second(self):
-        fix = GnssFix(3 * 10**9, datetime.date(2021, 1, 2), True, None, "GP")
-        got = nmea.absolute_second_ns(fix)
-        assert got == (86_400 + 3) * 10**9
+    def test_absolute_second(self, tmp_path):
+        # A dated fix names its time in ns since SIM_EPOCH_DATE midnight.
+        fix = GnssFix(3 * 10**9, datetime.date(2021, 1, 2), True, 8, "GP")
+        path = tmp_path / "nmea.log"
+        path.write_text(nmea.generate(fix, nmea.SentenceKind.RMC) + "\n")
+        ((_, named_ns, _),) = nmea.read_log(path, 80.0)
+        assert named_ns == (86_400 + 3) * 10**9
 
 
 class TestSerialDelivery:

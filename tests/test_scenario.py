@@ -8,11 +8,11 @@ from operator import itemgetter
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from tsync import scenario, timebase
+from tsync import engine, scenario, timebase
 from tsync.scenario import (ConstantTemp, LinkModel, NodeSpec, RangeTemp,
                             ScenarioConfig, SchemaError, TraceTemp,
                             TrafficSpec, UnknownPreset, VisibilitySeg, preset,
-                            temperature_at, traffic_params, visibility_stats)
+                            temperature_at, traffic_params)
 
 DOCS = os.path.join(os.path.dirname(__file__), os.pardir, "docs")
 
@@ -345,24 +345,33 @@ class TestTemperature:
 
 
 class TestVisibilityStats:
+    """Availability as a run sees it: a node emits a pulse in each second
+    with a satellite in view, and its burst names the satellites in view.
+    The fractions are those of seconds with at least 1 and at least 4."""
+
+    @staticmethod
+    def availability(cfg, constellations):
+        node = NodeSpec(name="n", constellations=frozenset(constellations))
+        sim = engine.run_scenario(dataclasses.replace(cfg, nodes=(node,)))["n"]
+        return (len(sim.pulses) / cfg.duration_s,
+                sum(n >= 4 for n in sim.bursts.nsat) / cfg.duration_s)
+
     def test_full_sky(self):
-        stats = visibility_stats(minimal(), {"GPS", "BEIDOU"})
-        assert stats.frac_nsat_ge_1 == 1.0
-        assert stats.frac_nsat_ge_4 == 1.0
+        assert self.availability(minimal(), {"GPS", "BEIDOU"}) == (1.0, 1.0)
 
     def test_mixed_urban_aggregates(self):
         cfg = preset("mixed_urban")
-        both = visibility_stats(cfg, {"GPS", "BEIDOU"})
-        gps = visibility_stats(cfg, {"GPS"})
-        assert both.frac_nsat_ge_4 == pytest.approx(0.496, abs=0.005)
-        assert both.frac_nsat_ge_1 == pytest.approx(1.0, abs=0.005)
-        assert gps.frac_nsat_ge_1 == pytest.approx(0.82, abs=0.005)
+        both_ge1, both_ge4 = self.availability(cfg, {"GPS", "BEIDOU"})
+        gps_ge1, _ = self.availability(cfg, {"GPS"})
+        assert both_ge4 == pytest.approx(0.496, abs=0.005)
+        assert both_ge1 == pytest.approx(1.0, abs=0.005)
+        assert gps_ge1 == pytest.approx(0.82, abs=0.005)
 
     def test_invariant_under_segment_split(self):
         whole = minimal()
         split = ScenarioConfig(name="mini", duration_s=100, visibility=(
             VisibilitySeg(0, 50, 8, 6), VisibilitySeg(50, 100, 8, 6)))
-        assert visibility_stats(whole, {"GPS"}) == visibility_stats(
+        assert self.availability(whole, {"GPS"}) == self.availability(
             split, {"GPS"})
 
 
@@ -412,7 +421,7 @@ class TestPresets:
     def test_save_load_roundtrip(self, tmp_path):
         path = tmp_path / "tunnel.json"
         cfg = preset("tunnel_5km")
-        scenario.save(cfg, path)
+        path.write_text(scenario.dumps(cfg) + "\n")
         assert scenario.load(path) == cfg
 
 
