@@ -349,15 +349,19 @@ def analyze(logs, out_dir):
     click.echo(_dump_json(payload), nl=False)
 
     if out_dir:
-        for name, (rep, elapsed, offsets) in reports.items():
-            stem = os.path.splitext(name)[0]
-            _write_atomic(os.path.join(out_dir, f"{stem}_report.json"),
-                          (_dump_json(rep),))
-            _write_atomic(os.path.join(out_dir, f"{stem}_adev.csv"),
-                          _rows_csv("tau_s,adev", "%r,%r", rep["adev"]))
-            _write_atomic(os.path.join(out_dir, f"{stem}_offsets.csv"),
-                          _csv("elapsed_s,offset_ns", "%.3f,%d",
-                               elapsed, offsets))
+        try:
+            for name, (rep, elapsed, offsets) in reports.items():
+                stem = os.path.splitext(name)[0]
+                _write_atomic(os.path.join(out_dir, f"{stem}_report.json"),
+                              (_dump_json(rep),))
+                _write_atomic(os.path.join(out_dir, f"{stem}_adev.csv"),
+                              _rows_csv("tau_s,adev", "%r,%r", rep["adev"]))
+                _write_atomic(os.path.join(out_dir, f"{stem}_offsets.csv"),
+                              _csv("elapsed_s,offset_ns", "%.3f,%d",
+                                   elapsed, offsets))
+        except OSError as exc:
+            click.echo(f"analyze failed: {exc}", err=True)
+            sys.exit(1)
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +410,11 @@ def replay(nmea_log, pps_log, mode, preset_name, scenario_path, node_name,
     for w in warnings:
         click.echo(f"WARNING tsync: replay: {w}", err=True)
     path = os.path.join(out_dir, "loop_replay.csv")
-    _write_atomic(path, _loop_csv(loop))
+    try:
+        _write_atomic(path, _loop_csv(loop))
+    except OSError as exc:
+        click.echo(f"replay error: {exc}", err=True)
+        sys.exit(1)
     click.echo(path)
 
 

@@ -231,7 +231,9 @@ class TrafficSpec(Bounded):
 @dataclass(frozen=True)
 class ScenarioConfig(Bounded):
     name: str = config_field(minLength=1, pattern=PATH_COMPONENT)
-    duration_s: int = config_field(exclusiveMinimum=0)
+    # Every instant of a run lies in the 64-bit ns range.
+    duration_s: int = config_field(exclusiveMinimum=0,
+                                   maximum=(2**63 - 1) // NS_PER_S)
     visibility: tuple[VisibilitySeg, ...] = config_field(minItems=1)
     seed: int = config_field(DEFAULT_SEED, minimum=0)
     temperature: Temperature = field(

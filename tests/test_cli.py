@@ -136,24 +136,32 @@ class TestRun:
 
     @pytest.mark.parametrize("keys, value, files, match", [
         (("nodes", 0, "receiver", "serial_jiter_ms"), 99, {},
-         "unknown key 'serial_jiter_ms'"),
-        (("comment",), "x", {}, "unknown key 'comment'"),
-        (("nodes", 0, "constellations"), ["GLONASS"], {}, "constellations"),
-        (("nodes", 0, "constellations"), [], {}, "constellations"),
+         "nodes[0].receiver: unknown key 'serial_jiter_ms'"),
+        (("comment",), "x", {}, "scenario: unknown key 'comment'"),
+        (("nodes", 0, "constellations"), ["GLONASS"], {},
+         "nodes[0]: constellations must each be one of GPS, BEIDOU"),
+        (("nodes", 0, "constellations"), [], {},
+         "nodes[0]: constellations must not be empty"),
         (("nodes",), {"bench": {"name": "bench"}}, {},
          "nodes must be an array"),
-        (("nodes", 0, "servo"), None, {}, "servo must be a JSON object"),
+        (("nodes", 0, "servo"), None, {},
+         "nodes[0].servo must be a JSON object"),
         (("temperature",), {"kind": "trace", "file": "missing.csv"}, {},
-         "missing.csv"),
+         "cannot read {dir}/missing.csv: No such file or directory"),
         (("temperature",), {"kind": "trace", "file": "sub"},
-         {"sub/x.csv": b""}, "cannot read"),
+         {"sub/x.csv": b""}, "cannot read {dir}/sub: Is a directory"),
         (("temperature",), {"kind": "trace", "file": "t.csv"},
-         {"t.csv": b"0,16\n10,16\xb0\n"}, "cannot read"),
-        ((), None, {"bad.json": b'{"name": "lab\xb0"}'}, "cannot read"),
+         {"t.csv": b"0,16\n10,16\xb0\n"},
+         "cannot read {dir}/t.csv: 'utf-8' codec can't decode byte 0xb0 in "
+         "position 10: invalid start byte"),
+        ((), None, {"bad.json": b'{"name": "lab\xb0"}'},
+         "cannot read {dir}/bad.json: 'utf-8' codec can't decode byte 0xb0 "
+         "in position 13: invalid start byte"),
         (("temperature",), {"kind": "range", "lo": 20, "hi": 25,
-                            "period_s": 0}, {}, "period_s must be positive"),
+                            "period_s": 0}, {},
+         "temperature: period_s must be positive"),
         (("nodes", 0, "receiver", "label_window_ns"), 0, {},
-         "label_window_ns must be positive"),
+         "nodes[0].receiver: label_window_ns must be positive"),
         (("nodes", 0, "receiver", "serial_jitter_ms"), -1, {},
          "nodes[0].receiver: serial_jitter_ms must be in [0, 1000)"),
         *((("nodes", 0, "receiver", "serial_base_latency_ms"), latency, {},
@@ -183,15 +191,17 @@ class TestRun:
          "traffic[0].params: airtime_jitter_us must be >= 0"),
         (("traffic",), [{"kind": "ntp", "rate_hz": 1.0},
                         {"kind": "ntp", "rate_hz": 2.0}], {},
-         "traffic[1]: a second 'ntp' entry; at most one entry per kind"),
+         "scenario: traffic[1]: a second 'ntp' entry; at most one entry per "
+         "kind"),
         (("traffic",), [{"kind": "tsf", "rate_hz": 1.0},
                         {"kind": "broadcast", "rate_hz": 10.0},
                         {"kind": "broadcast", "rate_hz": 10.0}], {},
-         "traffic[2]: a second 'broadcast' entry"),
+         "scenario: traffic[2]: a second 'broadcast' entry; at most one "
+         "entry per kind"),
         (("name",), "", {}, "scenario: name must not be empty"),
         (("nodes", 0, "name"), "", {}, "nodes[0]: name must not be empty"),
         (("nodes", 0, "servo", "holdover_window_s"), 60.0, {},
-         "unknown key 'holdover_window_s'"),
+         "nodes[0].servo: unknown key 'holdover_window_s'"),
         (("nodes", 0, "servo", "holdover_predict"), "false", {},
          "nodes[0].servo.holdover_predict: expected a JSON boolean, "
          "got 'false'"),
@@ -207,7 +217,9 @@ class TestRun:
          "duration_s: expected a JSON integer, got 11.5"),
         (("duration_s",), 0.4, {},
          "duration_s: expected a JSON integer, got 0.4"),
-        (("duration_s",), 0, {}, "scenario: duration_s must be positive"),
+        *((("duration_s",), duration, {},
+           "scenario: duration_s must be in (0, 9223372036]")
+          for duration in (0, 10**400, 2**63)),
         *((("nodes", 0, "servo"), gains, {}, f"nodes[0].servo: {match}")
           for gains, match in (
               ({"kp": 0.5, "ki": 3.1},
@@ -235,10 +247,12 @@ class TestRun:
           for delta in (10**30, 2**63 - 1, -2 * 10**8)),
         *(((), None, harness_file(("nodes", i, "servo", "mode"), "nmea",
                                   "harness_100pps"),
-           f"traffic[0].params: node 'c{i + 1}' has servo mode 'nmea'")
+           f"traffic[0].params: node 'c{i + 1}' has servo mode 'nmea'; a "
+           f"broadcast needs pulse-disciplined clocks")
           for i in (0, 2)),
         ((), None, harness_file(("traffic", 0, "rate_hz"), 0.01),
-         "traffic[0]: a broadcast at 0.01 Hz sends no packet in 20 s"),
+         "scenario: traffic[0]: a broadcast at 0.01 Hz sends no packet in "
+         "20 s"),
         *((("nodes", 0, "oscillator", key), 1e300, {},
            f"nodes[0].oscillator: {key} must be in {bounds}")
           for key, bounds in (("temp_coeff_ppm_per_c", "[-1000, 1000]"),
@@ -247,7 +261,8 @@ class TestRun:
                               ("noise_flicker_fm", "[0, 0.001]"),
                               ("noise_randomwalk_fm", "[0, 0.001]"))),
         *(((*at, "name"), name, {},
-           f"{where}: name must be one path component")
+           f"{where}: name must be one path component: no '/' or '\\', "
+           f"and not '.' or '..'")
           for at, where in (((), "scenario"), (("nodes", 0), "nodes[0]"))
           for name in NOT_ONE_COMPONENT),
         # A temperature lies in [-273.15, 1000] degrees C wherever a
@@ -265,7 +280,9 @@ class TestRun:
          "temperature: points[*][1] must be in [-273.15, 1000]"),
         (("temperature",), {"kind": "trace", "file": "t.csv"},
          {"t.csv": b"t_s,temp_c\n0,16\n10,-1e300\n"},
-         "t.csv: points[*][1] must be in [-273.15, 1000]"),
+         "{dir}/t.csv: points[*][1] must be in [-273.15, 1000]"),
+        (("temperature",), {"kind": "trace", "points": [[0, 16], [-5, 16]]},
+         {}, "temperature: points must be time-sorted"),
         (("nodes", 0, "oscillator", "ref_temp_c"), 1e300, {},
          "nodes[0].oscillator: ref_temp_c must be in [-273.15, 1000]"),
     ], ids=["receiver-key-typo", "unknown-top-level-key", "glonass-only",
@@ -283,7 +300,8 @@ class TestRun:
             "boolean-as-string", "seed-as-string", "seed-fractional",
             "seed-as-boolean", "name-as-number", "nsat-fractional",
             "duration-as-boolean", "duration-fractional",
-            "duration-under-a-second", "duration-zero",
+            "duration-under-a-second", "duration-zero", "duration-1e400",
+            "duration-2-pow-63",
             "ki-past-triangle", "kp-past-2", "ki-past-triangle-at-high-kp",
             "ki-50", "kp-3",
             "mode-as-number", "seed-negative",
@@ -299,7 +317,7 @@ class TestRun:
                            "dot-dot")),
             "constant-temperature-1e300", "range-lo-below-absolute-zero",
             "range-hi-1e300", "trace-point-1e300", "trace-file-point-1e300",
-            "ref-temperature-1e300"])
+            "unsorted-trace", "ref-temperature-1e300"])
     def test_malformed_config_exits_2(self, runner, tmp_path, keys, value,
                                       files, match):
         short_lab(tmp_path, duration=30)
@@ -317,9 +335,8 @@ class TestRun:
                                    "--out", str(tmp_path / "out")])
         assert res.exit_code == 2
         assert isinstance(res.exception, SystemExit)
-        [line] = res.stderr.splitlines()
-        assert line.startswith("scenario config error:")
-        assert match in line
+        assert res.stderr == \
+            f"scenario config error: {match.format(dir=tmp_path)}\n"
         assert not (tmp_path / "out").exists()
 
     def test_unparseable_json_exits_2(self, runner, tmp_path):
@@ -366,8 +383,9 @@ class TestRun:
         res = runner.invoke(main, ["run", p1, p2,
                                    "--out", str(tmp_path / "multi")])
         assert res.exit_code == 0, res.output
-        assert (tmp_path / "multi" / "one" / "loop_bench.csv").exists()
-        assert (tmp_path / "multi" / "two" / "loop_bench.csv").exists()
+        for name in ("one", "two"):
+            assert (tmp_path / "multi" / name / "loop_bench.csv").exists()
+            assert (tmp_path / "multi" / name / "manifest.json").exists()
 
     @pytest.mark.parametrize("command", [
         ["run", "--preset", "lte_ntp"],
@@ -513,8 +531,10 @@ class TestAnalyze:
         out = tmp_path / "h"
         assert runner.invoke(main, ["run", "--preset", "harness_10pps",
                                     "--out", str(out)]).exit_code == 0
-        res = runner.invoke(main, ["analyze", str(out / "harness.csv")])
+        res = runner.invoke(main, ["analyze", str(out / "harness.csv"),
+                                   "--out", str(tmp_path / "rep")])
         rep = json.loads(res.output)
+        assert (tmp_path / "rep" / "harness_offsets.csv").exists()
         offsets = [int(line.split(",")[4]) for line in
                    (out / "harness.csv").read_text().splitlines()[1:]]
         box = metrics.boxplot(offsets)
@@ -1219,12 +1239,17 @@ RMC_2 = "2075149360 $GNRMC,000002.000,A,,,,,,,010121,,*27"
     ("replay", {"nmea.log": [RMC_1, RMC_2]},
      ["--preset", "suburban", "--scenario", BEACONS],
      "replay error: give either --preset or --scenario, not both"),
+    ("replay", {"nmea.log": [
+        "$GPRMC,+1+100.000,A,,,,,,,010121,,*"
+        + nmea.checksum("GPRMC,+1+100.000,A,,,,,,,010121,,")]}, [],
+     "replay error: {dir}/nmea.log:1: bad time-of-day field '+1+100.000'"),
     ("analyze", {"loop.csv": [engine.LOOP_HEADER, "1.000,4.5,0.0,PPS,0"]}, [],
      "malformed log: {dir}/loop.csv:2: could not convert string '4.5' to "
      "int64, column 2."),
 ], ids=["unsorted-pulse-log", "edge-outside-scenario",
         "sentence-names-earlier-second", "repeated-edge", "bad-checksum",
-        "preset-and-scenario", "fractional-analyze-offset"])
+        "preset-and-scenario", "signed-time-field",
+        "fractional-analyze-offset"])
 def test_data_error_is_one_line_exit_1(runner, tmp_path, command, files,
                                        extra, line):
     """Each data error a command catches exits 1 with one exact stderr
@@ -1239,6 +1264,26 @@ def test_data_error_is_one_line_exit_1(runner, tmp_path, command, files,
     assert res.exception is None or isinstance(res.exception, SystemExit)
     assert res.stderr == line.format(dir=tmp_path) + "\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, wording", [
+    ("run", "run failed"), ("analyze", "analyze failed"),
+    ("replay", "replay error")], ids=["run", "analyze", "replay"])
+def test_write_error_is_one_line_exit_1(runner, tmp_path, command, wording):
+    """A command whose --out names a file, where it must make a directory,
+    exits 1 with one line that names the path."""
+    _, scenario_path = short_lab(tmp_path, duration=30)
+    (tmp_path / "loop.csv").write_text(
+        f"{engine.LOOP_HEADER}\n1.000,4,0.0,PPS,0\n")
+    (tmp_path / "nmea.log").write_text(RMC_1 + "\n")
+    inputs = {"run": scenario_path, "analyze": str(tmp_path / "loop.csv"),
+              "replay": str(tmp_path / "nmea.log")}
+    out = tmp_path / "out"
+    out.write_text("")
+    res = runner.invoke(main, [command, inputs[command], "--out", str(out)])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert res.stderr == f"{wording}: [Errno 17] File exists: '{out}'\n"
 
 
 @pytest.fixture(scope="module")
@@ -1532,3 +1577,56 @@ def test_noise_fit_starts_no_blas_threads(tmp_path):
     if imported[2] is None:
         pytest.skip("threads are counted in /proc")
     assert ran[2] == imported[2]
+
+
+# Runs `python -m tsync.cli` with the arguments given, its stdout dropped,
+# reaps it with os.wait4 and prints its exit code and its own peak RSS.
+# A process's peak RSS counts the process it was forked from, so the
+# command is started from this small interpreter, not from pytest's.
+REAP_TSYNC = """
+import os, subprocess, sys
+proc = subprocess.Popen([sys.executable, "-m", "tsync.cli", *sys.argv[1:]],
+                        stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def run_reaped(args):
+    """Exit code, stderr and peak RSS (KiB on Linux) of `tsync args`, run
+    with this checkout's tsync under Python's default warning filters."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tsync.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONWARNINGS", None)
+    res = subprocess.run([sys.executable, "-c", REAP_TSYNC, *args], env=env,
+                         capture_output=True, text=True, timeout=120)
+    code, kib = map(int, res.stdout.split())
+    return code, res.stderr, kib
+
+
+def test_day_run_writes_every_line_under_64_mib(tmp_path):
+    """The 24 h run's logs are streamed to disk in blocks: every line of
+    each arrives. Its logs are typed columns allocated once, so its peak
+    RSS stays under 64 MiB."""
+    code, err, kib = run_reaped(["run", "--preset", "room_24h", "--out",
+                                 str(tmp_path)])
+    assert code == 0, err
+    assert kib < 64 * 1024
+    lines = {name: (tmp_path / name).read_bytes().count(b"\n") for name in
+             ("loop_bench.csv", "nmea_bench.log", "pps_bench.log")}
+    assert lines == {"loop_bench.csv": 86_401, "nmea_bench.log": 172_800,
+                     "pps_bench.log": 86_400}
+
+
+@pytest.mark.parametrize("rows", [["1.000,4.5,0.0,PPS,0"], STEP_7E306],
+                         ids=["fractional", "steps_7e306"])
+def test_malformed_log_exits_1_outside_pytest(tmp_path, rows):
+    """A fractional offset, and times past the int64 ns range, are a
+    malformed log without pytest's warnings-as-errors too: exit 1 with
+    one line."""
+    path = tmp_path / "loop.csv"
+    path.write_text("\n".join([engine.LOOP_HEADER, *rows]) + "\n")
+    code, err, _ = run_reaped(["analyze", str(path)])
+    assert code == 1
+    [line] = err.splitlines()
+    assert line.startswith(f"malformed log: {path}:2: ")

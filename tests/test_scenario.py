@@ -136,7 +136,7 @@ class TestValidation:
             scenario.from_dict(data)
 
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture],
-              deadline=None)
+              derandomize=True, deadline=None)
     @given(st.sampled_from(scenario.PRESET_NAMES), st.data())
     def test_mutated_config_loads_or_raises_schema_error(self, tmp_path, name,
                                                          data):
